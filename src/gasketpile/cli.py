@@ -21,7 +21,6 @@ from .gasket import (
     build_gasket,
     graph_to_json,
     parse_boundary,
-    reduced_laplacian,
 )
 from .sandpile import (
     burning_odometer,
@@ -138,12 +137,11 @@ def cmd_group_snf(parser, args) -> int:
     _check_level(parser, args)
     graph = _graph_arg(args)
     data_l = group.lattice_data(graph)
-    det = group.determinant(reduced_laplacian(graph))
     data = {
         "level": graph.level,
         "boundary": graph.boundary.token(),
         "invariant_factors": [str(d) for d in data_l.nontrivial],
-        "determinant": str(det),
+        "determinant": str(data_l.order),
     }
     human = [
         f"group order {data_l.order}",
@@ -235,16 +233,16 @@ def cmd_markov_simulate(parser, args) -> int:
             f"chi mean {est.mean:.6f} stderr {est.stderr:.6f} expected {est.expected:.6f}"
         ]
     else:
-        state = markov.run_chain(build_gasket(args.level), args.steps, seed=seed)
-        chi = spectral.distinguishing_statistic(state.config.graph, state.config.chips)
+        conf = markov.run_chain(build_gasket(args.level), args.steps, seed=seed)
+        chi = spectral.distinguishing_statistic(conf.graph, conf.chips)
         data = {
             "seed": seed,
             "level": args.level,
             "steps": args.steps,
             "chi": chi,
-            "config": config_to_json(state.config),
+            "config": config_to_json(conf),
         }
-        human = [config_to_text(state.config), f"chi {chi:.6f}"]
+        human = [config_to_text(conf), f"chi {chi:.6f}"]
     _print(data, args.json, human)
     return 0
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gasket import GasketGraph, build_gasket, reduced_laplacian
+from .gasket import GasketGraph, build_gasket
 from .sandpile import Configuration, identity, recurrent_rep, stabilize_list
 from .spectral import distinguishing_statistic, level1_cells
 from . import group
@@ -43,39 +43,12 @@ def trajectory_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-@dataclass
-class ChainState:
-    """A walk trajectory: current configuration, steps taken, and the
-    generator owned by this trajectory."""
-
-    config: Configuration
-    t: int
-    rng: random.Random
-
-
-def new_chain(graph: GasketGraph, seed: int | None = None, index: int = 0) -> ChainState:
-    return ChainState(config=identity(graph), t=0, rng=trajectory_rng(master_seed(seed), index))
-
-
-def step(state: ChainState) -> ChainState:
-    """One walk step (mutates nothing; returns the advanced state)."""
-    graph = state.config.graph
-    n = graph.n_vertices
-    v = state.rng.randrange(n + 1)
-    if v == n:
-        return ChainState(state.config, state.t + 1, state.rng)
-    chips = list(state.config.chips)
-    chips[v] += 1
-    if chips[v] >= graph.degrees[v]:
-        stabilize_list(graph, chips)
-    return ChainState(Configuration(graph, tuple(chips)), state.t + 1, state.rng)
-
-
-def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: int = 0) -> ChainState:
-    state = new_chain(graph, seed, index)
-    chips = list(state.config.chips)
-    _advance(graph, chips, steps, state.rng)
-    return ChainState(Configuration(graph, tuple(chips)), steps, state.rng)
+def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: int = 0) -> Configuration:
+    """The walk's configuration after `steps` steps from the identity, on
+    trajectory `index` of the master seed."""
+    chips = list(identity(graph).chips)
+    _advance(graph, chips, steps, trajectory_rng(master_seed(seed), index))
+    return Configuration(graph, tuple(chips))
 
 
 def _advance(graph: GasketGraph, chips: list[int], steps: int, rng: random.Random):
@@ -114,7 +87,7 @@ class ChiDecayEstimate:
 
 def expected_chi(level: int, t: int) -> float:
     """E[statistic] after t steps from the identity: (1 - 6/(n+1))**t."""
-    n = build_gasket(level).n_vertices
+    n = gasket_size(level)
     return (1 - 6 / (n + 1)) ** t
 
 
@@ -126,17 +99,12 @@ def estimate_chi_decay(level: int, t: int, trials: int, seed: int | None = None)
     """
     graph = build_gasket(level)
     base = identity(graph).chips
-    cells = level1_cells(level)
-    mids = [c.midpoint_indices for c in cells]
     seed_val = master_seed(seed)
     values = np.empty(trials)
     for i in range(trials):
         chips = list(base)
         _advance(graph, chips, t, trajectory_rng(seed_val, i))
-        total = 0
-        for m in mids:
-            total += -1 if (chips[m[0]] + chips[m[1]] + chips[m[2]]) % 2 else 1
-        values[i] = total / len(mids)
+        values[i] = distinguishing_statistic(graph, chips)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return ChiDecayEstimate(
@@ -242,7 +210,7 @@ def r_statistic(level: int, t: int) -> Fraction:
     """R(t) = 3**(n-1) * (1 - 6/(n+1))**(2t), exactly."""
     if level < 1:
         raise ValueError("the statistic needs level >= 1")
-    n = build_gasket(level).n_vertices
+    n = gasket_size(level)
     return Fraction(3) ** (level - 1) * Fraction(n - 5, n + 1) ** (2 * t)
 
 
@@ -255,12 +223,19 @@ def tv_lower_bound_exact(level: int, t: int) -> Fraction:
 def tv_lower_bound(level: int, t: int) -> float:
     if level < 1:
         raise ValueError("the statistic needs level >= 1")
-    n = build_gasket(level).n_vertices
+    return _r_and_tv_lower(level, t)[1]
+
+
+def _r_and_tv_lower(level: int, t: int) -> tuple[float, float]:
+    """R(t) and the bound 1 - 4/(4 + R(t)) in floating point."""
+    n = gasket_size(level)
     r = 3 ** (level - 1) * (1 - 6 / (n + 1)) ** (2 * t)
-    return 1 - 4 / (4 + r)
+    return r, 1 - 4 / (4 + r)
 
 
 def gasket_size(level: int) -> int:
+    if level < 0:
+        raise ValueError("level must be >= 0")
     return 3 * (3**level + 1) // 2
 
 
@@ -329,13 +304,10 @@ def mixing_report(
     n = gasket_size(level)
     upper_t = upper_bound_t(level)
     sample_ts = sorted({0, 1, 2, 5, 10, 25, 50, upper_t})
-    r_curve = []
-    for t in sample_ts:
-        r = 3 ** (level - 1) * (1 - 6 / (n + 1)) ** (2 * t)
-        r_curve.append((t, r, 1 - 4 / (4 + r)))
+    r_curve = [(t, *_r_and_tv_lower(level, t)) for t in sample_ts]
     order = None
     if with_group_order:
-        order = abs(group.determinant(reduced_laplacian(build_gasket(level))))
+        order = group.sandpile_group_order(build_gasket(level))
     report = MixingReport(
         level=level,
         n_vertices=n,

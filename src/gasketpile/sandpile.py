@@ -76,26 +76,35 @@ def max_config(graph: GasketGraph) -> Configuration:
 
 
 def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
-    """Topple in place until stable; returns the odometer.
+    """Topple in place until stable; returns the odometer.  This is the only
+    code in the package that fires vertices.
 
     Work-queue with batch firing: a popped vertex fires floor(chips/degree)
-    times at once.  Default order is FIFO; passing an rng pops in random
-    order instead, which the tests use to exercise order-independence.
-    Frozen vertices never fire and simply accumulate chips.
+    times at once.  While toppling, the list holds each vertex's excess
+    chips - degree, so a vertex is unstable when its excess is >= 0.  A
+    vertex is pushed when the chips it receives lift its excess from below 0
+    to 0 or above, so the queue holds every unstable vertex exactly once.
+    Default order is FIFO; passing an rng pops in random order instead, which
+    the tests use to exercise order-independence.  Frozen vertices get a
+    threshold above the total chip count, which toppling never reaches, so
+    they never fire and simply accumulate chips.
     """
     degrees = graph.degrees
+    if frozen:
+        degrees = list(degrees)
+        unreachable = sum(chips) + 1
+        for v in frozen:
+            degrees[v] = unreachable
     neighbors = graph.neighbors
-    n = len(chips)
-    odometer = [0] * n
-    is_frozen = bytearray(n)
-    for v in frozen:
-        is_frozen[v] = 1
-    queued = bytearray(n)
+    odometer = [0] * len(chips)
+    for v, d in enumerate(degrees):
+        chips[v] -= d
+    unstable = [v for v, e in enumerate(chips) if e >= 0]
     if rng is None:
-        queue = deque()
+        queue = deque(unstable)
         push, pop = queue.append, queue.popleft
     else:
-        queue = []
+        queue = unstable
         push = queue.append
 
         def pop():
@@ -103,35 +112,36 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
             queue[i], queue[-1] = queue[-1], queue[i]
             return queue.pop()
 
-    for v in range(n):
-        if chips[v] >= degrees[v] and not is_frozen[v]:
-            push(v)
-            queued[v] = 1
     while queue:
         v = pop()
-        queued[v] = 0
         d = degrees[v]
-        c = chips[v]
-        if c < d:
-            continue
-        fires = c // d
-        chips[v] = c - fires * d
+        e = chips[v]
+        fires = e // d + 1
+        chips[v] = e - fires * d
         odometer[v] += fires
         for w in neighbors[v]:
-            cw = chips[w] + fires
-            chips[w] = cw
-            if not queued[w] and not is_frozen[w] and cw >= degrees[w]:
+            e = chips[w] + fires
+            chips[w] = e
+            if e >= 0 and e < fires:
                 push(w)
-                queued[w] = 1
+    for v, d in enumerate(degrees):
+        chips[v] += d
     return odometer
 
 
-def _check_conservation(graph, before, after, odometer):
+def _stabilize_checked(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
+    """`_stabilize_raw`, followed when CHECK_CONSERVATION is set by an exact
+    check of result = start - Laplacian @ odometer at every vertex."""
+    if not CHECK_CONSERVATION:
+        return _stabilize_raw(graph, chips, frozen, rng)
+    before = list(chips)
+    odometer = _stabilize_raw(graph, chips, frozen, rng)
     degrees, neighbors = graph.degrees, graph.neighbors
     for v in range(len(before)):
         received = sum(odometer[w] for w in neighbors[v])
-        if after[v] != before[v] - degrees[v] * odometer[v] + received:
+        if chips[v] != before[v] - degrees[v] * odometer[v] + received:
             raise AssertionError(f"conservation identity violated at vertex {v}")
+    return odometer
 
 
 def stabilize(conf: Configuration, frozen=(), rng=None):
@@ -141,21 +151,14 @@ def stabilize(conf: Configuration, frozen=(), rng=None):
     the result is stable off the frozen set and the odometer is zero on it.
     """
     chips = list(conf.chips)
-    odometer = _stabilize_raw(conf.graph, chips, frozen=frozen, rng=rng)
-    if CHECK_CONSERVATION:
-        _check_conservation(conf.graph, conf.chips, chips, odometer)
+    odometer = _stabilize_checked(conf.graph, chips, frozen, rng)
     return Configuration(conf.graph, tuple(chips)), tuple(odometer)
 
 
 def stabilize_list(graph: GasketGraph, chips: list[int]):
     """In-place stabilization of a raw chip list with the same optional
     conservation checking as `stabilize`; returns the odometer."""
-    if CHECK_CONSERVATION:
-        before = list(chips)
-        odometer = _stabilize_raw(graph, chips)
-        _check_conservation(graph, before, chips, odometer)
-        return odometer
-    return _stabilize_raw(graph, chips)
+    return _stabilize_checked(graph, chips)
 
 
 def oplus(a: Configuration, b: Configuration) -> Configuration:
@@ -173,10 +176,7 @@ def burning_odometer(conf: Configuration):
     if not conf.is_stable:
         raise ValueError("burning test needs a stable configuration")
     chips = [c + b for c, b in zip(conf.chips, conf.graph.beta)]
-    odometer = _stabilize_raw(conf.graph, chips)
-    if CHECK_CONSERVATION:
-        before = [c + b for c, b in zip(conf.chips, conf.graph.beta)]
-        _check_conservation(conf.graph, before, chips, odometer)
+    odometer = _stabilize_checked(conf.graph, chips)
     recurrent = tuple(chips) == conf.chips and all(u == 1 for u in odometer)
     return recurrent, tuple(odometer)
 

@@ -4,9 +4,12 @@ The central object is a family of configurations parameterized by the three
 corner values: at level 1 the interior is fixed at 3 chips on the bottom and
 left midpoints and 2 on the right midpoint, and at level n+1 the family is
 assembled from three level-n members whose corner arguments agree across the
-junctions.  Doubling such a configuration and stabilizing with one corner
-frozen reproduces the family with a shifted corner argument, and gluing the
-all-2-corner member with its two rotations yields the group identity.
+junctions.  Doubling such a configuration and stabilizing it with one corner
+as the sink reproduces the family with a shifted corner argument, the sunk
+corner collecting the chips that leave; gluing the all-2-corner member with
+its two rotations yields the group identity.  Every identity checked here is
+a stabilization under one of the two boundary conditions, normal or
+corner-sink.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .gasket import (
     LOWER_LEFT,
     LOWER_RIGHT,
     TOP,
-    GasketGraph,
     build_gasket,
     corner_sink,
     junction_coords,
@@ -138,46 +140,28 @@ class DoublingReport:
         }
 
 
-def _redistribute_without_sink(graph: GasketGraph, chips: list[int], frozen: int) -> tuple[int, ...]:
-    """Batch-topple along the gasket edges only, never moving chips off the
-    graph: every vertex fires at its bare degree (2 at the corners), except the
-    frozen vertex, which only collects.  Terminates because the frozen vertex
-    strictly gains whenever its neighbors fire and the rest is a finite
-    chip-firing game drained by that absorption."""
-    neighbors: list[list[int]] = [[] for _ in chips]
-    for a, b in graph.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    degrees = [len(ns) for ns in neighbors]
-    chips = list(chips)
-    active = [v for v in range(len(chips)) if v != frozen and chips[v] >= degrees[v]]
-    while active:
-        next_active = []
-        for v in active:
-            rounds = chips[v] // degrees[v]
-            if rounds == 0:
-                continue
-            chips[v] -= rounds * degrees[v]
-            for w in neighbors[v]:
-                chips[w] += rounds
-        for v in range(len(chips)):
-            if v != frozen and chips[v] >= degrees[v]:
-                next_active.append(v)
-        active = next_active
-    return tuple(chips)
-
-
 def verify_doubling(level: int) -> DoublingReport:
-    """Double the (2,1,1)-corner tile and redistribute the excess along the
-    gasket edges with the lower-left corner frozen: the result must be the
-    (2+4*3**n,1,1) tile, i.e. the frozen corner collects exactly 4*3**n - 2
-    extra chips.  No chips leave the graph, so the corner arguments topple at
-    their bare degree 2 here."""
+    """Double the (2,1,1)-corner tile and stabilize it with the lower-left
+    corner as the sink: the result must be the (2+4*3**n,1,1) tile off that
+    corner, and the corner, which only collects the chips that reach it, must
+    gain exactly 4*3**n - 2.
+
+    Freezing a vertex of the bare gasket is the same as sinking it: with the
+    lower-left corner sunk, its two neighbors keep their bare degree 4 through
+    one sink edge each, the other two corners topple at their bare degree 2,
+    and every chip that crosses a sink edge is a chip the frozen corner
+    collects.  So the corner's final value is what the rest of the gasket
+    lost to the sink."""
     doubled = build_tile(level, 2, 1, 1).scale(2)
     graph = doubled.graph
     corner = graph.corner_index(LOWER_LEFT)
-    result_chips = _redistribute_without_sink(graph, list(doubled.chips), corner)
-    result = config(graph, result_chips)
+    sunk = build_gasket(level, corner_sink(LOWER_LEFT))
+    rest, _ = stabilize(config(sunk, [doubled.value_at(c) for c in sunk.coords]))
+    chips = [0] * graph.n_vertices
+    for c, v in zip(sunk.coords, rest.chips):
+        chips[graph.index(c)] = v
+    chips[corner] = doubled.total - rest.total
+    result = config(graph, chips)
     expected = build_tile(level, 2 + 4 * 3**level, 1, 1)
     mismatch = None
     for i, (got, want) in enumerate(zip(result.chips, expected.chips)):

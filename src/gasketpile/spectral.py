@@ -240,7 +240,8 @@ def exact_distance(
 
         l2**2 = (1/|G|) * sum |lambda_chi|**(2t)
 
-    `tv_upper` reports l2/2.
+    `tv_upper` is the Cauchy-Schwarz bound TV <= sqrt(|G|) * l2 / 2
+    = (1/2) * sqrt(sum |lambda_chi|**(2t)).
     """
     chars = enumerate_characters(graph, cap=cap)
     order = len(chars)
@@ -252,7 +253,9 @@ def exact_distance(
         mag2 = float(lam) ** 2 if isinstance(lam, Fraction) else abs(lam) ** 2
         total += mag2**t
     l2 = math.sqrt(total / order)
-    return DistanceResult(level=graph.level, t=t, group_order=order, l2=l2, tv_upper=l2 / 2)
+    return DistanceResult(
+        level=graph.level, t=t, group_order=order, l2=l2, tv_upper=math.sqrt(order) * l2 / 2
+    )
 
 
 @dataclass(frozen=True)

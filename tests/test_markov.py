@@ -5,7 +5,7 @@ import pytest
 
 from gasketpile import group, markov
 from gasketpile.gasket import build_gasket
-from gasketpile.sandpile import identity, is_recurrent_burning, recurrent_rep
+from gasketpile.sandpile import identity, is_recurrent_burning, recurrent_rep, stabilize
 from gasketpile.spectral import distinguishing_statistic
 
 G1 = build_gasket(1)
@@ -30,39 +30,44 @@ def test_trajectory_rng_is_reproducible():
     ]
 
 
-def test_new_chain_starts_at_the_identity():
-    state = markov.new_chain(G1, seed=0)
-    assert state.t == 0
-    assert state.config == identity(G1)
+def replay_chain(graph, steps, seed, index):
+    """The walk step by step through the public `stabilize`: draw a vertex
+    or the sink from the trajectory's generator, add a chip, stabilize."""
+    rng = markov.trajectory_rng(seed, index)
+    conf = identity(graph)
+    n = graph.n_vertices
+    for _ in range(steps):
+        v = rng.randrange(n + 1)
+        if v < n:
+            conf, _ = stabilize(conf.add_chips(v))
+    return conf
 
 
-def test_step_advances_time_and_stays_recurrent():
-    state = markov.new_chain(G1, seed=1)
-    for expected_t in range(1, 30):
-        state = markov.step(state)
-        assert state.t == expected_t
-        assert state.config.is_stable
-    assert is_recurrent_burning(state.config)
+def test_run_chain_starts_at_the_identity():
+    assert markov.run_chain(G1, 0, seed=0) == identity(G1)
 
 
-def test_run_chain_matches_iterated_step():
-    for steps in (0, 1, 13):
+def test_run_chain_stays_stable_and_recurrent():
+    for steps in range(1, 30):
+        conf = markov.run_chain(G1, steps, seed=1)
+        assert conf.is_stable
+    assert is_recurrent_burning(conf)
+
+
+def test_run_chain_matches_a_replay_through_stabilize():
+    for steps in (0, 1, 13, 200):
         direct = markov.run_chain(G1, steps, seed=9, index=4)
-        state = markov.new_chain(G1, seed=9, index=4)
-        for _ in range(steps):
-            state = markov.step(state)
-        assert direct.t == state.t == steps
-        assert direct.config == state.config
+        assert direct == markov.run_chain(G1, steps, seed=9, index=4)
+        assert direct == replay_chain(G1, steps, 9, 4)
+    assert markov.run_chain(G1, 200, seed=9, index=5) == replay_chain(G1, 200, 9, 5)
+    assert markov.run_chain(G1, 200, seed=9, index=5) != markov.run_chain(G1, 200, seed=9, index=4)
 
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_long_chains_preserve_recurrence(level):
     graph = build_gasket(level)
-    state = markov.new_chain(graph, seed=level)
-    for _ in range(8):
-        for _ in range(250):
-            state = markov.step(state)
-        assert is_recurrent_burning(state.config)
+    for steps in range(250, 2001, 250):
+        assert is_recurrent_burning(markov.run_chain(graph, steps, seed=level))
 
 
 def test_expected_chi_formula():
@@ -165,6 +170,9 @@ def test_r_statistic_decays():
 
 def test_gasket_size():
     assert [markov.gasket_size(n) for n in range(6)] == [3, 6, 15, 42, 123, 366]
+    assert all(markov.gasket_size(n) == build_gasket(n).n_vertices for n in range(6))
+    with pytest.raises(ValueError):
+        markov.expected_chi(-1, 3)
 
 
 def test_bound_times_at_level2():

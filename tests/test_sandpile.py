@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketpile import group
-from gasketpile.gasket import LOWER_LEFT, build_gasket, corner_sink, reduced_laplacian
+from gasketpile.gasket import LOWER_LEFT, build_gasket, corner_sink, parse_boundary, reduced_laplacian
 from gasketpile.sandpile import (
     Configuration,
     burning_odometer,
@@ -90,6 +90,38 @@ def test_random_firing_order_matches_fifo(level):
             other, other_odo = stabilize(conf, rng=random.Random(order_seed))
             assert other == base
             assert other_odo == base_odo
+
+
+def naive_stabilize(graph, chips, frozen):
+    """Reference toppling: rescan for the first unstable vertex off the frozen
+    set, fire it once, repeat until none is left."""
+    chips = list(chips)
+    odometer = [0] * len(chips)
+    while True:
+        for v, (c, d) in enumerate(zip(chips, graph.degrees)):
+            if c >= d and v not in frozen:
+                break
+        else:
+            return chips, odometer
+        chips[v] -= graph.degrees[v]
+        odometer[v] += 1
+        for w in graph.neighbors[v]:
+            chips[w] += 1
+
+
+@pytest.mark.parametrize("boundary", ["normal", "corner_sink:lower_left", "corner_sink:top"])
+@pytest.mark.parametrize("level", range(5))
+def test_kernel_matches_naive_toppling(level, boundary):
+    graph = build_gasket(level, parse_boundary(boundary))
+    n = graph.n_vertices
+    rng = random.Random(f"{level}:{boundary}")
+    for trial in range(8):
+        conf = random_config(graph, rng).add_chips(rng.randrange(n), rng.randrange(40))
+        frozen = rng.sample(range(n), rng.randrange(1, min(n, 4))) if trial % 2 else ()
+        want = naive_stabilize(graph, conf.chips, frozen)
+        for order in (None, random.Random(trial)):
+            result, odometer = stabilize(conf, frozen=frozen, rng=order)
+            assert (list(result.chips), list(odometer)) == want
 
 
 def test_burning_accepts_maximal_config():

@@ -6,6 +6,7 @@ import pytest
 
 from gasketpile import group
 from gasketpile.gasket import LOWER_LEFT, build_gasket, corner_sink, reduced_laplacian
+from gasketpile.markov import exact_tv_curve
 from gasketpile.sandpile import identity, max_config
 from gasketpile.spectral import (
     DEFAULT_CHARACTER_CAP,
@@ -170,7 +171,14 @@ def test_exact_distance_at_time_zero():
     result = exact_distance(G0, 0)
     assert result.group_order == 50
     assert math.isclose(result.l2**2, 49 / 50, rel_tol=0, abs_tol=1e-15)
-    assert result.tv_upper == result.l2 / 2
+    assert result.tv_upper == math.sqrt(50) * result.l2 / 2
+
+
+def test_tv_upper_bounds_the_exact_total_variation():
+    for graph in (G0, G1):
+        curve = exact_tv_curve(graph, 60)
+        for t in (0, 1, 2, 5, 10, 24, 47, 60):
+            assert curve[t] <= exact_distance(graph, t).tv_upper
 
 
 def test_exact_distance_decreases():
