@@ -19,7 +19,7 @@ from gasketpile.gasket import build_gasket
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-level", type=int, default=4)
-    parser.add_argument("--theorem-max-level", type=int, default=3)
+    parser.add_argument("--theorem-max-level", type=int, default=4)
     args = parser.parse_args()
 
     for level in range(args.max_level + 1):

@@ -57,9 +57,14 @@ def _add_level(p, required=True):
     p.add_argument("--level", type=int, required=required)
 
 
-def _check_level(parser, args, cap=8):
+def _check_level(parser, args, cap=8, why=""):
     if args.level < 0 or args.level > cap:
-        parser.error(f"--level must be between 0 and {cap}")
+        parser.error(f"--level must be between 0 and {cap}" + (f": {why}" if why else ""))
+
+
+# Levels past these caps would run for minutes; they are refused at once.
+_DOUBLING_WHY = "the cost grows about 15x per level; the doubling check takes about 10 s at level 6"
+_DETERMINANT_WHY = "the exact determinant of the level-6 Laplacian takes minutes"
 
 
 def cmd_gasket(parser, args) -> int:
@@ -118,7 +123,7 @@ def cmd_selfsim_id(parser, args) -> int:
 
 
 def cmd_selfsim_verify(parser, args) -> int:
-    _check_level(parser, args)
+    _check_level(parser, args, cap=6, why=_DOUBLING_WHY)
     if args.level < 1:
         parser.error("verification checks need --level >= 1")
     if args.check == "doubling":
@@ -134,7 +139,7 @@ def cmd_selfsim_verify(parser, args) -> int:
 
 
 def cmd_group_snf(parser, args) -> int:
-    _check_level(parser, args)
+    _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
     graph = _graph_arg(args)
     data_l = group.lattice_data(graph)
     data = {
@@ -152,7 +157,7 @@ def cmd_group_snf(parser, args) -> int:
 
 
 def cmd_group_check_theorem(parser, args) -> int:
-    _check_level(parser, args)
+    _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
     if args.level < 1:
         parser.error("--level must be >= 1")
     report = group.check_group_theorem(args.level)
@@ -166,10 +171,11 @@ def cmd_group_check_theorem(parser, args) -> int:
 
 
 def cmd_group_tau(parser, args) -> int:
-    _check_level(parser, args)
     if args.method == "recursion":
+        _check_level(parser, args)
         value = group.tau_recursion(args.level)
     else:
+        _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
         value = group.tau_matrix_tree(args.level)
     data = {"level": args.level, "method": args.method, "spanning_trees": str(value)}
     _print(data, args.json, [str(value)])

@@ -133,8 +133,10 @@ class SmithDecomposition:
 
 
 def smith_normal_form(matrix: Matrix, transforms: bool = True) -> SmithDecomposition:
-    """Smith normal form over the integers.
+    """Smith normal form over the integers, with full transforms.
 
+    This is the reference path that the tests check `smith_mod` against; its
+    entries can blow up, so production code goes through `smith_mod`.
     Diagonalizes with minimal-absolute-value pivots first, then restores the
     divisibility chain by gcd/lcm steps on diagonal pairs.  Every elementary
     operation is mirrored into U, V and their inverses so that
@@ -327,20 +329,38 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     positive modulus R.  When R * Z^m already lies inside the column lattice
     (R a multiple of the determinant, say), this is just coker(matrix).
 
-    Working modulo R keeps every intermediate entry inside [0, R), which is
-    what makes the larger gasket Laplacians tractable: the plain Smith
-    reduction grows million-bit entries on the 42-vertex graph.  Conceptually
-    the reduction runs on the augmented matrix [A | R*I]; those extra columns
-    are never stored, they just license reducing any entry mod R and turning
-    a cleared pivot p into gcd(p, R), both being column operations.  Column
-    operations do not disturb cokernel coordinates, so with `transforms` only
-    row operations get tracked, giving the adapted basis U (square input
-    only).  Coordinates beyond the column rank are killed by the phantom
-    columns alone and contribute a factor of R.
+    The reduction runs, conceptually, on the augmented matrix [A | R*I]; the
+    phantom columns R*I are never stored.  They license keeping every entry
+    as a residue in [0, R), and folding a pivot p into gcd(p, R) once its
+    column is zero below it.  Plain Smith reduction grows million-bit
+    entries on the 42-vertex graph; here entries stay below R.  Coordinates
+    beyond the column rank are killed by the phantom columns alone and give
+    a factor of R (a residue of 0 stands for R).
+
+    Pivot rule: the pivot is the entry with the smallest symmetric residue
+    min(v, R - v), and a pivot above R/2 has its row negated, which is a
+    tracked row operation.  A Laplacian's -1 entries, stored as R - 1, are
+    then unit pivots, and Euclid rounds are needed only in the final dense
+    block.  A row operation subtracts the nearest multiple of the pivot row
+    and touches only the columns where the pivot row is nonzero: columns left
+    of the pivot are already zero in every row from the pivot down.
+
+    Column clearing: the row pass repeats until column t is zero below the
+    pivot.  Rows above t are diagonal by then, so column t is zero outside
+    row t, and subtracting a multiple of column t from column j changes row t
+    alone.  Row t is therefore reduced modulo the pivot in place; only a
+    nonzero remainder costs a column swap, after which it is the new,
+    smaller pivot and the row pass runs again.
+
+    Column operations do not change cokernel coordinates, so with
+    `transforms` only row operations are tracked.  They give the adapted
+    basis U and its inverse exactly (square input only); their entries are
+    unbounded integers.
     """
     big = int(modulus)
     if big <= 0:
         raise ValueError("modulus must be positive")
+    half = big // 2
     s = [[int(v) % big for v in row] for row in matrix]
     m = len(s)
     n = len(s[0]) if m else 0
@@ -348,66 +368,77 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
         raise ValueError("ragged matrix")
     if transforms and m != n:
         raise ValueError("adapted basis needs a square matrix")
-    u = mat_identity(m) if transforms else None
     uinv = mat_identity(m) if transforms else None
+    # U is kept transposed, so that its column operations are row operations.
+    ut = mat_identity(m) if transforms else None
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
         if transforms:
             uinv[i], uinv[j] = uinv[j], uinv[i]
-            for row in u:
-                row[i], row[j] = row[j], row[i]
+            ut[i], ut[j] = ut[j], ut[i]
 
-    def row_sub(i, j, q):
-        # row_i -= q * row_j, entries re-reduced mod R.
-        si, sj = s[i], s[j]
-        for col in range(n):
-            si[col] = (si[col] - q * sj[col]) % big
+    def negate_row(i):
+        s[i] = [big - v if v else 0 for v in s[i]]
         if transforms:
-            ui, uj = uinv[i], uinv[j]
-            for col in range(m):
-                ui[col] -= q * uj[col]
-            for row in u:
-                row[j] += q * row[i]
+            uinv[i] = [-v for v in uinv[i]]
+            ut[i] = [-v for v in ut[i]]
+
+    def row_sub(i, t, q, cols):
+        # row_i -= q * row_t on the columns where row t is nonzero.
+        si, st = s[i], s[t]
+        for c in cols:
+            si[c] = (si[c] - q * st[c]) % big
+        if transforms:
+            # Uinv row i -= q * Uinv row t; U column t += q * U column i.
+            ui = uinv[i]
+            for c, v in enumerate(uinv[t]):
+                if v:
+                    ui[c] -= q * v
+            ucol = ut[t]
+            for c, v in enumerate(ut[i]):
+                if v:
+                    ucol[c] += q * v
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
 
-    def col_sub(i, j, q):
-        # col_i -= q * col_j, entries re-reduced mod R; never tracked.
-        for row in s:
-            row[i] = (row[i] - q * row[j]) % big
-
-    def clear_cross(t: int) -> None:
-        # Euclid against the pivot with remainder swaps; all entries are
-        # canonical residues in [0, R), and the pivot strictly decreases on
-        # every swap, so this terminates.
-        changed = True
-        while changed:
-            changed = False
-            piv = s[t][t]
-            for i in range(t + 1, m):
-                val = s[i][t]
-                if val:
-                    q = val // piv
-                    if q:
-                        row_sub(i, t, q)
-                    if s[i][t]:
-                        swap_rows(i, t)
-                        piv = s[t][t]
-                        changed = True
-            piv = s[t][t]
+    def clear(t: int) -> None:
+        # Clear column t below and row t right of the pivot.  Every swap
+        # brings in a strictly smaller pivot, so this terminates.
+        while True:
+            swapped = True
+            while swapped:
+                swapped = False
+                if s[t][t] > half:
+                    negate_row(t)
+                prow = s[t]
+                piv = prow[t]
+                cols = [c for c in range(t, n) if prow[c]]
+                for i in range(t + 1, m):
+                    val = s[i][t]
+                    if val:
+                        if val > half:
+                            val -= big
+                        q = (2 * val + piv) // (2 * piv)
+                        if q:
+                            row_sub(i, t, q, cols)
+                        if s[i][t]:
+                            swap_rows(i, t)
+                            swapped = True
+                            break
+            row = s[t]
+            piv = row[t] = math.gcd(row[t], big)
+            best = None
             for j in range(t + 1, n):
-                val = s[t][j]
-                if val:
-                    q = val // piv
-                    if q:
-                        col_sub(j, t, q)
-                    if s[t][j]:
-                        swap_cols(j, t)
-                        piv = s[t][t]
-                        changed = True
+                if row[j]:
+                    r = row[j] = row[j] % piv
+                    if r and (best is None or r < row[best]):
+                        best = j
+            if best is None:
+                return
+            swap_cols(t, best)
 
     for t in range(min(m, n)):
         best = None
@@ -415,10 +446,13 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
             row = s[i]
             for j in range(t, n):
                 val = row[j]
-                if val and (best is None or val < best[0]):
-                    best = (val, i, j)
-                    if val == 1:
-                        break
+                if val:
+                    if val > half:
+                        val = big - val
+                    if best is None or val < best[0]:
+                        best = (val, i, j)
+                        if val == 1:
+                            break
             if best is not None and best[0] == 1:
                 break
         if best is None:
@@ -427,10 +461,7 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
             swap_rows(t, best[1])
         if best[2] != t:
             swap_cols(t, best[2])
-        clear_cross(t)
-        # Fold the phantom column for this row into the cleared pivot.  A
-        # residue of 0 stands for the factor R itself.
-        s[t][t] = math.gcd(s[t][t], big) % big
+        clear(t)
 
     if not transforms:
         raw = [math.gcd(s[i][i], big) if i < n else big for i in range(m)]
@@ -438,7 +469,8 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
 
     # Restore the divisibility chain with real (tracked) operations so that U
     # stays aligned with the factors.  Diagonal residues all divide R here,
-    # hence so do their pairwise gcds and lcms, and nothing wraps around.
+    # hence so do their pairwise gcds and lcms; an lcm equal to R is stored
+    # as the residue 0.
     for i in range(m):
         for j in range(i + 1, m):
             if s[i][i] == 0:
@@ -448,11 +480,11 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
                 else:
                     continue
             if s[j][j] % s[i][i]:
-                col_sub(i, j, -1)
-                clear_cross(i)
+                s[j][i] = s[j][j]  # column i += column j
+                clear(i)
                 s[j][j] = math.gcd(s[j][j], big) % big
     diag = [math.gcd(s[i][i], big) for i in range(m)]
-    return AdaptedBasis(diag=diag, U=u, Uinv=uinv)
+    return AdaptedBasis(diag=diag, U=[list(col) for col in zip(*ut)], Uinv=uinv)
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -669,18 +701,13 @@ def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list
 
 
 def direct_sum_invariants(factor_lists: list[list[int]]) -> list[int]:
-    """Canonical invariant factors of a direct sum of cyclic groups.
+    """Canonical invariant factors (> 1) of a direct sum of cyclic groups.
 
-    Takes the Smith normal form of the diagonal matrix listing every cyclic
-    factor, which recombines them into a divisibility chain without needing
-    any integer factorization.
+    Recombines every cyclic factor into a divisibility chain by gcd/lcm
+    steps, without needing any integer factorization.
     """
     entries = [d for factors in factor_lists for d in factors]
-    if not entries:
-        return []
-    k = len(entries)
-    diag_matrix = [[entries[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    return smith_normal_form(diag_matrix, transforms=False).invariant_factors
+    return [d for d in _canonical_chain(entries) if d > 1]
 
 
 @dataclass

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketpile import group
-from gasketpile.gasket import build_gasket, reduced_laplacian
+from gasketpile.gasket import CORNER_NAMES, build_gasket, reduced_laplacian
 
 from test_gasket import cofactor_det
 
 LEVEL3_FACTORS = [2, 2, 6, 6, 6, 6, 6, 6, 6, 6, 30, 90, 29790, 148950]
+LEVEL4_FACTORS = [2] * 2 + [6] * 26 + [30] + [90] * 8 + [450, 1350, 2015550, 10077750]
 
 
 def random_matrix(rng, rows, cols, span=9):
@@ -166,6 +167,118 @@ def test_smith_mod_entries_stay_bounded():
     assert math.prod(basis.diag) == order
 
 
+def assert_exact_adapted_basis(basis, matrix):
+    """U @ Uinv == I exactly, and every column of the square matrix has
+    coordinates divisible by the factors."""
+    n = len(matrix)
+    assert group.mat_mul(basis.U, basis.Uinv) == group.mat_identity(n)
+    for j in range(n):
+        coords = group.mat_vec(basis.Uinv, [matrix[i][j] for i in range(n)])
+        assert all(c % d == 0 for c, d in zip(coords, basis.diag))
+
+
+def unit_dense_matrix(rng, rows, cols):
+    """Mostly +-1 entries, like a Laplacian's off-diagonal, with a few zeros
+    and small multiples so that nontrivial factors and Euclid rounds occur."""
+    return [[rng.choice((-1, 1, -1, 1, 0, 2, -2, 3)) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_smith_mod_matches_the_oracle_on_unit_dense_matrices():
+    rng = random.Random(11)
+    for _ in range(150):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(rows, 8)
+        m = unit_dense_matrix(rng, rows, cols)
+        oracle = group.smith_normal_form(m, transforms=False).diag
+        k = rng.choice((1, 3))
+        modulus = k * math.prod(d for d in oracle if d)
+        # A zero factor is an infinite summand; modulo R it becomes Z/R.
+        assert group.smith_mod(m, modulus).diag == [math.gcd(d, modulus) for d in oracle]
+        if rows == cols and all(oracle):
+            basis = group.smith_mod(m, modulus, transforms=True)
+            assert basis.diag == oracle
+            assert_exact_adapted_basis(basis, m)
+
+
+def theorem_generator_sets(graph):
+    """The generator sets the group theorem quotients by at this level: the
+    corner-delta pairs, and the junction deltas with either assignment of
+    junction-neighbor pairs."""
+    x, y, z = (graph.corner_index(name) for name in CORNER_NAMES)
+    sets = [
+        [group.delta_vector(graph, i), group.delta_vector(graph, j)]
+        for i, j in ((x, y), (y, z), (z, x))
+    ]
+    if graph.level >= 1:
+        junctions = [
+            group.delta_vector(graph, graph.junction_index(side))
+            for side in ("left", "right", "bottom")
+        ]
+        for assignment in (group._PRIMARY_ASSIGNMENT, group._FLIPPED_ASSIGNMENT):
+            pairs = [group._junction_copy_vector(graph, side, copy) for side, copy in assignment]
+            sets += [pairs + junctions, pairs, junctions]
+    return sets
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_smith_mod_matches_the_oracle_on_augmented_laplacians(level):
+    graph = build_gasket(level)
+    delta = reduced_laplacian(graph)
+    order = group.sandpile_group_order(graph)
+    n = graph.n_vertices
+    generator_sets = theorem_generator_sets(graph)
+    # At level 2 the oracle's entries blow up on some generator sets (it
+    # does not finish on [Delta | e_v] for 3 of the 15 vertices), so random
+    # generators are used at levels 0 and 1 only.
+    if level <= 1:
+        rng = random.Random(12 + level)
+        for _ in range(10):
+            count = rng.randint(1, 3)
+            generator_sets.append([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(count)])
+    for gens in generator_sets:
+        augmented = [delta[i] + [g[i] for g in gens] for i in range(n)]
+        oracle = group.smith_normal_form(augmented, transforms=False).diag
+        for k in (1, 3):
+            assert group.smith_mod(augmented, k * order).diag == oracle
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_smith_mod_gives_an_exact_adapted_basis_of_the_laplacian(level):
+    graph = build_gasket(level)
+    delta = reduced_laplacian(graph)
+    basis = group.smith_mod(delta, group.sandpile_group_order(graph), transforms=True)
+    assert basis.diag == list(group.lattice_data(graph).diag)
+    assert_exact_adapted_basis(basis, delta)
+
+
+def test_smith_mod_residue_zero_stands_for_the_modulus():
+    # A block that vanishes modulo R is killed by the phantom columns alone.
+    assert group.smith_mod([[6]], 6).diag == [6]
+    assert group.smith_mod([[0, 0], [0, 0]], 5).diag == [5, 5]
+    # Restoring the chain on (2, 3) gives lcm 6, which is 0 modulo R = 6.
+    for transforms in (False, True):
+        assert group.smith_mod([[2, 0], [0, 3]], 6, transforms=transforms).diag == [1, 6]
+    # Level 0 modulo 10: the factor 10 reduces to a zero residue.
+    lap = reduced_laplacian(build_gasket(0))
+    basis = group.smith_mod(lap, 10, transforms=True)
+    assert basis.diag == [1, 5, 10]
+    assert_exact_adapted_basis(basis, lap)
+
+
+def test_level4_adapted_basis_is_unimodular():
+    # Freivalds: U @ (Uinv @ x) == x and Uinv @ (Delta @ x) divisible by the
+    # factors, for fixed random x, without forming the big-entry products.
+    graph = build_gasket(4)
+    delta = reduced_laplacian(graph)
+    data = group.lattice_data(graph)
+    rng = random.Random(13)
+    for _ in range(3):
+        x = [rng.randint(-1000, 1000) for _ in range(graph.n_vertices)]
+        assert group.mat_vec(data.U, group.mat_vec(data.Uinv, x)) == x
+        coords = group.mat_vec(data.Uinv, group.mat_vec(delta, x))
+        assert all(c % d == 0 for c, d in zip(coords, data.diag))
+
+
 # ---------------------------------------------------------------------------
 # Exact scaled inverse.
 # ---------------------------------------------------------------------------
@@ -205,6 +318,7 @@ def test_scaled_inverse_rejects_singular():
         (1, [38, 38]),
         (2, [2, 2, 6, 462, 2310]),
         (3, LEVEL3_FACTORS),
+        (4, LEVEL4_FACTORS),
     ],
 )
 def test_group_invariant_factors(level, factors):
@@ -295,7 +409,12 @@ def test_direct_sum_invariants():
 
 @pytest.mark.parametrize(
     "level,factors",
-    [(1, []), (2, [2, 2, 2]), (3, [2, 2, 2, 6, 6, 6, 6, 6, 6, 30, 30, 30])],
+    [
+        (1, []),
+        (2, [2, 2, 2]),
+        (3, [2, 2, 2, 6, 6, 6, 6, 6, 6, 30, 30, 30]),
+        (4, [2] * 3 + [6] * 24 + [30] * 3 + [90] * 6 + [450] * 3),
+    ],
 )
 def test_three_copy_quotient_matches_junction_pair_sum(level, factors):
     report = group.check_group_theorem(level)

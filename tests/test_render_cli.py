@@ -1,10 +1,12 @@
 import json
 import math
+import time
 
 import pytest
 
 from gasketpile.cli import main
 from gasketpile.gasket import build_gasket
+from gasketpile.group import tau_recursion
 from gasketpile.render import (
     BACKGROUND,
     OVERFULL_COLOR,
@@ -255,6 +257,31 @@ def test_cli_rejects_bad_level(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gasket", "--level", "99"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selfsim", "verify", "--level", "7", "--check", "doubling"],
+        ["selfsim", "verify", "--level", "7", "--check", "transport"],
+        ["group", "snf", "--level", "6"],
+        ["group", "check-theorem", "--level", "6"],
+        ["group", "tau", "--level", "6", "--method", "matrix-tree"],
+    ],
+    ids=["verify-doubling", "verify-transport", "snf", "check-theorem", "tau-matrix-tree"],
+)
+def test_cli_refuses_infeasible_levels_quickly(argv, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == 2
+    assert "--level must be between 0 and" in capsys.readouterr().err
+
+
+def test_cli_tau_recursion_keeps_the_general_cap(capsys):
+    assert main(["group", "tau", "--level", "6"]) == 0
+    assert capsys.readouterr().out.strip() == str(tau_recursion(6))
 
 
 def test_cli_reports_bad_input_as_usage_error(tmp_path, capsys):
