@@ -65,6 +65,20 @@ def _check_level(parser, args, cap=8, why=""):
 # Levels past these caps would run for minutes; they are refused at once.
 _DOUBLING_WHY = "the cost grows about 15x per level; the doubling check takes about 10 s at level 6"
 _DETERMINANT_WHY = "the exact determinant of the level-6 Laplacian takes minutes"
+_ADJUGATE_WHY = "the exact inverse of the level-5 corner-sink Laplacian takes over a minute"
+_IDENTITY_WHY = "stabilizing the identity takes about a minute at level 7 and grows about 13x per level"
+
+
+def _digits(value: int) -> str:
+    """Decimal form of an integer of any size.  Python refuses int -> str
+    conversions above 4300 digits by default (tau(8) has 4481); the limit is
+    lifted for this conversion only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def cmd_gasket(parser, args) -> int:
@@ -94,7 +108,7 @@ def cmd_sandpile_stabilize(parser, args) -> int:
 
 
 def cmd_sandpile_identity(parser, args) -> int:
-    _check_level(parser, args)
+    _check_level(parser, args, cap=7, why=_IDENTITY_WHY)
     graph = _graph_arg(args)
     conf = identity(graph)
     if args.render:
@@ -123,7 +137,10 @@ def cmd_selfsim_id(parser, args) -> int:
 
 
 def cmd_selfsim_verify(parser, args) -> int:
-    _check_level(parser, args, cap=6, why=_DOUBLING_WHY)
+    if args.check == "transport":
+        _check_level(parser, args, cap=4, why=_ADJUGATE_WHY)
+    else:
+        _check_level(parser, args, cap=6, why=_DOUBLING_WHY)
     if args.level < 1:
         parser.error("verification checks need --level >= 1")
     if args.check == "doubling":
@@ -177,13 +194,17 @@ def cmd_group_tau(parser, args) -> int:
     else:
         _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
         value = group.tau_matrix_tree(args.level)
-    data = {"level": args.level, "method": args.method, "spanning_trees": str(value)}
-    _print(data, args.json, [str(value)])
+    text = _digits(value)
+    data = {"level": args.level, "method": args.method, "spanning_trees": text}
+    _print(data, args.json, [text])
     return 0
 
 
 def cmd_spectral_eigs(parser, args) -> int:
-    _check_level(parser, args)
+    if args.all:
+        _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
+    else:
+        _check_level(parser, args)
     if args.level < 1:
         parser.error("--level must be >= 1 for cell harmonics")
     graph = build_gasket(args.level)
@@ -213,7 +234,7 @@ def cmd_spectral_eigs(parser, args) -> int:
 
 
 def cmd_spectral_distance(parser, args) -> int:
-    _check_level(parser, args)
+    _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
     graph = build_gasket(args.level)
     result = spectral.exact_distance(graph, args.t, cap=args.cap)
     data = {
@@ -228,7 +249,7 @@ def cmd_spectral_distance(parser, args) -> int:
 
 
 def cmd_markov_simulate(parser, args) -> int:
-    _check_level(parser, args)
+    _check_level(parser, args, cap=7, why=_IDENTITY_WHY)
     if args.level < 1:
         parser.error("--level must be >= 1")
     seed = markov.master_seed(args.seed)
@@ -254,7 +275,10 @@ def cmd_markov_simulate(parser, args) -> int:
 
 
 def cmd_markov_report(parser, args) -> int:
-    _check_level(parser, args)
+    if args.trials > 0:
+        _check_level(parser, args, cap=7, why=_IDENTITY_WHY)
+    else:
+        _check_level(parser, args)
     if args.level < 1:
         parser.error("--level must be >= 1")
     report = markov.mixing_report(

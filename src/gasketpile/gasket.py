@@ -9,7 +9,7 @@ order everywhere in this package is lexicographic ascending in (b, a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 LOWER_LEFT = "lower_left"
@@ -109,7 +109,8 @@ class GasketGraph:
 
     `coords` lists the non-sink vertices in canonical (b, a) order; `neighbors`
     is the gasket adjacency restricted to them; `beta[i]` counts edges from
-    vertex i to the sink; `degrees[i]` is the full degree including sink edges.
+    vertex i to the sink; `degrees[i]` is the full degree including sink edges;
+    `vertex_index` maps each coordinate back to its canonical index.
     """
 
     level: int
@@ -119,32 +120,25 @@ class GasketGraph:
     beta: tuple[int, ...]
     degrees: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    vertex_index: dict[tuple[int, int], int] = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.coords)
 
     def index(self, coord: tuple[int, int]) -> int:
-        return self._index[coord]
+        return self.vertex_index[coord]
 
     def __contains__(self, coord: tuple[int, int]) -> bool:
-        return coord in self._index
-
-    @property
-    def _index(self) -> dict[tuple[int, int], int]:
-        d = self.__dict__.get("_index_cache")
-        if d is None:
-            d = {c: i for i, c in enumerate(self.coords)}
-            object.__setattr__(self, "_index_cache", d)
-        return d
+        return coord in self.vertex_index
 
     def corner_index(self, name: str) -> int | None:
         """Canonical index of a corner, or None when that corner is the sink."""
         coord = corner_coords(self.level)[name]
-        return self._index.get(coord)
+        return self.vertex_index.get(coord)
 
     def junction_index(self, side: str) -> int:
-        return self._index[junction_coords(self.level)[side]]
+        return self.vertex_index[junction_coords(self.level)[side]]
 
     @property
     def sink_degree(self) -> int:
@@ -199,6 +193,7 @@ def _build_gasket(level: int, boundary: Boundary) -> GasketGraph:
         beta=tuple(beta),
         degrees=degrees,
         edges=tuple(sorted(edges)),
+        vertex_index=index,
     )
 
 
@@ -233,9 +228,8 @@ def subcopy_embedding(level: int, copy: str) -> tuple[int, ...]:
     da, db = COPY_OFFSETS[copy]
     da, db = da * half, db * half
     child_coords, _ = gasket_cells(level - 1)
-    parent_coords, _ = gasket_cells(level)
-    parent_index = {c: i for i, c in enumerate(parent_coords)}
-    return tuple(parent_index[(a + da, b + db)] for a, b in child_coords)
+    parent = build_gasket(level)
+    return tuple(parent.index((a + da, b + db)) for a, b in child_coords)
 
 
 def reduced_laplacian(graph: GasketGraph) -> list[list[int]]:
@@ -247,21 +241,6 @@ def reduced_laplacian(graph: GasketGraph) -> list[list[int]]:
         mat[i][i] = graph.degrees[i]
         for j in graph.neighbors[i]:
             mat[i][j] -= 1
-    return mat
-
-
-def bare_laplacian(level: int) -> list[list[int]]:
-    """Laplacian of the gasket alone (no sink): corners have degree 2."""
-    coords, coord_edges = gasket_cells(level)
-    index = {c: i for i, c in enumerate(coords)}
-    n = len(coords)
-    mat = [[0] * n for _ in range(n)]
-    for u, v in coord_edges:
-        i, j = index[u], index[v]
-        mat[i][i] += 1
-        mat[j][j] += 1
-        mat[i][j] -= 1
-        mat[j][i] -= 1
     return mat
 
 

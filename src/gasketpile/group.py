@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gasket import (
     CORNER_NAMES,
@@ -20,8 +20,8 @@ from .gasket import (
     LOWER_RIGHT,
     TOP,
     GasketGraph,
-    bare_laplacian,
     build_gasket,
+    corner_sink,
     reduced_laplacian,
     subcopy_embedding,
 )
@@ -102,12 +102,6 @@ class SmithDecomposition:
         for i, v in enumerate(self.diag):
             d[i][i] = v
         return d
-
-    def group_order(self) -> int:
-        """Order of coker(A) = Z^rows / col-span(A); requires full row rank."""
-        if self.rows > self.cols or any(d == 0 for d in self.diag):
-            raise ValueError("cokernel is infinite")
-        return math.prod(self.diag)
 
     def verify(self, original: Matrix) -> bool:
         """Recheck A = U D V, unimodularity, and the divisibility chain."""
@@ -551,68 +545,64 @@ def sandpile_group_order(graph: GasketGraph) -> int:
 
 @dataclass(eq=False)
 class LatticeData:
-    """Exact data for Z^V modulo the column lattice of Delta: group order,
-    invariant factors, an adapted basis, the integer adjugate, and the
-    all-ones lift used to raise heights without changing the class.
+    """The sandpile group of one graph: Z^V modulo the column lattice of the
+    reduced Laplacian Delta, whose index `order` is det(Delta).
 
-    Everything past the order is lazy and uses a bounded-entry algorithm:
-    `diag` reduces modulo the order, the adapted basis tracks row transforms
-    on top of that, and the adjugate comes from fraction-free Gauss-Jordan.
-    The plain Smith transforms are avoided on purpose; they blow up on the
-    level-3 graph."""
+    Everything else is computed on first use, once, with a bounded-entry
+    algorithm: `diag` (the invariant factors, including the trivial ones) by
+    `smith_mod` modulo the order; `basis`, the adapted basis U, Uinv with its
+    own diagonal, by one `smith_mod` run with transforms; `adjugate` by
+    fraction-free Gauss-Jordan; `lift` from the adjugate's row sums.  `diag`
+    has its own diagonal-only run because it costs a small fraction of the
+    basis.  Both Smith runs must multiply out to the order, the adjugate's
+    scale must equal it, and the lift must be positive; each violation raises
+    ArithmeticError.  `cyclic` lists the positions and orders of the
+    nontrivial factors, the coordinates every class label uses."""
 
     graph: GasketGraph
     order: int
-    _diag: tuple[int, ...] | None = None
-    _U: Matrix | None = None
-    _Uinv: Matrix | None = None
-    _adjugate: Matrix | None = None
-    _lift: tuple[list[int], int] | None = None
 
-    @property
-    def diag(self) -> tuple[int, ...]:
-        if self._diag is None:
-            dec = smith_mod(reduced_laplacian(self.graph), self.order)
-            if math.prod(dec.diag) != self.order:
-                raise ArithmeticError("invariant factors disagree with the determinant")
-            self._diag = tuple(dec.diag)
-        return self._diag
-
-    @property
-    def nontrivial(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diag if d > 1)
-
-    def _adapted(self) -> None:
-        dec = smith_mod(reduced_laplacian(self.graph), self.order, transforms=True)
+    def _smith(self, transforms: bool) -> AdaptedBasis:
+        dec = smith_mod(reduced_laplacian(self.graph), self.order, transforms=transforms)
         if math.prod(dec.diag) != self.order:
             raise ArithmeticError("invariant factors disagree with the determinant")
-        self._diag = tuple(dec.diag)
-        self._U = dec.U
-        self._Uinv = dec.Uinv
+        return dec
+
+    @cached_property
+    def diag(self) -> tuple[int, ...]:
+        return tuple(self._smith(transforms=False).diag)
+
+    @cached_property
+    def basis(self) -> AdaptedBasis:
+        return self._smith(transforms=True)
 
     @property
     def U(self) -> Matrix:
-        if self._U is None:
-            self._adapted()
-        return self._U
+        return self.basis.U
 
     @property
     def Uinv(self) -> Matrix:
-        if self._Uinv is None:
-            self._adapted()
-        return self._Uinv
+        return self.basis.Uinv
+
+    @cached_property
+    def cyclic(self) -> tuple[tuple[int, int], ...]:
+        """(position, factor) for every invariant factor above 1: the cyclic
+        summands Z/factor, with U's column `position` as generator."""
+        return tuple((i, d) for i, d in enumerate(self.diag) if d > 1)
 
     @property
+    def nontrivial(self) -> tuple[int, ...]:
+        return tuple(d for _, d in self.cyclic)
+
+    @cached_property
     def adjugate(self) -> Matrix:
         """adj(Delta) = det * Delta^{-1}: Delta @ adj == order * identity."""
-        if self._adjugate is None:
-            adj, scale = scaled_inverse(reduced_laplacian(self.graph))
-            if scale != self.order:
-                raise ArithmeticError("adjugate scale disagrees with the determinant")
-            self._adjugate = adj
-        return self._adjugate
+        adj, scale = scaled_inverse(reduced_laplacian(self.graph))
+        if scale != self.order:
+            raise ArithmeticError("adjugate scale disagrees with the determinant")
+        return adj
 
-    @property
+    @cached_property
     def lift(self) -> tuple[list[int], int]:
         """Positive integer vector w and scale L with Delta @ w == L * ones.
 
@@ -620,29 +610,25 @@ class LatticeData:
         these sink-connected Laplacians; adding k * (Delta @ w) to a vector
         raises every entry by k * L without changing its class.
         """
-        if self._lift is None:
-            raw = [sum(row) for row in self.adjugate]
-            g = math.gcd(self.order, *raw)
-            w = [x // g for x in raw]
-            if any(x <= 0 for x in w):
-                raise ArithmeticError("lift vector must be positive")
-            self._lift = (w, self.order // g)
-        return self._lift
+        raw = [sum(row) for row in self.adjugate]
+        g = math.gcd(self.order, *raw)
+        w = [x // g for x in raw]
+        if any(x <= 0 for x in w):
+            raise ArithmeticError("lift vector must be positive")
+        return w, self.order // g
 
     def coordinates(self, entries: list[int]) -> tuple[int, ...]:
-        """Canonical label of the class of `entries`: adapted-basis
-        coordinates reduced modulo the invariant factors (trivial factors
-        drop out)."""
-        coords = mat_vec(self.Uinv, list(entries))
-        return tuple(c % d for c, d in zip(coords, self.diag) if d > 1)
+        """Canonical label of the class of `entries`: its adapted-basis
+        coordinates on the cyclic summands, reduced modulo their orders."""
+        x = list(entries)
+        return tuple(sum(u * v for u, v in zip(self.Uinv[i], x)) % d for i, d in self.cyclic)
 
     def from_coordinates(self, coords: list[int]) -> list[int]:
-        """A class representative x = U @ c for coordinates over the
-        nontrivial invariant factors."""
-        full = []
-        it = iter(coords)
-        for d in self.diag:
-            full.append(next(it) if d > 1 else 0)
+        """A class representative x = U @ c for coordinates on the cyclic
+        summands."""
+        full = [0] * len(self.diag)
+        for (i, _), c in zip(self.cyclic, coords, strict=True):
+            full[i] = c
         return mat_vec(self.U, full)
 
 
@@ -820,12 +806,11 @@ def tau_recursion(level: int) -> int:
 
 
 def tau_matrix_tree(level: int) -> int:
-    """Spanning tree count via the matrix-tree theorem: determinant of the
-    bare gasket Laplacian with the lower-left corner row and column deleted."""
-    lap = bare_laplacian(level)
-    # Canonical order starts at (0, 0), so drop row/column 0.
-    minor = [row[1:] for row in lap[1:]]
-    return determinant(minor)
+    """Spanning tree count via the matrix-tree theorem: the bare gasket
+    Laplacian with the lower-left corner's row and column deleted is the
+    reduced Laplacian of the gasket with that corner as the sink, so the
+    count is that graph's sandpile group order."""
+    return sandpile_group_order(build_gasket(level, corner_sink(LOWER_LEFT)))
 
 
 def tau_fourth_power_identity(level: int) -> bool:

@@ -138,12 +138,11 @@ def stationary_chi_samples(level: int, count: int, seed: int | None = None) -> n
     data = group.lattice_data(graph)
     cells = level1_cells(level)
     factors = data.nontrivial
-    positions = [i for i, d in enumerate(data.diag) if d > 1]
     # Bitmask per cell: parity contribution of each Smith coordinate.
     masks = []
     for cell in cells:
         mask = 0
-        for bit, col in enumerate(positions):
+        for bit, (col, _) in enumerate(data.cyclic):
             s = sum(data.U[v][col] for v in cell.midpoint_indices)
             if s % 2:
                 mask |= 1 << bit

@@ -129,8 +129,10 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
     return odometer
 
 
-def _stabilize_checked(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
-    """`_stabilize_raw`, followed when CHECK_CONSERVATION is set by an exact
+def stabilize_list(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
+    """In-place stabilization of a raw chip list; returns the odometer.
+
+    `_stabilize_raw`, followed when CHECK_CONSERVATION is set by an exact
     check of result = start - Laplacian @ odometer at every vertex."""
     if not CHECK_CONSERVATION:
         return _stabilize_raw(graph, chips, frozen, rng)
@@ -151,14 +153,8 @@ def stabilize(conf: Configuration, frozen=(), rng=None):
     the result is stable off the frozen set and the odometer is zero on it.
     """
     chips = list(conf.chips)
-    odometer = _stabilize_checked(conf.graph, chips, frozen, rng)
+    odometer = stabilize_list(conf.graph, chips, frozen, rng)
     return Configuration(conf.graph, tuple(chips)), tuple(odometer)
-
-
-def stabilize_list(graph: GasketGraph, chips: list[int]):
-    """In-place stabilization of a raw chip list with the same optional
-    conservation checking as `stabilize`; returns the odometer."""
-    return _stabilize_checked(graph, chips)
 
 
 def oplus(a: Configuration, b: Configuration) -> Configuration:
@@ -176,7 +172,7 @@ def burning_odometer(conf: Configuration):
     if not conf.is_stable:
         raise ValueError("burning test needs a stable configuration")
     chips = [c + b for c, b in zip(conf.chips, conf.graph.beta)]
-    odometer = _stabilize_checked(conf.graph, chips)
+    odometer = stabilize_list(conf.graph, chips)
     recurrent = tuple(chips) == conf.chips and all(u == 1 for u in odometer)
     return recurrent, tuple(odometer)
 

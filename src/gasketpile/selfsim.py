@@ -91,20 +91,26 @@ def rotate_config(conf: Configuration, direction: str = "ccw") -> Configuration:
     return Configuration(conf.graph, tuple(chips))
 
 
+def _glue_with_rotations(conf: Configuration) -> Configuration:
+    """The level-(n+1) configuration with `conf` in the lower-left copy, its
+    counterclockwise rotation in the lower right and its clockwise rotation
+    on top."""
+    level = conf.graph.level + 1
+    parts = {
+        LOWER_LEFT: list(conf.chips),
+        LOWER_RIGHT: list(rotate_config(conf, "ccw").chips),
+        TOP: list(rotate_config(conf, "cw").chips),
+    }
+    return config(build_gasket(level), assemble_from_copies(level, parts))
+
+
 def identity_from_tiles(level: int) -> Configuration:
     """The sandpile identity assembled without any toppling: the all-2-corner
-    tile in the lower-left copy, its counterclockwise rotation in the lower
-    right, its clockwise rotation on top.  Defined for level >= 2; the level-1
+    tile glued with its two rotations.  Defined for level >= 2; the level-1
     identity is only available through stabilization."""
     if level < 2:
         raise ValueError("the tile construction of the identity needs level >= 2")
-    base = build_tile(level - 1, 2, 2, 2)
-    parts = {
-        LOWER_LEFT: list(base.chips),
-        LOWER_RIGHT: list(rotate_config(base, "ccw").chips),
-        TOP: list(rotate_config(base, "cw").chips),
-    }
-    return config(build_gasket(level), assemble_from_copies(level, parts))
+    return _glue_with_rotations(build_tile(level - 1, 2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +271,8 @@ def verify_junction_invariance(level: int, conf: Configuration) -> JunctionRepor
         raise ValueError("lower-right and top corner values must equal 2")
     if not is_recurrent_burning(conf):
         raise ValueError("junction invariance needs a recurrent configuration")
-    parts = {
-        LOWER_LEFT: list(conf.chips),
-        LOWER_RIGHT: list(rotate_config(conf, "ccw").chips),
-        TOP: list(rotate_config(conf, "cw").chips),
-    }
-    parent = build_gasket(level + 1)
-    assembled = config(parent, assemble_from_copies(level + 1, parts))
+    assembled = _glue_with_rotations(conf)
+    parent = assembled.graph
     recurrent_ok = is_recurrent_burning(assembled)
     amount = 2 * 3**level
     chips = list(assembled.chips)

@@ -202,17 +202,16 @@ def enumerate_characters(
     if data.order > cap:
         raise GroupTooLargeError(data.order, cap)
     n = graph.n_vertices
-    nontrivial = [(i, d) for i, d in enumerate(data.diag) if d > 1]
-    common = math.lcm(*(d for _, d in nontrivial)) if nontrivial else 1
+    common = math.lcm(*data.nontrivial)
     # The Laplacian is symmetric, so Delta^{-1} Z^V = Uinv^T D^{-1} Z^V: row i
     # of Uinv divided by d_i generates the d_i-torsion of the dual group.
     # Scale by common/d_i and reduce mod common; the rotation vector of the
     # coordinate tuple (m_i) is then sum_i m_i * row_i / common mod 1.
     columns = [
-        [(v * (common // d)) % common for v in data.Uinv[i]] for i, d in nontrivial
+        [(v * (common // d)) % common for v in data.Uinv[i]] for i, d in data.cyclic
     ]
     out = []
-    for counts in product(*(range(d) for _, d in nontrivial)):
+    for counts in product(*(range(d) for d in data.nontrivial)):
         acc = [0] * n
         for m, col in zip(counts, columns):
             if m:

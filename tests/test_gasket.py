@@ -8,7 +8,6 @@ from gasketpile.gasket import (
     LOWER_RIGHT,
     NORMAL,
     TOP,
-    bare_laplacian,
     build_gasket,
     corner_coords,
     corner_sink,
@@ -172,22 +171,22 @@ def test_level1_reduced_laplacian_determinant_against_cofactor_oracle():
 
 @pytest.mark.parametrize("level", range(4))
 def test_reduced_laplacian_row_sums_equal_sink_multiplicities(level):
-    graph = build_gasket(level)
-    lap = reduced_laplacian(graph)
-    assert [sum(row) for row in lap] == list(graph.beta)
-    for i in range(graph.n_vertices):
-        for j in range(graph.n_vertices):
-            assert lap[i][j] == lap[j][i]
-
-
-@pytest.mark.parametrize("level", range(4))
-def test_bare_laplacian_rows_sum_to_zero(level):
-    lap = bare_laplacian(level)
-    assert all(sum(row) == 0 for row in lap)
-    corners = set(corner_coords(level).values())
-    coords, _ = gasket_cells(level)
-    for i, c in enumerate(coords):
-        assert lap[i][i] == (2 if c in corners else 4)
+    for boundary in (NORMAL, *(corner_sink(name) for name in CORNER_NAMES)):
+        graph = build_gasket(level, boundary)
+        lap = reduced_laplacian(graph)
+        assert [sum(row) for row in lap] == list(graph.beta)
+        for i in range(graph.n_vertices):
+            for j in range(graph.n_vertices):
+                assert lap[i][j] == lap[j][i]
+        if boundary.kind == "normal":
+            continue
+        # A sunk corner leaves the bare gasket Laplacian minus its row and
+        # column: the two other corners keep their bare degree 2, every
+        # other vertex degree 4.
+        assert graph.sink_degree == 2
+        corners = set(corner_coords(level).values())
+        for i, c in enumerate(graph.coords):
+            assert lap[i][i] == (2 if c in corners else 4)
 
 
 def test_graph_json_is_deterministic_and_faithful():

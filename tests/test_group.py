@@ -334,13 +334,43 @@ def test_group_orders(level, order):
 
 def test_lattice_data_round_trips_coordinates():
     rng = random.Random(8)
-    for level in (0, 1):
+    for level in (0, 1, 2, 3):
         data = group.lattice_data(build_gasket(level))
         assert math.prod(data.diag) == data.order
         for _ in range(20):
             coords = [rng.randrange(d) for d in data.nontrivial]
             vec = data.from_coordinates(coords)
             assert list(data.coordinates(vec)) == coords
+
+
+def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatch):
+    real = group.smith_mod
+    calls = []
+
+    def counting(matrix, modulus, transforms=False):
+        calls.append(transforms)
+        return real(matrix, modulus, transforms=transforms)
+
+    graph = build_gasket(2)
+    order = group.lattice_data(graph).order
+    monkeypatch.setattr(group, "smith_mod", counting)
+    data = group.LatticeData(graph, order)
+    assert group.mat_mul(data.U, data.Uinv) == group.mat_identity(graph.n_vertices)
+    assert data.U is data.basis.U and data.Uinv is data.basis.Uinv
+    assert calls == [True]
+    # The invariant factors have their own, cheaper diagonal-only run.
+    assert list(data.diag) == data.basis.diag
+    assert calls == [True, False]
+
+    def wrong_diagonal(matrix, modulus, transforms=False):
+        dec = real(matrix, modulus, transforms=transforms)
+        dec.diag[-1] *= 2
+        return dec
+
+    monkeypatch.setattr(group, "smith_mod", wrong_diagonal)
+    for view in ("diag", "U"):
+        with pytest.raises(ArithmeticError):
+            getattr(group.LatticeData(graph, order), view)
 
 
 def test_in_lattice_accepts_laplacian_columns():
@@ -433,7 +463,7 @@ def test_tau_base_values():
     assert [group.tau_recursion(n) for n in range(3)] == [3, 54, 524880]
 
 
-@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("level", range(5))
 def test_tau_matrix_tree_agrees_with_recursion(level):
     assert group.tau_matrix_tree(level) == group.tau_recursion(level)
 

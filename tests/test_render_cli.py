@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -267,8 +268,26 @@ def test_cli_rejects_bad_level(capsys):
         ["group", "snf", "--level", "6"],
         ["group", "check-theorem", "--level", "6"],
         ["group", "tau", "--level", "6", "--method", "matrix-tree"],
+        ["selfsim", "verify", "--level", "5", "--check", "transport"],
+        ["spectral", "distance", "--level", "6", "--t", "1"],
+        ["spectral", "eigs", "--level", "6", "--all"],
+        ["sandpile", "identity", "--level", "8"],
+        ["markov", "simulate", "--level", "8", "--steps", "1"],
+        ["markov", "report", "--level", "8", "--trials", "1"],
     ],
-    ids=["verify-doubling", "verify-transport", "snf", "check-theorem", "tau-matrix-tree"],
+    ids=[
+        "verify-doubling",
+        "verify-transport",
+        "snf",
+        "check-theorem",
+        "tau-matrix-tree",
+        "verify-transport-5",
+        "spectral-distance",
+        "spectral-eigs-all",
+        "identity",
+        "markov-simulate",
+        "markov-report-trials",
+    ],
 )
 def test_cli_refuses_infeasible_levels_quickly(argv, capsys):
     start = time.perf_counter()
@@ -282,6 +301,22 @@ def test_cli_refuses_infeasible_levels_quickly(argv, capsys):
 def test_cli_tau_recursion_keeps_the_general_cap(capsys):
     assert main(["group", "tau", "--level", "6"]) == 0
     assert capsys.readouterr().out.strip() == str(tau_recursion(6))
+
+
+def test_cli_group_tau_prints_every_digit_at_level_8(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default, whatever ran before
+    try:
+        assert main(["group", "tau", "--level", "8"]) == 0
+        text = capsys.readouterr().out.strip()
+        assert len(text) == 4481 and text.isdigit()
+        assert int(text[-30:]) == tau_recursion(8) % 10**30
+        assert main(["group", "tau", "--level", "8", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["spanning_trees"] == text
+        # The limit is lifted for the conversion only, not for the process.
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_cli_reports_bad_input_as_usage_error(tmp_path, capsys):
