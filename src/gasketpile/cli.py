@@ -62,11 +62,14 @@ def _check_level(parser, args, cap=8, why=""):
         parser.error(f"--level must be between 0 and {cap}" + (f": {why}" if why else ""))
 
 
-# Levels past these caps would run for minutes; they are refused at once.
-_DOUBLING_WHY = "the cost grows about 15x per level; the doubling check takes about 10 s at level 6"
+# Levels past these caps would run for seconds to minutes; they are refused
+# at once.
+_DOUBLING_WHY = (
+    "the cost grows about 10x per level; the doubling check takes about 1 s at level 6 and 7 s at level 7"
+)
 _DETERMINANT_WHY = "the exact determinant of the level-6 Laplacian takes minutes"
 _ADJUGATE_WHY = "the exact inverse of the level-5 corner-sink Laplacian takes over a minute"
-_IDENTITY_WHY = "stabilizing the identity takes about a minute at level 7 and grows about 13x per level"
+_IDENTITY_WHY = "stabilizing the identity takes about 2.5 s at level 7 and 30 s at level 8"
 
 
 def _digits(value: int) -> str:

@@ -5,13 +5,22 @@ A vertex with at least as many chips as its degree can topple, sending one
 chip along every incident edge (chips crossing sink edges vanish).  The
 stabilization operator topples until no vertex can fire; by the abelian
 property the result and the firing counts (odometer) are order-independent.
+
+One kernel, `_stabilize_raw`, does all toppling, in two phases chosen from
+the input.  A work queue of unstable vertices, in exact Python ints, serves
+small avalanches such as the walk's single-chip steps.  When more than half
+of the vertices are queued at the start of a generation and a bound on the
+chip total shows that nothing can overflow int64, the rest of the avalanche
+runs as synchronous numpy rounds in which every vertex fires at once, as in
+the doubling game and the identity's two stabilizations.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .gasket import GasketGraph, build_gasket, parse_boundary
 from . import group
@@ -84,10 +93,17 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
     chips - degree, so a vertex is unstable when its excess is >= 0.  A
     vertex is pushed when the chips it receives lift its excess from below 0
     to 0 or above, so the queue holds every unstable vertex exactly once.
-    Default order is FIFO; passing an rng pops in random order instead, which
-    the tests use to exercise order-independence.  Frozen vertices get a
-    threshold above the total chip count, which toppling never reaches, so
-    they never fire and simply accumulate chips.
+    Frozen vertices get a threshold above the total chip count, which
+    toppling never reaches, so they never fire and simply accumulate chips.
+
+    Passing an rng pops in random order, one vertex at a time, which the
+    tests use to exercise order-independence.  Without one the queue is FIFO
+    and runs one generation at a time (the vertices queued when the pass
+    starts).  Before each generation it looks at the avalanche's width: when
+    more than half of the vertices are queued and every value the rest of
+    the stabilization can reach provably fits in int64 (`_fits_int64`), the
+    rest goes to `_topple_rounds`, synchronous rounds on numpy arrays.  By
+    the abelian property both orders give the same result and odometer.
     """
     degrees = graph.degrees
     if frozen:
@@ -96,37 +112,91 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
         for v in frozen:
             degrees[v] = unreachable
     neighbors = graph.neighbors
-    odometer = [0] * len(chips)
+    n = len(chips)
+    odometer = [0] * n
     for v, d in enumerate(degrees):
         chips[v] -= d
-    unstable = [v for v, e in enumerate(chips) if e >= 0]
-    if rng is None:
-        queue = deque(unstable)
-        push, pop = queue.append, queue.popleft
-    else:
-        queue = unstable
-        push = queue.append
-
-        def pop():
+    queue = [v for v, e in enumerate(chips) if e >= 0]
+    while queue:
+        if rng is not None:
             i = rng.randrange(len(queue))
             queue[i], queue[-1] = queue[-1], queue[i]
-            return queue.pop()
-
-    while queue:
-        v = pop()
-        d = degrees[v]
-        e = chips[v]
-        fires = e // d + 1
-        chips[v] = e - fires * d
-        odometer[v] += fires
-        for w in neighbors[v]:
-            e = chips[w] + fires
-            chips[w] = e
-            if e >= 0 and e < fires:
-                push(w)
+            generation = [queue.pop()]
+        elif 2 * len(queue) > n and _fits_int64(chips, degrees):
+            for v, d in enumerate(degrees):
+                chips[v] += d
+            rounds = _topple_rounds(graph, chips, degrees)
+            return [a + b for a, b in zip(odometer, rounds)]
+        else:
+            generation, queue = queue, []
+        push = queue.append
+        for v in generation:
+            d = degrees[v]
+            e = chips[v]
+            fires = e // d + 1
+            chips[v] = e - fires * d
+            odometer[v] += fires
+            for w in neighbors[v]:
+                e = chips[w] + fires
+                chips[w] = e
+                if e >= 0 and e < fires:
+                    push(w)
     for v, d in enumerate(degrees):
         chips[v] += d
     return odometer
+
+
+def _fits_int64(excess: list[int], thresholds) -> bool:
+    """Whether stabilizing the configuration `excess + thresholds` keeps
+    every chip count, threshold and odometer entry below 2**63.
+
+    With T the chip total, chip counts stay in [0, T].  The odometer is the
+    Green's function applied to the chips that leave, so an entry is at most
+    T times the expected time for the walk started there to be killed at
+    the sink (or at a frozen vertex).  That time is at most the commute time
+    2|E| R_eff <= 8n * n, since every degree is at most 4 (so 2|E| <= 8n)
+    and every vertex is at most n edges from the sink."""
+    n = len(excess)
+    total = sum(excess) + sum(thresholds)
+    return max(max(thresholds), total * 8 * n * n) < 2**63
+
+
+@lru_cache(maxsize=None)
+def _neighbor_table(graph: GasketGraph) -> np.ndarray:
+    """Neighbour-index table, one row per neighbour slot (4 x n): entry
+    [k, v] is the k-th neighbour of v, or n, a slot that always holds zero
+    fires, where v has fewer than k + 1 neighbours."""
+    n = graph.n_vertices
+    table = np.full((4, n), n, dtype=np.intp)
+    for v, nbrs in enumerate(graph.neighbors):
+        table[: len(nbrs), v] = nbrs
+    return table
+
+
+def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int]:
+    """Stabilize in place by synchronous rounds; returns the odometer.
+
+    Every vertex fires floor(chips/threshold) times per round, all at once,
+    until no vertex fires.  All arithmetic is exact int64 (the caller checks
+    with `_fits_int64` that nothing can overflow); each vertex receives the
+    integer sum of its neighbours' fires, gathered through the neighbour
+    table, never a float sum."""
+    n = len(chips)
+    slots = _neighbor_table(graph)
+    c = np.array(chips, dtype=np.int64)
+    d = np.array(thresholds, dtype=np.int64)
+    odometer = np.zeros(n, dtype=np.int64)
+    padded = np.zeros(n + 1, dtype=np.int64)
+    fires = padded[:n]
+    while True:
+        np.floor_divide(c, d, out=fires)
+        if not fires.any():
+            break
+        odometer += fires
+        c -= fires * d
+        c += padded[slots].sum(axis=0)
+    chips[:] = c.tolist()
+    return odometer.tolist()
 
 
 def stabilize_list(graph: GasketGraph, chips: list[int], frozen=(), rng=None):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasketpile import group, markov
+from gasketpile import group, markov, sandpile
 from gasketpile.gasket import build_gasket
 from gasketpile.sandpile import identity, is_recurrent_burning, recurrent_rep, stabilize
 from gasketpile.spectral import distinguishing_statistic
@@ -68,6 +68,17 @@ def test_long_chains_preserve_recurrence(level):
     graph = build_gasket(level)
     for steps in range(250, 2001, 250):
         assert is_recurrent_burning(markov.run_chain(graph, steps, seed=level))
+
+
+def test_walk_steps_never_enter_the_rounds_phase(monkeypatch):
+    graph = build_gasket(4)
+    identity(graph)
+
+    def refuse(*args):
+        raise AssertionError("a walk step handed its avalanche to the rounds")
+
+    monkeypatch.setattr(sandpile, "_topple_rounds", refuse)
+    assert markov.run_chain(graph, 2000, seed=4).is_stable
 
 
 def test_expected_chi_formula():

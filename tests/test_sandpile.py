@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketpile import group
+from gasketpile import group, sandpile
 from gasketpile.gasket import LOWER_LEFT, build_gasket, corner_sink, parse_boundary, reduced_laplacian
 from gasketpile.sandpile import (
     Configuration,
@@ -22,6 +22,7 @@ from gasketpile.sandpile import (
     stabilize,
     zero_config,
 )
+from gasketpile.selfsim import build_tile
 
 G0 = build_gasket(0)
 G1 = build_gasket(1)
@@ -122,6 +123,73 @@ def test_kernel_matches_naive_toppling(level, boundary):
         for order in (None, random.Random(trial)):
             result, odometer = stabilize(conf, frozen=frozen, rng=order)
             assert (list(result.chips), list(odometer)) == want
+
+
+@pytest.fixture
+def rounds_calls(monkeypatch):
+    """Records the chip total at every hand-off from the queue to the
+    synchronous rounds."""
+    calls = []
+    rounds = sandpile._topple_rounds
+
+    def counted(graph, chips, thresholds):
+        calls.append(sum(chips))
+        return rounds(graph, chips, thresholds)
+
+    monkeypatch.setattr(sandpile, "_topple_rounds", counted)
+    return calls
+
+
+def wide_inputs(graph, rng):
+    """Chip vectors with every vertex unstable: 2m, the doubled (2,1,1) tile
+    on the lower-left corner-sink gasket, and random chips in [d, 3d)."""
+    yield [2 * (d - 1) for d in graph.degrees]
+    if graph.boundary == corner_sink(LOWER_LEFT) and graph.level >= 1:
+        doubled = build_tile(graph.level, 2, 1, 1).scale(2)
+        yield [doubled.value_at(c) for c in graph.coords]
+    yield [rng.randrange(d, 3 * d) for d in graph.degrees]
+
+
+@pytest.mark.parametrize("boundary", ["normal", "corner_sink:lower_left", "corner_sink:top"])
+@pytest.mark.parametrize("level", range(5))
+def test_rounds_phase_matches_naive_toppling(level, boundary, rounds_calls):
+    graph = build_gasket(level, parse_boundary(boundary))
+    n = graph.n_vertices
+    rng = random.Random(f"rounds:{level}:{boundary}")
+    for chips in wide_inputs(graph, rng):
+        assert all(c >= d for c, d in zip(chips, graph.degrees))
+        for frozen in ((), rng.sample(range(n), rng.randrange(1, min(n, 4)))):
+            rounds_calls.clear()
+            result, odometer = stabilize(config(graph, chips), frozen=frozen)
+            assert (list(result.chips), list(odometer)) == naive_stabilize(graph, chips, frozen)
+            # Every vertex off the frozen set starts unstable, so the first
+            # generation is wide exactly when they are more than half.
+            if 2 * (n - len(frozen)) > n:
+                assert rounds_calls == [sum(chips)]
+
+
+def test_rounds_phase_is_guarded_against_int64_overflow(rounds_calls):
+    # With T chips on n vertices an odometer entry stays below T * 8n**2.
+    # 2**40 chips on each of 42 vertices keep that below 2**60, so the
+    # rounds take over at once.
+    g3 = build_gasket(3)
+    wide = config(g3, [2**40] * g3.n_vertices)
+    assert stabilize(wide) == stabilize(wide, rng=random.Random(3))
+    assert rounds_calls == [wide.total]
+    # Just under the bound at level 0 the rounds move up to 2**54 chips per
+    # neighbour pair, beyond float64's 2**53: the sums must be exact.
+    rounds_calls.clear()
+    near = config(G0, [2**55 - 1, 2**55 - 3, 2**55 - 7])
+    assert stabilize(near) == stabilize(near, rng=random.Random(4))
+    assert rounds_calls == [near.total]
+    # A pile of 2**70 does not fit in int64 at all: the queue works in Python
+    # ints until the sink has taken enough chips for the bound to hold.
+    rounds_calls.clear()
+    pile = zero_config(G1).add_chips(0, 2**70)
+    result, odometer = stabilize(pile)
+    assert (result, odometer) == stabilize(pile, rng=random.Random(5))
+    assert result.is_stable and max(odometer) >= 2**64
+    assert all(total * 8 * 6**2 < 2**63 for total in rounds_calls)
 
 
 def test_burning_accepts_maximal_config():
