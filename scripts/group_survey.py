@@ -5,7 +5,7 @@ Prints the group order, the invariant factor decomposition, the spanning
 tree count by both methods, and the three-copy decomposition check.
 
 Example:
-    python scripts/group_survey.py --max-level 4
+    python scripts/group_survey.py --max-level 5
 """
 
 import argparse
@@ -18,7 +18,7 @@ from gasketpile.gasket import build_gasket
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-level", type=int, default=4)
+    parser.add_argument("--max-level", type=int, default=5)
     parser.add_argument("--theorem-max-level", type=int, default=4)
     args = parser.parse_args()
 
@@ -26,7 +26,8 @@ def main() -> int:
         start = time.monotonic()
         graph = build_gasket(level)
         factors = group.sandpile_group_invariants(graph)
-        order = math.prod(factors)
+        order = group.sandpile_group_order(graph)
+        assert math.prod(factors) == order
         tau = group.tau_recursion(level)
         assert group.tau_matrix_tree(level) == tau
         elapsed = time.monotonic() - start

@@ -67,8 +67,8 @@ def _check_level(parser, args, cap=8, why=""):
 _DOUBLING_WHY = (
     "the cost grows about 10x per level; the doubling check takes about 1 s at level 6 and 7 s at level 7"
 )
-_DETERMINANT_WHY = "the exact determinant of the level-6 Laplacian takes minutes"
-_ADJUGATE_WHY = "the exact inverse of the level-5 corner-sink Laplacian takes over a minute"
+_SMITH_WHY = "the Smith form of the level-6 Laplacian takes about 20-26 s"
+_TRANSPORT_WHY = "the transport check takes about 2 s at level 6 and 21 s at level 7"
 _IDENTITY_WHY = "stabilizing the identity takes about 2.5 s at level 7 and 30 s at level 8"
 
 
@@ -140,10 +140,8 @@ def cmd_selfsim_id(parser, args) -> int:
 
 
 def cmd_selfsim_verify(parser, args) -> int:
-    if args.check == "transport":
-        _check_level(parser, args, cap=4, why=_ADJUGATE_WHY)
-    else:
-        _check_level(parser, args, cap=6, why=_DOUBLING_WHY)
+    why = _TRANSPORT_WHY if args.check == "transport" else _DOUBLING_WHY
+    _check_level(parser, args, cap=6, why=why)
     if args.level < 1:
         parser.error("verification checks need --level >= 1")
     if args.check == "doubling":
@@ -159,7 +157,7 @@ def cmd_selfsim_verify(parser, args) -> int:
 
 
 def cmd_group_snf(parser, args) -> int:
-    _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
+    _check_level(parser, args, cap=5, why=_SMITH_WHY)
     graph = _graph_arg(args)
     data_l = group.lattice_data(graph)
     data = {
@@ -177,7 +175,7 @@ def cmd_group_snf(parser, args) -> int:
 
 
 def cmd_group_check_theorem(parser, args) -> int:
-    _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
+    _check_level(parser, args, cap=5, why=_SMITH_WHY)
     if args.level < 1:
         parser.error("--level must be >= 1")
     report = group.check_group_theorem(args.level)
@@ -191,11 +189,10 @@ def cmd_group_check_theorem(parser, args) -> int:
 
 
 def cmd_group_tau(parser, args) -> int:
+    _check_level(parser, args)
     if args.method == "recursion":
-        _check_level(parser, args)
         value = group.tau_recursion(args.level)
     else:
-        _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
         value = group.tau_matrix_tree(args.level)
     text = _digits(value)
     data = {"level": args.level, "method": args.method, "spanning_trees": text}
@@ -204,10 +201,7 @@ def cmd_group_tau(parser, args) -> int:
 
 
 def cmd_spectral_eigs(parser, args) -> int:
-    if args.all:
-        _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
-    else:
-        _check_level(parser, args)
+    _check_level(parser, args)
     if args.level < 1:
         parser.error("--level must be >= 1 for cell harmonics")
     graph = build_gasket(args.level)
@@ -237,7 +231,7 @@ def cmd_spectral_eigs(parser, args) -> int:
 
 
 def cmd_spectral_distance(parser, args) -> int:
-    _check_level(parser, args, cap=5, why=_DETERMINANT_WHY)
+    _check_level(parser, args)
     graph = build_gasket(args.level)
     result = spectral.exact_distance(graph, args.t, cap=args.cap)
     data = {

@@ -1,11 +1,19 @@
-"""Exact integer linear algebra for sandpile groups on gasket graphs.
+"""Exact linear algebra for sandpile groups on gasket graphs.
 
-Everything here works over Python integers (arbitrary precision): Bareiss
-fraction-free determinants, Smith normal form with unimodular transforms,
-a bounded-entry Smith variant that reduces modulo the group order, quotient
-group invariants, and the recursive / matrix-tree spanning tree counts.  The
-sandpile group of a graph is Z^V modulo the column lattice of the reduced
-Laplacian; its order equals det(reduced Laplacian).
+The sandpile group of a graph is Z^V modulo the column lattice of the
+reduced Laplacian Delta; its order equals det(Delta).  Production code gets
+every exact quantity from two engines.  `laplacian_factor` is a sparse
+LDL^T of Delta over the rationals, eliminating vertices cell by cell,
+finest level first (nested dissection); the product of its pivots is the
+order, and its O(n) solves of Delta y = x decide lattice membership,
+element orders, the reduction modulo the lattice and the positive lift.
+`smith_mod` is a bounded-entry Smith reduction modulo the order that gives
+the invariant factors, the adapted basis and quotient invariants.  The
+recursive and matrix-tree spanning tree counts live here too.
+
+Bareiss determinants (`determinant`), the fraction-free adjugate
+(`scaled_inverse`) and the unbounded `smith_normal_form` are reference
+paths that the tests and the benchmark check the engines against.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ def mat_vec(a: Matrix, x: list[int]) -> list[int]:
 def determinant(matrix: Matrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination.
 
-    Independent of the Smith normal form code path on purpose: the two are
-    cross-checked against each other in the tests.
+    A dense O(n^3) reference path, independent of `laplacian_factor` and of
+    the Smith code on purpose: the tests cross-check all three.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -494,7 +502,8 @@ def scaled_inverse(matrix: Matrix) -> tuple[Matrix, int]:
     B is the adjugate up to the determinant's sign.  Fraction-free
     Gauss-Jordan on [A | I]: each step updates every off-pivot row and
     divides by the previous pivot, which is exact; entries stay polynomially
-    bounded instead of exploding the way Smith transforms do."""
+    bounded instead of exploding the way Smith transforms do.  A dense
+    reference path for the sparse solves of `LaplacianFactor`."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("scaled_inverse needs a square matrix")
@@ -537,25 +546,155 @@ def sandpile_group_order(graph: GasketGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cached lattice data per graph: Smith basis of the reduced Laplacian plus the
-# integer adjugate, reused by the recurrent-representative computation, the
-# character enumeration, and the stationary sampler.
+# Sparse exact factorization of the reduced Laplacian.
+# ---------------------------------------------------------------------------
+
+
+def _valuation(coord: tuple[int, int], infinite: int) -> int:
+    """min(v2(a), v2(b)) for a vertex (a, b), with v2(0) read as `infinite`."""
+    return min((x & -x).bit_length() - 1 if x else infinite for x in coord)
+
+
+# The factorization holds rationals as (numerator, denominator) pairs in
+# lowest terms with a positive denominator; in its inner loops this is about
+# four times faster than `Fraction`.
+Rational = tuple[int, int]
+
+
+def _minus_product(r: Rational, f: Rational, b: Rational) -> Rational:
+    """r - f * b."""
+    num = r[0] * f[1] * b[1] - f[0] * b[0] * r[1]
+    den = r[1] * f[1] * b[1]
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _quotient(a: Rational, p: Rational) -> Rational:
+    """a / p for p > 0."""
+    num, den = a[0] * p[1], a[1] * p[0]
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+@dataclass(frozen=True, eq=False)
+class LaplacianFactor:
+    """Delta = P L D L^T P^T for the reduced Laplacian of one gasket graph.
+
+    `sequence` is the elimination order (P), `pivots` the diagonal of D in
+    that order, and `below[k]` the nonzero entries (vertex, value) of the
+    unit lower-triangular L under step k's pivot; each names a vertex
+    eliminated later.  `determinant` is the product of the pivots, det(Delta).
+    """
+
+    graph: GasketGraph
+    sequence: tuple[int, ...]
+    pivots: tuple[Rational, ...]
+    below: tuple[tuple[tuple[int, Rational], ...], ...]
+    determinant: int
+
+    def solve(self, entries: list[int]) -> tuple[list[int], int]:
+        """Integer vector y and the least D >= 1 with Delta @ y == D * x,
+        so that Delta^{-1} x = y / D exactly.
+
+        Forward substitution through L, division by the pivots and back
+        substitution: O(n) rational operations, since no column of L has
+        more than four entries.  The result is checked against the sparse
+        Laplacian in integers; a mismatch raises ArithmeticError."""
+        graph = self.graph
+        x = [int(v) for v in entries]
+        if len(x) != graph.n_vertices:
+            raise ValueError("vector length must match vertex count")
+        z = [(v, 1) for v in x]
+        for v, col in zip(self.sequence, self.below):
+            zv = z[v]
+            if zv[0]:
+                for w, entry in col:
+                    z[w] = _minus_product(z[w], entry, zv)
+        for v, pivot in zip(self.sequence, self.pivots):
+            z[v] = _quotient(z[v], pivot)
+        for v, col in zip(reversed(self.sequence), reversed(self.below)):
+            for w, entry in col:
+                z[v] = _minus_product(z[v], entry, z[w])
+        den = math.lcm(*(d for _, d in z))
+        y = [num * (den // d) for num, d in z]
+        degrees = graph.degrees
+        for v, nbrs in enumerate(graph.neighbors):
+            if degrees[v] * y[v] - sum(y[w] for w in nbrs) != den * x[v]:
+                raise ArithmeticError("sparse solve fails Delta @ y == D * x")
+        return y, den
+
+
+@lru_cache(maxsize=None)
+def laplacian_factor(graph: GasketGraph) -> LaplacianFactor:
+    """Sparse symmetric elimination of the reduced Laplacian over Q.
+
+    Vertices are eliminated in order of min(v2(a), v2(b)) of their
+    coordinates (ties in canonical order): first the three midpoints of
+    every level-1 cell, then those of every level-2 cell, and so on, with
+    the big triangle's corners last.  This is nested dissection with the
+    gasket's 3-vertex separators.  A midpoint touches only the other two
+    midpoints of its cell and two cell corners, so no pivot row has more
+    than four off-diagonal entries.  Eliminating one cell's midpoints is the
+    Delta-Y step behind the tau recursion: the corners are left joined by
+    conductance 3/5 of the old one, so the Schur complement is again a
+    gasket one level down.
+
+    Delta is symmetric positive definite, so every pivot is positive and no
+    pivoting is needed.  The product of the pivots must be a positive
+    integer, or ArithmeticError is raised."""
+    n = graph.n_vertices
+    infinite = graph.level + 1
+    sequence = sorted(range(n), key=lambda v: _valuation(graph.coords[v], infinite))
+    rows = [dict.fromkeys(nbrs, (-1, 1)) for nbrs in graph.neighbors]
+    diag = [(d, 1) for d in graph.degrees]
+    pivots, below = [], []
+    for v in sequence:
+        pivot = diag[v]
+        items = list(rows[v].items())
+        col = []
+        for i, (w, a) in enumerate(items):
+            row_w = rows[w]
+            del row_w[v]
+            f = _quotient(a, pivot)
+            col.append((w, f))
+            diag[w] = _minus_product(diag[w], f, a)
+            for u, b in items[i + 1 :]:
+                row_w[u] = rows[u][w] = _minus_product(row_w.get(u, (0, 1)), f, b)
+        pivots.append(pivot)
+        below.append(tuple(col))
+    det, rem = divmod(math.prod(p for p, _ in pivots), math.prod(q for _, q in pivots))
+    if rem or det <= 0:
+        raise ArithmeticError("the pivot product must be a positive integer")
+    return LaplacianFactor(
+        graph=graph,
+        sequence=tuple(sequence),
+        pivots=tuple(pivots),
+        below=tuple(below),
+        determinant=det,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cached lattice data per graph: the order from the factorization, the Smith
+# basis of the reduced Laplacian and the positive lift, reused by the
+# recurrent-representative computation, the character enumeration, and the
+# stationary sampler.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
 class LatticeData:
     """The sandpile group of one graph: Z^V modulo the column lattice of the
-    reduced Laplacian Delta, whose index `order` is det(Delta).
+    reduced Laplacian Delta, whose index `order` is det(Delta), the product
+    of the pivots of `laplacian_factor`.
 
-    Everything else is computed on first use, once, with a bounded-entry
-    algorithm: `diag` (the invariant factors, including the trivial ones) by
-    `smith_mod` modulo the order; `basis`, the adapted basis U, Uinv with its
-    own diagonal, by one `smith_mod` run with transforms; `adjugate` by
-    fraction-free Gauss-Jordan; `lift` from the adjugate's row sums.  `diag`
-    has its own diagonal-only run because it costs a small fraction of the
-    basis.  Both Smith runs must multiply out to the order, the adjugate's
-    scale must equal it, and the lift must be positive; each violation raises
+    Everything else is computed on first use, once: `diag` (the invariant
+    factors, including the trivial ones) by `smith_mod` modulo the order;
+    `basis`, the adapted basis U, Uinv with its own diagonal, by one
+    `smith_mod` run with transforms; `lift` by one sparse solve of
+    Delta w = L * ones.  `diag` has its own diagonal-only run because it
+    costs a small fraction of the basis.  Both Smith runs must multiply out
+    to the order and the lift must be positive; each violation raises
     ArithmeticError.  `cyclic` lists the positions and orders of the
     nontrivial factors, the coordinates every class label uses."""
 
@@ -595,27 +734,18 @@ class LatticeData:
         return tuple(d for _, d in self.cyclic)
 
     @cached_property
-    def adjugate(self) -> Matrix:
-        """adj(Delta) = det * Delta^{-1}: Delta @ adj == order * identity."""
-        adj, scale = scaled_inverse(reduced_laplacian(self.graph))
-        if scale != self.order:
-            raise ArithmeticError("adjugate scale disagrees with the determinant")
-        return adj
-
-    @cached_property
     def lift(self) -> tuple[list[int], int]:
-        """Positive integer vector w and scale L with Delta @ w == L * ones.
+        """Positive integer vector w and the least scale L with
+        Delta @ w == L * ones: w / L = Delta^{-1} ones.
 
         Exists with w > 0 because Delta^{-1} is entrywise non-negative for
         these sink-connected Laplacians; adding k * (Delta @ w) to a vector
         raises every entry by k * L without changing its class.
         """
-        raw = [sum(row) for row in self.adjugate]
-        g = math.gcd(self.order, *raw)
-        w = [x // g for x in raw]
+        w, scale = laplacian_factor(self.graph).solve([1] * self.graph.n_vertices)
         if any(x <= 0 for x in w):
             raise ArithmeticError("lift vector must be positive")
-        return w, self.order // g
+        return w, scale
 
     def coordinates(self, entries: list[int]) -> tuple[int, ...]:
         """Canonical label of the class of `entries`: its adapted-basis
@@ -634,27 +764,35 @@ class LatticeData:
 
 @lru_cache(maxsize=None)
 def lattice_data(graph: GasketGraph) -> LatticeData:
-    det = determinant(reduced_laplacian(graph))
-    if det == 0:
-        raise ArithmeticError("reduced Laplacian should be nonsingular")
-    return LatticeData(graph=graph, order=abs(det))
+    return LatticeData(graph=graph, order=laplacian_factor(graph).determinant)
 
 
 def in_lattice(graph: GasketGraph, entries: list[int]) -> bool:
     """Whether the integer vector lies in the column lattice of the reduced
     Laplacian, i.e. represents the trivial group element.  True exactly when
-    Delta^{-1} @ x = (adj @ x) / det is integral."""
-    data = lattice_data(graph)
-    return all(v % data.order == 0 for v in mat_vec(data.adjugate, list(entries)))
+    Delta^{-1} @ x is integral."""
+    return laplacian_factor(graph).solve(entries)[1] == 1
 
 
 def element_order(graph: GasketGraph, entries: list[int]) -> int:
     """Order of the class of `entries` in the sandpile group: the smallest
-    k >= 1 for which k * (adj @ x) vanishes mod det."""
-    data = lattice_data(graph)
-    det = data.order
-    ks = (det // math.gcd(det, v) for v in mat_vec(data.adjugate, list(entries)))
-    return math.lcm(*ks)
+    k >= 1 with k * Delta^{-1} @ x integral, the common denominator of the
+    solve."""
+    return laplacian_factor(graph).solve(entries)[1]
+
+
+def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
+    """x - Delta @ floor(Delta^{-1} x): the vector in the class of x whose
+    image under Delta^{-1} lies in [0, 1)^V.  Each entry is below the vertex
+    degree in absolute value."""
+    x = [int(v) for v in entries]
+    y, den = laplacian_factor(graph).solve(x)
+    q = [v // den for v in y]
+    degrees = graph.degrees
+    return [
+        x[v] - degrees[v] * q[v] + sum(q[w] for w in nbrs)
+        for v, nbrs in enumerate(graph.neighbors)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -276,25 +276,17 @@ def recurrent_rep(graph: GasketGraph, entries) -> Configuration:
     lies in the reduced-Laplacian lattice.
 
     The input is any integer vector (negative entries allowed).  It is first
-    reduced modulo the lattice to keep the chip counts small, lifted to
-    non-negativity by adding a positive lattice vector, then pushed onto the
-    recurrent class representative by adding the kicker and stabilizing.
+    reduced modulo the lattice (`group.lattice_reduce`) to keep the chip
+    counts small, lifted to non-negativity by adding a positive lattice
+    vector, then pushed onto the recurrent class representative by adding
+    the kicker and stabilizing.
     """
-    n = graph.n_vertices
     x = [int(v) for v in entries]
-    if len(x) != n:
+    if len(x) != graph.n_vertices:
         raise ValueError("entry vector length must match vertex count")
-    degrees, neighbors = graph.degrees, graph.neighbors
-    if any(abs(v) >= 2 * degrees[i] for i, v in enumerate(x)):
-        # x <- x - Delta @ floor(Delta^{-1} x): same class, entries bounded
-        # by twice the degree.
-        data = group.lattice_data(graph)
-        adj, det = data.adjugate, data.order
-        y = [sum(row[k] * x[k] for k in range(n)) // det for row in adj]
-        x = [
-            x[v] - degrees[v] * y[v] + sum(y[w] for w in neighbors[v])
-            for v in range(n)
-        ]
+    if any(abs(v) >= 2 * d for v, d in zip(x, graph.degrees)):
+        # Same class, entries below the degree in absolute value.
+        x = group.lattice_reduce(graph, x)
     low = min(x)
     if low < 0:
         w, scale = group.lattice_data(graph).lift

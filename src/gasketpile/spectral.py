@@ -40,7 +40,10 @@ class GroupTooLargeError(ValueError):
     def __init__(self, order: int, cap: int):
         self.order = order
         self.cap = cap
-        super().__init__(f"group order {order} exceeds enumeration cap {cap}")
+        # Orders of high levels run to thousands of digits, past Python's
+        # default int -> str limit; those are named by their size.
+        shown = order if order < 10**30 else f"of {order.bit_length()} bits"
+        super().__init__(f"group order {shown} exceeds enumeration cap {cap}")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,21 @@
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketpile import group
-from gasketpile.gasket import CORNER_NAMES, build_gasket, reduced_laplacian
+from gasketpile import group, sandpile
+from gasketpile.gasket import NORMAL, CORNER_NAMES, build_gasket, corner_sink, reduced_laplacian
 
+from test_acceptance import GROUP_ORDERS
 from test_gasket import cofactor_det
 
 LEVEL3_FACTORS = [2, 2, 6, 6, 6, 6, 6, 6, 6, 6, 30, 90, 29790, 148950]
 LEVEL4_FACTORS = [2] * 2 + [6] * 26 + [30] + [90] * 8 + [450, 1350, 2015550, 10077750]
+BOUNDARIES = (NORMAL, *(corner_sink(name) for name in CORNER_NAMES))
 
 
 def random_matrix(rng, rows, cols, span=9):
@@ -307,6 +311,158 @@ def test_scaled_inverse_rejects_singular():
 
 
 # ---------------------------------------------------------------------------
+# Sparse factorization of the reduced Laplacian, against dense references.
+# ---------------------------------------------------------------------------
+
+
+def v2(x, infinite):
+    return (x & -x).bit_length() - 1 if x else infinite
+
+
+def decimation_order(level):
+    """Closed form of the Delta-Y decimation of the normally wired gasket:
+    each level-1 cell's midpoint block has determinant 50 c^3, the
+    conductance goes c -> 3c/5 per level, and the three corners left at the
+    end, each with sink conductance 2, give 2 (2 + 3c)^2."""
+    c = Fraction(1)
+    order = Fraction(1)
+    for k in range(level):
+        order *= (50 * c**3) ** (3 ** (level - 1 - k))
+        c = 3 * c / 5
+    return order * 2 * (2 + 3 * c) ** 2
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_factor_determinant_equals_bareiss(level, boundary):
+    graph = build_gasket(level, boundary)
+    assert group.laplacian_factor(graph).determinant == group.determinant(reduced_laplacian(graph))
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
+    for boundary in BOUNDARIES:
+        graph = build_gasket(level, boundary)
+        factor = group.laplacian_factor(graph)
+        assert sorted(factor.sequence) == list(range(graph.n_vertices))
+        keys = [min(v2(x, level + 1) for x in graph.coords[v]) for v in factor.sequence]
+        assert keys == sorted(keys)
+        # Nested dissection: no pivot row ever holds more than 4 entries.
+        assert max(len(col) for col in factor.below) <= 4
+        assert all(p > 0 and q > 0 for p, q in factor.pivots)
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_decimation_closed_form_equals_the_factorization(level):
+    order = decimation_order(level)
+    assert order.denominator == 1
+    assert group.laplacian_factor(build_gasket(level)).determinant == order
+    if level in GROUP_ORDERS:
+        assert order == GROUP_ORDERS[level]
+        assert group.sandpile_group_order(build_gasket(level)) == order
+
+
+def random_vectors(rng, n):
+    yield [1] * n
+    yield [0] * n
+    for span in (3, 10**6, 10**40):
+        for _ in range(3):
+            yield [rng.randint(-span, span) for _ in range(n)]
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_solve_equals_the_dense_adjugate(level):
+    rng = random.Random(40 + level)
+    for boundary in (NORMAL, corner_sink(CORNER_NAMES[level % 3])):
+        graph = build_gasket(level, boundary)
+        adj, det = group.scaled_inverse(reduced_laplacian(graph))
+        factor = group.laplacian_factor(graph)
+        for x in random_vectors(rng, graph.n_vertices):
+            y, den = factor.solve(x)
+            assert den >= 1
+            assert [Fraction(v, den) for v in y] == [Fraction(v, det) for v in group.mat_vec(adj, x)]
+            # den is the least common denominator.
+            assert math.gcd(den, *y) == 1
+
+
+def test_solve_rejects_a_corrupted_factor():
+    factor = group.laplacian_factor(build_gasket(2))
+    ones = [1] * factor.graph.n_vertices
+    (p, q), *rest = factor.pivots
+    bad_pivot = dataclasses.replace(factor, pivots=((p + q, q), *rest))
+    with pytest.raises(ArithmeticError):
+        bad_pivot.solve(ones)
+    k = next(k for k, col in enumerate(factor.below) if col)
+    (w, (a, b)), *others = factor.below[k]
+    below = list(factor.below)
+    below[k] = ((w, (a + b, b)), *others)
+    with pytest.raises(ArithmeticError):
+        dataclasses.replace(factor, below=tuple(below)).solve(ones)
+
+
+class AdjugateReference:
+    """The dense adjugate paths that the sparse solves replaced."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.adj, self.det = group.scaled_inverse(reduced_laplacian(graph))
+
+    def in_lattice(self, x):
+        return all(v % self.det == 0 for v in group.mat_vec(self.adj, x))
+
+    def element_order(self, x):
+        return math.lcm(*(self.det // math.gcd(self.det, v) for v in group.mat_vec(self.adj, x)))
+
+    def lift(self):
+        raw = [sum(row) for row in self.adj]
+        g = math.gcd(self.det, *raw)
+        return [v // g for v in raw], self.det // g
+
+    def reduce(self, x):
+        graph = self.graph
+        y = [v // self.det for v in group.mat_vec(self.adj, x)]
+        return [
+            x[v] - graph.degrees[v] * y[v] + sum(y[w] for w in nbrs)
+            for v, nbrs in enumerate(graph.neighbors)
+        ]
+
+    def recurrent_rep(self, x):
+        graph = self.graph
+        if any(abs(v) >= 2 * d for v, d in zip(x, graph.degrees)):
+            x = self.reduce(x)
+        low = min(x)
+        if low < 0:
+            _, scale = self.lift()
+            k = (-low + scale - 1) // scale
+            x = [c + k * scale for c in x]
+        chips = [c + kick for c, kick in zip(x, sandpile._recurrent_kicker(graph))]
+        sandpile.stabilize_list(graph, chips)
+        return sandpile.Configuration(graph, tuple(chips))
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_lattice_queries_equal_the_adjugate_reference(level):
+    rng = random.Random(50 + level)
+    for boundary in (NORMAL, corner_sink(CORNER_NAMES[level % 3])):
+        graph = build_gasket(level, boundary)
+        ref = AdjugateReference(graph)
+        n = graph.n_vertices
+        assert group.lattice_data(graph).lift == ref.lift()
+        lap = reduced_laplacian(graph)
+        vectors = list(random_vectors(rng, n))
+        vectors += [[lap[i][v] * rng.randint(-9, 9) for i in range(n)] for v in range(min(n, 5))]
+        vectors += [[ref.det // 2 * c for c in vectors[2]], [ref.det * c for c in vectors[3]]]
+        for x in vectors:
+            assert group.in_lattice(graph, x) == ref.in_lattice(x)
+            assert group.element_order(graph, x) == ref.element_order(x)
+            reduced = group.lattice_reduce(graph, x)
+            assert reduced == ref.reduce(x)
+            y, den = group.laplacian_factor(graph).solve(reduced)
+            assert all(0 <= v < den for v in y)
+            assert sandpile.recurrent_rep(graph, x) == ref.recurrent_rep(x)
+
+
+# ---------------------------------------------------------------------------
 # Sandpile group structure.
 # ---------------------------------------------------------------------------
 
@@ -463,9 +619,12 @@ def test_tau_base_values():
     assert [group.tau_recursion(n) for n in range(3)] == [3, 54, 524880]
 
 
-@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("level", range(8))
 def test_tau_matrix_tree_agrees_with_recursion(level):
-    assert group.tau_matrix_tree(level) == group.tau_recursion(level)
+    tau = group.tau_recursion(level)
+    assert group.tau_matrix_tree(level) == tau
+    for name in CORNER_NAMES:
+        assert group.sandpile_group_order(build_gasket(level, corner_sink(name))) == tau
 
 
 @pytest.mark.parametrize("level", range(4))

@@ -267,10 +267,7 @@ def test_cli_rejects_bad_level(capsys):
         ["selfsim", "verify", "--level", "7", "--check", "transport"],
         ["group", "snf", "--level", "6"],
         ["group", "check-theorem", "--level", "6"],
-        ["group", "tau", "--level", "6", "--method", "matrix-tree"],
-        ["selfsim", "verify", "--level", "5", "--check", "transport"],
-        ["spectral", "distance", "--level", "6", "--t", "1"],
-        ["spectral", "eigs", "--level", "6", "--all"],
+        ["group", "tau", "--level", "9", "--method", "matrix-tree"],
         ["sandpile", "identity", "--level", "8"],
         ["markov", "simulate", "--level", "8", "--steps", "1"],
         ["markov", "report", "--level", "8", "--trials", "1"],
@@ -281,9 +278,6 @@ def test_cli_rejects_bad_level(capsys):
         "snf",
         "check-theorem",
         "tau-matrix-tree",
-        "verify-transport-5",
-        "spectral-distance",
-        "spectral-eigs-all",
         "identity",
         "markov-simulate",
         "markov-report-trials",
@@ -296,6 +290,35 @@ def test_cli_refuses_infeasible_levels_quickly(argv, capsys):
     assert time.perf_counter() - start < 1.0
     assert info.value.code == 2
     assert "--level must be between 0 and" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectral", "distance", "--t", "1"], ["spectral", "eigs", "--all"]],
+    ids=["spectral-distance", "spectral-eigs-all"],
+)
+def test_cli_spectral_commands_refuse_large_groups_quickly(argv, capsys):
+    # The group order comes from the sparse factorization, so the
+    # enumeration cap refuses at once even where the order has thousands
+    # of digits.
+    for level in ("5", "8"):
+        start = time.perf_counter()
+        assert main([*argv, "--level", level]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds enumeration cap" in capsys.readouterr().err
+
+
+def test_cli_matrix_tree_tau_prints_the_recursion_digits_at_level_8(capsys):
+    assert main(["group", "tau", "--level", "8", "--method", "matrix-tree"]) == 0
+    text = capsys.readouterr().out.strip()
+    assert len(text) == 4481
+    assert main(["group", "tau", "--level", "8"]) == 0
+    assert capsys.readouterr().out.strip() == text
+
+
+def test_cli_transport_check_runs_at_level_6(capsys):
+    assert main(["selfsim", "verify", "--level", "6", "--check", "transport"]) == 0
+    assert capsys.readouterr().out.strip() == "corner_transport level 6: pass"
 
 
 def test_cli_tau_recursion_keeps_the_general_cap(capsys):
