@@ -36,11 +36,9 @@ from .selfsim import (
 from .group import (
     check_group_theorem,
     determinant,
-    invariant_factors,
     quotient_invariants,
     sandpile_group_invariants,
     sandpile_group_order,
-    smith_normal_form,
     tau_matrix_tree,
     tau_recursion,
 )

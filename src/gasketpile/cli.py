@@ -72,18 +72,6 @@ _TRANSPORT_WHY = "the transport check takes about 2 s at level 6 and 21 s at lev
 _IDENTITY_WHY = "stabilizing the identity takes about 2.5 s at level 7 and 30 s at level 8"
 
 
-def _digits(value: int) -> str:
-    """Decimal form of an integer of any size.  Python refuses int -> str
-    conversions above 4300 digits by default (tau(8) has 4481); the limit is
-    lifted for this conversion only."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def cmd_gasket(parser, args) -> int:
     _check_level(parser, args)
     graph = _graph_arg(args)
@@ -194,7 +182,7 @@ def cmd_group_tau(parser, args) -> int:
         value = group.tau_recursion(args.level)
     else:
         value = group.tau_matrix_tree(args.level)
-    text = _digits(value)
+    text = group.digits(value)
     data = {"level": args.level, "method": args.method, "spanning_trees": text}
     _print(data, args.json, [text])
     return 0
@@ -282,7 +270,6 @@ def cmd_markov_report(parser, args) -> int:
         args.level,
         chi_trials=args.trials,
         seed=markov.master_seed(args.seed),
-        with_group_order=args.level <= 3,
     )
     human = [
         f"level {report.level} vertices {report.n_vertices}",

@@ -11,14 +11,16 @@ element orders, the reduction modulo the lattice and the positive lift.
 the invariant factors, the adapted basis and quotient invariants.  The
 recursive and matrix-tree spanning tree counts live here too.
 
-Bareiss determinants (`determinant`), the fraction-free adjugate
-(`scaled_inverse`) and the unbounded `smith_normal_form` are reference
-paths that the tests and the benchmark check the engines against.
+Bareiss determinants (`determinant`) and the fraction-free adjugate
+(`scaled_inverse`) are reference paths that the tests and the benchmark
+check the engines against; the tests check `smith_mod` against sympy's
+Smith normal form over ZZ.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -35,6 +37,18 @@ from .gasket import (
 )
 
 Matrix = list[list[int]]
+
+
+def digits(value: int) -> str:
+    """Decimal form of an integer of any size.  Python refuses int -> str
+    conversions above 4300 digits by default (tau(8) has 4481, the level-8
+    group order 4485); the limit is lifted for this conversion only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def mat_identity(n: int) -> Matrix:
@@ -82,216 +96,6 @@ def determinant(matrix: Matrix) -> int:
             ]
         prev = piv
     return sign * a[n - 1][n - 1] if n else 1
-
-
-@dataclass
-class SmithDecomposition:
-    """A = U @ D @ V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
-
-    `diag` holds the diagonal of D (length min(rows, cols)).  The transforms
-    and their inverses are None when the decomposition was computed in
-    diagonal-only mode.
-    """
-
-    rows: int
-    cols: int
-    diag: list[int]
-    U: Matrix | None = None
-    V: Matrix | None = None
-    Uinv: Matrix | None = None
-    Vinv: Matrix | None = None
-
-    @property
-    def invariant_factors(self) -> list[int]:
-        return [d for d in self.diag if d > 1]
-
-    def d_matrix(self) -> Matrix:
-        d = [[0] * self.cols for _ in range(self.rows)]
-        for i, v in enumerate(self.diag):
-            d[i][i] = v
-        return d
-
-    def verify(self, original: Matrix) -> bool:
-        """Recheck A = U D V, unimodularity, and the divisibility chain."""
-        for i in range(len(self.diag) - 1):
-            a, b = self.diag[i], self.diag[i + 1]
-            if a < 0 or b < 0:
-                return False
-            if a == 0 and b != 0:
-                return False
-            if a > 0 and b % a != 0:
-                return False
-        if self.U is None:
-            return True
-        if abs(determinant(self.U)) != 1 or abs(determinant(self.V)) != 1:
-            return False
-        if mat_mul(self.U, self.Uinv) != mat_identity(self.rows):
-            return False
-        if mat_mul(self.V, self.Vinv) != mat_identity(self.cols):
-            return False
-        return mat_mul(mat_mul(self.U, self.d_matrix()), self.V) == [
-            [int(v) for v in row] for row in original
-        ]
-
-
-def smith_normal_form(matrix: Matrix, transforms: bool = True) -> SmithDecomposition:
-    """Smith normal form over the integers, with full transforms.
-
-    This is the reference path that the tests check `smith_mod` against; its
-    entries can blow up, so production code goes through `smith_mod`.
-    Diagonalizes with minimal-absolute-value pivots first, then restores the
-    divisibility chain by gcd/lcm steps on diagonal pairs.  Every elementary
-    operation is mirrored into U, V and their inverses so that
-    A = U @ D @ V exactly.
-    """
-    s = [[int(v) for v in row] for row in matrix]
-    m = len(s)
-    n = len(s[0]) if m else 0
-    if any(len(row) != n for row in s):
-        raise ValueError("ragged matrix")
-    if transforms:
-        u, uinv = mat_identity(m), mat_identity(m)
-        v, vinv = mat_identity(n), mat_identity(n)
-    else:
-        u = uinv = v = vinv = None
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        if transforms:
-            uinv[i], uinv[j] = uinv[j], uinv[i]
-            for row in u:
-                row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        if transforms:
-            v[i], v[j] = v[j], v[i]
-            for row in vinv:
-                row[i], row[j] = row[j], row[i]
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j
-        si, sj = s[i], s[j]
-        for col in range(n):
-            si[col] -= q * sj[col]
-        if transforms:
-            ui, uj = uinv[i], uinv[j]
-            for col in range(m):
-                ui[col] -= q * uj[col]
-            for row in u:
-                row[j] += q * row[i]
-
-    def col_sub(i, j, q):
-        # col_i -= q * col_j
-        for row in s:
-            row[i] -= q * row[j]
-        if transforms:
-            vj, vi = v[j], v[i]
-            for col in range(n):
-                vj[col] += q * vi[col]
-            for row in vinv:
-                row[i] -= q * row[j]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        if transforms:
-            uinv[i] = [-x for x in uinv[i]]
-            for row in u:
-                row[i] = -row[i]
-
-    def clear_cross(t: int) -> None:
-        # Clear row and column t against the pivot, shrinking it via
-        # remainder swaps (Euclid); terminates because the pivot strictly
-        # decreases on every swap.
-        changed = True
-        while changed:
-            changed = False
-            piv = s[t][t]
-            for i in range(t + 1, m):
-                val = s[i][t]
-                if val:
-                    q = val // piv
-                    if q:
-                        row_sub(i, t, q)
-                    if s[i][t]:
-                        swap_rows(i, t)
-                        if s[t][t] < 0:
-                            negate_row(t)
-                        piv = s[t][t]
-                        changed = True
-            piv = s[t][t]
-            for j in range(t + 1, n):
-                val = s[t][j]
-                if val:
-                    q = val // piv
-                    if q:
-                        col_sub(j, t, q)
-                    if s[t][j]:
-                        swap_cols(j, t)
-                        piv = s[t][t]
-                        changed = True
-
-    # Phase 1: diagonalize with minimal-|value| pivots.  Divisibility between
-    # diagonal entries is restored afterwards; interleaving it here lets the
-    # trailing block blow up (each fold-and-reclear round multiplies entries
-    # by roughly entry/pivot).
-    rank = min(m, n)
-    actual = 0
-    for t in range(rank):
-        best = None
-        for i in range(t, m):
-            row = s[i]
-            for j in range(t, n):
-                val = row[j]
-                if val:
-                    a = -val if val < 0 else val
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        if best[1] != t:
-            swap_rows(t, best[1])
-        if best[2] != t:
-            swap_cols(t, best[2])
-        if s[t][t] < 0:
-            negate_row(t)
-        clear_cross(t)
-        actual = t + 1
-
-    # Phase 2: enforce d_i | d_j pairwise on the diagonal.  All off-diagonal
-    # entries in rows/cols i and j are zero, so coupling the pair and
-    # re-clearing runs Euclid on two entries and lands on (gcd, +-lcm)
-    # without touching the rest of the matrix.
-    for i in range(actual):
-        if s[i][i] < 0:
-            negate_row(i)
-        for j in range(i + 1, actual):
-            if s[j][j] < 0:
-                negate_row(j)
-            if s[i][i] == 0:
-                # Zero divides only zero; pull a nonzero later entry forward.
-                if s[j][j] != 0:
-                    swap_rows(i, j)
-                    swap_cols(i, j)
-                continue
-            if s[j][j] % s[i][i]:
-                col_sub(i, j, -1)
-                clear_cross(i)
-    if actual and s[actual - 1][actual - 1] < 0:
-        negate_row(actual - 1)
-
-    diag = [s[i][i] for i in range(rank)]
-    return SmithDecomposition(rows=m, cols=n, diag=diag, U=u, V=v, Uinv=uinv, Vinv=vinv)
-
-
-def invariant_factors(matrix: Matrix) -> list[int]:
-    """Nontrivial invariant factors (> 1) of the cokernel of `matrix`."""
-    return smith_normal_form(matrix, transforms=False).invariant_factors
 
 
 def _canonical_chain(orders: list[int]) -> list[int]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .gasket import GasketGraph, build_gasket
 from .sandpile import Configuration, identity, recurrent_rep, stabilize_list
-from .spectral import distinguishing_statistic, level1_cells
+from .spectral import distinguishing_statistic, level1_cells, t_star
 from . import group
 
 SEED_ENV_VAR = "GASKETPILE_SEED"
@@ -251,14 +251,13 @@ def lower_bound_t(level: int) -> int:
 
 def upper_bound_t(level: int) -> int:
     """The spectral upper bound threshold (5/4) (n+1) log(34 n)."""
-    n = gasket_size(level)
-    return math.ceil(1.25 * (n + 1) * math.log(34 * n))
+    return t_star(gasket_size(level))
 
 
 @dataclass
 class MixingReport:
-    """Analytic mixing summary for one level, with optional Monte Carlo
-    decay estimates attached."""
+    """Analytic mixing summary and group order for one level, with optional
+    Monte Carlo decay estimates attached."""
 
     level: int
     n_vertices: int
@@ -267,7 +266,7 @@ class MixingReport:
     lower_bound_t: int
     upper_bound_t: int
     r_curve: list[tuple[int, float, float]]
-    group_order: int | None = None
+    group_order: int
     chi_decay: list[ChiDecayEstimate] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -278,7 +277,7 @@ class MixingReport:
             "lower_bound_raw": self.lower_bound_raw,
             "lower_bound_t": self.lower_bound_t,
             "upper_bound_t": self.upper_bound_t,
-            "group_order": str(self.group_order) if self.group_order is not None else None,
+            "group_order": group.digits(self.group_order),
             "r_curve": [
                 {"t": t, "r": r, "tv_lower": tv} for t, r, tv in self.r_curve
             ],
@@ -291,22 +290,16 @@ def mixing_report(
     chi_trials: int = 0,
     chi_times: tuple[int, ...] = (1, 5, 10, 25),
     seed: int | None = None,
-    with_group_order: bool = False,
 ) -> MixingReport:
-    """Analytic bounds (always) plus Monte Carlo decay estimates (optional).
-
-    The group order is only computed on request since it needs an exact
-    determinant of the full reduced Laplacian.
-    """
+    """Analytic bounds and the group order (always) plus Monte Carlo decay
+    estimates (optional).  The order comes from the sparse factorization of
+    the reduced Laplacian, 0.1-0.2 s at level 8 on a 2-core VM."""
     if level < 1:
         raise ValueError("mixing report needs level >= 1")
     n = gasket_size(level)
     upper_t = upper_bound_t(level)
     sample_ts = sorted({0, 1, 2, 5, 10, 25, 50, upper_t})
     r_curve = [(t, *_r_and_tv_lower(level, t)) for t in sample_ts]
-    order = None
-    if with_group_order:
-        order = group.sandpile_group_order(build_gasket(level))
     report = MixingReport(
         level=level,
         n_vertices=n,
@@ -315,7 +308,7 @@ def mixing_report(
         lower_bound_t=lower_bound_t(level),
         upper_bound_t=upper_t,
         r_curve=r_curve,
-        group_order=order,
+        group_order=group.sandpile_group_order(build_gasket(level)),
     )
     if chi_trials > 0:
         for t in chi_times:

@@ -268,9 +268,14 @@ class L2BoundCheck:
     passed: bool
 
 
+def t_star(n_vertices: int) -> int:
+    """The spectral upper bound threshold ceil((5/4) (n+1) log(34 n)) for a
+    graph with n non-sink vertices."""
+    return math.ceil(1.25 * (n_vertices + 1) * math.log(34 * n_vertices))
+
+
 def l2_bound_check(graph: GasketGraph, cap: int = DEFAULT_CHARACTER_CAP) -> L2BoundCheck:
-    """Check l2 <= 1/4 at t* = ceil((5/4) (n+1) log(34 n))."""
-    n = graph.n_vertices
-    t_star = math.ceil(1.25 * (n + 1) * math.log(34 * n))
-    result = exact_distance(graph, t_star, cap=cap)
-    return L2BoundCheck(level=graph.level, t_star=t_star, l2=result.l2, passed=result.l2 <= 0.25)
+    """Check l2 <= 1/4 at t* (`t_star`)."""
+    t = t_star(graph.n_vertices)
+    result = exact_distance(graph, t, cap=cap)
+    return L2BoundCheck(level=graph.level, t_star=t, l2=result.l2, passed=result.l2 <= 0.25)

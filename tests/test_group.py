@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_form
 
 from gasketpile import group, sandpile
 from gasketpile.gasket import NORMAL, CORNER_NAMES, build_gasket, corner_sink, reduced_laplacian
@@ -66,60 +69,82 @@ def test_determinant_transpose_invariance():
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (dense transform variant).
+# Bounded-entry Smith reduction modulo the group order, against sympy's Smith
+# normal form over ZZ as the oracle.
 # ---------------------------------------------------------------------------
 
 
-def test_snf_textbook_example():
-    original = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    dec = group.smith_normal_form(original)
-    assert dec.diag == [2, 6, 12]
-    assert dec.verify(original)
+def oracle_diagonal(matrix):
+    """Smith diagonal of an integer matrix by sympy, padded with zeros to the
+    row count: one entry per cokernel summand, 0 for an infinite one."""
+    rows, cols = len(matrix), len(matrix[0])
+    dm = DomainMatrix([[ZZ(v) for v in row] for row in matrix], (rows, cols), ZZ)
+    snf = smith_normal_form(dm).to_list()
+    diag = [abs(int(snf[i][i])) for i in range(min(rows, cols))]
+    return diag + [0] * (rows - len(diag))
 
 
-def test_snf_diagonal_gets_chained():
-    assert group.smith_normal_form([[2, 0], [0, 3]]).diag == [1, 6]
-    assert group.invariant_factors([[2, 0], [0, 3]]) == [6]
+def assert_exact_adapted_basis(basis, matrix):
+    """U @ Uinv == I exactly, and every column of the square matrix has
+    coordinates divisible by the factors."""
+    n = len(matrix)
+    assert group.mat_mul(basis.U, basis.Uinv) == group.mat_identity(n)
+    for j in range(n):
+        coords = group.mat_vec(basis.Uinv, [matrix[i][j] for i in range(n)])
+        assert all(c % d == 0 for c, d in zip(coords, basis.diag))
 
 
-def test_snf_zero_and_identity():
-    assert group.smith_normal_form([[0, 0], [0, 0]]).diag == [0, 0]
-    assert group.invariant_factors([[0, 0], [0, 0]]) == []
-    assert group.smith_normal_form([[1, 0], [0, 1]]).diag == [1, 1]
+def assert_smith_mod_matches_the_oracle(matrix, modulus):
+    """smith_mod's factors modulo R are gcd(d, R) for the oracle's d: a zero
+    factor is an infinite summand, which modulo R becomes Z/R.  A square
+    nonsingular input, whose factors all divide R, also gets its adapted
+    basis checked."""
+    oracle = oracle_diagonal(matrix)
+    assert group.smith_mod(matrix, modulus).diag == [math.gcd(d, modulus) for d in oracle]
+    if len(matrix) == len(matrix[0]) and all(oracle) and modulus % math.prod(oracle) == 0:
+        basis = group.smith_mod(matrix, modulus, transforms=True)
+        assert basis.diag == oracle
+        assert_exact_adapted_basis(basis, matrix)
 
 
-def test_snf_rectangular_shapes():
-    wide = group.smith_normal_form([[2, 4, 6]])
-    assert wide.diag == [2]
-    assert wide.verify([[2, 4, 6]])
-    tall = group.smith_normal_form([[3], [6], [9]])
-    assert tall.diag == [3]
-    assert tall.verify([[3], [6], [9]])
+def moduli(matrix):
+    """k times the product of the oracle's nonzero factors, k = 1, 2, 3."""
+    base = math.prod(d for d in oracle_diagonal(matrix) if d)
+    return [k * base for k in (1, 2, 3)]
 
 
-def test_snf_random_matrices_verify():
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+        [[2, 0], [0, 3]],
+        [[0, 0], [0, 0]],
+        [[1, 0], [0, 1]],
+        [[2, 4, 6]],
+        [[3], [6], [9]],
+    ],
+    ids=["textbook", "diagonal", "zero", "identity", "wide", "tall"],
+)
+def test_smith_mod_matches_the_oracle_on_fixed_matrices(matrix):
+    for modulus in moduli(matrix):
+        assert_smith_mod_matches_the_oracle(matrix, modulus)
+
+
+def test_smith_mod_matches_the_oracle_on_random_rectangular_matrices():
     rng = random.Random(3)
     for _ in range(60):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = random_matrix(rng, rows, cols)
-        dec = group.smith_normal_form(m)
-        assert dec.verify(m)
-        positive = [d for d in dec.diag if d]
-        for a, b in zip(positive, positive[1:]):
-            assert b % a == 0
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        for modulus in moduli(m):
+            assert_smith_mod_matches_the_oracle(m, modulus)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3))
-def test_snf_verifies_and_preserves_determinant(rows):
-    dec = group.smith_normal_form(rows)
-    assert dec.verify(rows)
-    assert abs(math.prod(dec.diag)) == abs(group.determinant(rows))
-
-
-# ---------------------------------------------------------------------------
-# Bounded-entry Smith reduction modulo the group order.
-# ---------------------------------------------------------------------------
+def test_smith_mod_matches_the_oracle_on_3x3_matrices(rows):
+    oracle = oracle_diagonal(rows)
+    assert math.prod(oracle) == abs(group.determinant(rows))
+    for modulus in moduli(rows):
+        assert_smith_mod_matches_the_oracle(rows, modulus)
 
 
 def test_smith_mod_matches_dense_snf_on_randoms():
@@ -128,8 +153,7 @@ def test_smith_mod_matches_dense_snf_on_randoms():
         n = rng.randint(1, 5)
         m = random_nonsingular(rng, n)
         det = abs(group.determinant(m))
-        full = [d for d in group.smith_normal_form(m).diag]
-        assert group.smith_mod(m, det).diag == full
+        assert group.smith_mod(m, det).diag == oracle_diagonal(m)
 
 
 def test_smith_mod_accepts_any_multiple_of_the_determinant():
@@ -171,16 +195,6 @@ def test_smith_mod_entries_stay_bounded():
     assert math.prod(basis.diag) == order
 
 
-def assert_exact_adapted_basis(basis, matrix):
-    """U @ Uinv == I exactly, and every column of the square matrix has
-    coordinates divisible by the factors."""
-    n = len(matrix)
-    assert group.mat_mul(basis.U, basis.Uinv) == group.mat_identity(n)
-    for j in range(n):
-        coords = group.mat_vec(basis.Uinv, [matrix[i][j] for i in range(n)])
-        assert all(c % d == 0 for c, d in zip(coords, basis.diag))
-
-
 def unit_dense_matrix(rng, rows, cols):
     """Mostly +-1 entries, like a Laplacian's off-diagonal, with a few zeros
     and small multiples so that nontrivial factors and Euclid rounds occur."""
@@ -193,15 +207,8 @@ def test_smith_mod_matches_the_oracle_on_unit_dense_matrices():
         rows = rng.randint(1, 6)
         cols = rng.randint(rows, 8)
         m = unit_dense_matrix(rng, rows, cols)
-        oracle = group.smith_normal_form(m, transforms=False).diag
         k = rng.choice((1, 3))
-        modulus = k * math.prod(d for d in oracle if d)
-        # A zero factor is an infinite summand; modulo R it becomes Z/R.
-        assert group.smith_mod(m, modulus).diag == [math.gcd(d, modulus) for d in oracle]
-        if rows == cols and all(oracle):
-            basis = group.smith_mod(m, modulus, transforms=True)
-            assert basis.diag == oracle
-            assert_exact_adapted_basis(basis, m)
+        assert_smith_mod_matches_the_oracle(m, k * math.prod(d for d in oracle_diagonal(m) if d))
 
 
 def theorem_generator_sets(graph):
@@ -231,17 +238,14 @@ def test_smith_mod_matches_the_oracle_on_augmented_laplacians(level):
     order = group.sandpile_group_order(graph)
     n = graph.n_vertices
     generator_sets = theorem_generator_sets(graph)
-    # At level 2 the oracle's entries blow up on some generator sets (it
-    # does not finish on [Delta | e_v] for 3 of the 15 vertices), so random
-    # generators are used at levels 0 and 1 only.
-    if level <= 1:
-        rng = random.Random(12 + level)
-        for _ in range(10):
-            count = rng.randint(1, 3)
-            generator_sets.append([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(count)])
+    generator_sets += [[group.delta_vector(graph, v)] for v in range(n)]
+    rng = random.Random(12 + level)
+    for _ in range(10):
+        count = rng.randint(1, 3)
+        generator_sets.append([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(count)])
     for gens in generator_sets:
         augmented = [delta[i] + [g[i] for g in gens] for i in range(n)]
-        oracle = group.smith_normal_form(augmented, transforms=False).diag
+        oracle = oracle_diagonal(augmented)
         for k in (1, 3):
             assert group.smith_mod(augmented, k * order).diag == oracle
 

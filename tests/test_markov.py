@@ -210,7 +210,7 @@ def test_mixing_report_analytic_fields():
     assert report.spectral_gap_upper == pytest.approx(6 / 16)
     assert report.upper_bound_t == 125
     assert report.lower_bound_t == 0
-    assert report.group_order is None
+    assert report.group_order == 25613280
     assert report.chi_decay == []
     by_t = {t: (r, tv) for t, r, tv in report.r_curve}
     assert by_t[0][0] == pytest.approx(3.0)
@@ -219,7 +219,7 @@ def test_mixing_report_analytic_fields():
 
 
 def test_mixing_report_optional_parts():
-    report = markov.mixing_report(1, chi_trials=50, chi_times=(1, 2), seed=0, with_group_order=True)
+    report = markov.mixing_report(1, chi_trials=50, chi_times=(1, 2), seed=0)
     assert report.group_order == 1444
     assert [e.t for e in report.chi_decay] == [1, 2]
     assert all(e.trials == 50 for e in report.chi_decay)

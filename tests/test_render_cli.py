@@ -7,7 +7,7 @@ import pytest
 
 from gasketpile.cli import main
 from gasketpile.gasket import build_gasket
-from gasketpile.group import tau_recursion
+from gasketpile.group import digits, sandpile_group_order, tau_recursion
 from gasketpile.render import (
     BACKGROUND,
     OVERFULL_COLOR,
@@ -239,6 +239,19 @@ def test_cli_markov_report(capsys):
     assert doc["upper_bound_t"] == 125
     assert doc["lower_bound_t"] == 0
     assert doc["group_order"] == "25613280"
+
+
+def test_cli_markov_report_prints_the_full_order_at_level_8(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default, whatever ran before
+    try:
+        code, out = run_cli(capsys, "markov", "report", "--level", "8", "--json")
+        assert code == 0
+        text = json.loads(out)["group_order"]
+        assert len(text) > 4300
+        assert text == digits(sandpile_group_order(build_gasket(8)))
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_cli_render_formats(tmp_path, capsys):
