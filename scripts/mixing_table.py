@@ -3,9 +3,9 @@
 
 For each level the table shows the vertex count, the spectral gap bound,
 and the analytic lower/upper bounds on the mixing time.  For levels whose
-group fits under the enumeration cap the exact total-variation mixing time
-is computed by evolving the full distribution; optionally a Monte Carlo
-estimate of the distinguishing-statistic decay is appended.
+group fits under the transform's cap the exact total-variation mixing time
+is read off `markov.exact_tv_curve`; optionally a Monte Carlo estimate of
+the distinguishing-statistic decay is appended.
 
 Example:
     python scripts/mixing_table.py --max-level 8 --exact-levels 1 --trials 2000

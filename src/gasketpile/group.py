@@ -55,12 +55,6 @@ def mat_identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    inner = len(b)
-    bt = [list(col) for col in zip(*b)] if b else []
-    return [[sum(ra[k] * cb[k] for k in range(inner)) for cb in bt] for ra in a]
-
-
 def mat_vec(a: Matrix, x: list[int]) -> list[int]:
     return [sum(r[k] * x[k] for k in range(len(x))) for r in a]
 

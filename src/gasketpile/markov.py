@@ -5,8 +5,9 @@ draw adds one chip there and stabilizes, the sink draw does nothing (the lazy
 move that makes the walk aperiodic with step weight 1/(n+1) everywhere).
 The walk is a random walk on the sandpile group, so its distance from the
 uniform stationary distribution is controlled exactly by the character
-eigenvalues; the distinguishing statistic (average cell parity) gives a
-matching lower bound on mixing.
+eigenvalues, which `spectral.walk_spectrum` computes as one transform;
+the distinguishing statistic (average cell parity) gives a matching lower
+bound on mixing.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .gasket import GasketGraph, build_gasket
 from .sandpile import Configuration, identity, recurrent_rep, stabilize_list
+from .spectral import DEFAULT_CHARACTER_CAP, GroupTooLargeError, walk_spectrum
 from .spectral import distinguishing_statistic, level1_cells, t_star
 from . import group
 
@@ -46,6 +48,8 @@ def trajectory_rng(seed: int, index: int) -> random.Random:
 def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: int = 0) -> Configuration:
     """The walk's configuration after `steps` steps from the identity, on
     trajectory `index` of the master seed."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     chips = list(identity(graph).chips)
     _advance(graph, chips, steps, trajectory_rng(master_seed(seed), index))
     return Configuration(graph, tuple(chips))
@@ -87,6 +91,8 @@ class ChiDecayEstimate:
 
 def expected_chi(level: int, t: int) -> float:
     """E[statistic] after t steps from the identity: (1 - 6/(n+1))**t."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     n = gasket_size(level)
     return (1 - 6 / (n + 1)) ** t
 
@@ -97,6 +103,7 @@ def estimate_chi_decay(level: int, t: int, trials: int, seed: int | None = None)
     Each trial runs an independent trajectory with its own derived seed, so
     the estimate is reproducible given (seed, trials, t).
     """
+    expected = expected_chi(level, t)
     graph = build_gasket(level)
     base = identity(graph).chips
     seed_val = master_seed(seed)
@@ -108,8 +115,7 @@ def estimate_chi_decay(level: int, t: int, trials: int, seed: int | None = None)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return ChiDecayEstimate(
-        level=level, t=t, trials=trials, mean=mean, stderr=stderr,
-        expected=expected_chi(level, t),
+        level=level, t=t, trials=trials, mean=mean, stderr=stderr, expected=expected,
     )
 
 
@@ -163,38 +169,25 @@ def stationary_chi_samples(level: int, count: int, seed: int | None = None) -> n
 
 
 # ---------------------------------------------------------------------------
-# Exact total variation by distribution evolution over group classes.
+# Exact total variation from the walk's spectrum on the Smith torus.
 # ---------------------------------------------------------------------------
 
 
-def exact_tv_curve(graph: GasketGraph, t_max: int, cap: int = 2_000_000) -> list[float] | None:
-    """TV distance from uniform after 0..t_max steps, computed by evolving
-    the full distribution over group classes in Smith coordinates.
-
-    Returns None when the group order exceeds `cap`.
-    """
-    data = group.lattice_data(graph)
-    if data.order > cap:
+def exact_tv_curve(graph: GasketGraph, t_max: int, cap: int = DEFAULT_CHARACTER_CAP) -> list[float] | None:
+    """TV distance from uniform after 0..t_max steps: the distribution after
+    t steps is the inverse transform of the t-th power of `walk_spectrum`.
+    Returns None when the group order exceeds `cap`."""
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    try:
+        spectrum = walk_spectrum(graph, cap=cap)
+    except GroupTooLargeError:
         return None
-    dims = data.nontrivial
-    shape = tuple(dims) if dims else (1,)
-    n = graph.n_vertices
-    dist = np.zeros(shape)
-    dist[(0,) * len(shape)] = 1.0  # the identity class has zero coordinates
-    shifts = []
-    for v in range(n):
-        delta = [0] * n
-        delta[v] = 1
-        shifts.append(data.coordinates(delta))
-    axes = tuple(range(len(shape)))
-    uniform = 1.0 / dist.size
-    curve = [0.5 * float(np.abs(dist - uniform).sum())]
-    for _ in range(t_max):
-        acc = dist.copy()  # the lazy sink move
-        for shift in shifts:
-            acc += np.roll(dist, shift, axis=axes) if dims else dist
-        dist = acc / (n + 1)
-        curve.append(0.5 * float(np.abs(dist - uniform).sum()))
+    power = np.ones_like(spectrum)
+    curve = []
+    for _ in range(t_max + 1):
+        curve.append(0.5 * float(np.abs(np.fft.ifftn(power).real - 1 / spectrum.size).sum()))
+        power *= spectrum
     return curve
 
 

@@ -6,7 +6,9 @@ neighbors.  Writing h = exp(2*pi*i*q), harmonicity is the exact integer
 congruence deg(v)*q(v) = sum of neighbor q's (mod 1), so everything here is
 checked in rational arithmetic.  These functions are exactly the characters
 of the sandpile group, and each one is an eigenfunction of the chip-adding
-walk with eigenvalue (1 + sum_v h(v)) / (n_vertices + 1).
+walk with eigenvalue (1 + sum_v h(v)) / (n_vertices + 1).  `walk_spectrum`
+gets them all, and so the walk's exact distances from uniform, from one
+Fourier transform of the one-step measure over the Smith torus.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from .gasket import (
     COPY_OFFSETS,
@@ -35,7 +39,7 @@ _CELL_LOCAL_MIDPOINTS = ((1, 0), (0, 1), (1, 1))
 
 
 class GroupTooLargeError(ValueError):
-    """Raised when full character enumeration would exceed the cap."""
+    """Raised when a group is too large to enumerate or to transform."""
 
     def __init__(self, order: int, cap: int):
         self.order = order
@@ -188,7 +192,7 @@ def distinguishing_statistic(graph: GasketGraph, entries) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Full character enumeration through the Smith basis.
+# Characters and the walk spectrum through the Smith basis.
 # ---------------------------------------------------------------------------
 
 
@@ -234,27 +238,39 @@ class DistanceResult:
     tv_upper: float
 
 
+def walk_spectrum(graph: GasketGraph, cap: int = DEFAULT_CHARACTER_CAP) -> np.ndarray:
+    """All walk eigenvalues from one transform over the Smith torus: entry m
+    of the `numpy.fft.fftn` of the one-step measure (mass 1/(n+1) on 0 and on
+    the Smith coordinates of each vertex delta) is the eigenvalue of the
+    character x -> exp(-2 pi i sum_i m_i x_i / d_i), entry 0 the trivial one.
+    Refuses with GroupTooLargeError above `cap`, before any Smith work."""
+    data = group.lattice_data(graph)
+    if data.order > cap:
+        raise GroupTooLargeError(data.order, cap)
+    counts = np.zeros(data.nontrivial or (1,))
+    counts.flat[0] = 1
+    for v in range(graph.n_vertices):
+        counts[data.coordinates(group.delta_vector(graph, v))] += 1
+    return np.fft.fftn(counts / (graph.n_vertices + 1))
+
+
 def exact_distance(
     graph: GasketGraph, t: int, cap: int = DEFAULT_CHARACTER_CAP
 ) -> DistanceResult:
     """Exact l2 distance of the walk started at the group identity from
-    uniform after t steps, by Plancherel over all nontrivial characters:
+    uniform after t steps, by Plancherel over the nontrivial eigenvalues of
+    `walk_spectrum`:
 
         l2**2 = (1/|G|) * sum |lambda_chi|**(2t)
 
     `tv_upper` is the Cauchy-Schwarz bound TV <= sqrt(|G|) * l2 / 2
     = (1/2) * sqrt(sum |lambda_chi|**(2t)).
     """
-    chars = enumerate_characters(graph, cap=cap)
-    order = len(chars)
-    total = 0.0
-    for h in chars:
-        if h.is_trivial:
-            continue
-        lam = eigenvalue(h)
-        mag2 = float(lam) ** 2 if isinstance(lam, Fraction) else abs(lam) ** 2
-        total += mag2**t
-    l2 = math.sqrt(total / order)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    spectrum = walk_spectrum(graph, cap=cap)
+    order = spectrum.size
+    l2 = math.sqrt(float(np.sum(np.abs(spectrum.flat[1:]) ** (2 * t))) / order)
     return DistanceResult(
         level=graph.level, t=t, group_order=order, l2=l2, tv_upper=math.sqrt(order) * l2 / 2
     )

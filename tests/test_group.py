@@ -32,6 +32,11 @@ def random_nonsingular(rng, n, span=9):
             return m
 
 
+def mat_mul(a, b):
+    bt = [list(col) for col in zip(*b)] if b else []
+    return [[sum(x * y for x, y in zip(ra, cb)) for cb in bt] for ra in a]
+
+
 # ---------------------------------------------------------------------------
 # Determinants.
 # ---------------------------------------------------------------------------
@@ -88,7 +93,7 @@ def assert_exact_adapted_basis(basis, matrix):
     """U @ Uinv == I exactly, and every column of the square matrix has
     coordinates divisible by the factors."""
     n = len(matrix)
-    assert group.mat_mul(basis.U, basis.Uinv) == group.mat_identity(n)
+    assert mat_mul(basis.U, basis.Uinv) == group.mat_identity(n)
     for j in range(n):
         coords = group.mat_vec(basis.Uinv, [matrix[i][j] for i in range(n)])
         assert all(c % d == 0 for c, d in zip(coords, basis.diag))
@@ -173,7 +178,7 @@ def test_smith_mod_transforms_give_an_adapted_basis():
         det = abs(group.determinant(m))
         basis = group.smith_mod(m, det, transforms=True)
         assert abs(group.determinant(basis.U)) == 1
-        assert group.mat_mul(basis.U, basis.Uinv) == group.mat_identity(n)
+        assert mat_mul(basis.U, basis.Uinv) == group.mat_identity(n)
         for a, b in zip(basis.diag, basis.diag[1:]):
             assert b % a == 0
         # Every column of the input lies in U diag(d) Z^n.
@@ -305,7 +310,7 @@ def test_scaled_inverse_is_the_positive_adjugate():
         m = random_nonsingular(rng, 4)
         b, scale = group.scaled_inverse(m)
         assert scale == abs(group.determinant(m))
-        product = group.mat_mul(m, b)
+        product = mat_mul(m, b)
         assert product == [[scale * ident[i][j] for j in range(4)] for i in range(4)]
 
 
@@ -515,7 +520,7 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
     order = group.lattice_data(graph).order
     monkeypatch.setattr(group, "smith_mod", counting)
     data = group.LatticeData(graph, order)
-    assert group.mat_mul(data.U, data.Uinv) == group.mat_identity(graph.n_vertices)
+    assert mat_mul(data.U, data.Uinv) == group.mat_identity(graph.n_vertices)
     assert data.U is data.basis.U and data.Uinv is data.basis.Uinv
     assert calls == [True]
     # The invariant factors have their own, cheaper diagonal-only run.

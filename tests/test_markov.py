@@ -160,6 +160,17 @@ def test_exact_tv_curve_respects_the_cap():
     assert markov.exact_tv_curve(build_gasket(2), 3) is None
 
 
+def test_negative_step_counts_are_rejected():
+    with pytest.raises(ValueError, match="must be >= 0"):
+        markov.exact_tv_curve(build_gasket(0), -3)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        markov.expected_chi(1, -1)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        markov.estimate_chi_decay(1, -1, 3)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        markov.run_chain(G1, -5)
+
+
 def test_lower_bound_is_below_the_exact_curve():
     curve = markov.exact_tv_curve(G1, 20)
     for t in range(21):

@@ -362,3 +362,19 @@ def test_cli_reports_bad_input_as_usage_error(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert main(["sandpile", "burn", "--input", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "distance", "--level", "0", "--t", "-1"],
+        ["markov", "simulate", "--level", "1", "--steps", "-5", "--trials", "3"],
+        ["markov", "simulate", "--level", "1", "--steps", "-5"],
+    ],
+    ids=["spectral-distance", "markov-simulate-trials", "markov-simulate-chain"],
+)
+def test_cli_rejects_negative_step_counts(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err

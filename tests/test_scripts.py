@@ -1,0 +1,39 @@
+"""Run each script in `scripts/` in-process with small arguments."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    """Load scripts/<name>.py as a module and return main()'s exit code
+    with `argv` as its command line."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    return module.main()
+
+
+def test_group_survey(monkeypatch, capsys):
+    assert run_script(monkeypatch, "group_survey", "--max-level", "3", "--theorem-max-level", "2") == 0
+    out = capsys.readouterr().out
+    assert "invariant factors 2 2 6 462 2310" in out
+    assert "three-copy decomposition at level 2: pass" in out
+
+
+def test_mixing_table(monkeypatch, capsys):
+    assert run_script(monkeypatch, "mixing_table", "--max-level", "2", "--exact-levels", "1") == 0
+    rows = {int(line.split()[0]): line.split() for line in capsys.readouterr().out.splitlines()[2:]}
+    assert rows[1] == ["1", "6", "0.857143", "0", "47", "9"]
+    assert rows[2][-1] == "-"
+
+
+def test_render_identities(monkeypatch, capsys, tmp_path):
+    code = run_script(monkeypatch, "render_identities", "--min-level", "2", "--max-level", "3", "--out", str(tmp_path))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["identity_level2.ppm", "identity_level3.ppm"]
+    assert "level 3: 42 vertices, chips 2x18 3x24" in capsys.readouterr().out
+

@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gasketpile import group
-from gasketpile.gasket import LOWER_LEFT, build_gasket, corner_sink, reduced_laplacian
+from gasketpile.gasket import LOWER_LEFT, NORMAL, build_gasket, corner_sink, reduced_laplacian
 from gasketpile.markov import exact_tv_curve
 from gasketpile.sandpile import identity, max_config
 from gasketpile.spectral import (
@@ -21,6 +22,7 @@ from gasketpile.spectral import (
     level1_cells,
     product_harmonic,
     trivial_character,
+    walk_spectrum,
 )
 
 G0 = build_gasket(0)
@@ -179,6 +181,90 @@ def test_tv_upper_bounds_the_exact_total_variation():
         curve = exact_tv_curve(graph, 60)
         for t in (0, 1, 2, 5, 10, 24, 47, 60):
             assert curve[t] <= exact_distance(graph, t).tv_upper
+
+
+# ---------------------------------------------------------------------------
+# The Fourier engine against references that do not use it.
+# ---------------------------------------------------------------------------
+
+ENGINE_GRAPHS = [
+    pytest.param(build_gasket(level, boundary), id=f"L{level}-{boundary.token()}")
+    for level in (0, 1)
+    for boundary in (NORMAL, corner_sink(LOWER_LEFT))
+]
+
+
+def plancherel_l2_reference(graph, t_values):
+    """l2 distance after each t by the per-character Plancherel sum over the
+    enumerated characters, each eigenvalue from its rotation vector."""
+    chars = enumerate_characters(graph)
+    mag2 = []
+    for h in chars[1:]:
+        lam = eigenvalue(h)
+        mag2.append(float(lam) ** 2 if isinstance(lam, Fraction) else abs(lam) ** 2)
+    return [math.sqrt(sum(m**t for m in mag2) / len(chars)) for t in t_values]
+
+
+def rolled_tv_reference(graph, t_max):
+    """TV curve by evolving the full distribution over the Smith torus: one
+    np.roll per vertex shift and step, plus the lazy sink move."""
+    data = group.lattice_data(graph)
+    n = graph.n_vertices
+    dist = np.zeros(data.nontrivial)
+    dist.flat[0] = 1.0  # the identity class has zero coordinates
+    shifts = [data.coordinates(group.delta_vector(graph, v)) for v in range(n)]
+    axes = tuple(range(dist.ndim))
+    uniform = 1.0 / dist.size
+    curve = [0.5 * float(np.abs(dist - uniform).sum())]
+    for _ in range(t_max):
+        acc = dist.copy()
+        for shift in shifts:
+            acc += np.roll(dist, shift, axis=axes)
+        dist = acc / (n + 1)
+        curve.append(0.5 * float(np.abs(dist - uniform).sum()))
+    return curve
+
+
+@pytest.mark.parametrize("graph", ENGINE_GRAPHS)
+def test_exact_distance_equals_the_per_character_sum(graph):
+    t_values = range(101)
+    reference = plancherel_l2_reference(graph, t_values)
+    for t, expected in zip(t_values, reference):
+        result = exact_distance(graph, t)
+        assert result.group_order == group.lattice_data(graph).order
+        assert math.isclose(result.l2, expected, rel_tol=1e-12, abs_tol=1e-15), t
+
+
+@pytest.mark.parametrize("graph", ENGINE_GRAPHS)
+def test_exact_tv_curve_equals_the_rolled_evolution(graph):
+    curve = exact_tv_curve(graph, 100)
+    reference = rolled_tv_reference(graph, 100)
+    assert len(curve) == len(reference) == 101
+    for t, (value, expected) in enumerate(zip(curve, reference)):
+        assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=1e-15), t
+
+
+def test_walk_spectrum_holds_the_trivial_eigenvalue_first():
+    spectrum = walk_spectrum(G1)
+    assert spectrum.shape == (38, 38)
+    assert math.isclose(spectrum.flat[0].real, 1.0, rel_tol=1e-15)
+    assert np.all(np.abs(spectrum.flat[1:]) < 1 - 1e-9)
+    with pytest.raises(GroupTooLargeError):
+        walk_spectrum(G1, cap=1443)
+
+
+def test_refusals_come_before_any_smith_work():
+    group.lattice_data.cache_clear()
+    graph = build_gasket(2)
+    assert exact_tv_curve(graph, 3) is None
+    with pytest.raises(GroupTooLargeError):
+        exact_distance(graph, 1)
+    assert "diag" not in group.lattice_data(graph).__dict__
+
+
+def test_exact_distance_rejects_negative_times():
+    with pytest.raises(ValueError, match="must be >= 0"):
+        exact_distance(G0, -1)
 
 
 def test_exact_distance_decreases():
