@@ -5,7 +5,7 @@ For each level the table shows the vertex count, the spectral gap bound,
 and the analytic lower/upper bounds on the mixing time.  For levels whose
 group fits under the transform's cap the exact total-variation mixing time
 is read off `markov.exact_tv_curve`; optionally a Monte Carlo estimate of
-the distinguishing-statistic decay is appended.
+the distinguishing-statistic decay at every level is appended.
 
 Example:
     python scripts/mixing_table.py --max-level 8 --exact-levels 1 --trials 2000
@@ -56,7 +56,7 @@ def main() -> int:
         print()
         print(f"decay of the distinguishing statistic, {args.trials} trials per point")
         print(f"{'level':>5} {'t':>4} {'mean':>10} {'stderr':>10} {'predicted':>10}")
-        for level in (2, 3):
+        for level in range(1, args.max_level + 1):
             for t in (1, 5, 10, 25):
                 est = markov.estimate_chi_decay(level, t, args.trials, seed=args.seed)
                 print(

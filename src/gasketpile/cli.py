@@ -234,7 +234,11 @@ def cmd_spectral_distance(parser, args) -> int:
 
 
 def cmd_markov_simulate(parser, args) -> int:
-    _check_level(parser, args, cap=7, why=_IDENTITY_WHY)
+    # Many trials are evaluated from their draws; one trajectory is toppled.
+    if args.trials > 1:
+        _check_level(parser, args)
+    else:
+        _check_level(parser, args, cap=7, why=_IDENTITY_WHY)
     if args.level < 1:
         parser.error("--level must be >= 1")
     seed = markov.master_seed(args.seed)
@@ -260,10 +264,7 @@ def cmd_markov_simulate(parser, args) -> int:
 
 
 def cmd_markov_report(parser, args) -> int:
-    if args.trials > 0:
-        _check_level(parser, args, cap=7, why=_IDENTITY_WHY)
-    else:
-        _check_level(parser, args)
+    _check_level(parser, args)
     if args.level < 1:
         parser.error("--level must be >= 1")
     report = markov.mixing_report(

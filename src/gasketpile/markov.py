@@ -5,9 +5,14 @@ draw adds one chip there and stabilizes, the sink draw does nothing (the lazy
 move that makes the walk aperiodic with step weight 1/(n+1) everywhere).
 The walk is a random walk on the sandpile group, so its distance from the
 uniform stationary distribution is controlled exactly by the character
-eigenvalues, which `spectral.walk_spectrum` computes as one transform;
-the distinguishing statistic (average cell parity) gives a matching lower
-bound on mixing.
+eigenvalues, which `spectral.walk_spectrum` computes as one transform.
+
+The distinguishing statistic (average cell parity) gives a matching lower
+bound on mixing. Each cell's parity is a group character, so it is the same
+on every configuration of a class, and it is 1 on the identity, the group's
+zero. After t steps the statistic therefore depends only on the draws:
+`estimate_chi_decay` counts their parities per cell and never topples.
+`run_chain` topples, because it returns the configuration itself.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .gasket import GasketGraph, build_gasket
 from .sandpile import Configuration, identity, recurrent_rep, stabilize_list
 from .spectral import DEFAULT_CHARACTER_CAP, GroupTooLargeError, walk_spectrum
-from .spectral import distinguishing_statistic, level1_cells, t_star
+from .spectral import level1_cells, t_star
 from . import group
 
 SEED_ENV_VAR = "GASKETPILE_SEED"
@@ -51,15 +56,9 @@ def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: in
     if steps < 0:
         raise ValueError("steps must be >= 0")
     chips = list(identity(graph).chips)
-    _advance(graph, chips, steps, trajectory_rng(master_seed(seed), index))
-    return Configuration(graph, tuple(chips))
-
-
-def _advance(graph: GasketGraph, chips: list[int], steps: int, rng: random.Random):
-    """Hot loop: advance a chip list in place."""
     n = graph.n_vertices
     degrees = graph.degrees
-    randrange = rng.randrange
+    randrange = trajectory_rng(master_seed(seed), index).randrange
     for _ in range(steps):
         v = randrange(n + 1)
         if v == n:
@@ -67,6 +66,7 @@ def _advance(graph: GasketGraph, chips: list[int], steps: int, rng: random.Rando
         chips[v] += 1
         if chips[v] >= degrees[v]:
             stabilize_list(graph, chips)
+    return Configuration(graph, tuple(chips))
 
 
 @dataclass
@@ -100,18 +100,30 @@ def expected_chi(level: int, t: int) -> float:
 def estimate_chi_decay(level: int, t: int, trials: int, seed: int | None = None) -> ChiDecayEstimate:
     """Monte Carlo estimate of E[statistic] after t steps from the identity.
 
-    Each trial runs an independent trajectory with its own derived seed, so
-    the estimate is reproducible given (seed, trials, t).
+    Trial i draws trajectory i of the seed, as `run_chain` does, and its value
+    is `distinguishing_statistic` of that trajectory's configuration, bit for
+    bit.  It is computed from the draws alone: a cell's parity character is a
+    class function that is 1 on the identity, and the midpoint sets of
+    different cells are disjoint, so a cell's parity is odd exactly when an
+    odd number of draws landed on its midpoints.  A trial costs O(t + cells).
     """
     expected = expected_chi(level, t)
-    graph = build_gasket(level)
-    base = identity(graph).chips
+    n = gasket_size(level)
+    cells = level1_cells(level)
+    n_cells = len(cells)
+    # Draw -> cell slot; the sink draw n and non-midpoints go to slot n_cells.
+    slot = [n_cells] * (n + 1)
+    for c, cell in enumerate(cells):
+        for v in cell.midpoint_indices:
+            slot[v] = c
     seed_val = master_seed(seed)
     values = np.empty(trials)
     for i in range(trials):
-        chips = list(base)
-        _advance(graph, chips, t, trajectory_rng(seed_val, i))
-        values[i] = distinguishing_statistic(graph, chips)
+        randrange = trajectory_rng(seed_val, i).randrange
+        odd = bytearray(n_cells + 1)
+        for _ in range(t):
+            odd[slot[randrange(n + 1)]] ^= 1
+        values[i] = (n_cells - 2 * (sum(odd) - odd[n_cells])) / n_cells
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return ChiDecayEstimate(

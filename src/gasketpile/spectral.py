@@ -47,7 +47,7 @@ class GroupTooLargeError(ValueError):
         # Orders of high levels run to thousands of digits, past Python's
         # default int -> str limit; those are named by their size.
         shown = order if order < 10**30 else f"of {order.bit_length()} bits"
-        super().__init__(f"group order {shown} exceeds enumeration cap {cap}")
+        super().__init__(f"group order {shown} exceeds the group-order cap {cap}")
 
 
 @dataclass(frozen=True)

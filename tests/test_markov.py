@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gasketpile import group, markov, sandpile
@@ -114,6 +115,41 @@ def test_chi_decay_estimates_are_reproducible():
 def test_chi_decay_tracks_the_spectral_prediction():
     est = markov.estimate_chi_decay(2, 4, trials=2_000, seed=0)
     assert abs(est.mean - est.expected) <= 3 * est.stderr
+
+
+def toppled_statistic(graph, t, seed, index=0):
+    return distinguishing_statistic(graph, markov.run_chain(graph, t, seed=seed, index=index).chips)
+
+
+# 3,000 trajectories in all; fewer at the levels where toppling costs more.
+@pytest.mark.parametrize("level, count", [(1, 1400), (2, 1000), (3, 450), (4, 150)])
+def test_chi_decay_equals_the_toppled_statistic_per_trajectory(level, count):
+    graph = build_gasket(level)
+    for s in range(count):
+        t = s % 101
+        est = markov.estimate_chi_decay(level, t, 1, seed=s)
+        assert est.mean == toppled_statistic(graph, t, s), (level, t, s)
+
+
+@pytest.mark.parametrize("level, t, trials", [(1, 7, 50), (2, 30, 40), (3, 100, 25), (4, 60, 20)])
+def test_chi_decay_moments_equal_those_of_the_toppled_walk(level, t, trials):
+    graph = build_gasket(level)
+    values = np.array([toppled_statistic(graph, t, 11, i) for i in range(trials)])
+    est = markov.estimate_chi_decay(level, t, trials, seed=11)
+    assert est.mean == float(values.mean())
+    assert est.stderr == float(values.std(ddof=1) / math.sqrt(trials))
+
+
+def test_chi_decay_never_topples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_chi_decay reached the toppling code")
+
+    monkeypatch.setattr(markov, "stabilize_list", refuse)
+    monkeypatch.setattr(markov, "identity", refuse)
+    est = markov.estimate_chi_decay(4, 100, 20, seed=2)
+    assert est.trials == 20
+    with pytest.raises(AssertionError, match="toppling"):
+        markov.run_chain(G1, 1)
 
 
 def test_stationary_sampler_yields_recurrent_configs():

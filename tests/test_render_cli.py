@@ -283,7 +283,6 @@ def test_cli_rejects_bad_level(capsys):
         ["group", "tau", "--level", "9", "--method", "matrix-tree"],
         ["sandpile", "identity", "--level", "8"],
         ["markov", "simulate", "--level", "8", "--steps", "1"],
-        ["markov", "report", "--level", "8", "--trials", "1"],
     ],
     ids=[
         "verify-doubling",
@@ -293,7 +292,6 @@ def test_cli_rejects_bad_level(capsys):
         "tau-matrix-tree",
         "identity",
         "markov-simulate",
-        "markov-report-trials",
     ],
 )
 def test_cli_refuses_infeasible_levels_quickly(argv, capsys):
@@ -312,13 +310,23 @@ def test_cli_refuses_infeasible_levels_quickly(argv, capsys):
 )
 def test_cli_spectral_commands_refuse_large_groups_quickly(argv, capsys):
     # The group order comes from the sparse factorization, so the
-    # enumeration cap refuses at once even where the order has thousands
+    # group-order cap refuses at once even where the order has thousands
     # of digits.
     for level in ("5", "8"):
         start = time.perf_counter()
         assert main([*argv, "--level", level]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "exceeds enumeration cap" in capsys.readouterr().err
+        assert "exceeds the group-order cap" in capsys.readouterr().err
+
+
+def test_cli_markov_trials_run_at_level_8(capsys):
+    # The trials are evaluated from their draws, without the identity.
+    start = time.perf_counter()
+    assert main(["markov", "report", "--level", "8", "--trials", "1000", "--json"]) == 0
+    assert time.perf_counter() - start < 5.0
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["trials"] for e in doc["chi_decay"]] == [1000] * 4
+    assert main(["markov", "simulate", "--level", "8", "--steps", "50", "--trials", "3"]) == 0
 
 
 def test_cli_matrix_tree_tau_prints_the_recursion_digits_at_level_8(capsys):

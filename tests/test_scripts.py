@@ -1,8 +1,15 @@
 """Run each script in `scripts/` in-process with small arguments."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from gasketpile import markov
+from gasketpile.gasket import build_gasket
+from gasketpile.spectral import distinguishing_statistic
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -25,10 +32,23 @@ def test_group_survey(monkeypatch, capsys):
 
 
 def test_mixing_table(monkeypatch, capsys):
-    assert run_script(monkeypatch, "mixing_table", "--max-level", "2", "--exact-levels", "1") == 0
-    rows = {int(line.split()[0]): line.split() for line in capsys.readouterr().out.splitlines()[2:]}
+    argv = ["--max-level", "2", "--exact-levels", "1", "--trials", "200", "--seed", "1"]
+    assert run_script(monkeypatch, "mixing_table", *argv) == 0
+    table, decay = capsys.readouterr().out.split("\n\n")
+    rows = {int(line.split()[0]): line.split() for line in table.splitlines()[2:]}
     assert rows[1] == ["1", "6", "0.857143", "0", "47", "9"]
     assert rows[2][-1] == "-"
+    points = {tuple(map(int, line.split()[:2])): line.split()[2:] for line in decay.splitlines()[2:]}
+    assert sorted(points) == [(level, t) for level in (1, 2) for t in (1, 5, 10, 25)]
+    assert points[(2, 5)] == ["0.05333", "0.03964", "0.09537"]
+    # The same row from the toppled walk's 200 trajectories.
+    graph = build_gasket(2)
+    values = np.array([
+        distinguishing_statistic(graph, markov.run_chain(graph, 5, seed=1, index=i).chips)
+        for i in range(200)
+    ])
+    stderr = values.std(ddof=1) / math.sqrt(len(values))
+    assert points[(2, 5)][:2] == [f"{values.mean():.5f}", f"{stderr:.5f}"]
 
 
 def test_render_identities(monkeypatch, capsys, tmp_path):
