@@ -234,7 +234,7 @@ def cmd_spectral_distance(parser, args) -> int:
 
 
 def cmd_markov_simulate(parser, args) -> int:
-    # Many trials are evaluated from their draws; one trajectory is toppled.
+    # Many trials are evaluated from their draws; one trajectory costs an identity.
     if args.trials > 1:
         _check_level(parser, args)
     else:

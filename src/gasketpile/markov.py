@@ -6,13 +6,15 @@ move that makes the walk aperiodic with step weight 1/(n+1) everywhere).
 The walk is a random walk on the sandpile group, so its distance from the
 uniform stationary distribution is controlled exactly by the character
 eigenvalues, which `spectral.walk_spectrum` computes as one transform.
+By the abelian property the state after t steps is the identity plus the
+draw counts, stabilized once: the one recurrent configuration in the
+counts' class, which `run_chain` returns.
 
 The distinguishing statistic (average cell parity) gives a matching lower
 bound on mixing. Each cell's parity is a group character, so it is the same
 on every configuration of a class, and it is 1 on the identity, the group's
 zero. After t steps the statistic therefore depends only on the draws:
-`estimate_chi_decay` counts their parities per cell and never topples.
-`run_chain` topples, because it returns the configuration itself.
+`estimate_chi_decay` counts their parities per cell.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from .gasket import GasketGraph, build_gasket
-from .sandpile import Configuration, identity, recurrent_rep, stabilize_list
-from .spectral import DEFAULT_CHARACTER_CAP, GroupTooLargeError, walk_spectrum
+from .sandpile import Configuration, recurrent_rep
+from .spectral import DEFAULT_CHARACTER_CAP, walk_spectrum
 from .spectral import level1_cells, t_star
 from . import group
 
 SEED_ENV_VAR = "GASKETPILE_SEED"
 DEFAULT_SEED = 0
+CHI_TIMES = (1, 5, 10, 25)  # steps at which `mixing_report` estimates the decay
 
 
 def master_seed(explicit: int | None = None) -> int:
@@ -52,21 +55,17 @@ def trajectory_rng(seed: int, index: int) -> random.Random:
 
 def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: int = 0) -> Configuration:
     """The walk's configuration after `steps` steps from the identity, on
-    trajectory `index` of the master seed."""
+    trajectory `index` of the master seed: `recurrent_rep` of the draw counts.
+    Stabilizing after every draw or once at the end gives the same recurrent
+    configuration (the abelian property), the unique one in their class."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    chips = list(identity(graph).chips)
     n = graph.n_vertices
-    degrees = graph.degrees
+    counts = [0] * (n + 1)  # the last slot counts the sink draws
     randrange = trajectory_rng(master_seed(seed), index).randrange
     for _ in range(steps):
-        v = randrange(n + 1)
-        if v == n:
-            continue
-        chips[v] += 1
-        if chips[v] >= degrees[v]:
-            stabilize_list(graph, chips)
-    return Configuration(graph, tuple(chips))
+        counts[randrange(n + 1)] += 1
+    return recurrent_rep(graph, counts[:n])
 
 
 @dataclass
@@ -185,16 +184,13 @@ def stationary_chi_samples(level: int, count: int, seed: int | None = None) -> n
 # ---------------------------------------------------------------------------
 
 
-def exact_tv_curve(graph: GasketGraph, t_max: int, cap: int = DEFAULT_CHARACTER_CAP) -> list[float] | None:
+def exact_tv_curve(graph: GasketGraph, t_max: int, cap: int = DEFAULT_CHARACTER_CAP) -> list[float]:
     """TV distance from uniform after 0..t_max steps: the distribution after
     t steps is the inverse transform of the t-th power of `walk_spectrum`.
-    Returns None when the group order exceeds `cap`."""
+    Raises `GroupTooLargeError` when the group order exceeds `cap`."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    try:
-        spectrum = walk_spectrum(graph, cap=cap)
-    except GroupTooLargeError:
-        return None
+    spectrum = walk_spectrum(graph, cap=cap)
     power = np.ones_like(spectrum)
     curve = []
     for _ in range(t_max + 1):
@@ -290,15 +286,10 @@ class MixingReport:
         }
 
 
-def mixing_report(
-    level: int,
-    chi_trials: int = 0,
-    chi_times: tuple[int, ...] = (1, 5, 10, 25),
-    seed: int | None = None,
-) -> MixingReport:
-    """Analytic bounds and the group order (always) plus Monte Carlo decay
-    estimates (optional).  The order comes from the sparse factorization of
-    the reduced Laplacian, 0.1-0.2 s at level 8 on a 2-core VM."""
+def mixing_report(level: int, chi_trials: int = 0, seed: int | None = None) -> MixingReport:
+    """Analytic bounds, the group order and, optionally, the decay estimates
+    at `CHI_TIMES`.  The order comes from the sparse factorization of the
+    reduced Laplacian, 0.1-0.2 s at level 8 on a 2-core VM."""
     if level < 1:
         raise ValueError("mixing report needs level >= 1")
     n = gasket_size(level)
@@ -316,6 +307,6 @@ def mixing_report(
         group_order=group.sandpile_group_order(build_gasket(level)),
     )
     if chi_trials > 0:
-        for t in chi_times:
+        for t in CHI_TIMES:
             report.chi_decay.append(estimate_chi_decay(level, t, chi_trials, seed=seed))
     return report

@@ -21,6 +21,8 @@ PALETTE = {
 }
 OVERFULL_COLOR = (0, 0, 0)
 BACKGROUND = (255, 255, 255)
+MARGIN = 8  # pixels around the triangle
+RADIUS_FRAC = 0.33  # disc radius as a fraction of scale
 
 
 def color_for(chips: int) -> tuple[int, int, int]:
@@ -31,15 +33,13 @@ def color_for(chips: int) -> tuple[int, int, int]:
 class RenderSpec:
     fmt: str = "ppm"  # "ppm" or "svg"
     scale: int = 12  # pixels per unit edge
-    margin: int = 8
-    radius_frac: float = 0.33  # disc radius as a fraction of scale
 
 
 def _positions(conf: Configuration, spec: RenderSpec):
     half_sqrt3 = math.sqrt(3) / 2
     pts = []
     for a, b in conf.graph.coords:
-        x = (a + b / 2) * spec.scale + spec.margin
+        x = (a + b / 2) * spec.scale + MARGIN
         y = b * half_sqrt3 * spec.scale
         pts.append((x, y))
     return pts
@@ -55,16 +55,16 @@ def render(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
 
 def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
     side = 1 << conf.graph.level
-    width = math.ceil(side * spec.scale) + 2 * spec.margin + 1
-    height = math.ceil(side * spec.scale * math.sqrt(3) / 2) + 2 * spec.margin + 1
+    width = math.ceil(side * spec.scale) + 2 * MARGIN + 1
+    height = math.ceil(side * spec.scale * math.sqrt(3) / 2) + 2 * MARGIN + 1
     rows = bytearray(BACKGROUND * width * height)
-    radius = max(1.0, spec.scale * spec.radius_frac)
+    radius = max(1.0, spec.scale * RADIUS_FRAC)
     r_int = math.ceil(radius)
     r2 = radius * radius
     for (x, y), chips in zip(_positions(conf, spec), conf.chips):
         color = bytes(color_for(chips))
         # Flip vertically: image row 0 is the top of the triangle.
-        py = height - 1 - (round(y) + spec.margin)
+        py = height - 1 - (round(y) + MARGIN)
         px = round(x)
         for dy in range(-r_int, r_int + 1):
             iy = py + dy
@@ -83,16 +83,16 @@ def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
 
 def render_svg(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
     side = 1 << conf.graph.level
-    width = side * spec.scale + 2 * spec.margin
-    height = math.ceil(side * spec.scale * math.sqrt(3) / 2) + 2 * spec.margin
-    radius = max(1.0, spec.scale * spec.radius_frac)
+    width = side * spec.scale + 2 * MARGIN
+    height = math.ceil(side * spec.scale * math.sqrt(3) / 2) + 2 * MARGIN
+    radius = max(1.0, spec.scale * RADIUS_FRAC)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
     for (x, y), chips in zip(_positions(conf, spec), conf.chips):
         r, g, b = color_for(chips)
-        cy = height - spec.margin - y
+        cy = height - MARGIN - y
         lines.append(
             f'<circle cx="{x:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="rgb({r},{g},{b})"/>'
         )

@@ -8,11 +8,12 @@ property the result and the firing counts (odometer) are order-independent.
 
 One kernel, `_stabilize_raw`, does all toppling, in two phases chosen from
 the input.  A work queue of unstable vertices, in exact Python ints, serves
-small avalanches such as the walk's single-chip steps.  When more than half
-of the vertices are queued at the start of a generation and a bound on the
-chip total shows that nothing can overflow int64, the rest of the avalanche
-runs as synchronous numpy rounds in which every vertex fires at once, as in
-the doubling game and the identity's two stabilizations.
+avalanches that start narrow: the burning test, the corner-transport and
+junction checks, and the CLI's `stabilize`.  When more than half of the
+vertices are queued at the start of a generation and a bound on the chip
+total shows that nothing can overflow int64, the rest of the avalanche runs
+as synchronous numpy rounds in which every vertex fires at once, as in the
+doubling game and the identity's two stabilizations.
 """
 
 from __future__ import annotations
@@ -265,10 +266,9 @@ def _recurrent_kicker(graph: GasketGraph) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def identity(graph: GasketGraph) -> Configuration:
-    """The neutral element of the sandpile group on recurrent configurations."""
-    chips = list(_recurrent_kicker(graph))
-    stabilize_list(graph, chips)
-    return Configuration(graph, tuple(chips))
+    """The neutral element of the sandpile group on recurrent configurations:
+    the recurrent representative of the zero class (the kicker, stabilized)."""
+    return recurrent_rep(graph, [0] * graph.n_vertices)
 
 
 def recurrent_rep(graph: GasketGraph, entries) -> Configuration:

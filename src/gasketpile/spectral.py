@@ -130,7 +130,6 @@ def eigenvalue(h: HarmonicFunction):
 
 @dataclass(frozen=True)
 class Level1Cell:
-    origin: tuple[int, int]
     vertex_indices: tuple[int, ...]
     midpoint_indices: tuple[int, ...]
 
@@ -160,7 +159,7 @@ def level1_cells(level: int) -> tuple[Level1Cell, ...]:
     for a0, b0 in _cell_origins(level):
         verts = tuple(index[(a0 + da, b0 + db)] for da, db in locals_all)
         mids = tuple(index[(a0 + da, b0 + db)] for da, db in _CELL_LOCAL_MIDPOINTS)
-        cells.append(Level1Cell((a0, b0), verts, mids))
+        cells.append(Level1Cell(verts, mids))
     return tuple(cells)
 
 

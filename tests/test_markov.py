@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from gasketpile import group, markov, sandpile
-from gasketpile.gasket import build_gasket
+from gasketpile.gasket import build_gasket, corner_sink
 from gasketpile.sandpile import identity, is_recurrent_burning, recurrent_rep, stabilize
-from gasketpile.spectral import distinguishing_statistic
+from gasketpile.spectral import GroupTooLargeError, distinguishing_statistic
 
 G1 = build_gasket(1)
 
@@ -56,12 +56,22 @@ def test_run_chain_stays_stable_and_recurrent():
 
 
 def test_run_chain_matches_a_replay_through_stabilize():
-    for steps in (0, 1, 13, 200):
-        direct = markov.run_chain(G1, steps, seed=9, index=4)
-        assert direct == markov.run_chain(G1, steps, seed=9, index=4)
-        assert direct == replay_chain(G1, steps, 9, 4)
-    assert markov.run_chain(G1, 200, seed=9, index=5) == replay_chain(G1, 200, 9, 5)
-    assert markov.run_chain(G1, 200, seed=9, index=5) != markov.run_chain(G1, 200, seed=9, index=4)
+    # 2,000 steps only where the step-by-step replay is cheap.
+    short, long = (0, 1, 13, 200), (0, 1, 13, 200, 2000)
+    cases = [
+        (build_gasket(1), long),
+        (build_gasket(2), long),
+        (build_gasket(3), short),
+        (build_gasket(4), short),
+        (build_gasket(2, corner_sink("lower_left")), long),
+        (build_gasket(3, corner_sink("lower_left")), short),
+    ]
+    for graph, steps in cases:
+        for t in steps:
+            for seed, index in ((9, 4), (9, 5), (2, 0)):
+                direct = markov.run_chain(graph, t, seed=seed, index=index)
+                assert direct == replay_chain(graph, t, seed, index), (graph.level, t, seed, index)
+        assert markov.run_chain(graph, 200, seed=9, index=5) != markov.run_chain(graph, 200, seed=9, index=4)
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -79,7 +89,7 @@ def test_walk_steps_never_enter_the_rounds_phase(monkeypatch):
         raise AssertionError("a walk step handed its avalanche to the rounds")
 
     monkeypatch.setattr(sandpile, "_topple_rounds", refuse)
-    assert markov.run_chain(graph, 2000, seed=4).is_stable
+    assert replay_chain(graph, 2000, 4, 0).is_stable
 
 
 def test_expected_chi_formula():
@@ -144,8 +154,7 @@ def test_chi_decay_never_topples(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("estimate_chi_decay reached the toppling code")
 
-    monkeypatch.setattr(markov, "stabilize_list", refuse)
-    monkeypatch.setattr(markov, "identity", refuse)
+    monkeypatch.setattr(sandpile, "_stabilize_raw", refuse)
     est = markov.estimate_chi_decay(4, 100, 20, seed=2)
     assert est.trials == 20
     with pytest.raises(AssertionError, match="toppling"):
@@ -192,8 +201,10 @@ def test_exact_tv_curve_level0():
 
 
 def test_exact_tv_curve_respects_the_cap():
-    assert markov.exact_tv_curve(build_gasket(2), 3, cap=1000) is None
-    assert markov.exact_tv_curve(build_gasket(2), 3) is None
+    with pytest.raises(GroupTooLargeError):
+        markov.exact_tv_curve(build_gasket(2), 3, cap=1000)
+    with pytest.raises(GroupTooLargeError):
+        markov.exact_tv_curve(build_gasket(2), 3)
 
 
 def test_negative_step_counts_are_rejected():
@@ -266,9 +277,9 @@ def test_mixing_report_analytic_fields():
 
 
 def test_mixing_report_optional_parts():
-    report = markov.mixing_report(1, chi_trials=50, chi_times=(1, 2), seed=0)
+    report = markov.mixing_report(1, chi_trials=50, seed=0)
     assert report.group_order == 1444
-    assert [e.t for e in report.chi_decay] == [1, 2]
+    assert [e.t for e in report.chi_decay] == [1, 5, 10, 25]
     assert all(e.trials == 50 for e in report.chi_decay)
     doc = report.to_json()
     assert doc["group_order"] == "1444"

@@ -18,7 +18,15 @@ from gasketpile.render import (
     render_ppm,
     render_svg,
 )
-from gasketpile.sandpile import config, config_to_text, identity, max_config
+from gasketpile.sandpile import (
+    config,
+    config_from_json,
+    config_to_text,
+    identity,
+    is_recurrent_burning,
+    max_config,
+)
+from gasketpile.spectral import distinguishing_statistic
 
 G1 = build_gasket(1)
 
@@ -219,6 +227,20 @@ def test_cli_markov_simulate_is_seed_deterministic(capsys):
     doc = json.loads(first)
     assert doc["steps"] == 40 and doc["seed"] == 3
     assert -1 <= doc["chi"] <= 1
+
+
+def test_cli_markov_simulate_one_long_trajectory_at_level_6(capsys):
+    # One stabilization of the draw counts' class, not one per step.
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys, "markov", "simulate", "--level", "6", "--steps", "20000", "--seed", "1", "--json"
+    )
+    assert time.perf_counter() - start < 3.0
+    assert code == 0
+    doc = json.loads(out)
+    conf = config_from_json(doc["config"])
+    assert conf.is_stable and is_recurrent_burning(conf)
+    assert doc["chi"] == distinguishing_statistic(conf.graph, conf.chips)
 
 
 def test_cli_markov_simulate_trials(capsys):

@@ -32,7 +32,8 @@ def test_group_survey(monkeypatch, capsys):
 
 
 def test_mixing_table(monkeypatch, capsys):
-    argv = ["--max-level", "2", "--exact-levels", "1", "--trials", "200", "--seed", "1"]
+    # Level 2's group (25.6M elements) is over the transform's cap: "-".
+    argv = ["--max-level", "2", "--exact-levels", "2", "--trials", "200", "--seed", "1"]
     assert run_script(monkeypatch, "mixing_table", *argv) == 0
     table, decay = capsys.readouterr().out.split("\n\n")
     rows = {int(line.split()[0]): line.split() for line in table.splitlines()[2:]}

@@ -256,7 +256,8 @@ def test_walk_spectrum_holds_the_trivial_eigenvalue_first():
 def test_refusals_come_before_any_smith_work():
     group.lattice_data.cache_clear()
     graph = build_gasket(2)
-    assert exact_tv_curve(graph, 3) is None
+    with pytest.raises(GroupTooLargeError):
+        exact_tv_curve(graph, 3)
     with pytest.raises(GroupTooLargeError):
         exact_distance(graph, 1)
     assert "diag" not in group.lattice_data(graph).__dict__
