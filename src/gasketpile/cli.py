@@ -65,11 +65,16 @@ def _check_level(parser, args, cap=8, why=""):
 # Levels past these caps would run for seconds to minutes; they are refused
 # at once.
 _DOUBLING_WHY = (
-    "the cost grows about 10x per level; the doubling check takes about 1 s at level 6 and 7 s at level 7"
+    "the cost grows about 10x per level; at level 7 the doubling check takes about 2 s "
+    "and the junction check about 8 s"
 )
 _SMITH_WHY = "the Smith form of the level-6 Laplacian takes about 20-26 s"
-_TRANSPORT_WHY = "the transport check takes about 2 s at level 6 and 21 s at level 7"
-_IDENTITY_WHY = "stabilizing the identity takes about 2.5 s at level 7 and 30 s at level 8"
+_TRANSPORT_WHY = "the transport check takes about 1 s at level 6 and 7 s at level 7"
+_IDENTITY_WHY = (
+    "stabilizing the identity takes about 8 s at level 8, and on a corner-sink "
+    "boundary about 3 s at level 7 and 46 s at level 8"
+)
+_TRAJECTORY_WHY = "one trajectory stabilizes its draw counts: about 2 s at level 7 and 22 s at level 8"
 
 
 def cmd_gasket(parser, args) -> int:
@@ -99,7 +104,7 @@ def cmd_sandpile_stabilize(parser, args) -> int:
 
 
 def cmd_sandpile_identity(parser, args) -> int:
-    _check_level(parser, args, cap=7, why=_IDENTITY_WHY)
+    _check_level(parser, args, cap=8 if args.boundary == "normal" else 7, why=_IDENTITY_WHY)
     graph = _graph_arg(args)
     conf = identity(graph)
     if args.render:
@@ -129,7 +134,7 @@ def cmd_selfsim_id(parser, args) -> int:
 
 def cmd_selfsim_verify(parser, args) -> int:
     why = _TRANSPORT_WHY if args.check == "transport" else _DOUBLING_WHY
-    _check_level(parser, args, cap=6, why=why)
+    _check_level(parser, args, cap=7, why=why)
     if args.level < 1:
         parser.error("verification checks need --level >= 1")
     if args.check == "doubling":
@@ -238,7 +243,7 @@ def cmd_markov_simulate(parser, args) -> int:
     if args.trials > 1:
         _check_level(parser, args)
     else:
-        _check_level(parser, args, cap=7, why=_IDENTITY_WHY)
+        _check_level(parser, args, cap=7, why=_TRAJECTORY_WHY)
     if args.level < 1:
         parser.error("--level must be >= 1")
     seed = markov.master_seed(args.seed)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sandpile import Configuration
 
 PALETTE = {
@@ -53,32 +55,45 @@ def render(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
     raise ValueError("format must be 'ppm' or 'svg'")
 
 
+def _disc_stencil(radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets of the pixels within `radius` of a disc's
+    center pixel."""
+    r_int = math.ceil(radius)
+    r2 = radius * radius
+    offsets = [
+        (dy, dx)
+        for dy in range(-r_int, r_int + 1)
+        for dx in range(-r_int, r_int + 1)
+        if dx * dx + dy * dy <= r2
+    ]
+    dy, dx = np.array(offsets, dtype=np.intp).T
+    return dy, dx
+
+
 def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
+    """Binary PPM of the configuration's discs.  Where discs overlap (small
+    scales), the vertex with the highest index owns the pixel."""
     side = 1 << conf.graph.level
     width = math.ceil(side * spec.scale) + 2 * MARGIN + 1
     height = math.ceil(side * spec.scale * math.sqrt(3) / 2) + 2 * MARGIN + 1
-    rows = bytearray(BACKGROUND * width * height)
-    radius = max(1.0, spec.scale * RADIUS_FRAC)
-    r_int = math.ceil(radius)
-    r2 = radius * radius
-    for (x, y), chips in zip(_positions(conf, spec), conf.chips):
-        color = bytes(color_for(chips))
-        # Flip vertically: image row 0 is the top of the triangle.
-        py = height - 1 - (round(y) + MARGIN)
-        px = round(x)
-        for dy in range(-r_int, r_int + 1):
-            iy = py + dy
-            if not 0 <= iy < height:
-                continue
-            for dx in range(-r_int, r_int + 1):
-                if dx * dx + dy * dy > r2:
-                    continue
-                ix = px + dx
-                if 0 <= ix < width:
-                    off = 3 * (iy * width + ix)
-                    rows[off : off + 3] = color
+    dy, dx = _disc_stencil(max(1.0, spec.scale * RADIUS_FRAC))
+    # Flip vertically: image row 0 is the top of the triangle.
+    centers = [(height - 1 - (round(y) + MARGIN), round(x)) for x, y in _positions(conf, spec)]
+    py, px = np.array(centers, dtype=np.intp).T
+    iy = py[:, None] + dy
+    ix = px[:, None] + dx
+    inside = (iy >= 0) & (iy < height) & (ix >= 0) & (ix < width)
+    pixel = (iy * width + ix)[inside]
+    owner = np.full(width * height, -1, dtype=np.int32)
+    np.maximum.at(owner, pixel, np.nonzero(inside)[0].astype(np.int32))
+    colors = np.array([color_for(c) for c in conf.chips], dtype=np.uint8)
+    pixels = np.empty((width * height, 3), dtype=np.uint8)
+    # One channel at a time: broadcasting the color tuple is several times slower.
+    for channel, level in enumerate(BACKGROUND):
+        pixels[:, channel] = level
+    pixels[pixel] = colors[owner[pixel]]
     header = f"P6\n{width} {height}\n255\n".encode()
-    return header + bytes(rows)
+    return header + pixels.tobytes()
 
 
 def render_svg(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:

@@ -13,7 +13,10 @@ junction checks, and the CLI's `stabilize`.  When more than half of the
 vertices are queued at the start of a generation and a bound on the chip
 total shows that nothing can overflow int64, the rest of the avalanche runs
 as synchronous numpy rounds in which every vertex fires at once, as in the
-doubling game and the identity's two stabilizations.
+doubling game and the identity's two stabilizations.  Those rounds start
+from the least-action lower bound max(0, ceil(Delta^{-1}(c - m))) on the
+odometer, m = degree - 1, which one sparse solve gives and which is most of
+the odometer of a wide avalanche.
 """
 
 from __future__ import annotations
@@ -103,8 +106,10 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
     starts).  Before each generation it looks at the avalanche's width: when
     more than half of the vertices are queued and every value the rest of
     the stabilization can reach provably fits in int64 (`_fits_int64`), the
-    rest goes to `_topple_rounds`, synchronous rounds on numpy arrays.  By
-    the abelian property both orders give the same result and odometer.
+    rest goes to `_topple_rounds`, synchronous rounds on numpy arrays that
+    first fire the least-action lower bound on the odometer at once.  By the
+    abelian property and least action, both give the same result and
+    odometer as the queue.
     """
     degrees = graph.degrees
     if frozen:
@@ -174,14 +179,39 @@ def _neighbor_table(graph: GasketGraph) -> np.ndarray:
     return table
 
 
+def _least_action_start(graph: GasketGraph, chips: list[int]) -> list[int]:
+    """max(0, ceil(Delta^{-1}(chips - m))) entrywise, with m = degree - 1 the
+    maximal stable configuration: a lower bound on the odometer of
+    stabilizing `chips`, from one sparse solve."""
+    y, den = group.laplacian_factor(graph).solve([c - d + 1 for c, d in zip(chips, graph.degrees)])
+    return [max(0, -(-v // den)) for v in y]
+
+
 def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int]:
     """Stabilize in place by synchronous rounds; returns the odometer.
 
-    Every vertex fires floor(chips/threshold) times per round, all at once,
-    until no vertex fires.  All arithmetic is exact int64 (the caller checks
-    with `_fits_int64` that nothing can overflow); each vertex receives the
-    integer sum of its neighbours' fires, gathered through the neighbour
-    table, never a float sum."""
+    Every vertex fires max(0, floor(chips/threshold)) times per round, all
+    at once, until no vertex fires.  All arithmetic is exact int64 (the
+    caller checks with `_fits_int64` that nothing can overflow); each vertex
+    receives the integer sum of its neighbours' fires, gathered through the
+    neighbour table, never a float sum.
+
+    When the thresholds are the degrees (nothing frozen), the first round
+    instead fires the head start l = `_least_action_start`, a lower bound
+    on the odometer u*, and the rounds are still exact:
+    - l <= u*, because u* = Delta^{-1}(c - s) with s <= m and Delta^{-1} is
+      entrywise non-negative;
+    - from any u <= u*, a vertex holding x >= d chips has
+      u*_v - u_v >= floor(x/d), since d (u*_v - u_v) >= x - s_v > x - d, so
+      no round passes u*;
+    - at the end c - Delta u is stable with u >= 0, so u >= u* by least
+      action, hence u = u*.
+    After the jump a vertex with l_v > 0 holds more than m_v - d_v = -1
+    chips, and one with l_v = 0 has only gained, so chips are negative only
+    where a raw input was; such vertices never fire.  An odometer entry is
+    at most U = T * 8n**2 for a chip total T (see `_fits_int64`), so the
+    jump's intermediate values lie in [-4U, T + 4U]; the head start is taken
+    only when T * 64n**2 < 2**63 keeps them in int64."""
     n = len(chips)
     slots = _neighbor_table(graph)
     c = np.array(chips, dtype=np.int64)
@@ -189,13 +219,16 @@ def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int
     odometer = np.zeros(n, dtype=np.int64)
     padded = np.zeros(n + 1, dtype=np.int64)
     fires = padded[:n]
+    if tuple(thresholds) == graph.degrees and sum(chips) * 64 * n * n < 2**63:
+        fires[:] = _least_action_start(graph, chips)
     while True:
-        np.floor_divide(c, d, out=fires)
-        if not fires.any():
-            break
         odometer += fires
         c -= fires * d
         c += padded[slots].sum(axis=0)
+        np.floor_divide(c, d, out=fires)
+        np.maximum(fires, 0, out=fires)
+        if not fires.any():
+            break
     chips[:] = c.tolist()
     return odometer.tolist()
 

@@ -59,7 +59,7 @@ def recurrent_closure(graph):
 
 def test_criterion_1_identity_theorem():
     start = time.monotonic()
-    for level in (2, 3, 4, 5):
+    for level in (2, 3, 4, 5, 6):
         graph = build_gasket(level)
         glued = identity_from_tiles(level)
         assert glued == identity(graph), f"tile identity mismatch at level {level}"
@@ -70,7 +70,7 @@ def test_criterion_1_identity_theorem():
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(f"criterion 1 PASS: tile identity equals stabilized identity for "
-          f"levels 2..5, renders use chips {{2,3}} only ({elapsed:.2f}s)")
+          f"levels 2..6, renders use chips {{2,3}} only ({elapsed:.2f}s)")
 
 
 def test_criterion_2_doubling_identity():

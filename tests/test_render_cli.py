@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 import time
 
@@ -10,8 +11,10 @@ from gasketpile.gasket import build_gasket
 from gasketpile.group import digits, sandpile_group_order, tau_recursion
 from gasketpile.render import (
     BACKGROUND,
+    MARGIN,
     OVERFULL_COLOR,
     PALETTE,
+    RADIUS_FRAC,
     RenderSpec,
     color_for,
     render,
@@ -77,6 +80,39 @@ def test_ppm_dimensions_scale():
     w_small = int(small.split(b"\n")[1].split()[0])
     w_large = int(large.split(b"\n")[1].split()[0])
     assert w_large > w_small
+
+
+def loop_render_ppm(conf, scale):
+    """Reference renderer: paints every vertex's disc pixel by pixel in
+    vertex order, so where discs overlap the highest vertex index wins."""
+    side = 1 << conf.graph.level
+    width = math.ceil(side * scale) + 2 * MARGIN + 1
+    height = math.ceil(side * scale * math.sqrt(3) / 2) + 2 * MARGIN + 1
+    rows = bytearray(BACKGROUND * width * height)
+    radius = max(1.0, scale * RADIUS_FRAC)
+    r_int = math.ceil(radius)
+    half_sqrt3 = math.sqrt(3) / 2
+    for (a, b), chips in zip(conf.graph.coords, conf.chips):
+        color = bytes(color_for(chips))
+        px = round((a + b / 2) * scale + MARGIN)
+        py = height - 1 - (round(b * half_sqrt3 * scale) + MARGIN)
+        for dy in range(-r_int, r_int + 1):
+            for dx in range(-r_int, r_int + 1):
+                iy, ix = py + dy, px + dx
+                if dx * dx + dy * dy <= radius * radius and 0 <= iy < height and 0 <= ix < width:
+                    off = 3 * (iy * width + ix)
+                    rows[off : off + 3] = color
+    return f"P6\n{width} {height}\n255\n".encode() + bytes(rows)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3, 12])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_ppm_matches_the_pixel_loop(level, scale):
+    graph = build_gasket(level)
+    rng = random.Random(f"ppm:{level}:{scale}")
+    for _ in range(3):
+        conf = config(graph, [rng.randrange(6) for _ in range(graph.n_vertices)])
+        assert render_ppm(conf, RenderSpec(scale=scale)) == loop_render_ppm(conf, scale)
 
 
 def test_svg_structure():
@@ -298,12 +334,12 @@ def test_cli_rejects_bad_level(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selfsim", "verify", "--level", "7", "--check", "doubling"],
-        ["selfsim", "verify", "--level", "7", "--check", "transport"],
+        ["selfsim", "verify", "--level", "8", "--check", "doubling"],
+        ["selfsim", "verify", "--level", "8", "--check", "transport"],
         ["group", "snf", "--level", "6"],
         ["group", "check-theorem", "--level", "6"],
         ["group", "tau", "--level", "9", "--method", "matrix-tree"],
-        ["sandpile", "identity", "--level", "8"],
+        ["sandpile", "identity", "--level", "8", "--boundary", "corner_sink:lower_left"],
         ["markov", "simulate", "--level", "8", "--steps", "1"],
     ],
     ids=[

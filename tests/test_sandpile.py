@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +168,53 @@ def test_rounds_phase_matches_naive_toppling(level, boundary, rounds_calls):
             # generation is wide exactly when they are more than half.
             if 2 * (n - len(frozen)) > n:
                 assert rounds_calls == [sum(chips)]
+
+
+def parallel_stabilize(graph, chips):
+    """Reference toppling in parallel steps: every unstable vertex fires
+    once per step, through the sparse reduced Laplacian."""
+    laplacian = scipy.sparse.csr_matrix(np.array(reduced_laplacian(graph), dtype=np.int64))
+    c = np.array(chips, dtype=np.int64)
+    d = np.array(graph.degrees, dtype=np.int64)
+    odometer = np.zeros_like(c)
+    while (fires := (c >= d).astype(np.int64)).any():
+        odometer += fires
+        c -= laplacian @ fires
+    return c.tolist(), odometer.tolist()
+
+
+@pytest.mark.parametrize("boundary", ["normal", "corner_sink:lower_left", "corner_sink:top"])
+@pytest.mark.parametrize("level", range(6))
+def test_least_action_start_is_below_the_odometer(level, boundary):
+    graph = build_gasket(level, parse_boundary(boundary))
+    rng = random.Random(f"start:{level}:{boundary}")
+    for chips in wide_inputs(graph, rng):
+        want = parallel_stabilize(graph, chips)
+        if level <= 3:
+            assert want == naive_stabilize(graph, chips, ())
+        start = sandpile._least_action_start(graph, chips)
+        assert all(0 <= s <= u for s, u in zip(start, want[1]))
+
+
+def test_rounds_never_untopple_negative_chips(rounds_calls):
+    # From non-negative chips the jump to the least-action start leaves no
+    # vertex below 0 chips; from a raw list with negative entries it leaves
+    # some negative, and such a vertex must not fire a negative number of
+    # times.
+    graph = build_gasket(3)
+    chips = [2 * (d - 1) for d in graph.degrees]
+    for v in range(0, graph.n_vertices, 7):
+        chips[v] = -1000
+    start = sandpile._least_action_start(graph, chips)
+    jumped = [
+        c - d * s + sum(start[w] for w in nbrs)
+        for c, d, s, nbrs in zip(chips, graph.degrees, start, graph.neighbors)
+    ]
+    assert min(jumped) < 0
+    result = list(chips)
+    odometer = sandpile.stabilize_list(graph, result)
+    assert rounds_calls == [sum(chips)]
+    assert (result, odometer) == naive_stabilize(graph, chips, ())
 
 
 def test_rounds_phase_is_guarded_against_int64_overflow(rounds_calls):

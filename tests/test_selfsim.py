@@ -96,7 +96,7 @@ def test_rotation_moves_chips_with_vertices():
         rotate_config(tile, "widdershins")
 
 
-@pytest.mark.parametrize("level", [2, 3, 6])
+@pytest.mark.parametrize("level", [2, 3, 6, 7])
 def test_tile_gluing_reproduces_the_identity(level):
     assert identity_from_tiles(level) == identity(build_gasket(level))
 
@@ -106,7 +106,7 @@ def test_identity_gluing_needs_level_at_least_2():
         identity_from_tiles(1)
 
 
-@pytest.mark.parametrize("level,gain", [(1, 10), (2, 34), (5, 970)])
+@pytest.mark.parametrize("level,gain", [(1, 10), (2, 34), (5, 970), (6, 2914)])
 def test_doubling_collects_the_frozen_corner_excess(level, gain):
     report = verify_doubling(level)
     assert report.passed
