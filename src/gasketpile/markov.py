@@ -214,12 +214,6 @@ def r_statistic(level: int, t: int) -> Fraction:
     return Fraction(3) ** (level - 1) * Fraction(n - 5, n + 1) ** (2 * t)
 
 
-def tv_lower_bound_exact(level: int, t: int) -> Fraction:
-    """TV(t) >= 1 - 4/(4 + R(t)), exactly (sensible for small t)."""
-    r = r_statistic(level, t)
-    return 1 - Fraction(4) / (4 + r)
-
-
 def tv_lower_bound(level: int, t: int) -> float:
     if level < 1:
         raise ValueError("the statistic needs level >= 1")

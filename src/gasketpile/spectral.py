@@ -97,16 +97,6 @@ class HarmonicFunction:
         return cmath.exp(2j * math.pi * float(rot))
 
 
-def product_harmonic(a: HarmonicFunction, b: HarmonicFunction) -> HarmonicFunction:
-    if a.graph is not b.graph:
-        raise ValueError("harmonic functions live on different graphs")
-    return HarmonicFunction(a.graph, tuple((x + y) % 1 for x, y in zip(a.rotation, b.rotation)))
-
-
-def trivial_character(graph: GasketGraph) -> HarmonicFunction:
-    return HarmonicFunction(graph, (Fraction(0),) * graph.n_vertices)
-
-
 def eigenvalue(h: HarmonicFunction):
     """Walk eigenvalue (1 + sum_v h(v)) / (n + 1).
 

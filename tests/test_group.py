@@ -13,7 +13,7 @@ from sympy.polys.matrices.normalforms import smith_normal_form
 from gasketpile import group, sandpile
 from gasketpile.gasket import NORMAL, CORNER_NAMES, build_gasket, corner_sink, reduced_laplacian
 
-from test_acceptance import GROUP_ORDERS
+from test_acceptance import GROUP_ORDERS, tau_fourth_power_identity
 from test_gasket import cofactor_det
 
 LEVEL3_FACTORS = [2, 2, 6, 6, 6, 6, 6, 6, 6, 6, 30, 90, 29790, 148950]
@@ -35,6 +35,78 @@ def random_nonsingular(rng, n, span=9):
 def mat_mul(a, b):
     bt = [list(col) for col in zip(*b)] if b else []
     return [[sum(x * y for x, y in zip(ra, cb)) for cb in bt] for ra in a]
+
+
+def exact_div(num, den):
+    q, r = divmod(num, den)
+    assert r == 0, "fraction-free elimination produced a remainder"
+    return q
+
+
+def dense_bareiss(matrix):
+    """Determinant by dense Bareiss elimination over every row below the
+    pivot: the reference for the banded kernel."""
+    n = len(matrix)
+    a = [[int(v) for v in row] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = a[k][k]
+        rowk = a[k]
+        for i in range(k + 1, n):
+            rowi = a[i]
+            aik = rowi[k]
+            a[i] = rowi[: k + 1] + [
+                exact_div(rowi[j] * piv - aik * rowk[j], prev) for j in range(k + 1, n)
+            ]
+        prev = piv
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def dense_gauss_jordan(matrix):
+    """(B, |det|) with matrix @ B == |det| * I by dense fraction-free
+    Gauss-Jordan on [A | I]; ArithmeticError if singular."""
+    n = len(matrix)
+    a = [
+        [int(v) for v in row] + [1 if i == j else 0 for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    break
+            else:
+                raise ArithmeticError("matrix is singular")
+        piv = a[k][k]
+        rowk = a[k]
+        for i in range(n):
+            if i == k:
+                continue
+            rowi = a[i]
+            aik = rowi[k]
+            a[i] = [exact_div(rowi[j] * piv - aik * rowk[j], prev) for j in range(2 * n)]
+        prev = piv
+    det = a[n - 1][n - 1] if n else 1
+    if det < 0:
+        return [[-v for v in row[n:]] for row in a], -det
+    return [row[n:] for row in a], det
+
+
+def element_order(graph, entries):
+    """Order of the class of `entries` in the sandpile group: the common
+    denominator of Delta^{-1} @ x."""
+    return group.laplacian_factor(graph).solve(entries)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +135,67 @@ def test_determinant_matches_cofactor_oracle_on_randoms():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4))
 def test_determinant_matches_cofactor_oracle(rows):
     assert group.determinant(rows) == cofactor_det(rows)
+
+
+def reference_cases(rng, count):
+    """Random 1x1 to 8x8 matrices, dense and sparse.  A third get a zero
+    leading entry (a row swap at the first step) and a third a repeated row
+    (singular; a zero entry at 1x1).  About half of the rest have a
+    negative determinant."""
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        density = rng.choice((0.2, 0.4, 0.7, 1.0))
+        m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind == 1 or (kind == 2 and n == 1):
+            m[0][0] = 0
+        elif kind == 2:
+            i, j = rng.sample(range(n), 2)
+            m[i] = list(m[j])
+        yield m
+
+
+def test_fraction_free_kernel_equals_the_dense_references():
+    rng = random.Random(14)
+    seen = {"swap": 0, "singular": 0, "negative": 0}
+    for m in reference_cases(rng, 1500):
+        det = group.determinant(m)
+        assert det == dense_bareiss(m)
+        seen["swap"] += m[0][0] == 0 and any(row[0] for row in m)
+        seen["negative"] += det < 0
+        if det == 0:
+            seen["singular"] += 1
+            with pytest.raises(ArithmeticError):
+                group.scaled_inverse(m)
+            with pytest.raises(ArithmeticError):
+                dense_gauss_jordan(m)
+        else:
+            assert group.scaled_inverse(m) == dense_gauss_jordan(m)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_fraction_free_kernel_swaps_a_zero_pivot_for_the_lowest_row():
+    # The leading entry is zero; rows 1 and 2 both qualify, row 1 is taken.
+    m = [[0, 2, 1], [3, 1, 4], [5, 9, 2]]
+    assert group.determinant(m) == dense_bareiss(m) == cofactor_det(m) == 50
+    # Here the second pivot vanishes only after the first step.
+    m = [[1, 2, 3], [2, 4, 1], [3, 1, 5]]
+    assert group.determinant(m) == dense_bareiss(m) == cofactor_det(m)
+    b, scale = group.scaled_inverse(m)
+    assert (b, scale) == dense_gauss_jordan(m)
+    assert mat_mul(m, b) == [[scale * v for v in row] for row in group.mat_identity(3)]
+    assert group.determinant([[0, 0], [0, 5]]) == 0
+
+
+def test_reference_paths_use_neither_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reference path called a production engine")
+
+    lap = reduced_laplacian(build_gasket(2))
+    monkeypatch.setattr(group, "laplacian_factor", refuse)
+    monkeypatch.setattr(group, "smith_mod", refuse)
+    assert group.determinant(lap) == GROUP_ORDERS[2]
+    assert group.scaled_inverse(lap)[1] == GROUP_ORDERS[2]
 
 
 def test_determinant_transpose_invariance():
@@ -341,7 +474,7 @@ def decimation_order(level):
     return order * 2 * (2 + 3 * c) ** 2
 
 
-@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("level", range(6))
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
 def test_factor_determinant_equals_bareiss(level, boundary):
     graph = build_gasket(level, boundary)
@@ -463,7 +596,7 @@ def test_lattice_queries_equal_the_adjugate_reference(level):
         vectors += [[ref.det // 2 * c for c in vectors[2]], [ref.det * c for c in vectors[3]]]
         for x in vectors:
             assert group.in_lattice(graph, x) == ref.in_lattice(x)
-            assert group.element_order(graph, x) == ref.element_order(x)
+            assert element_order(graph, x) == ref.element_order(x)
             reduced = group.lattice_reduce(graph, x)
             assert reduced == ref.reduce(x)
             y, den = group.laplacian_factor(graph).solve(reduced)
@@ -551,11 +684,11 @@ def test_in_lattice_accepts_laplacian_columns():
 
 def test_element_orders_on_level0():
     graph = build_gasket(0)
-    orders = [group.element_order(graph, group.delta_vector(graph, v)) for v in range(3)]
+    orders = [element_order(graph, group.delta_vector(graph, v)) for v in range(3)]
     assert all(group.sandpile_group_order(graph) % o == 0 for o in orders)
     assert math.lcm(*orders) == 10  # the group exponent of Z5 + Z10
     lap = reduced_laplacian(graph)
-    assert group.element_order(graph, [lap[i][0] for i in range(3)]) == 1
+    assert element_order(graph, [lap[i][0] for i in range(3)]) == 1
 
 
 def test_element_order_is_the_minimal_multiplier():
@@ -563,7 +696,7 @@ def test_element_order_is_the_minimal_multiplier():
     rng = random.Random(9)
     for _ in range(10):
         vec = [rng.randrange(-5, 6) for _ in range(6)]
-        k = group.element_order(graph, vec)
+        k = element_order(graph, vec)
         assert group.in_lattice(graph, [k * v for v in vec])
         for p in {p for p in (2, 19) if k % p == 0}:
             assert not group.in_lattice(graph, [(k // p) * v for v in vec])
@@ -581,7 +714,7 @@ def test_quotient_by_one_generator_divides_out_its_order():
         order = group.sandpile_group_order(graph)
         for _ in range(5):
             vec = [rng.randrange(-4, 5) for _ in range(graph.n_vertices)]
-            assert math.prod(group.quotient_invariants(graph, [vec])) * group.element_order(graph, vec) == order
+            assert math.prod(group.quotient_invariants(graph, [vec])) * element_order(graph, vec) == order
 
 
 def test_quotient_by_the_standard_basis_is_trivial():
@@ -638,4 +771,4 @@ def test_tau_matrix_tree_agrees_with_recursion(level):
 
 @pytest.mark.parametrize("level", range(4))
 def test_tau_fourth_power_identity(level):
-    assert group.tau_fourth_power_identity(level)
+    assert tau_fourth_power_identity(level)

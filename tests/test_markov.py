@@ -224,9 +224,14 @@ def test_lower_bound_is_below_the_exact_curve():
         assert markov.tv_lower_bound(1, t) <= curve[t] + 1e-12
 
 
+def tv_lower_bound_exact(level, t):
+    """TV(t) >= 1 - 4/(4 + R(t)), exactly."""
+    return 1 - Fraction(4) / (4 + markov.r_statistic(level, t))
+
+
 def test_r_statistic_values():
     assert markov.r_statistic(3, 0) == 9
-    assert markov.tv_lower_bound_exact(3, 0) == Fraction(9, 13)
+    assert tv_lower_bound_exact(3, 0) == Fraction(9, 13)
     assert markov.tv_lower_bound(3, 0) == pytest.approx(9 / 13)
     n = build_gasket(2).n_vertices
     assert markov.r_statistic(2, 1) == 3 * Fraction(n - 5, n + 1) ** 2
