@@ -239,6 +239,8 @@ def cmd_spectral_distance(parser, args) -> int:
 
 
 def cmd_markov_simulate(parser, args) -> int:
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
     # Many trials are evaluated from their draws; one trajectory costs an identity.
     if args.trials > 1:
         _check_level(parser, args)
@@ -269,6 +271,8 @@ def cmd_markov_simulate(parser, args) -> int:
 
 
 def cmd_markov_report(parser, args) -> int:
+    if args.trials < 0:
+        parser.error("--trials must be >= 0")
     _check_level(parser, args)
     if args.level < 1:
         parser.error("--level must be >= 1")

@@ -507,8 +507,8 @@ def laplacian_factor(graph: GasketGraph) -> LaplacianFactor:
 # ---------------------------------------------------------------------------
 # Cached lattice data per graph: the order from the factorization, the Smith
 # basis of the reduced Laplacian and the positive lift, reused by the
-# recurrent-representative computation, the character enumeration, and the
-# stationary sampler.
+# recurrent-representative computation, the character enumeration and the
+# walk spectrum.
 # ---------------------------------------------------------------------------
 
 
@@ -582,14 +582,6 @@ class LatticeData:
         coordinates on the cyclic summands, reduced modulo their orders."""
         x = list(entries)
         return tuple(sum(u * v for u, v in zip(self.Uinv[i], x)) % d for i, d in self.cyclic)
-
-    def from_coordinates(self, coords: list[int]) -> list[int]:
-        """A class representative x = U @ c for coordinates on the cyclic
-        summands."""
-        full = [0] * len(self.diag)
-        for (i, _), c in zip(self.cyclic, coords, strict=True):
-            full[i] = c
-        return mat_vec(self.U, full)
 
 
 @lru_cache(maxsize=None)

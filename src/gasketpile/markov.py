@@ -15,6 +15,11 @@ bound on mixing. Each cell's parity is a group character, so it is the same
 on every configuration of a class, and it is 1 on the identity, the group's
 zero. After t steps the statistic therefore depends only on the draws:
 `estimate_chi_decay` counts their parities per cell.
+
+The stationary law is uniform on recurrent configurations.
+`sample_stationary` draws from it without any group algebra: a uniform
+spanning tree by Wilson's algorithm, mapped to its recurrent configuration
+by the burning bijection.
 """
 
 from __future__ import annotations
@@ -131,52 +136,92 @@ def estimate_chi_decay(level: int, t: int, trials: int, seed: int | None = None)
 
 
 # ---------------------------------------------------------------------------
-# Exact stationary sampling through the Smith basis.
+# Exact stationary sampling from uniform spanning trees.
 # ---------------------------------------------------------------------------
 
 
-def sample_stationary(graph: GasketGraph, rng: random.Random) -> Configuration:
-    """A uniformly random recurrent configuration: uniform Smith coordinates
-    pick a uniform group class, whose recurrent representative is returned."""
-    data = group.lattice_data(graph)
-    coords = [rng.randrange(d) for d in data.nontrivial]
-    return recurrent_rep(graph, data.from_coordinates(coords))
+def _slot_targets(graph: GasketGraph) -> list[tuple[int, ...]]:
+    """Vertex v's `degrees[v]` edge slots: slot k < len(neighbors[v]) leads to
+    neighbors[v][k], and each of the last `beta[v]` slots to the sink, which
+    is index n.  A corner's two sink edges are two slots."""
+    sink = graph.n_vertices
+    return [nbrs + (sink,) * b for nbrs, b in zip(graph.neighbors, graph.beta)]
 
 
-def stationary_chi_samples(level: int, count: int, seed: int | None = None) -> np.ndarray:
-    """Values of the distinguishing statistic under the stationary measure.
+def _wilson_slots(graph: GasketGraph, rng: random.Random) -> list[int]:
+    """Each vertex's parent slot in a uniform spanning tree rooted at the
+    sink, by Wilson's algorithm (Wilson 1996): from every vertex not yet in
+    the tree, in canonical order, walk to the tree, choosing one of the
+    current vertex's slots uniformly at each step, and add the walk's loop
+    erasure.  Recording every exit and retracing keeps the last exit from
+    each vertex, which erases the loops in the order they closed."""
+    n = graph.n_vertices
+    targets = _slot_targets(graph)
+    degrees = graph.degrees
+    randrange = rng.randrange
+    in_tree = bytearray(n + 1)
+    in_tree[n] = 1
+    slots = [0] * n
+    for start in range(n):
+        u = start
+        while not in_tree[u]:
+            k = randrange(degrees[u])
+            slots[u] = k
+            u = targets[u][k]
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = 1
+            u = targets[u][slots[u]]
+    return slots
 
-    The statistic is a class function, so it is evaluated directly on the
-    uniformly drawn group class (through parities of Smith basis columns)
-    without materializing recurrent representatives; the distribution is
-    identical to evaluating on sample_stationary output.
+
+def _burning_config(graph: GasketGraph, slots: list[int]) -> Configuration:
+    """The recurrent configuration of the spanning tree whose parent slots
+    are `slots`, by the burning bijection (Majumdar & Dhar 1992).
+
+    Fire burns from the sink at time 0, and a vertex burns at its tree depth.
+    A vertex v of depth d burns at time d when it holds at least as many chips
+    as it has slots to vertices not yet burnt by d - 1, and fewer than its
+    slots to those not burnt by d - 2.  That leaves one chip count for each
+    slot of v to depth exactly d - 1, and the parent slot's rank among them
+    picks it:
+
+        c_v = deg v - #(slots to depth <= d - 1) + rank of the parent slot.
     """
-    graph = build_gasket(level)
-    data = group.lattice_data(graph)
-    cells = level1_cells(level)
-    factors = data.nontrivial
-    # Bitmask per cell: parity contribution of each Smith coordinate.
-    masks = []
-    for cell in cells:
-        mask = 0
-        for bit, (col, _) in enumerate(data.cyclic):
-            s = sum(data.U[v][col] for v in cell.midpoint_indices)
-            if s % 2:
-                mask |= 1 << bit
-        masks.append(mask)
-    rng = trajectory_rng(master_seed(seed), 0)
-    n_cells = len(cells)
-    out = np.empty(count)
-    for j in range(count):
-        cbits = 0
-        for bit, d in enumerate(factors):
-            if rng.randrange(d) % 2:
-                cbits |= 1 << bit
-        total = 0
-        for mask in masks:
-            total += -1 if (mask & cbits).bit_count() % 2 else 1
-        out[j] = total / n_cells
-    return out
+    n = graph.n_vertices
+    targets = _slot_targets(graph)
+    depth = [-1] * n + [0]
+    for start in range(n):
+        path = []
+        u = start
+        while depth[u] < 0:
+            path.append(u)
+            u = targets[u][slots[u]]
+        d = depth[u]
+        for u in reversed(path):
+            d += 1
+            depth[u] = d
+    chips = []
+    for v, slot in enumerate(slots):
+        below = depth[v] - 1
+        burnt = rank = 0
+        for k, w in enumerate(targets[v]):
+            dw = depth[w]
+            if dw <= below:
+                burnt += 1
+                if dw == below and k < slot:
+                    rank += 1
+        chips.append(len(targets[v]) - burnt + rank)
+    return Configuration(graph, tuple(chips))
+
+
+def sample_stationary(graph: GasketGraph, rng: random.Random) -> Configuration:
+    """A uniformly random recurrent configuration: the burning bijection's
+    image of a uniform spanning tree rooted at the sink.  The bijection maps
+    the det(Delta) spanning trees onto the det(Delta) recurrent
+    configurations, so the image of the uniform tree is uniform, the
+    stationary law of the walk."""
+    return _burning_config(graph, _wilson_slots(graph, rng))
 
 
 # ---------------------------------------------------------------------------

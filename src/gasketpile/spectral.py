@@ -206,6 +206,7 @@ def enumerate_characters(
     columns = [
         [(v * (common // d)) % common for v in data.Uinv[i]] for i, d in data.cyclic
     ]
+    fractions = [Fraction(a, common) for a in range(common)]
     out = []
     for counts in product(*(range(d) for d in data.nontrivial)):
         acc = [0] * n
@@ -213,7 +214,7 @@ def enumerate_characters(
             if m:
                 for v in range(n):
                     acc[v] += m * col[v]
-        rotation = tuple(Fraction(a % common, common) for a in acc)
+        rotation = tuple(fractions[a % common] for a in acc)
         out.append(HarmonicFunction(graph, rotation))
     return out
 

@@ -8,6 +8,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 from scipy.stats import chi2
 
 from gasketpile import group, markov, sandpile
@@ -26,6 +27,7 @@ from gasketpile.selfsim import identity_from_tiles, verify_doubling
 from gasketpile.spectral import (
     HarmonicFunction,
     cell_harmonic,
+    distinguishing_statistic,
     eigenvalue,
     exact_distance,
     l2_bound_check,
@@ -224,7 +226,12 @@ def test_criterion_8_monte_carlo():
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     critical = chi2.ppf(0.99, 49)
     assert stat <= critical, f"chi-square {stat:.2f} over critical {critical:.2f}"
-    samples = markov.stationary_chi_samples(3, 10_000)
+    graph = build_gasket(3)
+    rng = markov.trajectory_rng(markov.master_seed(None), 0)
+    samples = np.array([
+        distinguishing_statistic(graph, markov.sample_stationary(graph, rng).chips)
+        for _ in range(10_000)
+    ])
     var = samples.var(ddof=1)
     centered = samples - samples.mean()
     se = math.sqrt((float((centered**4).mean()) - var**2) / len(samples))

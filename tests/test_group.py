@@ -637,7 +637,10 @@ def test_lattice_data_round_trips_coordinates():
         assert math.prod(data.diag) == data.order
         for _ in range(20):
             coords = [rng.randrange(d) for d in data.nontrivial]
-            vec = data.from_coordinates(coords)
+            full = [0] * len(data.diag)  # U @ c with c on the cyclic summands
+            for (i, _), c in zip(data.cyclic, coords):
+                full[i] = c
+            vec = group.mat_vec(data.U, full)
             assert list(data.coordinates(vec)) == coords
 
 

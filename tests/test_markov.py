@@ -1,15 +1,19 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from gasketpile import group, markov, sandpile
-from gasketpile.gasket import build_gasket, corner_sink
+from gasketpile.gasket import CORNER_NAMES, LOWER_LEFT, NORMAL, build_gasket, corner_sink
 from gasketpile.sandpile import identity, is_recurrent_burning, recurrent_rep, stabilize
 from gasketpile.spectral import GroupTooLargeError, distinguishing_statistic
 
 G1 = build_gasket(1)
+BOUNDARIES = (NORMAL, *(corner_sink(c) for c in CORNER_NAMES))
 
 
 def test_master_seed_resolution(monkeypatch):
@@ -173,23 +177,87 @@ def test_stationary_sampler_yields_recurrent_configs():
     assert all(is_recurrent_burning(recurrent_rep(graph, list(chips))) for chips in list(seen)[:5])
 
 
-def test_stationary_chi_samples_match_direct_evaluation():
-    level, count, seed = 2, 150, 5
-    samples = markov.stationary_chi_samples(level, count, seed=seed)
-    graph = build_gasket(level)
-    data = group.lattice_data(graph)
-    rng = markov.trajectory_rng(markov.master_seed(seed), 0)
-    for j in range(count):
-        coords = [rng.randrange(d) for d in data.nontrivial]
-        vec = data.from_coordinates(coords)
-        assert samples[j] == distinguishing_statistic(graph, vec)
-
-
 def test_stationary_chi_samples_have_the_right_moments():
-    samples = markov.stationary_chi_samples(2, 4_000, seed=0)
+    graph = build_gasket(2)
+    rng = markov.trajectory_rng(0, 0)
+    samples = np.array([
+        distinguishing_statistic(graph, markov.sample_stationary(graph, rng).chips)
+        for _ in range(4_000)
+    ])
     assert set(samples).issubset({-1.0, -1 / 3, 1 / 3, 1.0})
     assert abs(samples.mean()) < 4 / math.sqrt(len(samples))
     assert samples.var(ddof=1) == pytest.approx(1 / 3, rel=0.15)
+
+
+def spanning_tree_slots(graph):
+    """Every parent-slot assignment that forms a tree rooted at the sink:
+    slot k of vertex v leads to neighbors[v][k], the last beta[v] slots to
+    the sink (index n)."""
+    n = graph.n_vertices
+    targets = [nbrs + (n,) * b for nbrs, b in zip(graph.neighbors, graph.beta)]
+
+    def reaches_sink(slots, u):
+        for _ in range(n):  # a path to the sink has at most n steps
+            u = targets[u][slots[u]]
+            if u == n:
+                return True
+        return False
+
+    for slots in itertools.product(*(range(d) for d in graph.degrees)):
+        if all(reaches_sink(slots, v) for v in range(n)):
+            yield list(slots)
+
+
+@pytest.mark.parametrize(
+    "level, boundary, order",
+    [(0, NORMAL, 50), (1, NORMAL, 1_444), (1, corner_sink(LOWER_LEFT), 54)],
+    ids=["L0-normal", "L1-normal", "L1-corner_sink:lower_left"],
+)
+def test_burning_bijection_maps_every_tree_to_a_distinct_recurrent_config(level, boundary, order):
+    graph = build_gasket(level, boundary)
+    images = {}
+    for slots in spanning_tree_slots(graph):
+        conf = markov._burning_config(graph, slots)
+        assert conf.chips not in images, f"trees {images[conf.chips]} and {slots} collide"
+        assert is_recurrent_burning(conf)
+        images[conf.chips] = slots
+    assert len(images) == order == group.sandpile_group_order(graph)
+
+
+def test_stationary_sampler_is_uniform_over_the_level1_group():
+    graph = build_gasket(1)
+    classes = group.sandpile_group_order(graph)
+    draws = 20 * classes
+    rng = markov.trajectory_rng(0, 0)
+    counts = Counter(markov.sample_stationary(graph, rng).chips for _ in range(draws))
+    assert len(counts) == classes
+    expected = draws / classes
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    critical = chi2.ppf(0.99, classes - 1)
+    assert stat <= critical, f"chi-square {stat:.1f} over critical {critical:.1f}"
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_stationary_samples_are_recurrent_at_levels_0_to_6(boundary):
+    rng = markov.trajectory_rng(0, 0)
+    for level in range(7):
+        graph = build_gasket(level, boundary)
+        for _ in range(3):
+            conf = markov.sample_stationary(graph, rng)
+            assert conf.is_stable and is_recurrent_burning(conf), (level, conf.chips)
+
+
+def test_stationary_sampler_needs_no_group_algebra_and_no_toppling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_stationary reached the group algebra or the toppling code")
+
+    graph = build_gasket(3)
+    for name in ("smith_mod", "lattice_data", "laplacian_factor"):
+        monkeypatch.setattr(group, name, refuse)
+    monkeypatch.setattr(sandpile, "_stabilize_raw", refuse)
+    rng = markov.trajectory_rng(0, 0)
+    samples = [markov.sample_stationary(graph, rng) for _ in range(20)]
+    assert all(conf.is_stable for conf in samples)
 
 
 def test_exact_tv_curve_level0():

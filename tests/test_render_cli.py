@@ -444,3 +444,21 @@ def test_cli_rejects_negative_step_counts(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["markov", "simulate", "--level", "1", "--steps", "2", "--trials", "0"], "--trials must be >= 1"),
+        (["markov", "simulate", "--level", "1", "--steps", "2", "--trials", "-3"], "--trials must be >= 1"),
+        (["markov", "report", "--level", "1", "--trials", "-1"], "--trials must be >= 0"),
+    ],
+    ids=["simulate-zero", "simulate-negative", "report-negative"],
+)
+def test_cli_refuses_bad_trial_counts(argv, reason, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
