@@ -71,10 +71,10 @@ _DOUBLING_WHY = (
 _SMITH_WHY = "the Smith form of the level-6 Laplacian takes about 20-26 s"
 _TRANSPORT_WHY = "the transport check takes about 1 s at level 6 and 7 s at level 7"
 _IDENTITY_WHY = (
-    "stabilizing the identity takes about 8 s at level 8, and on a corner-sink "
-    "boundary about 3 s at level 7 and 46 s at level 8"
+    "stabilizing the identity takes about 6 s at level 8, and on a corner-sink "
+    "boundary about 2 s at level 7 and 23 s at level 8"
 )
-_TRAJECTORY_WHY = "one trajectory stabilizes its draw counts: about 2 s at level 7 and 22 s at level 8"
+_TRAJECTORY_WHY = "one trajectory stabilizes its draw counts: about 2 s at level 7 and 23 s at level 8"
 
 
 def cmd_gasket(parser, args) -> int:

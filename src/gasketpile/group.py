@@ -6,7 +6,7 @@ every exact quantity from two engines.  `laplacian_factor` is a sparse
 LDL^T of Delta over the rationals, eliminating vertices cell by cell,
 finest level first (nested dissection); the product of its pivots is the
 order, and its O(n) solves of Delta y = x decide lattice membership,
-element orders, the reduction modulo the lattice and the positive lift.
+element orders and the reduction modulo the lattice.
 `smith_mod` is a bounded-entry Smith reduction modulo the order that gives
 the invariant factors, the adapted basis and quotient invariants.  The
 recursive and matrix-tree spanning tree counts live here too.
@@ -56,10 +56,6 @@ def digits(value: int) -> str:
 
 def mat_identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Matrix, x: list[int]) -> list[int]:
-    return [sum(r[k] * x[k] for k in range(len(x))) for r in a]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -505,10 +501,9 @@ def laplacian_factor(graph: GasketGraph) -> LaplacianFactor:
 
 
 # ---------------------------------------------------------------------------
-# Cached lattice data per graph: the order from the factorization, the Smith
-# basis of the reduced Laplacian and the positive lift, reused by the
-# recurrent-representative computation, the character enumeration and the
-# walk spectrum.
+# Cached lattice data per graph: the order from the factorization and the
+# Smith basis of the reduced Laplacian, reused by the character enumeration
+# and the walk spectrum.
 # ---------------------------------------------------------------------------
 
 
@@ -521,12 +516,11 @@ class LatticeData:
     Everything else is computed on first use, once: `diag` (the invariant
     factors, including the trivial ones) by `smith_mod` modulo the order;
     `basis`, the adapted basis U, Uinv with its own diagonal, by one
-    `smith_mod` run with transforms; `lift` by one sparse solve of
-    Delta w = L * ones.  `diag` has its own diagonal-only run because it
-    costs a small fraction of the basis.  Both Smith runs must multiply out
-    to the order and the lift must be positive; each violation raises
-    ArithmeticError.  `cyclic` lists the positions and orders of the
-    nontrivial factors, the coordinates every class label uses."""
+    `smith_mod` run with transforms.  `diag` has its own diagonal-only run
+    because it costs a small fraction of the basis.  Both Smith runs must
+    multiply out to the order, or ArithmeticError is raised.  `cyclic` lists
+    the positions and orders of the nontrivial factors, the coordinates
+    every class label uses."""
 
     graph: GasketGraph
     order: int
@@ -563,20 +557,6 @@ class LatticeData:
     def nontrivial(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.cyclic)
 
-    @cached_property
-    def lift(self) -> tuple[list[int], int]:
-        """Positive integer vector w and the least scale L with
-        Delta @ w == L * ones: w / L = Delta^{-1} ones.
-
-        Exists with w > 0 because Delta^{-1} is entrywise non-negative for
-        these sink-connected Laplacians; adding k * (Delta @ w) to a vector
-        raises every entry by k * L without changing its class.
-        """
-        w, scale = laplacian_factor(self.graph).solve([1] * self.graph.n_vertices)
-        if any(x <= 0 for x in w):
-            raise ArithmeticError("lift vector must be positive")
-        return w, scale
-
     def coordinates(self, entries: list[int]) -> tuple[int, ...]:
         """Canonical label of the class of `entries`: its adapted-basis
         coordinates on the cyclic summands, reduced modulo their orders."""
@@ -597,9 +577,10 @@ def in_lattice(graph: GasketGraph, entries: list[int]) -> bool:
 
 
 def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
-    """x - Delta @ floor(Delta^{-1} x): the vector in the class of x whose
-    image under Delta^{-1} lies in [0, 1)^V.  Each entry is below the vertex
-    degree in absolute value."""
+    """x - Delta @ floor(Delta^{-1} x): the vector Delta @ f in the class of
+    x with f = Delta^{-1} x - floor(Delta^{-1} x) in [0, 1)^V.  Entry v is
+    deg(v) f_v minus the sum of f over the neighbours of v, an integer in
+    [1 - #neighbors(v), deg(v) - 1]."""
     x = [int(v) for v in entries]
     y, den = laplacian_factor(graph).solve(x)
     q = [v // den for v in y]

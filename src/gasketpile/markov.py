@@ -111,6 +111,8 @@ def estimate_chi_decay(level: int, t: int, trials: int, seed: int | None = None)
     different cells are disjoint, so a cell's parity is odd exactly when an
     odd number of draws landed on its midpoints.  A trial costs O(t + cells).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     expected = expected_chi(level, t)
     n = gasket_size(level)
     cells = level1_cells(level)

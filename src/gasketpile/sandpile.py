@@ -13,10 +13,10 @@ junction checks, and the CLI's `stabilize`.  When more than half of the
 vertices are queued at the start of a generation and a bound on the chip
 total shows that nothing can overflow int64, the rest of the avalanche runs
 as synchronous numpy rounds in which every vertex fires at once, as in the
-doubling game and the identity's two stabilizations.  Those rounds start
-from the least-action lower bound max(0, ceil(Delta^{-1}(c - m))) on the
-odometer, m = degree - 1, which one sparse solve gives and which is most of
-the odometer of a wide avalanche.
+doubling game and the stabilization behind a recurrent representative.
+Those rounds start from the least-action lower bound
+max(0, ceil(Delta^{-1}(c - m))) on the odometer, m = degree - 1, which one
+sparse solve gives and which is most of the odometer of a wide avalanche.
 """
 
 from __future__ import annotations
@@ -286,21 +286,9 @@ def is_recurrent_burning(conf: Configuration) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _recurrent_kicker(graph: GasketGraph) -> tuple[int, ...]:
-    """The vector 2*m - (2*m)degreewise-stabilized, where m is the maximal
-    stable configuration.  It is >= m pointwise and lies in the Laplacian
-    lattice, so adding it to anything and stabilizing lands on the recurrent
-    representative of the same group class."""
-    m = [d - 1 for d in graph.degrees]
-    doubled = [2 * v for v in m]
-    stabilize_list(graph, doubled)
-    return tuple(2 * mv - sv for mv, sv in zip(m, doubled))
-
-
-@lru_cache(maxsize=None)
 def identity(graph: GasketGraph) -> Configuration:
     """The neutral element of the sandpile group on recurrent configurations:
-    the recurrent representative of the zero class (the kicker, stabilized)."""
+    the recurrent representative of the zero class."""
     return recurrent_rep(graph, [0] * graph.n_vertices)
 
 
@@ -308,24 +296,21 @@ def recurrent_rep(graph: GasketGraph, entries) -> Configuration:
     """The unique recurrent configuration whose difference from `entries`
     lies in the reduced-Laplacian lattice.
 
-    The input is any integer vector (negative entries allowed).  It is first
-    reduced modulo the lattice (`group.lattice_reduce`) to keep the chip
-    counts small, lifted to non-negativity by adding a positive lattice
-    vector, then pushed onto the recurrent class representative by adding
-    the kicker and stabilizing.
+    The input is any integer vector (negative entries allowed).  With
+    m = degree - 1 the maximal stable configuration, it stabilizes
+    2m + `group.lattice_reduce`(entries - 2m), which is in the same class.
+    The reduced vector's entries lie in [1 - #neighbors(v), deg(v) - 1], so
+    every chip count is at least 2m_v - #neighbors(v) + 1 >= m_v, and a
+    configuration >= m stabilizes to the recurrent one in its class.
     """
     x = [int(v) for v in entries]
     if len(x) != graph.n_vertices:
         raise ValueError("entry vector length must match vertex count")
-    if any(abs(v) >= 2 * d for v, d in zip(x, graph.degrees)):
-        # Same class, entries below the degree in absolute value.
-        x = group.lattice_reduce(graph, x)
-    low = min(x)
-    if low < 0:
-        w, scale = group.lattice_data(graph).lift
-        k = (-low + scale - 1) // scale
-        x = [c + k * scale for c in x]  # adds k * Delta @ w
-    chips = [c + kick for c, kick in zip(x, _recurrent_kicker(graph))]
+    m = [d - 1 for d in graph.degrees]
+    reduced = group.lattice_reduce(graph, [v - 2 * mv for v, mv in zip(x, m)])
+    chips = [2 * mv + r for mv, r in zip(m, reduced)]
+    if any(c < mv for c, mv in zip(chips, m)):
+        raise ArithmeticError("reduced configuration falls below the maximal stable one")
     stabilize_list(graph, chips)
     return Configuration(graph, tuple(chips))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -35,6 +36,10 @@ def random_nonsingular(rng, n, span=9):
 def mat_mul(a, b):
     bt = [list(col) for col in zip(*b)] if b else []
     return [[sum(x * y for x, y in zip(ra, cb)) for cb in bt] for ra in a]
+
+
+def mat_vec(a, x):
+    return [sum(r[k] * x[k] for k in range(len(x))) for r in a]
 
 
 def exact_div(num, den):
@@ -228,7 +233,7 @@ def assert_exact_adapted_basis(basis, matrix):
     n = len(matrix)
     assert mat_mul(basis.U, basis.Uinv) == group.mat_identity(n)
     for j in range(n):
-        coords = group.mat_vec(basis.Uinv, [matrix[i][j] for i in range(n)])
+        coords = mat_vec(basis.Uinv, [matrix[i][j] for i in range(n)])
         assert all(c % d == 0 for c, d in zip(coords, basis.diag))
 
 
@@ -317,13 +322,13 @@ def test_smith_mod_transforms_give_an_adapted_basis():
         # Every column of the input lies in U diag(d) Z^n.
         cols = [[m[i][j] for i in range(n)] for j in range(n)]
         for col in cols:
-            coords = group.mat_vec(basis.Uinv, col)
+            coords = mat_vec(basis.Uinv, col)
             assert all(c % d == 0 for c, d in zip(coords, basis.diag))
         # Every adapted generator lies in col(m) + det * Z^n.
         adj, scale = group.scaled_inverse(m)
         for j in range(n):
             gen = [basis.U[i][j] * basis.diag[j] for i in range(n)]
-            assert all(v % scale == 0 for v in group.mat_vec(adj, gen))
+            assert all(v % scale == 0 for v in mat_vec(adj, gen))
 
 
 def test_smith_mod_entries_stay_bounded():
@@ -420,8 +425,8 @@ def test_level4_adapted_basis_is_unimodular():
     rng = random.Random(13)
     for _ in range(3):
         x = [rng.randint(-1000, 1000) for _ in range(graph.n_vertices)]
-        assert group.mat_vec(data.U, group.mat_vec(data.Uinv, x)) == x
-        coords = group.mat_vec(data.Uinv, group.mat_vec(delta, x))
+        assert mat_vec(data.U, mat_vec(data.Uinv, x)) == x
+        coords = mat_vec(data.Uinv, mat_vec(delta, x))
         assert all(c % d == 0 for c, d in zip(coords, data.diag))
 
 
@@ -522,7 +527,7 @@ def test_solve_equals_the_dense_adjugate(level):
         for x in random_vectors(rng, graph.n_vertices):
             y, den = factor.solve(x)
             assert den >= 1
-            assert [Fraction(v, den) for v in y] == [Fraction(v, det) for v in group.mat_vec(adj, x)]
+            assert [Fraction(v, den) for v in y] == [Fraction(v, det) for v in mat_vec(adj, x)]
             # den is the least common denominator.
             assert math.gcd(den, *y) == 1
 
@@ -542,18 +547,43 @@ def test_solve_rejects_a_corrupted_factor():
         dataclasses.replace(factor, below=tuple(below)).solve(ones)
 
 
+def recurrent_kicker(graph):
+    """The vector 2m - stab(2m), m the maximal stable configuration: it is
+    >= m pointwise and lies in the Laplacian lattice, so adding it to a
+    non-negative vector and stabilizing lands on the recurrent
+    representative of the same class."""
+    m = [d - 1 for d in graph.degrees]
+    doubled = [2 * v for v in m]
+    sandpile.stabilize_list(graph, doubled)
+    return [2 * mv - sv for mv, sv in zip(m, doubled)]
+
+
 class AdjugateReference:
-    """The dense adjugate paths that the sparse solves replaced."""
+    """The dense adjugate paths that the sparse solves replaced, and the
+    recurrent representative by reduction, a uniform positive lift and the
+    kicker.  The adjugate is built on first use, so the representative of a
+    vector that needs neither reduction nor lift runs at any level."""
 
     def __init__(self, graph):
         self.graph = graph
-        self.adj, self.det = group.scaled_inverse(reduced_laplacian(graph))
+
+    @functools.cached_property
+    def adjugate(self):
+        return group.scaled_inverse(reduced_laplacian(self.graph))
+
+    @property
+    def adj(self):
+        return self.adjugate[0]
+
+    @property
+    def det(self):
+        return self.adjugate[1]
 
     def in_lattice(self, x):
-        return all(v % self.det == 0 for v in group.mat_vec(self.adj, x))
+        return all(v % self.det == 0 for v in mat_vec(self.adj, x))
 
     def element_order(self, x):
-        return math.lcm(*(self.det // math.gcd(self.det, v) for v in group.mat_vec(self.adj, x)))
+        return math.lcm(*(self.det // math.gcd(self.det, v) for v in mat_vec(self.adj, x)))
 
     def lift(self):
         raw = [sum(row) for row in self.adj]
@@ -562,7 +592,7 @@ class AdjugateReference:
 
     def reduce(self, x):
         graph = self.graph
-        y = [v // self.det for v in group.mat_vec(self.adj, x)]
+        y = [v // self.det for v in mat_vec(self.adj, x)]
         return [
             x[v] - graph.degrees[v] * y[v] + sum(y[w] for w in nbrs)
             for v, nbrs in enumerate(graph.neighbors)
@@ -577,7 +607,7 @@ class AdjugateReference:
             _, scale = self.lift()
             k = (-low + scale - 1) // scale
             x = [c + k * scale for c in x]
-        chips = [c + kick for c, kick in zip(x, sandpile._recurrent_kicker(graph))]
+        chips = [c + kick for c, kick in zip(x, recurrent_kicker(graph))]
         sandpile.stabilize_list(graph, chips)
         return sandpile.Configuration(graph, tuple(chips))
 
@@ -589,7 +619,6 @@ def test_lattice_queries_equal_the_adjugate_reference(level):
         graph = build_gasket(level, boundary)
         ref = AdjugateReference(graph)
         n = graph.n_vertices
-        assert group.lattice_data(graph).lift == ref.lift()
         lap = reduced_laplacian(graph)
         vectors = list(random_vectors(rng, n))
         vectors += [[lap[i][v] * rng.randint(-9, 9) for i in range(n)] for v in range(min(n, 5))]
@@ -601,7 +630,16 @@ def test_lattice_queries_equal_the_adjugate_reference(level):
             assert reduced == ref.reduce(x)
             y, den = group.laplacian_factor(graph).solve(reduced)
             assert all(0 <= v < den for v in y)
+            for r, d, nbrs in zip(reduced, graph.degrees, graph.neighbors):
+                assert 1 - len(nbrs) <= r <= d - 1
             assert sandpile.recurrent_rep(graph, x) == ref.recurrent_rep(x)
+
+
+@pytest.mark.parametrize("level", (4, 5, 6))
+def test_corner_sink_identities_equal_the_kicker_reference(level):
+    graph = build_gasket(level, corner_sink(CORNER_NAMES[level % 3]))
+    ref = AdjugateReference(graph).recurrent_rep([0] * graph.n_vertices)
+    assert sandpile.identity(graph) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +678,7 @@ def test_lattice_data_round_trips_coordinates():
             full = [0] * len(data.diag)  # U @ c with c on the cyclic summands
             for (i, _), c in zip(data.cyclic, coords):
                 full[i] = c
-            vec = group.mat_vec(data.U, full)
+            vec = mat_vec(data.U, full)
             assert list(data.coordinates(vec)) == coords
 
 

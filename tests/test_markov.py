@@ -286,6 +286,12 @@ def test_negative_step_counts_are_rejected():
         markov.run_chain(G1, -5)
 
 
+@pytest.mark.parametrize("trials", (0, -1, -50))
+def test_estimate_rejects_trial_counts_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        markov.estimate_chi_decay(1, 5, trials)
+
+
 def test_lower_bound_is_below_the_exact_curve():
     curve = markov.exact_tv_curve(G1, 20)
     for t in range(21):

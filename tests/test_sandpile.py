@@ -301,6 +301,29 @@ def test_recurrent_rep_handles_wild_entries():
     assert recurrent_rep(G1, list(eta.chips)) == eta
 
 
+@pytest.mark.parametrize("level", range(1, 5))
+def test_recurrent_rep_stabilizes_once(level, monkeypatch):
+    """A cold identity and the representative of a wild vector each cost one
+    stabilization: no cached helper configuration is stabilized first."""
+    real = sandpile._stabilize_raw
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    graph = build_gasket(level)
+    for cached in vars(sandpile).values():
+        if hasattr(cached, "cache_clear") and getattr(cached, "__module__", None) == sandpile.__name__:
+            cached.cache_clear()
+    monkeypatch.setattr(sandpile, "_stabilize_raw", counting)
+    identity(graph)
+    assert len(calls) == 1
+    rng = random.Random(level)
+    recurrent_rep(graph, [rng.randint(-10**6, 10**6) for _ in range(graph.n_vertices)])
+    assert len(calls) == 2
+
+
 def test_recurrent_rep_rejects_wrong_length():
     with pytest.raises(ValueError):
         recurrent_rep(G0, [1, 2])
