@@ -34,7 +34,11 @@ from .sandpile import (
 
 
 def _read_config(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     stripped = text.strip()
     if stripped.startswith("{"):
         return config_from_json(json.loads(stripped))
@@ -156,12 +160,12 @@ def cmd_group_snf(parser, args) -> int:
     data = {
         "level": graph.level,
         "boundary": graph.boundary.token(),
-        "invariant_factors": [str(d) for d in data_l.nontrivial],
+        "invariant_factors": [str(d) for d in data_l.invariants],
         "determinant": str(data_l.order),
     }
     human = [
         f"group order {data_l.order}",
-        "invariant factors " + " ".join(str(d) for d in data_l.nontrivial),
+        "invariant factors " + " ".join(str(d) for d in data_l.invariants),
     ]
     _print(data, args.json, human)
     return 0
@@ -291,6 +295,8 @@ def cmd_markov_report(parser, args) -> int:
 
 
 def cmd_render(parser, args) -> int:
+    if args.scale < 1:
+        parser.error("--scale must be >= 1")
     conf = _read_config(args.input)
     fmt = args.format or ("svg" if args.out.endswith(".svg") else "ppm")
     spec = render.RenderSpec(fmt=fmt, scale=args.scale)

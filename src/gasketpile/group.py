@@ -7,9 +7,10 @@ LDL^T of Delta over the rationals, eliminating vertices cell by cell,
 finest level first (nested dissection); the product of its pivots is the
 order, and its O(n) solves of Delta y = x decide lattice membership,
 element orders and the reduction modulo the lattice.
-`smith_mod` is a bounded-entry Smith reduction modulo the order that gives
-the invariant factors, the adapted basis and quotient invariants.  The
-recursive and matrix-tree spanning tree counts live here too.
+`smith_mod` is a bounded-entry Smith reduction modulo the order that
+`quotient_invariants` runs without transforms (the invariant factors are the
+quotient by nothing) and `LatticeData.basis` with them, for the adapted
+basis.  The recursive and matrix-tree spanning tree counts live here too.
 
 Bareiss determinants (`determinant`) and the fraction-free adjugate
 (`scaled_inverse`) are reference paths that the tests and the benchmark
@@ -364,7 +365,7 @@ def scaled_inverse(matrix: Matrix) -> tuple[Matrix, int]:
 
 
 def sandpile_group_invariants(graph: GasketGraph) -> list[int]:
-    return list(lattice_data(graph).nontrivial)
+    return list(lattice_data(graph).invariants)
 
 
 def sandpile_group_order(graph: GasketGraph) -> int:
@@ -501,9 +502,9 @@ def laplacian_factor(graph: GasketGraph) -> LaplacianFactor:
 
 
 # ---------------------------------------------------------------------------
-# Cached lattice data per graph: the order from the factorization and the
-# Smith basis of the reduced Laplacian, reused by the character enumeration
-# and the walk spectrum.
+# Cached lattice data per graph: the order from the factorization, the
+# invariant factors and the Smith basis of the reduced Laplacian, reused by
+# the character enumeration and the walk spectrum.
 # ---------------------------------------------------------------------------
 
 
@@ -513,31 +514,30 @@ class LatticeData:
     reduced Laplacian Delta, whose index `order` is det(Delta), the product
     of the pivots of `laplacian_factor`.
 
-    Everything else is computed on first use, once: `diag` (the invariant
-    factors, including the trivial ones) by `smith_mod` modulo the order;
-    `basis`, the adapted basis U, Uinv with its own diagonal, by one
-    `smith_mod` run with transforms.  `diag` has its own diagonal-only run
-    because it costs a small fraction of the basis.  Both Smith runs must
-    multiply out to the order, or ArithmeticError is raised.  `cyclic` lists
-    the positions and orders of the nontrivial factors, the coordinates
-    every class label uses."""
+    Everything else is computed on first use, once, and must multiply out to
+    the order, or ArithmeticError is raised.  `invariants`, the invariant
+    factors above 1, is `quotient_invariants` by no generators.  `basis`, the
+    adapted basis U, Uinv, comes from one `smith_mod` run with transforms and
+    names its own summands: `cyclic` lists the positions and orders of its
+    factors above 1, the coordinates every class label uses."""
 
     graph: GasketGraph
     order: int
 
-    def _smith(self, transforms: bool) -> AdaptedBasis:
-        dec = smith_mod(reduced_laplacian(self.graph), self.order, transforms=transforms)
-        if math.prod(dec.diag) != self.order:
+    def _checked(self, factors: list[int]) -> list[int]:
+        if math.prod(factors) != self.order:
             raise ArithmeticError("invariant factors disagree with the determinant")
-        return dec
+        return factors
 
     @cached_property
-    def diag(self) -> tuple[int, ...]:
-        return tuple(self._smith(transforms=False).diag)
+    def invariants(self) -> tuple[int, ...]:
+        return tuple(self._checked(quotient_invariants(self.graph, [])))
 
     @cached_property
     def basis(self) -> AdaptedBasis:
-        return self._smith(transforms=True)
+        dec = smith_mod(reduced_laplacian(self.graph), self.order, transforms=True)
+        self._checked(dec.diag)
+        return dec
 
     @property
     def U(self) -> Matrix:
@@ -549,13 +549,9 @@ class LatticeData:
 
     @cached_property
     def cyclic(self) -> tuple[tuple[int, int], ...]:
-        """(position, factor) for every invariant factor above 1: the cyclic
+        """(position, factor) for every factor of `basis` above 1: the cyclic
         summands Z/factor, with U's column `position` as generator."""
-        return tuple((i, d) for i, d in enumerate(self.diag) if d > 1)
-
-    @property
-    def nontrivial(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.cyclic)
+        return tuple((i, d) for i, d in enumerate(self.basis.diag) if d > 1)
 
     def coordinates(self, entries: list[int]) -> tuple[int, ...]:
         """Canonical label of the class of `entries`: its adapted-basis
@@ -659,9 +655,11 @@ class GroupTheoremReport:
 
 # Which sub-copy supplies the two neighbors of each junction in the quotient
 # generators: junction on the left side pairs with the top copy, bottom with
-# the lower-left copy, right with the lower-right copy.
+# the lower-left copy, right with the lower-right copy.  No other assignment
+# is tried: the reflection (a, b) -> (b, a), a gasket automorphism, maps this
+# one onto the flipped one (left with lower-left, bottom with lower-right,
+# right with top), so the two quotients are isomorphic.
 _PRIMARY_ASSIGNMENT = (("left", TOP), ("bottom", LOWER_LEFT), ("right", LOWER_RIGHT))
-_FLIPPED_ASSIGNMENT = (("left", LOWER_LEFT), ("bottom", LOWER_RIGHT), ("right", TOP))
 
 
 def _junction_copy_vector(graph: GasketGraph, side: str, copy: str) -> list[int]:
@@ -687,8 +685,6 @@ def check_group_theorem(level: int) -> GroupTheoremReport:
     The left side quotients G_n by the classes of the three junction deltas
     and, per junction, the sum of its two neighbors inside one sub-copy.  The
     right side quotients G_{n-1} by two corner deltas, once per corner pair.
-    If the primary junction-copy assignment fails, the flipped one is tried
-    and reported.
     """
     if level < 1:
         raise ValueError("decomposition needs level >= 1")
@@ -700,27 +696,20 @@ def check_group_theorem(level: int) -> GroupTheoremReport:
         for i, j in ((x, y), (y, z), (z, x))
     ]
     rhs = direct_sum_invariants(rhs_parts)
-    rhs_order = math.prod(d for part in rhs_parts for d in part)
-    junction_deltas = [
-        delta_vector(parent, parent.junction_index(side))
-        for side in ("left", "right", "bottom")
+    generators = [_junction_copy_vector(parent, side, copy) for side, copy in _PRIMARY_ASSIGNMENT]
+    generators += [
+        delta_vector(parent, parent.junction_index(side)) for side in ("left", "right", "bottom")
     ]
-    report = None
-    for name, assignment in (("primary", _PRIMARY_ASSIGNMENT), ("flipped", _FLIPPED_ASSIGNMENT)):
-        u_vectors = [_junction_copy_vector(parent, side, copy) for side, copy in assignment]
-        lhs = quotient_invariants(parent, u_vectors + junction_deltas)
-        report = GroupTheoremReport(
-            level=level,
-            passed=(lhs == rhs),
-            convention=name,
-            lhs_factors=lhs,
-            rhs_factors=rhs,
-            lhs_order=math.prod(lhs),
-            rhs_order=rhs_order,
-        )
-        if report.passed:
-            break
-    return report
+    lhs = quotient_invariants(parent, generators)
+    return GroupTheoremReport(
+        level=level,
+        passed=(lhs == rhs),
+        convention="primary",
+        lhs_factors=lhs,
+        rhs_factors=rhs,
+        lhs_order=math.prod(lhs),
+        rhs_order=math.prod(d for part in rhs_parts for d in part),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,8 @@ def r_statistic(level: int, t: int) -> Fraction:
     """R(t) = 3**(n-1) * (1 - 6/(n+1))**(2t), exactly."""
     if level < 1:
         raise ValueError("the statistic needs level >= 1")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     n = gasket_size(level)
     return Fraction(3) ** (level - 1) * Fraction(n - 5, n + 1) ** (2 * t)
 
@@ -264,6 +266,8 @@ def r_statistic(level: int, t: int) -> Fraction:
 def tv_lower_bound(level: int, t: int) -> float:
     if level < 1:
         raise ValueError("the statistic needs level >= 1")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     return _r_and_tv_lower(level, t)[1]
 
 

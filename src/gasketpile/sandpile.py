@@ -88,7 +88,7 @@ def max_config(graph: GasketGraph) -> Configuration:
     return Configuration(graph, tuple(d - 1 for d in graph.degrees))
 
 
-def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
+def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=()):
     """Topple in place until stable; returns the odometer.  This is the only
     code in the package that fires vertices.
 
@@ -100,16 +100,14 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
     Frozen vertices get a threshold above the total chip count, which
     toppling never reaches, so they never fire and simply accumulate chips.
 
-    Passing an rng pops in random order, one vertex at a time, which the
-    tests use to exercise order-independence.  Without one the queue is FIFO
-    and runs one generation at a time (the vertices queued when the pass
-    starts).  Before each generation it looks at the avalanche's width: when
-    more than half of the vertices are queued and every value the rest of
-    the stabilization can reach provably fits in int64 (`_fits_int64`), the
-    rest goes to `_topple_rounds`, synchronous rounds on numpy arrays that
-    first fire the least-action lower bound on the odometer at once.  By the
-    abelian property and least action, both give the same result and
-    odometer as the queue.
+    The queue is FIFO and runs one generation at a time (the vertices queued
+    when the pass starts).  Before each generation it looks at the
+    avalanche's width: when more than half of the vertices are queued and
+    every value the rest of the stabilization can reach provably fits in
+    int64 (`_fits_int64`), the rest goes to `_topple_rounds`, synchronous
+    rounds on numpy arrays that first fire the least-action lower bound on
+    the odometer at once.  By the abelian property and least action, the
+    rounds give the same result and odometer as the queue.
     """
     degrees = graph.degrees
     if frozen:
@@ -124,17 +122,12 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
         chips[v] -= d
     queue = [v for v, e in enumerate(chips) if e >= 0]
     while queue:
-        if rng is not None:
-            i = rng.randrange(len(queue))
-            queue[i], queue[-1] = queue[-1], queue[i]
-            generation = [queue.pop()]
-        elif 2 * len(queue) > n and _fits_int64(chips, degrees):
+        if 2 * len(queue) > n and _fits_int64(chips, degrees):
             for v, d in enumerate(degrees):
                 chips[v] += d
             rounds = _topple_rounds(graph, chips, degrees)
             return [a + b for a, b in zip(odometer, rounds)]
-        else:
-            generation, queue = queue, []
+        generation, queue = queue, []
         push = queue.append
         for v in generation:
             d = degrees[v]
@@ -233,15 +226,15 @@ def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int
     return odometer.tolist()
 
 
-def stabilize_list(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
+def stabilize_list(graph: GasketGraph, chips: list[int], frozen=()):
     """In-place stabilization of a raw chip list; returns the odometer.
 
     `_stabilize_raw`, followed when CHECK_CONSERVATION is set by an exact
     check of result = start - Laplacian @ odometer at every vertex."""
     if not CHECK_CONSERVATION:
-        return _stabilize_raw(graph, chips, frozen, rng)
+        return _stabilize_raw(graph, chips, frozen)
     before = list(chips)
-    odometer = _stabilize_raw(graph, chips, frozen, rng)
+    odometer = _stabilize_raw(graph, chips, frozen)
     degrees, neighbors = graph.degrees, graph.neighbors
     for v in range(len(before)):
         received = sum(odometer[w] for w in neighbors[v])
@@ -250,14 +243,14 @@ def stabilize_list(graph: GasketGraph, chips: list[int], frozen=(), rng=None):
     return odometer
 
 
-def stabilize(conf: Configuration, frozen=(), rng=None):
+def stabilize(conf: Configuration, frozen=()):
     """Stabilize a configuration; returns (stable configuration, odometer).
 
     With a frozen vertex set, those vertices are excluded from toppling, so
     the result is stable off the frozen set and the odometer is zero on it.
     """
     chips = list(conf.chips)
-    odometer = stabilize_list(conf.graph, chips, frozen, rng)
+    odometer = stabilize_list(conf.graph, chips, frozen)
     return Configuration(conf.graph, tuple(chips)), tuple(odometer)
 
 

@@ -198,7 +198,8 @@ def enumerate_characters(
     if data.order > cap:
         raise GroupTooLargeError(data.order, cap)
     n = graph.n_vertices
-    common = math.lcm(*data.nontrivial)
+    orders = [d for _, d in data.cyclic]
+    common = math.lcm(*orders)
     # The Laplacian is symmetric, so Delta^{-1} Z^V = Uinv^T D^{-1} Z^V: row i
     # of Uinv divided by d_i generates the d_i-torsion of the dual group.
     # Scale by common/d_i and reduce mod common; the rotation vector of the
@@ -208,7 +209,7 @@ def enumerate_characters(
     ]
     fractions = [Fraction(a, common) for a in range(common)]
     out = []
-    for counts in product(*(range(d) for d in data.nontrivial)):
+    for counts in product(*(range(d) for d in orders)):
         acc = [0] * n
         for m, col in zip(counts, columns):
             if m:
@@ -237,7 +238,7 @@ def walk_spectrum(graph: GasketGraph, cap: int = DEFAULT_CHARACTER_CAP) -> np.nd
     data = group.lattice_data(graph)
     if data.order > cap:
         raise GroupTooLargeError(data.order, cap)
-    counts = np.zeros(data.nontrivial or (1,))
+    counts = np.zeros([d for _, d in data.cyclic] or (1,))
     counts.flat[0] = 1
     for v in range(graph.n_vertices):
         counts[data.coordinates(group.delta_vector(graph, v))] += 1

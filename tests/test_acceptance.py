@@ -15,6 +15,7 @@ from gasketpile import group, markov, sandpile
 from gasketpile.gasket import build_gasket, reduced_laplacian
 from gasketpile.render import BACKGROUND, PALETTE, render_ppm
 from gasketpile.sandpile import (
+    Configuration,
     config,
     identity,
     is_recurrent_burning,
@@ -49,6 +50,30 @@ def tau_fourth_power_identity(level):
     lhs = tau**4 * 20 * 5 ** (2 * level)
     rhs = 3 * 3 ** (2 * level) * 540 ** (3**level)
     return lhs == rhs
+
+
+def random_order_stabilize(conf, rng, frozen=()):
+    """Reference toppling in a random firing order, independent of the
+    kernel: keep the list of unstable vertices off the frozen set, fire a
+    uniformly chosen one as often as it can at once, until none is left.
+    Returns (stable configuration, odometer), as `stabilize` does."""
+    graph = conf.graph
+    degrees, neighbors = graph.degrees, graph.neighbors
+    chips = list(conf.chips)
+    odometer = [0] * len(chips)
+    unstable = [v for v, (c, d) in enumerate(zip(chips, degrees)) if c >= d and v not in frozen]
+    while unstable:
+        i = rng.randrange(len(unstable))
+        unstable[i], unstable[-1] = unstable[-1], unstable[i]
+        v = unstable.pop()
+        fires = chips[v] // degrees[v]
+        chips[v] -= fires * degrees[v]
+        odometer[v] += fires
+        for w in neighbors[v]:
+            chips[w] += fires
+            if chips[w] - fires < degrees[w] <= chips[w] and w not in frozen:
+                unstable.append(w)
+    return Configuration(graph, tuple(chips)), tuple(odometer)
 
 
 def product_harmonic(a, b):
@@ -266,7 +291,7 @@ def test_criterion_9_property_suites():
             conf = config(graph, chips)
             base, base_odo = stabilize(conf)
             for order_seed in (1, 2):
-                other, other_odo = stabilize(conf, rng=random.Random(order_seed))
+                other, other_odo = random_order_stabilize(conf, random.Random(order_seed))
                 assert other == base and other_odo == base_odo
             checked += 1
     assert checked == 100

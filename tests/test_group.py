@@ -11,8 +11,17 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form
 
-from gasketpile import group, sandpile
-from gasketpile.gasket import NORMAL, CORNER_NAMES, build_gasket, corner_sink, reduced_laplacian
+from gasketpile import cli, group, sandpile
+from gasketpile.gasket import (
+    CORNER_NAMES,
+    LOWER_LEFT,
+    LOWER_RIGHT,
+    NORMAL,
+    TOP,
+    build_gasket,
+    corner_sink,
+    reduced_laplacian,
+)
 
 from test_acceptance import GROUP_ORDERS, tau_fourth_power_identity
 from test_gasket import cofactor_det
@@ -354,6 +363,13 @@ def test_smith_mod_matches_the_oracle_on_unit_dense_matrices():
         assert_smith_mod_matches_the_oracle(m, k * math.prod(d for d in oracle_diagonal(m) if d))
 
 
+# The junction-copy assignment with the roles of the copies turned: left
+# with lower-left, bottom with lower-right, right with top.  The reflection
+# (a, b) -> (b, a) maps the production assignment onto it, so its quotient
+# must be the same group.
+FLIPPED_ASSIGNMENT = (("left", LOWER_LEFT), ("bottom", LOWER_RIGHT), ("right", TOP))
+
+
 def theorem_generator_sets(graph):
     """The generator sets the group theorem quotients by at this level: the
     corner-delta pairs, and the junction deltas with either assignment of
@@ -368,7 +384,7 @@ def theorem_generator_sets(graph):
             group.delta_vector(graph, graph.junction_index(side))
             for side in ("left", "right", "bottom")
         ]
-        for assignment in (group._PRIMARY_ASSIGNMENT, group._FLIPPED_ASSIGNMENT):
+        for assignment in (group._PRIMARY_ASSIGNMENT, FLIPPED_ASSIGNMENT):
             pairs = [group._junction_copy_vector(graph, side, copy) for side, copy in assignment]
             sets += [pairs + junctions, pairs, junctions]
     return sets
@@ -398,7 +414,7 @@ def test_smith_mod_gives_an_exact_adapted_basis_of_the_laplacian(level):
     graph = build_gasket(level)
     delta = reduced_laplacian(graph)
     basis = group.smith_mod(delta, group.sandpile_group_order(graph), transforms=True)
-    assert basis.diag == list(group.lattice_data(graph).diag)
+    assert [d for d in basis.diag if d > 1] == list(group.lattice_data(graph).invariants)
     assert_exact_adapted_basis(basis, delta)
 
 
@@ -427,7 +443,7 @@ def test_level4_adapted_basis_is_unimodular():
         x = [rng.randint(-1000, 1000) for _ in range(graph.n_vertices)]
         assert mat_vec(data.U, mat_vec(data.Uinv, x)) == x
         coords = mat_vec(data.Uinv, mat_vec(delta, x))
-        assert all(c % d == 0 for c, d in zip(coords, data.diag))
+        assert all(c % d == 0 for c, d in zip(coords, data.basis.diag))
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +688,10 @@ def test_lattice_data_round_trips_coordinates():
     rng = random.Random(8)
     for level in (0, 1, 2, 3):
         data = group.lattice_data(build_gasket(level))
-        assert math.prod(data.diag) == data.order
+        assert math.prod(data.basis.diag) == data.order
         for _ in range(20):
-            coords = [rng.randrange(d) for d in data.nontrivial]
-            full = [0] * len(data.diag)  # U @ c with c on the cyclic summands
+            coords = [rng.randrange(d) for _, d in data.cyclic]
+            full = [0] * len(data.basis.diag)  # U @ c with c on the cyclic summands
             for (i, _), c in zip(data.cyclic, coords):
                 full[i] = c
             vec = mat_vec(data.U, full)
@@ -697,8 +713,9 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
     assert mat_mul(data.U, data.Uinv) == group.mat_identity(graph.n_vertices)
     assert data.U is data.basis.U and data.Uinv is data.basis.Uinv
     assert calls == [True]
-    # The invariant factors have their own, cheaper diagonal-only run.
-    assert list(data.diag) == data.basis.diag
+    # The summands come from the basis; the invariant factors are the
+    # quotient by nothing, one more run, without transforms.
+    assert data.invariants == tuple(d for _, d in data.cyclic)
     assert calls == [True, False]
 
     def wrong_diagonal(matrix, modulus, transforms=False):
@@ -707,7 +724,7 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
         return dec
 
     monkeypatch.setattr(group, "smith_mod", wrong_diagonal)
-    for view in ("diag", "U"):
+    for view in ("invariants", "U"):
         with pytest.raises(ArithmeticError):
             getattr(group.LatticeData(graph, order), view)
 
@@ -791,6 +808,39 @@ def test_three_copy_quotient_matches_junction_pair_sum(level, factors):
     assert report.convention == "primary"
     assert report.lhs_factors == report.rhs_factors == factors
     assert report.lhs_order == report.rhs_order
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_flipped_junction_assignment_gives_the_same_quotient(level):
+    # The symmetry that lets the theorem check try one assignment only.
+    graph = build_gasket(level)
+    junctions = [
+        group.delta_vector(graph, graph.junction_index(side)) for side in ("left", "right", "bottom")
+    ]
+    primary, flipped = (
+        group.quotient_invariants(
+            graph, [group._junction_copy_vector(graph, side, copy) for side, copy in assignment] + junctions
+        )
+        for assignment in (group._PRIMARY_ASSIGNMENT, FLIPPED_ASSIGNMENT)
+    )
+    assert primary == flipped
+
+
+def test_a_failing_group_theorem_computes_its_quotient_once(monkeypatch, capsys):
+    real = group.quotient_invariants
+    parent_quotients = []
+
+    def broken(graph, generators):
+        factors = real(graph, generators)
+        if graph.level == 2:
+            parent_quotients.append(len(generators))
+            factors = factors + [7]
+        return factors
+
+    monkeypatch.setattr(group, "quotient_invariants", broken)
+    assert cli.main(["group", "check-theorem", "--level", "2"]) == 1
+    assert parent_quotients == [6]
+    assert "decomposition level 2: FAIL (convention primary)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

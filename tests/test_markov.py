@@ -284,6 +284,10 @@ def test_negative_step_counts_are_rejected():
         markov.estimate_chi_decay(1, -1, 3)
     with pytest.raises(ValueError, match="must be >= 0"):
         markov.run_chain(G1, -5)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        markov.tv_lower_bound(2, -3)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        markov.r_statistic(2, -1)
 
 
 @pytest.mark.parametrize("trials", (0, -1, -50))

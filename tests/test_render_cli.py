@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import random
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -323,6 +325,28 @@ def test_cli_render_formats(tmp_path, capsys):
     code, _ = run_cli(capsys, "render", "--input", str(conf_path), "--out", str(svg_path))
     assert code == 0
     assert svg_path.read_bytes().startswith(b"<svg")
+
+
+@pytest.mark.parametrize("scale", ["0", "-3"])
+def test_cli_render_refuses_a_scale_below_one(scale, tmp_path, capsys):
+    conf_path = tmp_path / "conf.txt"
+    conf_path.write_text(config_to_text(identity(G1)))
+    out_path = tmp_path / "out.svg"
+    with pytest.raises(SystemExit) as info:
+        main(["render", "--input", str(conf_path), "--out", str(out_path), "--scale", scale])
+    assert info.value.code == 2
+    assert "--scale must be >= 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_cli_closes_its_input_file(tmp_path, capsys):
+    path = tmp_path / "max.txt"
+    path.write_text(config_to_text(max_config(G1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sandpile", "burn", "--input", str(path)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_cli_rejects_bad_level(capsys):

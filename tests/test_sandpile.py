@@ -25,6 +25,7 @@ from gasketpile.sandpile import (
     zero_config,
 )
 from gasketpile.selfsim import build_tile
+from test_acceptance import random_order_stabilize
 
 G0 = build_gasket(0)
 G1 = build_gasket(1)
@@ -90,7 +91,7 @@ def test_random_firing_order_matches_fifo(level):
         conf = random_config(graph, rng)
         base, base_odo = stabilize(conf)
         for order_seed in range(3):
-            other, other_odo = stabilize(conf, rng=random.Random(order_seed))
+            other, other_odo = random_order_stabilize(conf, random.Random(order_seed))
             assert other == base
             assert other_odo == base_odo
 
@@ -122,9 +123,9 @@ def test_kernel_matches_naive_toppling(level, boundary):
         conf = random_config(graph, rng).add_chips(rng.randrange(n), rng.randrange(40))
         frozen = rng.sample(range(n), rng.randrange(1, min(n, 4))) if trial % 2 else ()
         want = naive_stabilize(graph, conf.chips, frozen)
-        for order in (None, random.Random(trial)):
-            result, odometer = stabilize(conf, frozen=frozen, rng=order)
-            assert (list(result.chips), list(odometer)) == want
+        result, odometer = stabilize(conf, frozen=frozen)
+        assert (list(result.chips), list(odometer)) == want
+        assert random_order_stabilize(conf, random.Random(trial), frozen) == (result, odometer)
 
 
 @pytest.fixture
@@ -217,28 +218,34 @@ def test_rounds_never_untopple_negative_chips(rounds_calls):
     assert (result, odometer) == naive_stabilize(graph, chips, ())
 
 
-def test_rounds_phase_is_guarded_against_int64_overflow(rounds_calls):
+def test_rounds_phase_is_guarded_against_int64_overflow(rounds_calls, monkeypatch):
     # With T chips on n vertices an odometer entry stays below T * 8n**2.
     # 2**40 chips on each of 42 vertices keep that below 2**60, so the
     # rounds take over at once.
     g3 = build_gasket(3)
     wide = config(g3, [2**40] * g3.n_vertices)
-    assert stabilize(wide) == stabilize(wide, rng=random.Random(3))
+    wide_result = stabilize(wide)
     assert rounds_calls == [wide.total]
     # Just under the bound at level 0 the rounds move up to 2**54 chips per
     # neighbour pair, beyond float64's 2**53: the sums must be exact.
     rounds_calls.clear()
     near = config(G0, [2**55 - 1, 2**55 - 3, 2**55 - 7])
-    assert stabilize(near) == stabilize(near, rng=random.Random(4))
+    near_result = stabilize(near)
     assert rounds_calls == [near.total]
     # A pile of 2**70 does not fit in int64 at all: the queue works in Python
     # ints until the sink has taken enough chips for the bound to hold.
     rounds_calls.clear()
     pile = zero_config(G1).add_chips(0, 2**70)
     result, odometer = stabilize(pile)
-    assert (result, odometer) == stabilize(pile, rng=random.Random(5))
     assert result.is_stable and max(odometer) >= 2**64
     assert all(total * 8 * 6**2 < 2**63 for total in rounds_calls)
+    # The queue alone, in Python ints, gives the same results.
+    rounds_calls.clear()
+    monkeypatch.setattr(sandpile, "_fits_int64", lambda excess, thresholds: False)
+    assert stabilize(wide) == wide_result
+    assert stabilize(near) == near_result
+    assert stabilize(pile) == (result, odometer)
+    assert rounds_calls == []
 
 
 def test_burning_accepts_maximal_config():

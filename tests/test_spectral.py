@@ -214,7 +214,7 @@ def rolled_tv_reference(graph, t_max):
     np.roll per vertex shift and step, plus the lazy sink move."""
     data = group.lattice_data(graph)
     n = graph.n_vertices
-    dist = np.zeros(data.nontrivial)
+    dist = np.zeros([d for _, d in data.cyclic])
     dist.flat[0] = 1.0  # the identity class has zero coordinates
     shifts = [data.coordinates(group.delta_vector(graph, v)) for v in range(n)]
     axes = tuple(range(dist.ndim))
@@ -257,14 +257,38 @@ def test_walk_spectrum_holds_the_trivial_eigenvalue_first():
         walk_spectrum(G1, cap=1443)
 
 
-def test_refusals_come_before_any_smith_work():
+def test_refusals_come_before_any_smith_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused request reached the Smith code")
+
     group.lattice_data.cache_clear()
+    monkeypatch.setattr(group, "smith_mod", refuse)
     graph = build_gasket(2)
     with pytest.raises(GroupTooLargeError):
         exact_tv_curve(graph, 3)
     with pytest.raises(GroupTooLargeError):
         exact_distance(graph, 1)
-    assert "diag" not in group.lattice_data(graph).__dict__
+    with pytest.raises(GroupTooLargeError):
+        enumerate_characters(graph)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [walk_spectrum, enumerate_characters, lambda graph: exact_tv_curve(graph, 4)],
+    ids=["walk_spectrum", "enumerate_characters", "exact_tv_curve"],
+)
+def test_the_spectrum_takes_one_smith_run_with_transforms(run, monkeypatch):
+    real = group.smith_mod
+    calls = []
+
+    def counting(matrix, modulus, transforms=False):
+        calls.append(transforms)
+        return real(matrix, modulus, transforms=transforms)
+
+    group.lattice_data.cache_clear()
+    monkeypatch.setattr(group, "smith_mod", counting)
+    run(G1)
+    assert calls == [True]
 
 
 def test_exact_distance_rejects_negative_times():
