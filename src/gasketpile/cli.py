@@ -68,12 +68,8 @@ def _check_level(parser, args, cap=8, why=""):
 
 # Levels past these caps would run for seconds to minutes; they are refused
 # at once.
-_DOUBLING_WHY = (
-    "the cost grows about 10x per level; at level 7 the doubling check takes about 2 s "
-    "and the junction check about 8 s"
-)
+_DOUBLING_WHY = "the doubling check takes about 1.5 s at level 7 and grows about 10x per level"
 _SMITH_WHY = "the Smith form of the level-6 Laplacian takes about 20-26 s"
-_TRANSPORT_WHY = "the transport check takes about 1 s at level 6 and 7 s at level 7"
 _IDENTITY_WHY = (
     "stabilizing the identity takes about 6 s at level 8, and on a corner-sink "
     "boundary about 2 s at level 7 and 23 s at level 8"
@@ -137,8 +133,8 @@ def cmd_selfsim_id(parser, args) -> int:
 
 
 def cmd_selfsim_verify(parser, args) -> int:
-    why = _TRANSPORT_WHY if args.check == "transport" else _DOUBLING_WHY
-    _check_level(parser, args, cap=7, why=why)
+    cap, why = (7, _DOUBLING_WHY) if args.check == "doubling" else (8, "")
+    _check_level(parser, args, cap=cap, why=why)
     if args.level < 1:
         parser.error("verification checks need --level >= 1")
     if args.check == "doubling":

@@ -89,6 +89,13 @@ def gasket_cells(level: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[t
     return tuple(order), canonical_edges
 
 
+def gasket_size(level: int) -> int:
+    """Vertex count of the bare level-`level` gasket, without building it."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    return 3 * (3**level + 1) // 2
+
+
 def corner_coords(level: int) -> dict[str, tuple[int, int]]:
     side = 1 << level
     return {LOWER_LEFT: (0, 0), LOWER_RIGHT: (side, 0), TOP: (0, side)}

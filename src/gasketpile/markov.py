@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gasket import GasketGraph, build_gasket
+from .gasket import GasketGraph, build_gasket, gasket_size
 from .sandpile import Configuration, recurrent_rep
 from .spectral import DEFAULT_CHARACTER_CAP, walk_spectrum
 from .spectral import level1_cells, t_star
@@ -276,12 +276,6 @@ def _r_and_tv_lower(level: int, t: int) -> tuple[float, float]:
     n = gasket_size(level)
     r = 3 ** (level - 1) * (1 - 6 / (n + 1)) ** (2 * t)
     return r, 1 - 4 / (4 + r)
-
-
-def gasket_size(level: int) -> int:
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return 3 * (3**level + 1) // 2
 
 
 def lower_bound_raw(level: int) -> float:

@@ -8,12 +8,12 @@ property the result and the firing counts (odometer) are order-independent.
 
 One kernel, `_stabilize_raw`, does all toppling, in two phases chosen from
 the input.  A work queue of unstable vertices, in exact Python ints, serves
-avalanches that start narrow: the burning test, the corner-transport and
-junction checks, and the CLI's `stabilize`.  When more than half of the
-vertices are queued at the start of a generation and a bound on the chip
-total shows that nothing can overflow int64, the rest of the avalanche runs
-as synchronous numpy rounds in which every vertex fires at once, as in the
-doubling game and the stabilization behind a recurrent representative.
+avalanches that start narrow: the burning test and the CLI's `stabilize`.
+When more than half of the vertices are queued at the start of a generation
+and a bound on the chip total shows that nothing can overflow int64, the
+rest of the avalanche runs as synchronous numpy rounds in which every vertex
+fires at once, as in the doubling game and the stabilization behind a
+recurrent representative.
 Those rounds start from the least-action lower bound
 max(0, ceil(Delta^{-1}(c - m))) on the odometer, m = degree - 1, which one
 sparse solve gives and which is most of the odometer of a wide avalanche.
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gasket import GasketGraph, build_gasket, parse_boundary
+from .gasket import GasketGraph, build_gasket, gasket_size, parse_boundary
 from . import group
 
 # When set (the test suite turns it on), every stabilization re-checks the
@@ -321,9 +321,19 @@ def config_to_json(conf: Configuration) -> dict:
     }
 
 
+def _serialized_graph(level: int, token: str, n_entries: int) -> GasketGraph:
+    """The graph a serialized configuration names.  The entry count is checked
+    against the vertex count formula first, so a wrong length is refused
+    without building the gasket."""
+    boundary = parse_boundary(token)
+    if n_entries != gasket_size(level) - (boundary.kind == "corner_sink"):
+        raise ValueError("chip vector length must match vertex count")
+    return build_gasket(level, boundary)
+
+
 def config_from_json(data: dict) -> Configuration:
-    graph = build_gasket(int(data["level"]), parse_boundary(data["boundary"]))
-    return config(graph, data["chips"])
+    chips = data["chips"]
+    return config(_serialized_graph(int(data["level"]), data["boundary"], len(chips)), chips)
 
 
 def config_to_text(conf: Configuration) -> str:
@@ -337,5 +347,5 @@ def config_from_text(text: str) -> Configuration:
     parts = text.split()
     if len(parts) < 2:
         raise ValueError("expected `level boundary c0 c1 ...`")
-    graph = build_gasket(int(parts[0]), parse_boundary(parts[1]))
+    graph = _serialized_graph(int(parts[0]), parts[1], len(parts) - 2)
     return config(graph, [int(p) for p in parts[2:]])

@@ -7,9 +7,9 @@ assembled from three level-n members whose corner arguments agree across the
 junctions.  Doubling such a configuration and stabilizing it with one corner
 as the sink reproduces the family with a shifted corner argument, the sunk
 corner collecting the chips that leave; gluing the all-2-corner member with
-its two rotations yields the group identity.  Every identity checked here is
-a stabilization under one of the two boundary conditions, normal or
-corner-sink.
+its two rotations yields the group identity.  Only the doubling identity is
+checked here by a stabilization; corner transport and junction invariance
+are decided by the burning test and lattice membership.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .gasket import (
     rotation_cw,
     subcopy_embedding,
 )
-from .sandpile import Configuration, config, identity, is_recurrent_burning, stabilize
+from .sandpile import Configuration, config, is_recurrent_burning, stabilize
 from . import group
 
 # Fixed interior of the level-1 family member, keyed by local coordinate:
@@ -212,28 +212,28 @@ def verify_corner_transport(
 ) -> TransportReport:
     """On the gasket with one corner sunk, adding 3**n chips at each of the
     other two corners is neutral: any recurrent configuration stabilizes back
-    to itself, equivalently the class of that chip vector is trivial."""
+    to itself, equivalently the class of that chip vector is trivial.  The
+    two are the same verdict: a recurrent configuration plus non-negative
+    chips stabilizes to a recurrent one (Holroyd, Levine, Meszaros, Peres,
+    Propp and Wilson 2008), and each class holds exactly one recurrent
+    configuration (Dhar 1990).  So no avalanche is run; an explicit `conf`
+    is only checked to be recurrent."""
     graph = build_gasket(level, corner_sink(corner))
-    if conf is None:
-        conf = identity(graph)
-    if conf.graph is not graph:
-        raise ValueError("configuration must live on the corner-sunk gasket")
-    if not is_recurrent_burning(conf):
-        raise ValueError("corner transport needs a recurrent configuration")
-    amount = 3**level
-    others = [graph.corner_index(name) for name in CORNER_NAMES if name != corner]
+    if conf is not None:
+        if conf.graph is not graph:
+            raise ValueError("configuration must live on the corner-sunk gasket")
+        if not is_recurrent_burning(conf):
+            raise ValueError("corner transport needs a recurrent configuration")
     added = [0] * graph.n_vertices
-    for idx in others:
-        added[idx] = amount
-    bumped = config(graph, [c + a for c, a in zip(conf.chips, added)])
-    result, _ = stabilize(bumped)
-    dynamic_ok = result == conf
+    for name in CORNER_NAMES:
+        if name != corner:
+            added[graph.corner_index(name)] = 3**level
     lattice_ok = group.in_lattice(graph, added)
     return TransportReport(
         level=level,
         corner=corner,
-        passed=dynamic_ok and lattice_ok,
-        dynamic_ok=dynamic_ok,
+        passed=lattice_ok,
+        dynamic_ok=lattice_ok,
         lattice_ok=lattice_ok,
     )
 
@@ -261,28 +261,30 @@ def verify_junction_invariance(level: int, conf: Configuration) -> JunctionRepor
     """Glue a recurrent configuration with 2-chip lower-right and top corners
     together with its two rotations into a level-(n+1) configuration: the
     result must be recurrent, and adding 2*3**n chips at each of the three
-    junctions must stabilize back to it."""
+    junctions must stabilize back to it.  A recurrent configuration plus
+    non-negative chips stabilizes to a recurrent one (Holroyd et al. 2008),
+    and each class holds one recurrent configuration (Dhar 1990), so a
+    recurrent glued configuration comes back exactly when the junction
+    vector is in the Laplacian lattice.  One that is not recurrent fails
+    both: if it came back, it would come back from every multiple of that
+    vector, which topples every vertex and so ends recurrent."""
     graph = build_gasket(level)
     if conf.graph is not graph:
         raise ValueError("configuration must live on the normally wired gasket")
-    y = graph.corner_index(LOWER_RIGHT)
-    z = graph.corner_index(TOP)
-    if conf.chips[y] != 2 or conf.chips[z] != 2:
+    if any(conf.chips[graph.corner_index(name)] != 2 for name in (LOWER_RIGHT, TOP)):
         raise ValueError("lower-right and top corner values must equal 2")
     if not is_recurrent_burning(conf):
         raise ValueError("junction invariance needs a recurrent configuration")
     assembled = _glue_with_rotations(conf)
     parent = assembled.graph
     recurrent_ok = is_recurrent_burning(assembled)
-    amount = 2 * 3**level
-    chips = list(assembled.chips)
+    added = [0] * parent.n_vertices
     for coord in junction_coords(level + 1).values():
-        chips[parent.index(coord)] += amount
-    result, _ = stabilize(config(parent, chips))
-    neutral_ok = result == assembled
+        added[parent.index(coord)] = 2 * 3**level
+    neutral_ok = recurrent_ok and group.in_lattice(parent, added)
     return JunctionReport(
         level=level,
-        passed=recurrent_ok and neutral_ok,
+        passed=neutral_ok,
         assembled_recurrent=recurrent_ok,
         junction_add_neutral=neutral_ok,
     )

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from gasketpile import group, markov, sandpile
-from gasketpile.gasket import CORNER_NAMES, LOWER_LEFT, NORMAL, build_gasket, corner_sink
+from gasketpile.gasket import CORNER_NAMES, LOWER_LEFT, NORMAL, build_gasket, corner_sink, gasket_size
 from gasketpile.sandpile import identity, is_recurrent_burning, recurrent_rep, stabilize
 from gasketpile.spectral import GroupTooLargeError, distinguishing_statistic
 
@@ -321,6 +321,7 @@ def test_r_statistic_decays():
 
 
 def test_gasket_size():
+    assert markov.gasket_size is gasket_size
     assert [markov.gasket_size(n) for n in range(6)] == [3, 6, 15, 42, 123, 366]
     assert all(markov.gasket_size(n) == build_gasket(n).n_vertices for n in range(6))
     with pytest.raises(ValueError):

@@ -359,7 +359,6 @@ def test_cli_rejects_bad_level(capsys):
     "argv",
     [
         ["selfsim", "verify", "--level", "8", "--check", "doubling"],
-        ["selfsim", "verify", "--level", "8", "--check", "transport"],
         ["group", "snf", "--level", "6"],
         ["group", "check-theorem", "--level", "6"],
         ["group", "tau", "--level", "9", "--method", "matrix-tree"],
@@ -368,7 +367,6 @@ def test_cli_rejects_bad_level(capsys):
     ],
     ids=[
         "verify-doubling",
-        "verify-transport",
         "snf",
         "check-theorem",
         "tau-matrix-tree",
@@ -419,9 +417,23 @@ def test_cli_matrix_tree_tau_prints_the_recursion_digits_at_level_8(capsys):
     assert capsys.readouterr().out.strip() == text
 
 
-def test_cli_transport_check_runs_at_level_6(capsys):
-    assert main(["selfsim", "verify", "--level", "6", "--check", "transport"]) == 0
-    assert capsys.readouterr().out.strip() == "corner_transport level 6: pass"
+@pytest.mark.parametrize("level,check", [(6, "transport"), (8, "transport"), (8, "junction")])
+def test_cli_transport_and_junction_checks_run_quickly(level, check, capsys):
+    # Both verdicts are a burning test and a lattice solve, not an avalanche.
+    name = {"transport": "corner_transport", "junction": "junction_invariance"}[check]
+    start = time.perf_counter()
+    assert main(["selfsim", "verify", "--level", str(level), "--check", check]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out.strip() == f"{name} level {level}: pass"
+
+
+def test_cli_refuses_a_wrong_length_before_building_the_gasket(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("11 normal 1 2 3")
+    start = time.perf_counter()
+    assert main(["sandpile", "burn", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "chip vector length must match vertex count" in capsys.readouterr().err
 
 
 def test_cli_tau_recursion_keeps_the_general_cap(capsys):

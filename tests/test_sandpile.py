@@ -387,3 +387,27 @@ def test_text_rejects_garbage():
         config_from_text("2")
     with pytest.raises(ValueError):
         config_from_text("0 nonsense 1 2 3")
+
+
+def test_a_wrong_length_is_refused_before_the_gasket_is_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_gasket called")
+
+    monkeypatch.setattr(sandpile, "build_gasket", no_build)
+    for text in ("30 normal 1 2 3", "30 corner_sink:top 1"):
+        with pytest.raises(ValueError, match="chip vector length must match vertex count"):
+            config_from_text(text)
+    doc = {"level": 30, "boundary": "normal", "chips": [1, 2, 3]}
+    with pytest.raises(ValueError, match="chip vector length must match vertex count"):
+        config_from_json(doc)
+
+
+@pytest.mark.parametrize("boundary", ["normal", "corner_sink:lower_left", "corner_sink:top"])
+def test_serialized_lengths_are_checked_against_the_vertex_count(boundary):
+    for level in range(4):
+        graph = build_gasket(level, parse_boundary(boundary))
+        line = config_to_text(max_config(graph))
+        assert config_from_text(line) == max_config(graph)
+        for wrong in (line + " 1", line.rsplit(" ", 1)[0]):
+            with pytest.raises(ValueError, match="chip vector length"):
+                config_from_text(wrong)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gasketpile.gasket import (
@@ -7,10 +9,20 @@ from gasketpile.gasket import (
     TOP,
     build_gasket,
     corner_sink,
+    junction_coords,
     subcopy_embedding,
 )
-from gasketpile.sandpile import config, identity, is_recurrent_burning, zero_config
+from gasketpile import group, sandpile
+from gasketpile.sandpile import (
+    config,
+    identity,
+    is_recurrent_burning,
+    recurrent_rep,
+    stabilize,
+    zero_config,
+)
 from gasketpile.selfsim import (
+    _glue_with_rotations,
     assemble_from_copies,
     build_tile,
     identity_from_tiles,
@@ -127,10 +139,6 @@ def test_corner_transport_on_the_identity(level):
 
 
 def test_corner_transport_on_random_recurrents():
-    import random
-
-    from gasketpile.sandpile import recurrent_rep
-
     graph = build_gasket(2, corner_sink(LOWER_LEFT))
     rng = random.Random(3)
     for _ in range(10):
@@ -164,3 +172,119 @@ def test_junction_invariance_rejects_wrong_corners():
 
 def test_glued_identity_is_recurrent():
     assert is_recurrent_burning(identity_from_tiles(3))
+
+
+# Stabilizing references for the two certificates: add the chips, run the
+# avalanche and compare the result with the start.
+
+
+def corner_chips(graph, corner, amount):
+    added = [0] * graph.n_vertices
+    for name in CORNER_NAMES:
+        if name != corner:
+            added[graph.corner_index(name)] = amount
+    return added
+
+
+def junction_chips(graph, amount):
+    added = [0] * graph.n_vertices
+    for coord in junction_coords(graph.level).values():
+        added[graph.index(coord)] = amount
+    return added
+
+
+def returns_after_adding(conf, added):
+    result, _ = stabilize(config(conf.graph, [c + a for c, a in zip(conf.chips, added)]))
+    return result == conf
+
+
+def transport_by_avalanche(conf, corner):
+    return returns_after_adding(conf, corner_chips(conf.graph, corner, 3**conf.graph.level))
+
+
+def junction_by_avalanche(conf):
+    """(assembled recurrent, junction add neutral) by stabilization."""
+    assembled = _glue_with_rotations(conf)
+    added = junction_chips(assembled.graph, 2 * 3**conf.graph.level)
+    return is_recurrent_burning(assembled), returns_after_adding(assembled, added)
+
+
+def junction_inputs(level, seed, count=12):
+    """Random recurrent configurations with 2-chip lower-right and top
+    corners: a recurrent representative with those corners lowered to 2,
+    which the burning test still accepts."""
+    graph = build_gasket(level)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        eta = recurrent_rep(graph, [rng.randrange(-50, 50) for _ in range(graph.n_vertices)])
+        chips = list(eta.chips)
+        for name in (LOWER_RIGHT, TOP):
+            chips[graph.corner_index(name)] = 2
+        conf = config(graph, chips)
+        assert is_recurrent_burning(conf)
+        out.append(conf)
+    return out
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_certificates_agree_with_the_avalanches_on_the_true_inputs(level):
+    graph = build_gasket(level, corner_sink(LOWER_LEFT))
+    report = verify_corner_transport(level)
+    assert report.passed and transport_by_avalanche(identity(graph), LOWER_LEFT)
+    tile = build_tile(level, 2, 2, 2)
+    report = verify_junction_invariance(level, tile)
+    assert (report.assembled_recurrent, report.junction_add_neutral) == (True, True)
+    assert junction_by_avalanche(tile) == (True, True)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_junction_certificate_agrees_with_the_avalanche_on_random_recurrents(level):
+    verdicts = set()
+    for conf in junction_inputs(level, seed=level):
+        report = verify_junction_invariance(level, conf)
+        got = (report.assembled_recurrent, report.junction_add_neutral)
+        assert got == junction_by_avalanche(conf)
+        assert report.passed == all(got)
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("corner", CORNER_NAMES)
+def test_transport_certificate_agrees_with_the_avalanche_on_random_recurrents(level, corner):
+    graph = build_gasket(level, corner_sink(corner))
+    rng = random.Random(level)
+    for _ in range(4):
+        eta = recurrent_rep(graph, [rng.randrange(-50, 50) for _ in range(graph.n_vertices)])
+        report = verify_corner_transport(level, eta, corner)
+        assert report.passed and report.dynamic_ok and report.lattice_ok
+        assert transport_by_avalanche(eta, corner)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_corrupted_chip_counts_fail_both_ways(level, delta):
+    graph = build_gasket(level, corner_sink(LOWER_LEFT))
+    added = corner_chips(graph, LOWER_LEFT, 3**level + delta)
+    assert not group.in_lattice(graph, added)
+    assert not returns_after_adding(identity(graph), added)
+    assembled = _glue_with_rotations(build_tile(level, 2, 2, 2))
+    added = junction_chips(assembled.graph, 2 * 3**level + delta)
+    assert not group.in_lattice(assembled.graph, added)
+    assert not returns_after_adding(assembled, added)
+
+
+def test_certificates_run_no_avalanche(monkeypatch):
+    real = sandpile._stabilize_raw
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sandpile, "_stabilize_raw", counting)
+    verify_corner_transport(3)
+    assert len(calls) == 0
+    verify_junction_invariance(3, build_tile(3, 2, 2, 2))
+    assert len(calls) == 2  # the burning tests of the input and the glued configuration
