@@ -68,7 +68,6 @@ def _check_level(parser, args, cap=8, why=""):
 
 # Levels past these caps would run for seconds to minutes; they are refused
 # at once.
-_DOUBLING_WHY = "the doubling check takes about 1.5 s at level 7 and grows about 10x per level"
 _SMITH_WHY = "the Smith form of the level-6 Laplacian takes about 20-26 s"
 _IDENTITY_WHY = (
     "stabilizing the identity takes about 6 s at level 8, and on a corner-sink "
@@ -133,8 +132,7 @@ def cmd_selfsim_id(parser, args) -> int:
 
 
 def cmd_selfsim_verify(parser, args) -> int:
-    cap, why = (7, _DOUBLING_WHY) if args.check == "doubling" else (8, "")
-    _check_level(parser, args, cap=cap, why=why)
+    _check_level(parser, args)
     if args.level < 1:
         parser.error("verification checks need --level >= 1")
     if args.check == "doubling":

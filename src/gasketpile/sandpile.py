@@ -12,8 +12,7 @@ avalanches that start narrow: the burning test and the CLI's `stabilize`.
 When more than half of the vertices are queued at the start of a generation
 and a bound on the chip total shows that nothing can overflow int64, the
 rest of the avalanche runs as synchronous numpy rounds in which every vertex
-fires at once, as in the doubling game and the stabilization behind a
-recurrent representative.
+fires at once, as in the stabilization behind a recurrent representative.
 Those rounds start from the least-action lower bound
 max(0, ceil(Delta^{-1}(c - m))) on the odometer, m = degree - 1, which one
 sparse solve gives and which is most of the odometer of a wide avalanche.
@@ -332,8 +331,20 @@ def _serialized_graph(level: int, token: str, n_entries: int) -> GasketGraph:
 
 
 def config_from_json(data: dict) -> Configuration:
-    chips = data["chips"]
-    return config(_serialized_graph(int(data["level"]), data["boundary"], len(chips)), chips)
+    """The configuration a `config_to_json` document names.  Anything but an
+    object with an integer `level`, a string `boundary` and a list of
+    integer `chips` raises ValueError naming the field; bools, floats and
+    nulls are not integers."""
+    if not isinstance(data, dict):
+        raise ValueError("a configuration document must be a JSON object")
+    level, boundary, chips = data.get("level"), data.get("boundary"), data.get("chips")
+    if type(level) is not int:
+        raise ValueError("`level` must be an integer")
+    if not isinstance(boundary, str):
+        raise ValueError("`boundary` must be a string")
+    if not isinstance(chips, list) or any(type(c) is not int for c in chips):
+        raise ValueError("`chips` must be a list of integers")
+    return config(_serialized_graph(level, boundary, len(chips)), chips)
 
 
 def config_to_text(conf: Configuration) -> str:

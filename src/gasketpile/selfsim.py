@@ -7,9 +7,9 @@ assembled from three level-n members whose corner arguments agree across the
 junctions.  Doubling such a configuration and stabilizing it with one corner
 as the sink reproduces the family with a shifted corner argument, the sunk
 corner collecting the chips that leave; gluing the all-2-corner member with
-its two rotations yields the group identity.  Only the doubling identity is
-checked here by a stabilization; corner transport and junction invariance
-are decided by the burning test and lattice membership.
+its two rotations yields the group identity.  No check here stabilizes: the
+doubling identity, corner transport and junction invariance are each
+decided by the burning test and lattice membership.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .gasket import (
     rotation_cw,
     subcopy_embedding,
 )
-from .sandpile import Configuration, config, is_recurrent_burning, stabilize
+from .sandpile import Configuration, config, is_recurrent_burning
 from . import group
 
 # Fixed interior of the level-1 family member, keyed by local coordinate:
@@ -148,39 +148,40 @@ class DoublingReport:
 
 def verify_doubling(level: int) -> DoublingReport:
     """Double the (2,1,1)-corner tile and stabilize it with the lower-left
-    corner as the sink: the result must be the (2+4*3**n,1,1) tile off that
-    corner, and the corner, which only collects the chips that reach it, must
-    gain exactly 4*3**n - 2.
+    corner frozen, which on the bare gasket is sinking it: the rest must
+    become the (2+4*3**n,1,1) tile and the corner must gain 4*3**n - 2.
 
-    Freezing a vertex of the bare gasket is the same as sinking it: with the
-    lower-left corner sunk, its two neighbors keep their bare degree 4 through
-    one sink edge each, the other two corners topple at their bare degree 2,
-    and every chip that crosses a sink edge is a chip the frozen corner
-    collects.  So the corner's final value is what the rest of the gasket
-    lost to the sink."""
-    doubled = build_tile(level, 2, 1, 1).scale(2)
-    graph = doubled.graph
-    corner = graph.corner_index(LOWER_LEFT)
+    No avalanche is run.  With `start` and `target` those two tiles off the
+    corner, on the sunk gasket, the claim holds when (1) `start` is
+    recurrent, so its double stabilizes to a recurrent configuration
+    (Holroyd et al. 2008), (2) `target` is recurrent, (3) 2*start - target
+    is in the lattice, so the result is `target`, its class's one recurrent
+    configuration (Dhar 1990), and (4) the corner, 2*total(tile) -
+    total(target) by conservation, is the expected one.  An unstable tile
+    fails its clause.  `first_mismatch` names the first failed clause, as
+    no stabilized configuration is left to compare vertex by vertex."""
+    tile, expected = build_tile(level, 2, 1, 1), build_tile(level, 2 + 4 * 3**level, 1, 1)
+    corner = tile.graph.corner_index(LOWER_LEFT)
     sunk = build_gasket(level, corner_sink(LOWER_LEFT))
-    rest, _ = stabilize(config(sunk, [doubled.value_at(c) for c in sunk.coords]))
-    chips = [0] * graph.n_vertices
-    for c, v in zip(sunk.coords, rest.chips):
-        chips[graph.index(c)] = v
-    chips[corner] = doubled.total - rest.total
-    result = config(graph, chips)
-    expected = build_tile(level, 2 + 4 * 3**level, 1, 1)
-    mismatch = None
-    for i, (got, want) in enumerate(zip(result.chips, expected.chips)):
-        if got != want:
-            mismatch = f"vertex {i} at {graph.coords[i]}: got {got}, expected {want}"
-            break
+    start, target = (config(sunk, [t.value_at(c) for c in sunk.coords]) for t in (tile, expected))
+    corner_start, corner_final = 2 * tile.chips[corner], 2 * tile.total - target.total
+    if not (start.is_stable and is_recurrent_burning(start)):
+        mismatch = "start: the (2,1,1) tile is not recurrent"
+    elif not (target.is_stable and is_recurrent_burning(target)):
+        mismatch = "target: the expected tile is not recurrent"
+    elif not group.in_lattice(sunk, [2 * a - b for a, b in zip(start.chips, target.chips)]):
+        mismatch = "lattice: twice start minus target is not in the lattice"
+    elif corner_final != expected.chips[corner]:
+        mismatch = f"corner: got {corner_final}, expected {expected.chips[corner]}"
+    else:
+        mismatch = None
     return DoublingReport(
         level=level,
-        passed=(result == expected),
-        corner_start=doubled.chips[corner],
-        corner_final=result.chips[corner],
+        passed=mismatch is None,
+        corner_start=corner_start,
+        corner_final=corner_final,
         corner_expected=expected.chips[corner],
-        gain=result.chips[corner] - doubled.chips[corner],
+        gain=corner_final - corner_start,
         expected_gain=4 * 3**level - 2,
         first_mismatch=mismatch,
     )

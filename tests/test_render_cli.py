@@ -358,7 +358,6 @@ def test_cli_rejects_bad_level(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selfsim", "verify", "--level", "8", "--check", "doubling"],
         ["group", "snf", "--level", "6"],
         ["group", "check-theorem", "--level", "6"],
         ["group", "tau", "--level", "9", "--method", "matrix-tree"],
@@ -366,7 +365,6 @@ def test_cli_rejects_bad_level(capsys):
         ["markov", "simulate", "--level", "8", "--steps", "1"],
     ],
     ids=[
-        "verify-doubling",
         "snf",
         "check-theorem",
         "tau-matrix-tree",
@@ -417,10 +415,12 @@ def test_cli_matrix_tree_tau_prints_the_recursion_digits_at_level_8(capsys):
     assert capsys.readouterr().out.strip() == text
 
 
-@pytest.mark.parametrize("level,check", [(6, "transport"), (8, "transport"), (8, "junction")])
-def test_cli_transport_and_junction_checks_run_quickly(level, check, capsys):
-    # Both verdicts are a burning test and a lattice solve, not an avalanche.
-    name = {"transport": "corner_transport", "junction": "junction_invariance"}[check]
+@pytest.mark.parametrize(
+    "level,check", [(6, "transport"), (8, "transport"), (8, "junction"), (8, "doubling")]
+)
+def test_cli_selfsim_checks_run_quickly(level, check, capsys):
+    # Each verdict is burning tests and a lattice solve, not an avalanche.
+    name = {"transport": "corner_transport", "junction": "junction_invariance"}.get(check, check)
     start = time.perf_counter()
     assert main(["selfsim", "verify", "--level", str(level), "--check", check]) == 0
     assert time.perf_counter() - start < 5.0
@@ -464,6 +464,29 @@ def test_cli_reports_bad_input_as_usage_error(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert main(["sandpile", "burn", "--input", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"level": 0, "boundary": "normal"}, "chips"),
+        ({"level": 0, "boundary": "normal", "chips": 5}, "chips"),
+        ({"level": 0, "boundary": 7, "chips": [0, 0, 0]}, "boundary"),
+        ({"level": 0, "boundary": "normal", "chips": [True, None, 0]}, "chips"),
+        ({"level": 0, "boundary": "normal", "chips": [1.7, 0, 0]}, "chips"),
+        ({"level": 0.9, "boundary": "normal", "chips": [0, 0, 0]}, "level"),
+    ],
+    ids=["no-chips", "scalar-chips", "int-boundary", "bool-null-chips", "float-chips", "float-level"],
+)
+def test_cli_refuses_malformed_json_configurations(tmp_path, capsys, doc, field):
+    # Exit 1 would mean "not recurrent"; a malformed document is a usage error.
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sandpile", "burn", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"`{field}`" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -369,6 +369,16 @@ def test_json_round_trip():
     assert config_from_json(doc) == conf
 
 
+def test_json_documents_are_validated_field_by_field():
+    with pytest.raises(ValueError, match="JSON object"):
+        config_from_json([0, "normal", [0, 0, 0]])
+    good = {"level": 0, "boundary": "normal", "chips": [0, 1, 0]}
+    assert config_from_json(good).chips == (0, 1, 0)
+    for field, bad in (("level", True), ("level", "0"), ("boundary", None), ("chips", (0, 1, 0))):
+        with pytest.raises(ValueError, match=f"`{field}`"):
+            config_from_json({**good, field: bad})
+
+
 def test_text_round_trip():
     conf = identity(build_gasket(2))
     line = config_to_text(conf)

@@ -12,7 +12,7 @@ from gasketpile.gasket import (
     junction_coords,
     subcopy_embedding,
 )
-from gasketpile import group, sandpile
+from gasketpile import group, sandpile, selfsim
 from gasketpile.sandpile import (
     config,
     identity,
@@ -22,6 +22,7 @@ from gasketpile.sandpile import (
     zero_config,
 )
 from gasketpile.selfsim import (
+    DoublingReport,
     _glue_with_rotations,
     assemble_from_copies,
     build_tile,
@@ -174,8 +175,8 @@ def test_glued_identity_is_recurrent():
     assert is_recurrent_burning(identity_from_tiles(3))
 
 
-# Stabilizing references for the two certificates: add the chips, run the
-# avalanche and compare the result with the start.
+# Stabilizing references for the three certificates: run the avalanche and
+# compare the result with the claim.
 
 
 def corner_chips(graph, corner, amount):
@@ -209,6 +210,38 @@ def junction_by_avalanche(conf):
     return is_recurrent_burning(assembled), returns_after_adding(assembled, added)
 
 
+def doubling_by_avalanche(level):
+    """The doubling report by stabilization: double the tile, stabilize it on
+    the corner-sunk gasket, put the chips that left on the corner and compare
+    with the expected tile vertex by vertex."""
+    doubled = selfsim.build_tile(level, 2, 1, 1).scale(2)
+    graph = doubled.graph
+    corner = graph.corner_index(LOWER_LEFT)
+    sunk = build_gasket(level, corner_sink(LOWER_LEFT))
+    rest, _ = stabilize(config(sunk, [doubled.value_at(c) for c in sunk.coords]))
+    chips = [0] * graph.n_vertices
+    for c, v in zip(sunk.coords, rest.chips):
+        chips[graph.index(c)] = v
+    chips[corner] = doubled.total - rest.total
+    result = config(graph, chips)
+    expected = selfsim.build_tile(level, 2 + 4 * 3**level, 1, 1)
+    mismatch = None
+    for i, (got, want) in enumerate(zip(result.chips, expected.chips)):
+        if got != want:
+            mismatch = f"vertex {i} at {graph.coords[i]}: got {got}, expected {want}"
+            break
+    return DoublingReport(
+        level=level,
+        passed=(result == expected),
+        corner_start=doubled.chips[corner],
+        corner_final=result.chips[corner],
+        corner_expected=expected.chips[corner],
+        gain=result.chips[corner] - doubled.chips[corner],
+        expected_gain=4 * 3**level - 2,
+        first_mismatch=mismatch,
+    )
+
+
 def junction_inputs(level, seed, count=12):
     """Random recurrent configurations with 2-chip lower-right and top
     corners: a recurrent representative with those corners lowered to 2,
@@ -236,6 +269,66 @@ def test_certificates_agree_with_the_avalanches_on_the_true_inputs(level):
     report = verify_junction_invariance(level, tile)
     assert (report.assembled_recurrent, report.junction_add_neutral) == (True, True)
     assert junction_by_avalanche(tile) == (True, True)
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_doubling_certificate_agrees_with_the_avalanche(level):
+    report = verify_doubling(level)
+    assert report.passed
+    assert report == doubling_by_avalanche(level)
+
+
+def empty_corner_neighbours(tile):
+    """Zero chips on both neighbours of the lower-left corner: two adjacent
+    empty vertices, a forbidden subconfiguration."""
+    chips = list(tile.chips)
+    for coord in ((1, 0), (0, 1)):
+        chips[tile.graph.index(coord)] = 0
+    return config(tile.graph, chips)
+
+
+def raise_a_two(tile):
+    """One more chip where there are 2 of degree 4: still recurrent."""
+    return tile.add_chips(tile.chips.index(2))
+
+
+def raise_a_three(tile):
+    """One more chip where there are 3 of degree 4: no longer stable."""
+    return tile.add_chips(tile.chips.index(3))
+
+
+def raise_the_corner(tile):
+    return tile.add_chips(tile.graph.corner_index(LOWER_LEFT))
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize(
+    "clause,corrupt",
+    [
+        ("start", empty_corner_neighbours),
+        ("start", raise_a_three),
+        ("target", empty_corner_neighbours),
+        ("target", raise_a_three),
+        ("lattice", raise_a_two),
+        ("corner", raise_the_corner),
+    ],
+    ids=["start", "start-unstable", "target", "target-unstable", "lattice", "corner"],
+)
+def test_each_doubling_clause_fails_on_its_own(monkeypatch, level, clause, corrupt):
+    # The start clause reads the (2,1,1) tile; the others the expected one.
+    real = selfsim.build_tile
+    x = 2 if clause == "start" else 2 + 4 * 3**level
+
+    def corrupted(lv, *corners):
+        tile = real(lv, *corners)
+        return corrupt(tile) if corners == (x, 1, 1) else tile
+
+    monkeypatch.setattr(selfsim, "build_tile", corrupted)
+    report = verify_doubling(level)
+    assert not report.passed
+    assert report.first_mismatch.startswith(clause + ":")
+    assert report.to_json()["pass"] is False
+    assert not doubling_by_avalanche(level).passed
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -288,3 +381,17 @@ def test_certificates_run_no_avalanche(monkeypatch):
     assert len(calls) == 0
     verify_junction_invariance(3, build_tile(3, 2, 2, 2))
     assert len(calls) == 2  # the burning tests of the input and the glued configuration
+
+
+def test_doubling_runs_no_toppling_rounds(monkeypatch):
+    real = sandpile._topple_rounds
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sandpile, "_topple_rounds", counting)
+    for level in (3, 4, 5):
+        assert verify_doubling(level).passed
+    assert len(calls) == 0
