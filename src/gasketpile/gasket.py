@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 LOWER_LEFT = "lower_left"
 LOWER_RIGHT = "lower_right"
 TOP = "top"
@@ -220,6 +222,7 @@ def rotation_cw(graph: GasketGraph) -> tuple[int, ...]:
     return tuple(perm[perm[i]] for i in range(len(perm)))
 
 
+@lru_cache(maxsize=None)
 def subcopy_embedding(level: int, copy: str) -> tuple[int, ...]:
     """Map canonical vertex indices of the bare level-(level-1) gasket to the
     indices of its image inside the level-`level` gasket.
@@ -237,6 +240,18 @@ def subcopy_embedding(level: int, copy: str) -> tuple[int, ...]:
     child_coords, _ = gasket_cells(level - 1)
     parent = build_gasket(level)
     return tuple(parent.index((a + da, b + db)) for a, b in child_coords)
+
+
+@lru_cache(maxsize=None)
+def neighbor_table(graph: GasketGraph) -> np.ndarray:
+    """Neighbour-index table, one row per neighbour slot (4 x n): entry
+    [k, v] is the k-th neighbour of v, or n, a padding slot, where v has
+    fewer than k + 1 neighbours."""
+    n = graph.n_vertices
+    table = np.full((4, n), n, dtype=np.intp)
+    for v, nbrs in enumerate(graph.neighbors):
+        table[: len(nbrs), v] = nbrs
+    return table
 
 
 def reduced_laplacian(graph: GasketGraph) -> list[list[int]]:

@@ -2,11 +2,13 @@
 
 The sandpile group of a graph is Z^V modulo the column lattice of the
 reduced Laplacian Delta; its order equals det(Delta).  Production code gets
-every exact quantity from two engines.  `laplacian_factor` is a sparse
-LDL^T of Delta over the rationals, eliminating vertices cell by cell,
-finest level first (nested dissection); the product of its pivots is the
-order, and its O(n) solves of Delta y = x decide lattice membership,
-element orders and the reduction modulo the lattice.
+every exact quantity from two engines.  `laplacian_factor` eliminates
+Delta over the rationals one gasket level at a time, finest first (nested
+dissection): every cell of a level has the same exact 3 x 3 midpoint block,
+so a level is one block and two index arrays, and a solve is a few numpy
+object-array steps per level.  Its determinant is the order, and its O(n)
+solves of Delta y = x decide lattice membership, element orders and the
+reduction modulo the lattice.
 `smith_mod` is a bounded-entry Smith reduction modulo the order that
 `quotient_invariants` runs without transforms (the invariant factors are the
 quotient by nothing) and `LatticeData.basis` with them, for the adapted
@@ -24,9 +26,14 @@ level 5 on a 2-core VM.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
+
+import numpy as np
 
 from .gasket import (
     CORNER_NAMES,
@@ -36,6 +43,7 @@ from .gasket import (
     GasketGraph,
     build_gasket,
     corner_sink,
+    neighbor_table,
     reduced_laplacian,
     subcopy_embedding,
 )
@@ -373,130 +381,291 @@ def sandpile_group_order(graph: GasketGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact factorization of the reduced Laplacian.
+# Exact factorization of the reduced Laplacian, one cell block per level.
 # ---------------------------------------------------------------------------
 
-
-def _valuation(coord: tuple[int, int], infinite: int) -> int:
-    """min(v2(a), v2(b)) for a vertex (a, b), with v2(0) read as `infinite`."""
-    return min((x & -x).bit_length() - 1 if x else infinite for x in coord)
-
-
-# The factorization holds rationals as (numerator, denominator) pairs in
-# lowest terms with a positive denominator; in its inner loops this is about
-# four times faster than `Fraction`.
-Rational = tuple[int, int]
+# A small exact matrix over Q: integer numerators (an object array of Python
+# ints) over one positive common denominator, in lowest terms.
+Exact = tuple[np.ndarray, int]
 
 
-def _minus_product(r: Rational, f: Rational, b: Rational) -> Rational:
-    """r - f * b."""
-    num = r[0] * f[1] * b[1] - f[0] * b[0] * r[1]
-    den = r[1] * f[1] * b[1]
-    g = math.gcd(num, den)
-    return num // g, den // g
+def _lowest(num: np.ndarray, den: int) -> Exact:
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(den, *num.ravel())
+    return (num // g, den // g) if g > 1 else (num, den)
 
 
-def _quotient(a: Rational, p: Rational) -> Rational:
-    """a / p for p > 0."""
-    num, den = a[0] * p[1], a[1] * p[0]
-    g = math.gcd(num, den)
-    return num // g, den // g
+def _times(a: Exact, b: Exact) -> Exact:
+    return _lowest(a[0].dot(b[0]), a[1] * b[1])
+
+
+def _transpose(a: Exact) -> Exact:
+    return a[0].T, a[1]
+
+
+def _with_diagonal(off: Exact, diagonal, scale: int) -> Exact:
+    """`off` with its diagonal set to the integers `diagonal` over `scale`."""
+    num, den = off
+    common = math.lcm(den, scale)
+    out = num * (common // den)
+    for i, v in enumerate(diagonal):
+        out[i, i] = v * (common // scale)
+    return _lowest(out, common)
+
+
+def _cross(u: list[int], v: list[int]) -> list[int]:
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _inverse(matrix: Exact) -> tuple[Exact, Fraction]:
+    """Inverse and determinant of a matrix over Q of size at most 3, through
+    the integer adjugate, whose columns are cross products of the rows (a
+    smaller matrix is padded with the identity); ArithmeticError if it is
+    singular."""
+    num, den = matrix
+    size = len(num)
+    r0, r1, r2 = ([num[i, j] if i < size and j < size else int(i == j) for j in range(3)] for i in range(3))
+    adj = [_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)]
+    det = sum(a * b for a, b in zip(r0, adj[0]))
+    if not det:
+        raise ArithmeticError("singular block")
+    inverse = np.array(adj, dtype=object).T[:size, :size] * den
+    return _lowest(inverse, det), Fraction(det, den**size)
+
+
+def _cells(graph: GasketGraph) -> tuple[list[np.ndarray], list[np.ndarray], tuple[int, int, int]]:
+    """For each level k, the cells of side 2**(k+1) as two C x 3 index arrays:
+    midpoints (bottom, left, right) and corners (lower left, lower right,
+    top), in the same cell order; then the three big corners.  A sunk corner
+    reads as n, the padding slot."""
+    n, level = graph.n_vertices, graph.level
+    side = 1 << level
+    grid = np.full((side + 1, side + 1), n, dtype=np.intp)
+    a, b = np.fromiter(chain.from_iterable(graph.coords), dtype=np.intp, count=2 * n).reshape(-1, 2).T
+    grid[a, b] = np.arange(n)
+    a = b = np.zeros(1, dtype=np.intp)
+    mids, corners = [], []
+    for k in reversed(range(level)):
+        h = 1 << k
+        mids.append(np.stack([grid[a + h, b], grid[a, b + h], grid[a + h, b + h]], axis=1))
+        corners.append(np.stack([grid[a, b], grid[a + 2 * h, b], grid[a, b + 2 * h]], axis=1))
+        a, b = np.concatenate([a, a + h, a]), np.concatenate([b, b, b + h])
+    big = (int(grid[0, 0]), int(grid[side, 0]), int(grid[0, side]))
+    return mids[::-1], corners[::-1], big
+
+
+def _positions(n: int, mids, top) -> tuple[np.ndarray, np.ndarray]:
+    """The elimination order (each level's midpoints cell by cell, then the
+    top corners, then the padding slot n) and its inverse; ArithmeticError
+    unless the cells and the top cover every vertex once."""
+    order = np.concatenate([m.ravel() for m in mids] + [np.array([*top, n], dtype=np.intp)])
+    if not np.array_equal(np.sort(order), np.arange(n + 1)):
+        raise ArithmeticError("the cells and the top do not cover every vertex once")
+    pos = np.empty(n + 1, dtype=np.intp)
+    pos[order] = np.arange(n + 1)
+    return order, pos
+
+
+def _level0_rows(graph: GasketGraph, mids: np.ndarray, corners: np.ndarray) -> tuple[Exact, Exact]:
+    """The off-diagonal Laplacian entries of the finest cells' midpoints,
+    among themselves and to their corners, read from the graph.  Every cell
+    must have the same ones (entries to a sunk corner are skipped), and no
+    midpoint may have a neighbour outside its cell; else ArithmeticError."""
+    n = graph.n_vertices
+    table = neighbor_table(graph)
+    targets = np.concatenate([mids, corners], axis=1)
+    real = targets != n
+    rows = []
+    for i in range(3):
+        nbrs = table[:, mids[:, i]]
+        counts = sum(slot[:, None] == targets for slot in nbrs) * real
+        if (counts.sum(axis=1) != (nbrs != n).sum(axis=0)).any():
+            raise ArithmeticError("a midpoint has a neighbour outside its cell")
+        first = counts[real.argmax(axis=0), range(6)]
+        if ((counts != first) & real).any():
+            raise ArithmeticError("the finest cells differ in their Laplacian rows")
+        rows.append([-int(v) for v in first])
+    rows = np.array(rows, dtype=object)
+    return (rows[:, :3], 1), (rows[:, 3:], 1)
+
+
+def _coarse_rows(update: Exact) -> tuple[Exact, Exact]:
+    """The off-diagonal entries of a cell's midpoint rows one level up, from
+    the corner update B^T M^-1 B of the level below, which links the corners
+    of each finer cell.  The finer cells of a cell are its lower-left one,
+    with corners (X, P, Q), its lower-right one (P, Y, R) and its top one
+    (Q, R, Z), for midpoints P, Q, R and corners X, Y, Z."""
+    num, den = update
+    u01, u02, u12 = -num[0, 1], -num[0, 2], -num[1, 2]
+    among = np.array([[0, u12, u02], [u12, 0, u01], [u02, u01, 0]], dtype=object)
+    coupling = np.array([[u01, u01, 0], [u02, 0, u02], [0, u12, u12]], dtype=object)
+    return (among, den), (coupling, den)
 
 
 @dataclass(frozen=True, eq=False)
 class LaplacianFactor:
-    """Delta = P L D L^T P^T for the reduced Laplacian of one gasket graph.
+    """Delta as nested cell blocks, finest level first (nested dissection).
 
-    `sequence` is the elimination order (P), `pivots` the diagonal of D in
-    that order, and `below[k]` the nonzero entries (vertex, value) of the
-    unit lower-triangular L under step k's pivot; each names a vertex
-    eliminated later.  `determinant` is the product of the pivots, det(Delta).
-    """
+    Level k holds the 3**(n-1-k) cells of side 2**(k+1): `mids[k]` and
+    `corners[k]` are C x 3 index arrays of their midpoints (bottom, left,
+    right) and corners (lower left, lower right, top), a sunk corner read as
+    the padding slot n, which holds 0.  Once the finer levels are
+    eliminated, every cell's midpoint rows are the same exact 3 x 3 blocks:
+    `blocks[k]` among its midpoints and `couplings[k]` to its corners.  The
+    big corners left at the end, `top`, carry the dense `top_block`.
+    `determinant` is det(Delta), the product of det(blocks[k])**C_k and
+    det(top_block)."""
 
     graph: GasketGraph
-    sequence: tuple[int, ...]
-    pivots: tuple[Rational, ...]
-    below: tuple[tuple[tuple[int, Rational], ...], ...]
+    mids: tuple[np.ndarray, ...]
+    corners: tuple[np.ndarray, ...]
+    blocks: tuple[Exact, ...]
+    couplings: tuple[Exact, ...]
+    top: tuple[int, ...]
+    top_block: Exact
     determinant: int
 
-    def solve(self, entries: list[int]) -> tuple[list[int], int]:
-        """Integer vector y and the least D >= 1 with Delta @ y == D * x,
-        so that Delta^{-1} x = y / D exactly.
+    @cached_property
+    def _steps(self):
+        """The elimination order and its inverse; per level the corner
+        positions in that order and M^-T B (forward), M^-T and (M^-1 B)^T
+        (back); last the top block's inverse."""
+        order, pos = _positions(self.graph.n_vertices, self.mids, self.top)
+        levels = []
+        for corners, block, coupling in zip(self.corners, self.blocks, self.couplings):
+            inv, _ = _inverse(block)
+            forward = _times(_transpose(inv), coupling)
+            levels.append((pos[corners], forward, _transpose(inv), _transpose(_times(inv, coupling))))
+        return order, pos, levels, _inverse(self.top_block)[0]
 
-        Forward substitution through L, division by the pivots and back
-        substitution: O(n) rational operations, since no column of L has
-        more than four entries.  The result is checked against the sparse
-        Laplacian in integers; a mismatch raises ArithmeticError."""
+    def solve(self, entries) -> tuple[list[int], int]:
+        """Integer vector y and the least D >= 1 with Delta @ y == D * x,
+        so that Delta^{-1} x = y / D exactly.  Entries must be integers
+        (`operator.index`), or TypeError is raised.
+
+        Forward substitution folds each level's midpoints into their cell
+        corners, the top block is solved densely, and back substitution
+        recovers each level's midpoints from its corners: a few object-array
+        steps per level, with one common denominator per level and one gcd
+        at the end.  The result is checked against the sparse Laplacian in
+        integers; a mismatch raises ArithmeticError."""
         graph = self.graph
-        x = [int(v) for v in entries]
-        if len(x) != graph.n_vertices:
+        n = graph.n_vertices
+        x = np.array([operator.index(v) for v in entries] + [0], dtype=object)
+        if len(x) != n + 1:
             raise ValueError("vector length must match vertex count")
-        z = [(v, 1) for v in x]
-        for v, col in zip(self.sequence, self.below):
-            zv = z[v]
-            if zv[0]:
-                for w, entry in col:
-                    z[w] = _minus_product(z[w], entry, zv)
-        for v, pivot in zip(self.sequence, self.pivots):
-            z[v] = _quotient(z[v], pivot)
-        for v, col in zip(reversed(self.sequence), reversed(self.below)):
-            for w, entry in col:
-                z[v] = _minus_product(z[v], entry, z[w])
-        den = math.lcm(*(d for _, d in z))
-        y = [num * (den // d) for num, d in z]
-        degrees = graph.degrees
-        for v, nbrs in enumerate(graph.neighbors):
-            if degrees[v] * y[v] - sum(y[w] for w in nbrs) != den * x[v]:
-                raise ArithmeticError("sparse solve fails Delta @ y == D * x")
-        return y, den
+        order, pos, levels, (top_inv, top_den) = self._steps
+        # Forward: z[start:] shares the denominator `den`; each level's
+        # midpoint values are kept with theirs.
+        z = x[order]
+        den, start, kept = 1, 0, []
+        for corners, (forward, forward_den), _, _ in levels:
+            count = len(corners)
+            end = start + 3 * count
+            xm = z[start:end].reshape(count, 3)
+            kept.append((xm, den))
+            if forward_den != 1:
+                z[end:] *= forward_den
+                den *= forward_den
+            fold = xm.dot(forward)
+            for j in range(3):
+                z[corners[:, j]] -= fold[:, j]
+            start = end
+        # Top, then back: y[start:n] shares the denominator `den`.
+        y = np.zeros(n + 1, dtype=object)
+        y[start:n] = top_inv.dot(z[start:n])
+        den *= top_den
+        for (corners, _, (inv, inv_den), (reach, reach_den)), (xm, xden) in zip(
+            reversed(levels), reversed(kept)
+        ):
+            end, start = start, start - 3 * len(corners)
+            new = math.lcm(inv_den * xden, reach_den * den)
+            ym = xm.dot(inv) * (new // (inv_den * xden)) - y[corners].dot(reach) * (new // (reach_den * den))
+            if new != den:
+                y[end:n] *= new // den
+            y[start:end] = ym.ravel()
+            den = new
+        out = y[pos[:n]]
+        g = math.gcd(den, *out)
+        if g > 1:
+            out //= g
+            den //= g
+        padded = np.append(out, 0)
+        lap = np.array(graph.degrees, dtype=object) * out
+        for slot in neighbor_table(graph):
+            lap -= padded[slot]
+        if not (lap == den * x[:n]).all():
+            raise ArithmeticError("sparse solve fails Delta @ y == D * x")
+        return out.tolist(), den
 
 
 @lru_cache(maxsize=None)
 def laplacian_factor(graph: GasketGraph) -> LaplacianFactor:
-    """Sparse symmetric elimination of the reduced Laplacian over Q.
+    """Exact block elimination of the reduced Laplacian, one level at a time.
 
-    Vertices are eliminated in order of min(v2(a), v2(b)) of their
-    coordinates (ties in canonical order): first the three midpoints of
-    every level-1 cell, then those of every level-2 cell, and so on, with
-    the big triangle's corners last.  This is nested dissection with the
-    gasket's 3-vertex separators.  A midpoint touches only the other two
-    midpoints of its cell and two cell corners, so no pivot row has more
-    than four off-diagonal entries.  Eliminating one cell's midpoints is the
+    The midpoints of a cell touch only each other and the cell's corners,
+    so eliminating every finest cell's three midpoints at once is the
     Delta-Y step behind the tau recursion: the corners are left joined by
-    conductance 3/5 of the old one, so the Schur complement is again a
-    gasket one level down.
-
-    Delta is symmetric positive definite, so every pivot is positive and no
-    pivoting is needed.  The product of the pivots must be a positive
-    integer, or ArithmeticError is raised."""
-    n = graph.n_vertices
-    infinite = graph.level + 1
-    sequence = sorted(range(n), key=lambda v: _valuation(graph.coords[v], infinite))
-    rows = [dict.fromkeys(nbrs, (-1, 1)) for nbrs in graph.neighbors]
-    diag = [(d, 1) for d in graph.degrees]
-    pivots, below = [], []
-    for v in sequence:
-        pivot = diag[v]
-        items = list(rows[v].items())
-        col = []
-        for i, (w, a) in enumerate(items):
-            row_w = rows[w]
-            del row_w[v]
-            f = _quotient(a, pivot)
-            col.append((w, f))
-            diag[w] = _minus_product(diag[w], f, a)
-            for u, b in items[i + 1 :]:
-                row_w[u] = rows[u][w] = _minus_product(row_w.get(u, (0, 1)), f, b)
-        pivots.append(pivot)
-        below.append(tuple(col))
-    det, rem = divmod(math.prod(p for p, _ in pivots), math.prod(q for _, q in pivots))
+    conductance 3/5 of the old one, and the Schur complement is again a
+    gasket one level down.  The blocks are computed, not typed in: level 0
+    reads the graph's Laplacian rows, each coarser level takes its links
+    from the corner update B^T M^-1 B of the level below and its diagonal
+    from the degrees minus every update so far, and every cell of a level
+    must have the same diagonal, or ArithmeticError is raised.  On the
+    gasket, blocks[k] is (3/5)**k [[4, -1, -1], [-1, 4, -1], [-1, -1, 4]] on
+    every boundary.  The determinant must be a positive integer, or
+    ArithmeticError is raised."""
+    n, level = graph.n_vertices, graph.level
+    mids, corners, big = _cells(graph)
+    top = tuple(v for v in big if v != n)
+    order, pos = _positions(n, mids, top)
+    # Numerators over `scale` of the Schur complement's diagonal, in
+    # elimination order; the entries from `start` on are still live.
+    diag = np.array([*graph.degrees, 0], dtype=object)[order]
+    scale, start = 1, 0
+    blocks, couplings = [], []
+    num, den = 1, 1
+    for k in range(level):
+        count = len(mids[k])
+        end = start + 3 * count
+        cells = diag[start:end].reshape(count, 3)
+        if (cells != cells[0]).any():
+            raise ArithmeticError(f"the level-{k} cells differ on the diagonal")
+        among, coupling = _level0_rows(graph, mids[0], corners[0]) if k == 0 else _coarse_rows(update)
+        block = _with_diagonal(among, cells[0], scale)
+        inv, det = _inverse(block)
+        update = _times(_transpose(coupling), _times(inv, coupling))
+        new = math.lcm(scale, update[1])
+        if new != scale:
+            diag[end:] *= new // scale
+            scale = new
+        corner_pos = pos[corners[k]]
+        for j in range(3):
+            diag[corner_pos[:, j]] -= update[0][j, j] * (scale // update[1])
+        blocks.append(block)
+        couplings.append(coupling)
+        num *= det.numerator**count
+        den *= det.denominator**count
+        start = end
+    if level:
+        slots = [j for j, v in enumerate(big) if v != n]
+        links = (-update[0][np.ix_(slots, slots)], update[1])
+    else:
+        links = (np.array([[-graph.neighbors[u].count(v) for v in top] for u in top], dtype=object), 1)
+    top_block = _with_diagonal(links, diag[start:n], scale)
+    _, det = _inverse(top_block)
+    det, rem = divmod(num * det.numerator, den * det.denominator)
     if rem or det <= 0:
-        raise ArithmeticError("the pivot product must be a positive integer")
+        raise ArithmeticError("the determinant must be a positive integer")
     return LaplacianFactor(
         graph=graph,
-        sequence=tuple(sequence),
-        pivots=tuple(pivots),
-        below=tuple(below),
+        mids=tuple(mids),
+        corners=tuple(corners),
+        blocks=tuple(blocks),
+        couplings=tuple(couplings),
+        top=top,
+        top_block=top_block,
         determinant=det,
     )
 
@@ -511,8 +680,8 @@ def laplacian_factor(graph: GasketGraph) -> LaplacianFactor:
 @dataclass(eq=False)
 class LatticeData:
     """The sandpile group of one graph: Z^V modulo the column lattice of the
-    reduced Laplacian Delta, whose index `order` is det(Delta), the product
-    of the pivots of `laplacian_factor`.
+    reduced Laplacian Delta, whose index `order` is det(Delta), the
+    determinant of `laplacian_factor`.
 
     Everything else is computed on first use, once, and must multiply out to
     the order, or ArithmeticError is raised.  `invariants`, the invariant
@@ -568,7 +737,7 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
 def in_lattice(graph: GasketGraph, entries: list[int]) -> bool:
     """Whether the integer vector lies in the column lattice of the reduced
     Laplacian, i.e. represents the trivial group element.  True exactly when
-    Delta^{-1} @ x is integral."""
+    Delta^{-1} @ x is integral.  A non-integer entry raises TypeError."""
     return laplacian_factor(graph).solve(entries)[1] == 1
 
 
@@ -576,8 +745,9 @@ def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
     """x - Delta @ floor(Delta^{-1} x): the vector Delta @ f in the class of
     x with f = Delta^{-1} x - floor(Delta^{-1} x) in [0, 1)^V.  Entry v is
     deg(v) f_v minus the sum of f over the neighbours of v, an integer in
-    [1 - #neighbors(v), deg(v) - 1]."""
-    x = [int(v) for v in entries]
+    [1 - #neighbors(v), deg(v) - 1].  A non-integer entry raises
+    TypeError."""
+    x = [operator.index(v) for v in entries]
     y, den = laplacian_factor(graph).solve(x)
     q = [v // den for v in y]
     degrees = graph.degrees

@@ -20,12 +20,13 @@ sparse solve gives and which is most of the odometer of a wide avalanche.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gasket import GasketGraph, build_gasket, gasket_size, parse_boundary
+from .gasket import GasketGraph, build_gasket, gasket_size, neighbor_table, parse_boundary
 from . import group
 
 # When set (the test suite turns it on), every stabilization re-checks the
@@ -159,18 +160,6 @@ def _fits_int64(excess: list[int], thresholds) -> bool:
     return max(max(thresholds), total * 8 * n * n) < 2**63
 
 
-@lru_cache(maxsize=None)
-def _neighbor_table(graph: GasketGraph) -> np.ndarray:
-    """Neighbour-index table, one row per neighbour slot (4 x n): entry
-    [k, v] is the k-th neighbour of v, or n, a slot that always holds zero
-    fires, where v has fewer than k + 1 neighbours."""
-    n = graph.n_vertices
-    table = np.full((4, n), n, dtype=np.intp)
-    for v, nbrs in enumerate(graph.neighbors):
-        table[: len(nbrs), v] = nbrs
-    return table
-
-
 def _least_action_start(graph: GasketGraph, chips: list[int]) -> list[int]:
     """max(0, ceil(Delta^{-1}(chips - m))) entrywise, with m = degree - 1 the
     maximal stable configuration: a lower bound on the odometer of
@@ -205,7 +194,7 @@ def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int
     jump's intermediate values lie in [-4U, T + 4U]; the head start is taken
     only when T * 64n**2 < 2**63 keeps them in int64."""
     n = len(chips)
-    slots = _neighbor_table(graph)
+    slots = neighbor_table(graph)
     c = np.array(chips, dtype=np.int64)
     d = np.array(thresholds, dtype=np.int64)
     odometer = np.zeros(n, dtype=np.int64)
@@ -288,14 +277,15 @@ def recurrent_rep(graph: GasketGraph, entries) -> Configuration:
     """The unique recurrent configuration whose difference from `entries`
     lies in the reduced-Laplacian lattice.
 
-    The input is any integer vector (negative entries allowed).  With
+    The input is any integer vector (negative entries allowed); a
+    non-integer entry raises TypeError.  With
     m = degree - 1 the maximal stable configuration, it stabilizes
     2m + `group.lattice_reduce`(entries - 2m), which is in the same class.
     The reduced vector's entries lie in [1 - #neighbors(v), deg(v) - 1], so
     every chip count is at least 2m_v - #neighbors(v) + 1 >= m_v, and a
     configuration >= m stabilizes to the recurrent one in its class.
     """
-    x = [int(v) for v in entries]
+    x = [operator.index(v) for v in entries]
     if len(x) != graph.n_vertices:
         raise ValueError("entry vector length must match vertex count")
     m = [d - 1 for d in graph.degrees]

@@ -14,7 +14,9 @@ decided by the burning test and lattice membership.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gasket import (
     CORNER_NAMES,
@@ -36,20 +38,25 @@ from . import group
 _LEVEL1_INTERIOR = {(1, 0): 3, (0, 1): 3, (1, 1): 2}
 
 
-def _tile_chips(level: int, x: int, y: int, z: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _tile_chips(level: int, x: int, y: int, z: int) -> tuple[int, ...]:
+    """Chips of the (x, y, z) tile.  Memoized: the corner arguments of the
+    sub-tiles take few distinct values (one tile has at most 7 distinct
+    sub-tiles per level), so each is built once.  The cache is bounded
+    because callers choose the corner values."""
     if level == 1:
         values = {(0, 0): x, (2, 0): y, (0, 2): z, **_LEVEL1_INTERIOR}
         graph = build_gasket(1)
-        return [values[c] for c in graph.coords]
+        return tuple(values[c] for c in graph.coords)
     parts = {
         LOWER_LEFT: _tile_chips(level - 1, x, 3, 3),
         LOWER_RIGHT: _tile_chips(level - 1, 3, y, 2),
         TOP: _tile_chips(level - 1, 3, 2, z),
     }
-    return assemble_from_copies(level, parts)
+    return tuple(assemble_from_copies(level, parts))
 
 
-def assemble_from_copies(level: int, parts: dict[str, list[int]]) -> list[int]:
+def assemble_from_copies(level: int, parts: dict[str, Sequence[int]]) -> list[int]:
     """Glue three level-(n-1) chip vectors into a level-n one, requiring the
     copies to agree at the shared junction vertices."""
     n_parent = build_gasket(level).n_vertices

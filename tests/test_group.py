@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -482,6 +483,72 @@ def v2(x, infinite):
     return (x & -x).bit_length() - 1 if x else infinite
 
 
+def minus_product(r, f, b):
+    """r - f * b for rationals held as (numerator, denominator) pairs in
+    lowest terms with a positive denominator."""
+    num = r[0] * f[1] * b[1] - f[0] * b[0] * r[1]
+    den = r[1] * f[1] * b[1]
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def quotient(a, p):
+    """a / p for p > 0."""
+    num, den = a[0] * p[1], a[1] * p[0]
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def tuple_factor(graph):
+    """The reference factorization: a dict-of-rows LDL^T of Delta over Q,
+    one vertex at a time in order of min(v2(a), v2(b)) (ties canonical), with
+    a gcd per entry.  Returns (sequence, pivots, below): the elimination
+    order, the pivots and each step's column of L under its pivot."""
+    infinite = graph.level + 1
+    sequence = sorted(range(graph.n_vertices), key=lambda v: min(v2(x, infinite) for x in graph.coords[v]))
+    rows = [dict.fromkeys(nbrs, (-1, 1)) for nbrs in graph.neighbors]
+    diag = [(d, 1) for d in graph.degrees]
+    pivots, below = [], []
+    for v in sequence:
+        pivot = diag[v]
+        items = list(rows[v].items())
+        col = []
+        for i, (w, a) in enumerate(items):
+            row_w = rows[w]
+            del row_w[v]
+            f = quotient(a, pivot)
+            col.append((w, f))
+            diag[w] = minus_product(diag[w], f, a)
+            for u, b in items[i + 1 :]:
+                row_w[u] = rows[u][w] = minus_product(row_w.get(u, (0, 1)), f, b)
+        pivots.append(pivot)
+        below.append(col)
+    return sequence, pivots, below
+
+
+def tuple_solve(reference, x):
+    """(y, D) with Delta @ y == D * x and D least, through the reference
+    factorization: forward substitution, pivots, back substitution."""
+    sequence, pivots, below = reference
+    z = [(v, 1) for v in x]
+    for v, col in zip(sequence, below):
+        if z[v][0]:
+            for w, entry in col:
+                z[w] = minus_product(z[w], entry, z[v])
+    for v, pivot in zip(sequence, pivots):
+        z[v] = quotient(z[v], pivot)
+    for v, col in zip(reversed(sequence), reversed(below)):
+        for w, entry in col:
+            z[v] = minus_product(z[v], entry, z[w])
+    den = math.lcm(*(d for _, d in z))
+    return [num * (den // d) for num, d in z], den
+
+
+@functools.lru_cache(maxsize=None)
+def cached_tuple_factor(graph):
+    return tuple_factor(graph)
+
+
 def decimation_order(level):
     """Closed form of the Delta-Y decimation of the normally wired gasket:
     each level-1 cell's midpoint block has determinant 50 c^3, the
@@ -495,6 +562,11 @@ def decimation_order(level):
     return order * 2 * (2 + 3 * c) ** 2
 
 
+def fractions(exact):
+    num, den = exact
+    return [[Fraction(v, den) for v in row] for row in num]
+
+
 @pytest.mark.parametrize("level", range(6))
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
 def test_factor_determinant_equals_bareiss(level, boundary):
@@ -502,17 +574,47 @@ def test_factor_determinant_equals_bareiss(level, boundary):
     assert group.laplacian_factor(graph).determinant == group.determinant(reduced_laplacian(graph))
 
 
-@pytest.mark.parametrize("level", range(6))
-def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
+@pytest.mark.parametrize("level", range(9))
+def test_factor_determinant_equals_the_reference_pivot_product(level):
     for boundary in BOUNDARIES:
         graph = build_gasket(level, boundary)
+        _, pivots, _ = cached_tuple_factor(graph)
+        det, rem = divmod(math.prod(p for p, _ in pivots), math.prod(q for _, q in pivots))
+        assert rem == 0
+        assert group.laplacian_factor(graph).determinant == det
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
+    """Level k's cells have as midpoints exactly the vertices of valuation k
+    and as corners vertices of higher valuation (a sunk corner as the
+    padding n); each midpoint touches only its own cell, and every cell's
+    blocks are (3/5)^k times the level-1 cell's."""
+    cell = [[4, -1, -1], [-1, 4, -1], [-1, -1, 4]]
+    touch = [[-1, -1, 0], [-1, 0, -1], [0, -1, -1]]
+    for boundary in BOUNDARIES:
+        graph = build_gasket(level, boundary)
+        n = graph.n_vertices
         factor = group.laplacian_factor(graph)
-        assert sorted(factor.sequence) == list(range(graph.n_vertices))
-        keys = [min(v2(x, level + 1) for x in graph.coords[v]) for v in factor.sequence]
-        assert keys == sorted(keys)
-        # Nested dissection: no pivot row ever holds more than 4 entries.
-        assert max(len(col) for col in factor.below) <= 4
-        assert all(p > 0 and q > 0 for p, q in factor.pivots)
+        valuation = [min(v2(x, level + 1) for x in c) for c in graph.coords]
+        assert len(factor.mids) == len(factor.corners) == len(factor.blocks) == level
+        for k, (mids, corners) in enumerate(zip(factor.mids, factor.corners)):
+            assert mids.shape == corners.shape == (3 ** (level - 1 - k), 3)
+            assert sorted(mids.ravel().tolist()) == [v for v in range(n) if valuation[v] == k]
+            assert all(v == n or valuation[v] > k for v in corners.ravel().tolist())
+            assert (corners == n).sum() == (boundary.kind == "corner_sink")
+            if k == 0:
+                for cell_mids, cell_corners in zip(mids.tolist(), corners.tolist()):
+                    for v in cell_mids:
+                        assert set(graph.neighbors[v]) <= set(cell_mids + cell_corners)
+            c = Fraction(3, 5) ** k
+            assert fractions(factor.blocks[k]) == [[c * v for v in row] for row in cell]
+            # A corner slot that is the sink in every cell is never read.
+            real = [j for j in range(3) if (corners[:, j] != n).any()]
+            coupling = [[row[j] for j in real] for row in fractions(factor.couplings[k])]
+            assert coupling == [[c * row[j] for j in real] for row in touch]
+        corners_left = [graph.corner_index(name) for name in CORNER_NAMES]
+        assert list(factor.top) == [v for v in corners_left if v is not None]
 
 
 @pytest.mark.parametrize("level", range(9))
@@ -548,19 +650,124 @@ def test_solve_equals_the_dense_adjugate(level):
             assert math.gcd(den, *y) == 1
 
 
+def certificate_vectors(graph):
+    """The chip vectors the self-similarity certificates solve for: 3^n at
+    the corners other than a sunk one (corner transport) and, at level >= 1,
+    2 * 3^(n-1) at the junctions (junction invariance)."""
+    level = graph.level
+    transport = [0] * graph.n_vertices
+    for name in CORNER_NAMES:
+        v = graph.corner_index(name)
+        if v is not None:
+            transport[v] = 3**level
+    yield transport
+    if level >= 1:
+        junction = [0] * graph.n_vertices
+        for side in ("left", "right", "bottom"):
+            junction[graph.junction_index(side)] = 2 * 3 ** (level - 1)
+        yield junction
+
+
+@pytest.mark.parametrize("level", range(9))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_solve_equals_the_tuple_rational_reference(level, boundary):
+    graph = build_gasket(level, boundary)
+    n = graph.n_vertices
+    rng = random.Random(70 + level)
+    factor = group.laplacian_factor(graph)
+    reference = cached_tuple_factor(graph)
+    vectors = [[0] * n]
+    vectors += [[rng.randint(-span, span) for _ in range(n)] for span in (3, 10**6, 10**40)]
+    for v in rng.sample(range(n), min(n, 2)):
+        column = [0] * n
+        column[v] = graph.degrees[v]
+        for w in graph.neighbors[v]:
+            column[w] = -1
+        vectors.append([rng.randint(-9, 9) * c for c in column])
+    vectors += certificate_vectors(graph)
+    for x in vectors:
+        assert factor.solve(x) == tuple_solve(reference, x)
+
+
 def test_solve_rejects_a_corrupted_factor():
-    factor = group.laplacian_factor(build_gasket(2))
-    ones = [1] * factor.graph.n_vertices
-    (p, q), *rest = factor.pivots
-    bad_pivot = dataclasses.replace(factor, pivots=((p + q, q), *rest))
-    with pytest.raises(ArithmeticError):
-        bad_pivot.solve(ones)
-    k = next(k for k, col in enumerate(factor.below) if col)
-    (w, (a, b)), *others = factor.below[k]
-    below = list(factor.below)
-    below[k] = ((w, (a + b, b)), *others)
-    with pytest.raises(ArithmeticError):
-        dataclasses.replace(factor, below=tuple(below)).solve(ones)
+    factor = group.laplacian_factor(build_gasket(3, corner_sink(TOP)))
+    x = [random.Random(5).randint(-9, 9) for _ in range(factor.graph.n_vertices)]
+    assert factor.solve(x)[1] > 1
+
+    def corrupted(field, k, change):
+        values = list(getattr(factor, field))
+        values[k] = change(values[k])
+        return dataclasses.replace(factor, **{field: tuple(values)})
+
+    def bump(exact):
+        num, den = exact
+        num = num.copy()
+        num[0, 0] += 1
+        return num, den
+
+    def swap_cells(cells):
+        cells = cells.copy()
+        cells[[0, 1]] = cells[[1, 0]]
+        return cells
+
+    def swap_slots(cells):
+        return cells[:, [1, 0, 2]]
+
+    broken = [
+        corrupted("blocks", 0, bump),
+        corrupted("blocks", 2, bump),
+        corrupted("couplings", 1, bump),
+        corrupted("mids", 0, swap_slots),
+        corrupted("corners", 1, swap_slots),
+        corrupted("corners", 0, swap_cells),
+        dataclasses.replace(factor, top_block=bump(factor.top_block)),
+    ]
+    for bad in broken:
+        with pytest.raises(ArithmeticError):
+            bad.solve(x)
+    # An index that leaves a vertex out of every cell is refused outright.
+    lost = corrupted("mids", 1, lambda cells: np.where(cells == cells[0, 0], cells[0, 1], cells))
+    with pytest.raises(ArithmeticError, match="cover every vertex"):
+        lost.solve(x)
+
+
+def test_factor_refuses_cells_that_differ():
+    """A graph whose finest cells are not all alike has no level blocks."""
+    graph = build_gasket(3)
+    factor = group.laplacian_factor(graph)
+    mid = int(factor.mids[0][0, 0])
+    degrees = list(graph.degrees)
+    degrees[mid] += 1
+    heavier = dataclasses.replace(graph, degrees=tuple(degrees))
+    with pytest.raises(ArithmeticError, match="differ on the diagonal"):
+        group.laplacian_factor(heavier)
+    # A midpoint whose edge to a cell mate leads to another cell instead.
+    a, mate, b = (int(v) for v in (factor.mids[0][0, 0], factor.mids[0][0, 1], factor.mids[0][1, 0]))
+    neighbors = list(graph.neighbors)
+    neighbors[a] = tuple(b if w == mate else w for w in neighbors[a])
+    wired = dataclasses.replace(graph, neighbors=tuple(neighbors))
+    with pytest.raises(ArithmeticError, match="outside its cell"):
+        group.laplacian_factor(wired)
+
+
+def test_non_integral_entries_are_refused():
+    graph = build_gasket(2)
+    n = graph.n_vertices
+    with pytest.raises(TypeError):
+        group.in_lattice(graph, [0.5] * n)
+    with pytest.raises(TypeError):
+        group.lattice_reduce(graph, [1.9] + [0] * (n - 1))
+    with pytest.raises(TypeError):
+        sandpile.recurrent_rep(graph, [2.7] * n)
+    with pytest.raises(TypeError):
+        group.laplacian_factor(graph).solve([Fraction(1, 2)] * n)
+    # Integers of any kind pass, numpy's included, and mean the same.
+    x = [random.Random(1).randint(-9, 9) for _ in range(n)]
+    as_numpy = list(np.array(x, dtype=np.int64))
+    assert group.lattice_reduce(graph, as_numpy) == group.lattice_reduce(graph, x)
+    assert sandpile.recurrent_rep(graph, as_numpy) == sandpile.recurrent_rep(graph, x)
+    assert group.in_lattice(graph, as_numpy) == group.in_lattice(graph, x)
+    assert group.in_lattice(graph, [True] * n) == group.in_lattice(graph, [1] * n)
 
 
 def recurrent_kicker(graph):

@@ -81,6 +81,46 @@ def test_tile_recursion_assembles_from_three_children(level):
             assert tile.chips[parent_i] == child.chips[child_i]
 
 
+def tile_chips_by_recursion(level, x, y, z):
+    """The tile recursion without memoization: every sub-tile is rebuilt."""
+    if level == 1:
+        values = {(0, 0): x, (2, 0): y, (0, 2): z, (1, 0): 3, (0, 1): 3, (1, 1): 2}
+        return [values[c] for c in build_gasket(1).coords]
+    parts = {
+        LOWER_LEFT: tile_chips_by_recursion(level - 1, x, 3, 3),
+        LOWER_RIGHT: tile_chips_by_recursion(level - 1, 3, y, 2),
+        TOP: tile_chips_by_recursion(level - 1, 3, 2, z),
+    }
+    return assemble_from_copies(level, parts)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_memoized_tiles_equal_the_plain_recursion(level):
+    for args in ((2, 1, 1), (2, 2, 2), (2 + 4 * 3**level, 1, 1), (7, 0, 5)):
+        assert build_tile(level, *args).chips == tuple(tile_chips_by_recursion(level, *args))
+
+
+def test_a_cold_tile_builds_each_distinct_sub_tile_once(monkeypatch):
+    """build_tile(6, 2, 1, 1) has 121 sub-tiles above level 1, but only 25
+    distinct (level, x, y, z): 1 at level 6, 3 at level 5 and 7 at each of
+    levels 4, 3 and 2."""
+    selfsim._tile_chips.cache_clear()
+    calls = []
+    real = selfsim.assemble_from_copies
+
+    def counting(level, parts):
+        calls.append(level)
+        return real(level, parts)
+
+    monkeypatch.setattr(selfsim, "assemble_from_copies", counting)
+    tile = build_tile(6, 2, 1, 1)
+    assert len(calls) == 25
+    assert [calls.count(level) for level in range(2, 7)] == [7, 7, 7, 3, 1]
+    assert build_tile(6, 2, 1, 1) == tile
+    assert len(calls) == 25
+    assert isinstance(selfsim._tile_chips(6, 2, 1, 1), tuple)
+
+
 def test_tile_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_tile(0, 1, 1, 1)
