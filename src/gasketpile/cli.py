@@ -293,9 +293,9 @@ def cmd_render(parser, args) -> int:
         parser.error("--scale must be >= 1")
     conf = _read_config(args.input)
     fmt = args.format or ("svg" if args.out.endswith(".svg") else "ppm")
-    spec = render.RenderSpec(fmt=fmt, scale=args.scale)
+    data = render.render(conf, render.RenderSpec(fmt=fmt, scale=args.scale))
     with open(args.out, "wb") as fh:
-        fh.write(render.render(conf, spec))
+        fh.write(data)
     return 0
 
 

@@ -5,6 +5,13 @@ a*(1, 0) + b*(1/2, sqrt(3)/2).  Level 0 is the triangle {(0,0), (1,0), (0,1)};
 level k+1 is the union of three level-k copies translated by (0,0), (2**k, 0)
 and (0, 2**k), glued at the three junction vertices.  The canonical vertex
 order everywhere in this package is lexicographic ascending in (b, a).
+
+Two structures on a graph are owned here and shared by the rest of the
+package: `cell_index`, the cells of every level as index arrays (the layout
+of the Laplacian factorization and of the level-1 cell characters), and
+`laplacian_product`, the one exact Delta @ v.  The toppling rounds keep their
+own int64 update and `reduced_laplacian` the dense matrix that the Smith and
+Bareiss reductions need.
 """
 
 from __future__ import annotations
@@ -252,6 +259,50 @@ def neighbor_table(graph: GasketGraph) -> np.ndarray:
     for v, nbrs in enumerate(graph.neighbors):
         table[: len(nbrs), v] = nbrs
     return table
+
+
+def laplacian_product(graph: GasketGraph, entries) -> np.ndarray:
+    """Delta @ v as an object array: deg(v) v_v minus the sum of v over the
+    neighbours, gathered through `neighbor_table`.  Exact for Python ints
+    and Fractions, since every step is a Python operation on the entries."""
+    n = graph.n_vertices
+    padded = np.zeros(n + 1, dtype=object)
+    values = np.array(entries, dtype=object)
+    if values.shape != (n,):
+        raise ValueError("vector length must match vertex count")
+    padded[:n] = values
+    out = np.array(graph.degrees, dtype=object) * values
+    for slot in neighbor_table(graph):
+        out -= padded[slot]
+    return out
+
+
+@lru_cache(maxsize=None)
+def cell_index(graph: GasketGraph) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[int, int, int]]:
+    """For each level k, the cells of side 2**(k+1) as two read-only C x 3
+    index arrays: midpoints (bottom, left, right) and corners (lower left,
+    lower right, top), in the same cell order; then the three big corners.
+    A sunk corner reads as n, the padding slot.
+
+    Cells are listed depth-first: each cell's lower-left, lower-right and
+    top sub-cells follow one another, so level 0 lists the level-1 cells
+    sub-gasket by sub-gasket, from the largest copies down."""
+    n, level = graph.n_vertices, graph.level
+    side = 1 << level
+    grid = np.full((side + 1, side + 1), n, dtype=np.intp)
+    a, b = np.array(graph.coords, dtype=np.intp).T
+    grid[a, b] = np.arange(n)
+    a = b = np.zeros(1, dtype=np.intp)
+    mids, corners = [], []
+    for k in reversed(range(level)):
+        h = 1 << k
+        mids.append(np.stack([grid[a + h, b], grid[a, b + h], grid[a + h, b + h]], axis=1))
+        corners.append(np.stack([grid[a, b], grid[a + 2 * h, b], grid[a, b + 2 * h]], axis=1))
+        a, b = np.stack([a, a + h, a], axis=1).ravel(), np.stack([b, b, b + h], axis=1).ravel()
+    for cells in mids + corners:
+        cells.flags.writeable = False
+    big = (int(grid[0, 0]), int(grid[side, 0]), int(grid[0, side]))
+    return tuple(mids[::-1]), tuple(corners[::-1]), big
 
 
 def reduced_laplacian(graph: GasketGraph) -> list[list[int]]:

@@ -5,10 +5,11 @@ reduced Laplacian Delta; its order equals det(Delta).  Production code gets
 every exact quantity from two engines.  `laplacian_factor` eliminates
 Delta over the rationals one gasket level at a time, finest first (nested
 dissection): every cell of a level has the same exact 3 x 3 midpoint block,
-so a level is one block and two index arrays, and a solve is a few numpy
-object-array steps per level.  Its determinant is the order, and its O(n)
-solves of Delta y = x decide lattice membership, element orders and the
-reduction modulo the lattice.
+so a level is one block and the two index arrays of `gasket.cell_index`,
+and a solve is a few numpy object-array steps per level.  Its determinant
+is the order, and its O(n) solves of Delta y = x decide lattice membership,
+element orders and the reduction modulo the lattice; the solve's integer
+check and the reduction take Delta @ v from `gasket.laplacian_product`.
 `smith_mod` is a bounded-entry Smith reduction modulo the order that
 `quotient_invariants` runs without transforms (the invariant factors are the
 quotient by nothing) and `LatticeData.basis` with them, for the adapted
@@ -31,7 +32,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -42,7 +42,9 @@ from .gasket import (
     TOP,
     GasketGraph,
     build_gasket,
+    cell_index,
     corner_sink,
+    laplacian_product,
     neighbor_table,
     reduced_laplacian,
     subcopy_embedding,
@@ -434,27 +436,6 @@ def _inverse(matrix: Exact) -> tuple[Exact, Fraction]:
     return _lowest(inverse, det), Fraction(det, den**size)
 
 
-def _cells(graph: GasketGraph) -> tuple[list[np.ndarray], list[np.ndarray], tuple[int, int, int]]:
-    """For each level k, the cells of side 2**(k+1) as two C x 3 index arrays:
-    midpoints (bottom, left, right) and corners (lower left, lower right,
-    top), in the same cell order; then the three big corners.  A sunk corner
-    reads as n, the padding slot."""
-    n, level = graph.n_vertices, graph.level
-    side = 1 << level
-    grid = np.full((side + 1, side + 1), n, dtype=np.intp)
-    a, b = np.fromiter(chain.from_iterable(graph.coords), dtype=np.intp, count=2 * n).reshape(-1, 2).T
-    grid[a, b] = np.arange(n)
-    a = b = np.zeros(1, dtype=np.intp)
-    mids, corners = [], []
-    for k in reversed(range(level)):
-        h = 1 << k
-        mids.append(np.stack([grid[a + h, b], grid[a, b + h], grid[a + h, b + h]], axis=1))
-        corners.append(np.stack([grid[a, b], grid[a + 2 * h, b], grid[a, b + 2 * h]], axis=1))
-        a, b = np.concatenate([a, a + h, a]), np.concatenate([b, b, b + h])
-    big = (int(grid[0, 0]), int(grid[side, 0]), int(grid[0, side]))
-    return mids[::-1], corners[::-1], big
-
-
 def _positions(n: int, mids, top) -> tuple[np.ndarray, np.ndarray]:
     """The elimination order (each level's midpoints cell by cell, then the
     top corners, then the padding slot n) and its inverse; ArithmeticError
@@ -591,11 +572,7 @@ class LaplacianFactor:
         if g > 1:
             out //= g
             den //= g
-        padded = np.append(out, 0)
-        lap = np.array(graph.degrees, dtype=object) * out
-        for slot in neighbor_table(graph):
-            lap -= padded[slot]
-        if not (lap == den * x[:n]).all():
+        if not (laplacian_product(graph, out) == den * x[:n]).all():
             raise ArithmeticError("sparse solve fails Delta @ y == D * x")
         return out.tolist(), den
 
@@ -617,7 +594,7 @@ def laplacian_factor(graph: GasketGraph) -> LaplacianFactor:
     every boundary.  The determinant must be a positive integer, or
     ArithmeticError is raised."""
     n, level = graph.n_vertices, graph.level
-    mids, corners, big = _cells(graph)
+    mids, corners, big = cell_index(graph)
     top = tuple(v for v in big if v != n)
     order, pos = _positions(n, mids, top)
     # Numerators over `scale` of the Schur complement's diagonal, in
@@ -747,14 +724,9 @@ def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
     deg(v) f_v minus the sum of f over the neighbours of v, an integer in
     [1 - #neighbors(v), deg(v) - 1].  A non-integer entry raises
     TypeError."""
-    x = [operator.index(v) for v in entries]
+    x = np.array([operator.index(v) for v in entries], dtype=object)
     y, den = laplacian_factor(graph).solve(x)
-    q = [v // den for v in y]
-    degrees = graph.degrees
-    return [
-        x[v] - degrees[v] * q[v] + sum(q[w] for w in nbrs)
-        for v, nbrs in enumerate(graph.neighbors)
-    ]
+    return (x - laplacian_product(graph, np.array(y, dtype=object) // den)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ OVERFULL_COLOR = (0, 0, 0)
 BACKGROUND = (255, 255, 255)
 MARGIN = 8  # pixels around the triangle
 RADIUS_FRAC = 0.33  # disc radius as a fraction of scale
+MAX_PIXELS = 10**8  # largest raster `render_ppm` builds
 
 
 def color_for(chips: int) -> tuple[int, int, int]:
@@ -72,10 +73,16 @@ def _disc_stencil(radius: float) -> tuple[np.ndarray, np.ndarray]:
 
 def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
     """Binary PPM of the configuration's discs.  Where discs overlap (small
-    scales), the vertex with the highest index owns the pixel."""
+    scales), the vertex with the highest index owns the pixel.  A raster of
+    more than `MAX_PIXELS` pixels is refused with ValueError before any
+    buffer is built."""
     side = 1 << conf.graph.level
     width = math.ceil(side * spec.scale) + 2 * MARGIN + 1
     height = math.ceil(side * spec.scale * math.sqrt(3) / 2) + 2 * MARGIN + 1
+    if width * height > MAX_PIXELS:
+        raise ValueError(
+            f"a {width} x {height} raster has {width * height} pixels, above the limit of {MAX_PIXELS}"
+        )
     dy, dx = _disc_stencil(max(1.0, spec.scale * RADIUS_FRAC))
     # Flip vertically: image row 0 is the top of the triangle.
     centers = [(height - 1 - (round(y) + MARGIN), round(x)) for x, y in _positions(conf, spec)]

@@ -10,12 +10,15 @@ One kernel, `_stabilize_raw`, does all toppling, in two phases chosen from
 the input.  A work queue of unstable vertices, in exact Python ints, serves
 avalanches that start narrow: the burning test and the CLI's `stabilize`.
 When more than half of the vertices are queued at the start of a generation
-and a bound on the chip total shows that nothing can overflow int64, the
-rest of the avalanche runs as synchronous numpy rounds in which every vertex
-fires at once, as in the stabilization behind a recurrent representative.
-Those rounds start from the least-action lower bound
-max(0, ceil(Delta^{-1}(c - m))) on the odometer, m = degree - 1, which one
-sparse solve gives and which is most of the odometer of a wide avalanche.
+and one bound on the chip total (`_fits_int64`) shows that nothing can
+overflow int64, the rest of the avalanche runs as synchronous numpy rounds
+in which every vertex fires at once, as in the stabilization behind a
+recurrent representative.  When nothing is frozen, those rounds start from
+the least-action lower bound max(0, ceil(Delta^{-1}(c - m))) on the
+odometer, m = degree - 1, which one sparse solve gives and which is most of
+the odometer of a wide avalanche.  `stabilize`, `burning_odometer` and
+`recurrent_rep` call the kernel directly; the test suite wraps it to
+re-check result = start - Laplacian @ odometer on every call.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ import numpy as np
 
 from .gasket import GasketGraph, build_gasket, gasket_size, neighbor_table, parse_boundary
 from . import group
-
-# When set (the test suite turns it on), every stabilization re-checks the
-# conservation identity result = start - Laplacian @ odometer exactly.
-CHECK_CONSERVATION = False
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,9 @@ class Configuration:
 
 
 def config(graph: GasketGraph, entries) -> Configuration:
-    return Configuration(graph, tuple(int(v) for v in entries))
+    """A configuration from integer entries (`operator.index`); a float or
+    Fraction raises TypeError instead of being truncated."""
+    return Configuration(graph, tuple(operator.index(v) for v in entries))
 
 
 def zero_config(graph: GasketGraph) -> Configuration:
@@ -105,9 +106,10 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=()):
     avalanche's width: when more than half of the vertices are queued and
     every value the rest of the stabilization can reach provably fits in
     int64 (`_fits_int64`), the rest goes to `_topple_rounds`, synchronous
-    rounds on numpy arrays that first fire the least-action lower bound on
-    the odometer at once.  By the abelian property and least action, the
-    rounds give the same result and odometer as the queue.
+    rounds on numpy arrays that, when nothing is frozen, first fire the
+    least-action lower bound on the odometer at once.  By the abelian
+    property and least action, the rounds give the same result and
+    odometer as the queue.
     """
     degrees = graph.degrees
     if frozen:
@@ -146,18 +148,20 @@ def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=()):
 
 
 def _fits_int64(excess: list[int], thresholds) -> bool:
-    """Whether stabilizing the configuration `excess + thresholds` keeps
-    every chip count, threshold and odometer entry below 2**63.
+    """Whether `_topple_rounds` can stabilize the configuration
+    `excess + thresholds` in int64, head start included.
 
     With T the chip total, chip counts stay in [0, T].  The odometer is the
     Green's function applied to the chips that leave, so an entry is at most
     T times the expected time for the walk started there to be killed at
     the sink (or at a frozen vertex).  That time is at most the commute time
     2|E| R_eff <= 8n * n, since every degree is at most 4 (so 2|E| <= 8n)
-    and every vertex is at most n edges from the sink."""
+    and every vertex is at most n edges from the sink.  So an odometer entry
+    is at most U = T * 8n**2, the head start's intermediate values lie in
+    [-4U, T + 4U], and T * 64n**2 < 2**63 keeps every value in int64."""
     n = len(excess)
     total = sum(excess) + sum(thresholds)
-    return max(max(thresholds), total * 8 * n * n) < 2**63
+    return max(max(thresholds), total * 64 * n * n) < 2**63
 
 
 def _least_action_start(graph: GasketGraph, chips: list[int]) -> list[int]:
@@ -190,9 +194,8 @@ def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int
     After the jump a vertex with l_v > 0 holds more than m_v - d_v = -1
     chips, and one with l_v = 0 has only gained, so chips are negative only
     where a raw input was; such vertices never fire.  An odometer entry is
-    at most U = T * 8n**2 for a chip total T (see `_fits_int64`), so the
-    jump's intermediate values lie in [-4U, T + 4U]; the head start is taken
-    only when T * 64n**2 < 2**63 keeps them in int64."""
+    at most U = T * 8n**2 for a chip total T, so the jump's intermediate
+    values lie in [-4U, T + 4U], which `_fits_int64` keeps in int64."""
     n = len(chips)
     slots = neighbor_table(graph)
     c = np.array(chips, dtype=np.int64)
@@ -200,7 +203,7 @@ def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int
     odometer = np.zeros(n, dtype=np.int64)
     padded = np.zeros(n + 1, dtype=np.int64)
     fires = padded[:n]
-    if tuple(thresholds) == graph.degrees and sum(chips) * 64 * n * n < 2**63:
+    if tuple(thresholds) == graph.degrees:
         fires[:] = _least_action_start(graph, chips)
     while True:
         odometer += fires
@@ -214,23 +217,6 @@ def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int
     return odometer.tolist()
 
 
-def stabilize_list(graph: GasketGraph, chips: list[int], frozen=()):
-    """In-place stabilization of a raw chip list; returns the odometer.
-
-    `_stabilize_raw`, followed when CHECK_CONSERVATION is set by an exact
-    check of result = start - Laplacian @ odometer at every vertex."""
-    if not CHECK_CONSERVATION:
-        return _stabilize_raw(graph, chips, frozen)
-    before = list(chips)
-    odometer = _stabilize_raw(graph, chips, frozen)
-    degrees, neighbors = graph.degrees, graph.neighbors
-    for v in range(len(before)):
-        received = sum(odometer[w] for w in neighbors[v])
-        if chips[v] != before[v] - degrees[v] * odometer[v] + received:
-            raise AssertionError(f"conservation identity violated at vertex {v}")
-    return odometer
-
-
 def stabilize(conf: Configuration, frozen=()):
     """Stabilize a configuration; returns (stable configuration, odometer).
 
@@ -238,7 +224,7 @@ def stabilize(conf: Configuration, frozen=()):
     the result is stable off the frozen set and the odometer is zero on it.
     """
     chips = list(conf.chips)
-    odometer = stabilize_list(conf.graph, chips, frozen)
+    odometer = _stabilize_raw(conf.graph, chips, frozen)
     return Configuration(conf.graph, tuple(chips)), tuple(odometer)
 
 
@@ -257,7 +243,7 @@ def burning_odometer(conf: Configuration):
     if not conf.is_stable:
         raise ValueError("burning test needs a stable configuration")
     chips = [c + b for c, b in zip(conf.chips, conf.graph.beta)]
-    odometer = stabilize_list(conf.graph, chips)
+    odometer = _stabilize_raw(conf.graph, chips)
     recurrent = tuple(chips) == conf.chips and all(u == 1 for u in odometer)
     return recurrent, tuple(odometer)
 
@@ -293,7 +279,7 @@ def recurrent_rep(graph: GasketGraph, entries) -> Configuration:
     chips = [2 * mv + r for mv, r in zip(m, reduced)]
     if any(c < mv for c, mv in zip(chips, m)):
         raise ArithmeticError("reduced configuration falls below the maximal stable one")
-    stabilize_list(graph, chips)
+    _stabilize_raw(graph, chips)
     return Configuration(graph, tuple(chips))
 
 

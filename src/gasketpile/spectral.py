@@ -4,7 +4,10 @@ A multiplicative harmonic function assigns a unit-circle value h(v) to every
 vertex (h(sink) = 1) with h(v)**deg(v) equal to the product of h over the
 neighbors.  Writing h = exp(2*pi*i*q), harmonicity is the exact integer
 congruence deg(v)*q(v) = sum of neighbor q's (mod 1), so everything here is
-checked in rational arithmetic.  These functions are exactly the characters
+checked in rational arithmetic: Delta q, from `gasket.laplacian_product`,
+must be integral.  The level-1 cells behind the parity characters are the
+finest level of `gasket.cell_index`, the layout the Laplacian factorization
+eliminates.  These functions are exactly the characters
 of the sandpile group, and each one is an eigenfunction of the chip-adding
 walk with eigenvalue (1 + sum_v h(v)) / (n_vertices + 1).  `walk_spectrum`
 gets them all, and so the walk's exact distances from uniform, from one
@@ -22,20 +25,10 @@ from itertools import product
 
 import numpy as np
 
-from .gasket import (
-    COPY_OFFSETS,
-    LOWER_LEFT,
-    LOWER_RIGHT,
-    TOP,
-    GasketGraph,
-    build_gasket,
-    gasket_cells,
-)
+from .gasket import GasketGraph, build_gasket, cell_index, laplacian_product
 from . import group
 
 DEFAULT_CHARACTER_CAP = 10**6
-
-_CELL_LOCAL_MIDPOINTS = ((1, 0), (0, 1), (1, 1))
 
 
 class GroupTooLargeError(ValueError):
@@ -63,12 +56,8 @@ class HarmonicFunction:
             raise ValueError("rotation vector length must match vertex count")
 
     def is_harmonic(self) -> bool:
-        q = self.rotation
-        for v, nbrs in enumerate(self.graph.neighbors):
-            residue = self.graph.degrees[v] * q[v] - sum(q[w] for w in nbrs)
-            if residue.denominator != 1:
-                return False
-        return True
+        """Whether Delta q is integral, in exact arithmetic."""
+        return all(r.denominator == 1 for r in laplacian_product(self.graph, self.rotation))
 
     @property
     def is_real(self) -> bool:
@@ -125,32 +114,18 @@ class Level1Cell:
 
 
 @lru_cache(maxsize=None)
-def _cell_origins(level: int) -> tuple[tuple[int, int], ...]:
-    """Origins of the 3**(level-1) level-1 cells, enumerated depth-first in
-    copy order lower-left, lower-right, top."""
+def level1_cells(level: int) -> tuple[Level1Cell, ...]:
+    """The 3**(level-1) level-1 cells of the normally wired gasket, in the
+    depth-first order of `gasket.cell_index`: vertices in canonical order
+    (corner, bottom midpoint, corner, left midpoint, right midpoint,
+    corner), midpoints bottom, left, right."""
     if level < 1:
         raise ValueError("cells exist for level >= 1")
-    if level == 1:
-        return ((0, 0),)
-    half = 1 << (level - 1)
-    out = []
-    for name in (LOWER_LEFT, LOWER_RIGHT, TOP):
-        da, db = COPY_OFFSETS[name]
-        out.extend((a + da * half, b + db * half) for a, b in _cell_origins(level - 1))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def level1_cells(level: int) -> tuple[Level1Cell, ...]:
-    coords, _ = gasket_cells(level)
-    index = {c: i for i, c in enumerate(coords)}
-    locals_all = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))
-    cells = []
-    for a0, b0 in _cell_origins(level):
-        verts = tuple(index[(a0 + da, b0 + db)] for da, db in locals_all)
-        mids = tuple(index[(a0 + da, b0 + db)] for da, db in _CELL_LOCAL_MIDPOINTS)
-        cells.append(Level1Cell(verts, mids))
-    return tuple(cells)
+    mids, corners, _ = cell_index(build_gasket(level))
+    return tuple(
+        Level1Cell((x, p, y, q, r, z), (p, q, r))
+        for (p, q, r), (x, y, z) in zip(mids[0].tolist(), corners[0].tolist())
+    )
 
 
 def cell_harmonic(level: int, cell: int) -> HarmonicFunction:

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
 from gasketpile import group, markov, sandpile
@@ -266,10 +267,24 @@ def test_criterion_8_monte_carlo():
           f"Var = {var:.4f} within 3 stderr of 1/9")
 
 
-def test_criterion_9_property_suites():
+def test_criterion_9_property_suites(monkeypatch):
     import random
 
-    assert sandpile.CHECK_CONSERVATION, "conservation checking must be active for the suite"
+    # The suite-wide conservation wrapper is installed and catches a kernel
+    # that misreports its odometer.
+    checked = sandpile._stabilize_raw
+    raw = getattr(checked, "__wrapped__", None)
+    assert raw is not None, "conservation checking must be active for the suite"
+
+    def corrupted(graph, chips, frozen=()):
+        odometer = raw(graph, chips, frozen)
+        odometer[-1] += 1
+        return odometer
+
+    monkeypatch.setattr(checked, "__wrapped__", corrupted)
+    with pytest.raises(AssertionError, match="conservation identity violated"):
+        stabilize(config(build_gasket(1), (4, 0, 0, 0, 0, 0)))
+    monkeypatch.undo()
     # Re-verify the exchange identity independently of the built-in check.
     rng = random.Random(0)
     for level in (0, 1, 2):

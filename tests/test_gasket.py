@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +11,13 @@ from gasketpile.gasket import (
     NORMAL,
     TOP,
     build_gasket,
+    cell_index,
     corner_coords,
     corner_sink,
     gasket_cells,
     graph_to_json,
     junction_coords,
+    laplacian_product,
     parse_boundary,
     reduced_laplacian,
     rotation_ccw,
@@ -206,3 +210,71 @@ def test_graph_json_is_deterministic_and_faithful():
 def test_build_gasket_rejects_negative_level():
     with pytest.raises(ValueError):
         build_gasket(-1)
+
+
+BOUNDARIES = (NORMAL, *(corner_sink(name) for name in CORNER_NAMES))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+@pytest.mark.parametrize("level", range(6))
+def test_laplacian_product_equals_the_dense_matrix(level, boundary):
+    graph = build_gasket(level, boundary)
+    lap = reduced_laplacian(graph)
+    n = graph.n_vertices
+    rng = random.Random(f"product:{level}:{boundary.token()}")
+    vectors = [
+        [rng.randint(-10**40, 10**40) for _ in range(n)],
+        [rng.randint(-3, 3) for _ in range(n)],
+        [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(n)],
+    ]
+    for v in vectors:
+        want = [sum(a * b for a, b in zip(row, v)) for row in lap]
+        got = laplacian_product(graph, v)
+        assert got.tolist() == want
+        assert all(type(g) is type(w) for g, w in zip(got, want))
+
+
+def test_laplacian_product_refuses_a_wrong_length():
+    graph = build_gasket(1)
+    for bad in ([1] * 5, [1] * 7, [1], 1):
+        with pytest.raises(ValueError):
+            laplacian_product(graph, bad)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+@pytest.mark.parametrize("level", range(7))
+def test_cell_index_lists_cells_depth_first(level, boundary):
+    """Level k lists the cells of side 2**(k+1) with midpoints (bottom, left,
+    right) and corners (lower left, lower right, top); cell i of level k is
+    split into cells 3i, 3i+1, 3i+2 of level k-1, its lower-left,
+    lower-right and top sub-cells, so level 0 lists the level-1 cells
+    depth-first."""
+    graph = build_gasket(level, boundary)
+    n = graph.n_vertices
+    mids, corners, big = cell_index(graph)
+    assert len(mids) == len(corners) == level
+
+    def coord(v):
+        return None if v == n else graph.coords[v]
+
+    side = 1 << level
+    assert tuple(coord(v) for v in big) == tuple(
+        c if c in graph else None for c in ((0, 0), (side, 0), (0, side))
+    )
+    for k in range(level):
+        h = 1 << k
+        assert mids[k].shape == corners[k].shape == (3 ** (level - 1 - k), 3)
+        assert not mids[k].flags.writeable and not corners[k].flags.writeable
+        for (p, q, r), (x, y, z) in zip(mids[k].tolist(), corners[k].tolist()):
+            a, b = graph.coords[p]
+            a -= h
+            assert (coord(x), coord(y), coord(z)) == tuple(
+                c if c in graph else None for c in ((a, b), (a + 2 * h, b), (a, b + 2 * h))
+            )
+            assert (coord(q), coord(r)) == ((a, b + h), (a + h, b + h))
+        if k:
+            finer = corners[k - 1].reshape(-1, 3, 3)
+            for (p, q, r), (x, y, z), sub in zip(mids[k].tolist(), corners[k].tolist(), finer.tolist()):
+                assert sub == [[x, p, q], [p, y, r], [q, r, z]]
+    if level:
+        assert corners[-1].tolist() == [list(big)]

@@ -770,6 +770,26 @@ def test_non_integral_entries_are_refused():
     assert group.in_lattice(graph, [True] * n) == group.in_lattice(graph, [1] * n)
 
 
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+@pytest.mark.parametrize("level", [0, 4, 6, 8])
+def test_lattice_reduce_equals_the_per_vertex_reduction(level, boundary):
+    """`lattice_reduce` against the per-vertex loop it ran before it read
+    `gasket.laplacian_product`, on entries up to 3 and up to 10**40."""
+    graph = build_gasket(level, boundary)
+    rng = random.Random(f"reduce:{level}:{boundary.token()}")
+    for span in (3, 10**40):
+        x = [rng.randint(-span, span) for _ in range(graph.n_vertices)]
+        y, den = group.laplacian_factor(graph).solve(x)
+        q = [v // den for v in y]
+        want = [
+            x[v] - graph.degrees[v] * q[v] + sum(q[w] for w in nbrs)
+            for v, nbrs in enumerate(graph.neighbors)
+        ]
+        got = group.lattice_reduce(graph, x)
+        assert got == want and all(type(v) is int for v in got)
+        assert all(1 - len(nbrs) <= v < d for v, d, nbrs in zip(got, graph.degrees, graph.neighbors))
+
+
 def recurrent_kicker(graph):
     """The vector 2m - stab(2m), m the maximal stable configuration: it is
     >= m pointwise and lies in the Laplacian lattice, so adding it to a
@@ -777,7 +797,7 @@ def recurrent_kicker(graph):
     representative of the same class."""
     m = [d - 1 for d in graph.degrees]
     doubled = [2 * v for v in m]
-    sandpile.stabilize_list(graph, doubled)
+    sandpile._stabilize_raw(graph, doubled)
     return [2 * mv - sv for mv, sv in zip(m, doubled)]
 
 
@@ -831,7 +851,7 @@ class AdjugateReference:
             k = (-low + scale - 1) // scale
             x = [c + k * scale for c in x]
         chips = [c + kick for c, kick in zip(x, recurrent_kicker(graph))]
-        sandpile.stabilize_list(graph, chips)
+        sandpile._stabilize_raw(graph, chips)
         return sandpile.Configuration(graph, tuple(chips))
 
 

@@ -339,6 +339,36 @@ def test_cli_render_refuses_a_scale_below_one(scale, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_oversized_rasters_are_refused_before_any_buffer(tmp_path, capsys, monkeypatch):
+    from gasketpile import render as render_module
+
+    # SVG output has no raster and no limit.
+    assert render(max_config(G1), RenderSpec(fmt="svg", scale=10**5)).startswith(b"<svg")
+    conf_path = tmp_path / "conf.txt"
+    conf_path.write_text(config_to_text(identity(G1)))
+    level8 = max_config(build_gasket(8))
+
+    class Allocated(Exception):
+        pass
+
+    def allocate(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(render_module, "_disc_stencil", allocate)
+    monkeypatch.setattr(render_module.np, "full", allocate)
+    # Level 8 at scale 1000 would be about 5.7e10 pixels.
+    with pytest.raises(ValueError, match=r"has \d+ pixels, above the limit of 100000000"):
+        render_ppm(level8, RenderSpec(scale=1000))
+    # The default scale at level 8 (8.3e6 pixels) gets past the check.
+    with pytest.raises(Allocated):
+        render_ppm(level8)
+    out_path = tmp_path / "out.ppm"
+    code = main(["render", "--input", str(conf_path), "--out", str(out_path), "--scale", "100000"])
+    assert code == 2
+    assert "pixels, above the limit" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_cli_closes_its_input_file(tmp_path, capsys):
     path = tmp_path / "max.txt"
     path.write_text(config_to_text(max_config(G1)))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def test_configuration_validation():
         Configuration(G0, (1, -1, 0))
     with pytest.raises(ValueError):
         config(G0, (0, 0, 0)).add(config(G1, (0,) * 6))
+
+
+def test_config_refuses_non_integer_entries():
+    for entries in ([3.9, 1, 2], [Fraction(7, 2), 1, 2], [2.0, 1, 2], np.array([3.0, 1.5, 2.0])):
+        with pytest.raises(TypeError):
+            config(G0, entries)
+    for entries in ([3, 1, 2], np.array([3, 1, 2]), [np.int64(3), np.int8(1), 2], [True, 1, 2]):
+        conf = config(G0, entries)
+        assert conf.chips == (int(entries[0]), 1, 2)
+        assert all(type(c) is int for c in conf.chips)
 
 
 def test_single_vertex_fires_once():
@@ -213,37 +224,48 @@ def test_rounds_never_untopple_negative_chips(rounds_calls):
     ]
     assert min(jumped) < 0
     result = list(chips)
-    odometer = sandpile.stabilize_list(graph, result)
+    odometer = sandpile._stabilize_raw(graph, result)
     assert rounds_calls == [sum(chips)]
     assert (result, odometer) == naive_stabilize(graph, chips, ())
 
 
 def test_rounds_phase_is_guarded_against_int64_overflow(rounds_calls, monkeypatch):
-    # With T chips on n vertices an odometer entry stays below T * 8n**2.
-    # 2**40 chips on each of 42 vertices keep that below 2**60, so the
-    # rounds take over at once.
+    # With T chips on n vertices an odometer entry stays below T * 8n**2
+    # and the head start's values below T * 64n**2, the one bound
+    # `_fits_int64` checks.  2**40 chips on each of 42 vertices keep that
+    # below 2**63, so the rounds take over at once.
     g3 = build_gasket(3)
     wide = config(g3, [2**40] * g3.n_vertices)
     wide_result = stabilize(wide)
     assert rounds_calls == [wide.total]
-    # Just under the bound at level 0 the rounds move up to 2**54 chips per
-    # neighbour pair, beyond float64's 2**53: the sums must be exact.
+    # Just under the bound at level 0 the head start moves more than 2**53
+    # chips out of every vertex at once, beyond float64's exact integers:
+    # the sums must be exact.
     rounds_calls.clear()
-    near = config(G0, [2**55 - 1, 2**55 - 3, 2**55 - 7])
+    near = config(G0, [2**52 + 2**49 - 1, 2**52 + 2**49 - 3, 2**52 + 2**49 - 7])
+    assert all(4 * s > 2**53 for s in sandpile._least_action_start(G0, list(near.chips)))
     near_result = stabilize(near)
     assert rounds_calls == [near.total]
+    # Between the odometer bound and the head-start bound the queue works
+    # in Python ints until the sink has taken enough chips.
+    rounds_calls.clear()
+    between = config(G0, [2**55 - 1, 2**55 - 3, 2**55 - 7])
+    assert between.total * 8 * 3**2 < 2**63 <= between.total * 64 * 3**2
+    between_result = stabilize(between)
+    assert rounds_calls and all(total * 64 * 3**2 < 2**63 for total in rounds_calls)
     # A pile of 2**70 does not fit in int64 at all: the queue works in Python
     # ints until the sink has taken enough chips for the bound to hold.
     rounds_calls.clear()
     pile = zero_config(G1).add_chips(0, 2**70)
     result, odometer = stabilize(pile)
     assert result.is_stable and max(odometer) >= 2**64
-    assert all(total * 8 * 6**2 < 2**63 for total in rounds_calls)
+    assert all(total * 64 * 6**2 < 2**63 for total in rounds_calls)
     # The queue alone, in Python ints, gives the same results.
     rounds_calls.clear()
     monkeypatch.setattr(sandpile, "_fits_int64", lambda excess, thresholds: False)
     assert stabilize(wide) == wide_result
     assert stabilize(near) == near_result
+    assert stabilize(between) == between_result
     assert stabilize(pile) == (result, odometer)
     assert rounds_calls == []
 

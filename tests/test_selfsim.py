@@ -175,8 +175,9 @@ def test_doubling_collects_the_frozen_corner_excess(level, gain):
 @pytest.mark.parametrize("level", [1, 2])
 def test_corner_transport_on_the_identity(level):
     report = verify_corner_transport(level)
-    assert report.passed and report.dynamic_ok and report.lattice_ok
-    assert report.to_json()["details"]["class_is_trivial"] is True
+    assert report.passed
+    details = report.to_json()["details"]
+    assert details["returned_to_input"] is details["class_is_trivial"] is True
 
 
 def test_corner_transport_on_random_recurrents():
@@ -200,8 +201,8 @@ def test_corner_transport_rejects_bad_input():
 def test_junction_invariance_for_family_members(level):
     for x in (2, 3):
         report = verify_junction_invariance(level, build_tile(level, x, 2, 2))
-        assert report.passed
-        assert report.assembled_recurrent and report.junction_add_neutral
+        assert report.passed and report.assembled_recurrent
+        assert report.to_json()["details"]["junction_add_neutral"] is True
 
 
 def test_junction_invariance_rejects_wrong_corners():
@@ -307,7 +308,7 @@ def test_certificates_agree_with_the_avalanches_on_the_true_inputs(level):
     assert report.passed and transport_by_avalanche(identity(graph), LOWER_LEFT)
     tile = build_tile(level, 2, 2, 2)
     report = verify_junction_invariance(level, tile)
-    assert (report.assembled_recurrent, report.junction_add_neutral) == (True, True)
+    assert (report.assembled_recurrent, report.passed) == (True, True)
     assert junction_by_avalanche(tile) == (True, True)
 
 
@@ -376,9 +377,9 @@ def test_junction_certificate_agrees_with_the_avalanche_on_random_recurrents(lev
     verdicts = set()
     for conf in junction_inputs(level, seed=level):
         report = verify_junction_invariance(level, conf)
-        got = (report.assembled_recurrent, report.junction_add_neutral)
+        got = (report.assembled_recurrent, report.passed)
         assert got == junction_by_avalanche(conf)
-        assert report.passed == all(got)
+        assert report.to_json()["details"]["junction_add_neutral"] is report.passed
         verdicts.add(report.passed)
     assert verdicts == {True, False}
 
@@ -391,7 +392,7 @@ def test_transport_certificate_agrees_with_the_avalanche_on_random_recurrents(le
     for _ in range(4):
         eta = recurrent_rep(graph, [rng.randrange(-50, 50) for _ in range(graph.n_vertices)])
         report = verify_corner_transport(level, eta, corner)
-        assert report.passed and report.dynamic_ok and report.lattice_ok
+        assert report.passed
         assert transport_by_avalanche(eta, corner)
 
 

@@ -75,6 +75,78 @@ def test_cells_partition_midpoints(level):
     assert covered == set(range(graph.n_vertices))
 
 
+def reference_cells(level):
+    """The level-1 cells by the coordinate recursion `level1_cells` used
+    before it read `gasket.cell_index`: origins depth-first in copy order
+    lower-left, lower-right, top; vertices (0,0), (1,0), (2,0), (0,1),
+    (1,1), (0,2) and midpoints (1,0), (0,1), (1,1) around each origin."""
+
+    def origins(k):
+        if k == 1:
+            return [(0, 0)]
+        half = 1 << (k - 1)
+        return [(a + da * half, b + db * half) for da, db in ((0, 0), (1, 0), (0, 1)) for a, b in origins(k - 1)]
+
+    index = build_gasket(level).vertex_index
+    return [
+        (
+            tuple(index[(a + da, b + db)] for da, db in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))),
+            tuple(index[(a + da, b + db)] for da, db in ((1, 0), (0, 1), (1, 1))),
+        )
+        for a, b in origins(level)
+    ]
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_cells_equal_the_coordinate_recursion(level):
+    want = reference_cells(level)
+    assert [(c.vertex_indices, c.midpoint_indices) for c in level1_cells(level)] == want
+    n = build_gasket(level).n_vertices
+    half = Fraction(1, 2)
+    # Every cell up to level 4; the first, last and five random ones above.
+    picks = range(len(want)) if level <= 4 else [0, len(want) - 1, *random.Random(level).sample(range(len(want)), 5)]
+    for i in picks:
+        rotation = [Fraction(0)] * n
+        for v in want[i][1]:
+            rotation[v] = half
+        assert cell_harmonic(level, i + 1).rotation == tuple(rotation)
+
+
+def loop_is_harmonic(h):
+    """The per-vertex check `is_harmonic` ran before it read
+    `gasket.laplacian_product`."""
+    q = h.rotation
+    for v, nbrs in enumerate(h.graph.neighbors):
+        residue = h.graph.degrees[v] * q[v] - sum(q[w] for w in nbrs)
+        if residue.denominator != 1:
+            return False
+    return True
+
+
+def test_is_harmonic_keeps_its_verdicts():
+    chars = enumerate_characters(G1)
+    assert all(c.is_harmonic() and loop_is_harmonic(c) for c in chars)
+    rng = random.Random(19)
+    verdicts = []
+    for level in range(4):
+        for boundary in (NORMAL, corner_sink(LOWER_LEFT)):
+            graph = build_gasket(level, boundary)
+            n = graph.n_vertices
+            for den in (2, 3, 5, 10**20):
+                h = HarmonicFunction(graph, tuple(Fraction(rng.randrange(den), den) for _ in range(n)))
+                verdicts.append(h.is_harmonic())
+                assert verdicts[-1] == loop_is_harmonic(h)
+            # A character moved by 1/den at one vertex stops being harmonic.
+            for den in (2, 7):
+                base = cell_harmonic(level, 1).rotation if boundary == NORMAL and level else (Fraction(0),) * n
+                bumped = list(base)
+                v = rng.randrange(n)
+                bumped[v] = (bumped[v] + Fraction(1, den)) % 1
+                h = HarmonicFunction(graph, tuple(bumped))
+                assert not h.is_harmonic() and not loop_is_harmonic(h)
+    assert True in verdicts and False in verdicts
+
+
 def test_cell_harmonic_bounds():
     with pytest.raises(ValueError):
         cell_harmonic(2, 0)
