@@ -68,7 +68,6 @@ def _check_level(parser, args, cap=8, why=""):
 
 # Levels past these caps would run for seconds to minutes; they are refused
 # at once.
-_SMITH_WHY = "the Smith form of the level-6 Laplacian takes about 20-26 s"
 _IDENTITY_WHY = (
     "stabilizing the identity takes about 6 s at level 8, and on a corner-sink "
     "boundary about 2 s at level 7 and 23 s at level 8"
@@ -148,17 +147,18 @@ def cmd_selfsim_verify(parser, args) -> int:
 
 
 def cmd_group_snf(parser, args) -> int:
-    _check_level(parser, args, cap=5, why=_SMITH_WHY)
+    _check_level(parser, args)
     graph = _graph_arg(args)
     data_l = group.lattice_data(graph)
+    order = group.digits(data_l.order)
     data = {
         "level": graph.level,
         "boundary": graph.boundary.token(),
         "invariant_factors": [str(d) for d in data_l.invariants],
-        "determinant": str(data_l.order),
+        "determinant": order,
     }
     human = [
-        f"group order {data_l.order}",
+        f"group order {order}",
         "invariant factors " + " ".join(str(d) for d in data_l.invariants),
     ]
     _print(data, args.json, human)
@@ -166,7 +166,7 @@ def cmd_group_snf(parser, args) -> int:
 
 
 def cmd_group_check_theorem(parser, args) -> int:
-    _check_level(parser, args, cap=5, why=_SMITH_WHY)
+    _check_level(parser, args)
     if args.level < 1:
         parser.error("--level must be >= 1")
     report = group.check_group_theorem(args.level)

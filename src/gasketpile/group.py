@@ -1,24 +1,32 @@
 """Exact linear algebra for sandpile groups on gasket graphs.
 
 The sandpile group of a graph is Z^V modulo the column lattice of the
-reduced Laplacian Delta; its order equals det(Delta).  Production code gets
-every exact quantity from two engines.  `laplacian_factor` eliminates
-Delta over the rationals one gasket level at a time, finest first (nested
-dissection): every cell of a level has the same exact 3 x 3 midpoint block,
-so a level is one block and the two index arrays of `gasket.cell_index`,
-and a solve is a few numpy object-array steps per level.  Its determinant
-is the order, and its O(n) solves of Delta y = x decide lattice membership,
-element orders and the reduction modulo the lattice; the solve's integer
-check and the reduction take Delta @ v from `gasket.laplacian_product`.
-`smith_mod` is a bounded-entry Smith reduction modulo the order that
-`quotient_invariants` runs without transforms (the invariant factors are the
-quotient by nothing) and `LatticeData.basis` with them, for the adapted
-basis.  The recursive and matrix-tree spanning tree counts live here too.
+reduced Laplacian Delta; its order equals det(Delta).  `laplacian_factor`
+eliminates Delta over the rationals one gasket level at a time, finest
+first (nested dissection): every cell of a level has the same exact 3 x 3
+midpoint block, so a level is one block and the two index arrays of
+`gasket.cell_index`, and a solve is a few numpy object-array steps per
+level.  Its determinant is the order, and its O(n) solves of Delta y = x
+decide lattice membership, element orders and the reduction modulo the
+lattice; the solve's integer check and the reduction take Delta @ v from
+`gasket.laplacian_product`.
+
+Two Smith engines share the rest.  `quotient_invariants` gives every set of
+invariant factors in production: the group's own (`LatticeData.invariants`,
+`sandpile_group_invariants`, `group snf`) as the quotient by nothing, and
+the four quotients of `check_group_theorem`.  It factors the order
+(`factor_order`) and runs a sparse local Smith form over Z/p^K per prime
+(`_local_smith`), pivoting inside the cells of `gasket.cell_index`, finest
+first; all primes of the level-8 group take 0.8-1.7 s on a 2-core VM.
+`smith_mod` is a dense bounded-entry Smith reduction modulo the order; with
+transforms it gives `LatticeData.basis`, the adapted basis behind the class
+labels, the characters and the walk spectrum.  The tests check the two
+against each other and `smith_mod` against sympy's Smith normal form over
+ZZ.  The recursive and matrix-tree spanning tree counts live here too.
 
 Bareiss determinants (`determinant`) and the fraction-free adjugate
 (`scaled_inverse`) are reference paths that the tests and the benchmark
-check the engines against; the tests check `smith_mod` against sympy's
-Smith normal form over ZZ.  Both run one banded, lazily scaled Bareiss
+check the engines against.  Both run one banded, lazily scaled Bareiss
 kernel on sparse rows (`_fraction_free`); in the banded canonical vertex
 order the determinant takes about 12 ms at level 4 and 0.11-0.14 s at
 level 5 on a 2-core VM.
@@ -29,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -148,21 +157,23 @@ def determinant(matrix: Matrix) -> int:
 def _canonical_chain(orders: list[int]) -> list[int]:
     """Divisibility chain d1 | d2 | ... with the same direct sum of cyclic
     groups as the given positive orders.  Each fix replaces a bad pair by
-    (gcd, lcm); the smaller entry strictly shrinks, so this terminates."""
-    d = sorted(int(v) for v in orders)
-    if any(v <= 0 for v in d):
+    (gcd, lcm), as many copies of the pair at once as both values have; the
+    smaller entry strictly shrinks, so this terminates.  The work grows with
+    the number of distinct values, not of entries."""
+    counts = Counter(int(v) for v in orders)
+    if any(v <= 0 for v in counts):
         raise ValueError("cyclic orders must be positive")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = math.gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] // g * d[j]
-                    changed = True
-        d.sort()
-    return d
+    while True:
+        values = sorted(counts)
+        bad = next(((a, b) for i, a in enumerate(values) for b in values[i + 1 :] if b % a), None)
+        if bad is None:
+            return [v for v in values for _ in range(counts[v])]
+        a, b = bad
+        copies, g = min(counts[a], counts[b]), math.gcd(a, b)
+        for value, change in ((a, -copies), (b, -copies), (g, copies), (a // g * b, copies)):
+            counts[value] += change
+            if not counts[value]:
+                del counts[value]
 
 
 @dataclass
@@ -208,13 +219,14 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     Column operations do not change cokernel coordinates, so with
     `transforms` only row operations are tracked.  They give the adapted
     basis U and its inverse exactly (square input only); their entries are
-    unbounded integers.
+    unbounded integers.  The entries and the modulus must be integers
+    (`operator.index`), or TypeError is raised.
     """
-    big = int(modulus)
+    big = operator.index(modulus)
     if big <= 0:
         raise ValueError("modulus must be positive")
     half = big // 2
-    s = [[int(v) % big for v in row] for row in matrix]
+    s = [[operator.index(v) % big for v in row] for row in matrix]
     m = len(s)
     n = len(s[0]) if m else 0
     if any(len(row) != n for row in s):
@@ -662,10 +674,11 @@ class LatticeData:
 
     Everything else is computed on first use, once, and must multiply out to
     the order, or ArithmeticError is raised.  `invariants`, the invariant
-    factors above 1, is `quotient_invariants` by no generators.  `basis`, the
-    adapted basis U, Uinv, comes from one `smith_mod` run with transforms and
-    names its own summands: `cyclic` lists the positions and orders of its
-    factors above 1, the coordinates every class label uses."""
+    factors above 1, is `quotient_invariants` by no generators: the local
+    Smith forms, one per prime, with no `smith_mod` run.  `basis`, the
+    adapted basis U, Uinv, comes from one `smith_mod` run with transforms
+    and names its own summands: `cyclic` lists the positions and orders of
+    its factors above 1, the coordinates every class label uses."""
 
     graph: GasketGraph
     order: int
@@ -730,6 +743,201 @@ def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Invariant factors from sparse local Smith forms, one prime at a time.
+# ---------------------------------------------------------------------------
+
+
+def factor_order(level: int, order: int) -> dict[int, int]:
+    """{p: v_p(order)} for a level-`level` group order, by trial division over
+    2, 3, 5 and the primes of N = 2 * 5**level + 3**(level + 1).  Every
+    gasket group order factors so (on the normal boundary it is
+    2^a 3^b 5^c N^2 for level >= 1, on a corner-sink boundary it has no
+    factor N); a cofactor left over raises ArithmeticError."""
+    if order <= 0:
+        raise ValueError("a group order is positive")
+    primes, rest, d = [2, 3, 5], 2 * 5**level + 3 ** (level + 1), 7
+    while d * d <= rest:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 2
+    if rest > 5:
+        primes.append(rest)
+    powers = {}
+    for p in primes:
+        e = 0
+        while order % p == 0:
+            order //= p
+            e += 1
+        if e:
+            powers[p] = e
+    if order != 1:
+        raise ArithmeticError(f"the level-{level} group order has a factor {order} outside 2, 3, 5 and N")
+    return powers
+
+
+# Markowitz cost caps (row entries - 1) * (column entries - 1) of the passes
+# before the uncapped one: cheap pivots first.
+_MARKOWITZ_CAPS = (4, 16, 64, 256)
+
+
+def _nested_rows(graph: GasketGraph, columns: list[list[int]]) -> tuple[dict[int, dict[int, int]], list[list[int]]]:
+    """The rows {column: entry} of [Delta | g1 | ... | gk], one per vertex in
+    the nested-dissection order of `gasket.cell_index` (each level's
+    midpoints cell by cell, finest first, then the big corners), and per
+    stage k the level-k cell of every row and column: the cell whose
+    midpoints, or those of the cells below it, hold the vertex, or -1 for a
+    vertex that is no level-k cell's midpoint or below one.  Every vertex is
+    in the one cell of the last stage, and so are the generators."""
+    n, level = graph.n_vertices, graph.level
+    mids, _, big = cell_index(graph)
+    home_level = np.full(n + len(columns), level, dtype=np.int64)
+    home_cell = np.zeros(n + len(columns), dtype=np.int64)
+    for k, cells in enumerate(mids):
+        home_level[cells] = k
+        home_cell[cells] = np.arange(len(cells))[:, None]
+    stages = [
+        np.where(home_level <= k, home_cell // 3 ** np.maximum(k - home_level, 0), -1).tolist()
+        for k in range(level + 1)
+    ]
+    rows = {}
+    for v in [int(v) for cells in mids for v in cells.ravel()] + [v for v in big if v != n]:
+        row = rows[v] = {v: graph.degrees[v]}
+        for w in graph.neighbors[v]:
+            row[w] = row.get(w, 0) - 1
+        for k, g in enumerate(columns):
+            if g[v]:
+                row[n + k] = g[v]
+    return rows, stages
+
+
+def _local_smith(
+    matrix: dict[int, dict[int, int]], stages: list[list[int]], p: int, rounds: int
+) -> tuple[list[int], int]:
+    """Smith form over Z/p^rounds of the rows of `_nested_rows`: the
+    exponents e >= 1 of its p-power invariant factors below p^rounds, and
+    the number of rows that survive every round (factors p^rounds or more).
+
+    Rows are dicts {column: residue}, with a row set per column.  A pivot
+    (i, j) of valuation r needs every entry of row i and of column j
+    divisible by p^r: it is a unit of the row divided by p^r, and it splits
+    off Z/p^r.  Row operations clear its column, and the pivot row and
+    column are dropped (column operations clear the row and touch no other).
+
+    Stage k pivots only inside a level-k cell, on a row and a column that
+    both lie in it (`stages[k]`), so fill never leaves the cell and its
+    three corners.  Within a stage the rounds r = 0, 1, ... take the
+    valuation-r pivots, rows in nested-dissection order, in one pass per
+    Markowitz cost cap and then uncapped until none is left; a row without
+    one waits for the next stage.  The last stage is the whole gasket, and
+    there these are the usual rounds that divide the surviving rows by p.
+    The local stages matter at p = 2 and p = 5, where a cell's rows are
+    divisible by p in combination (a level-1 cell's midpoint block has Smith
+    form diag(1, 5, 10)): each cell splits off its own factors of p before
+    its rows reach the coarser cells, and the rows stay short."""
+    modulus = p**rounds
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, entries in matrix.items():
+        row = rows[i] = {j: x % modulus for j, x in entries.items() if x % modulus}
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    exponents: list[int] = []
+    for cell in stages:
+        live = active = [i for i in rows if cell[i] >= 0]
+        # A pivot changes the rows and column counts of its own cell only
+        # (and of its corners, which lie in no cell of this stage), so a
+        # row's best pivot holds until a pivot in its cell bumps the version.
+        version = Counter()
+        r = 0
+        while active:
+            scale, step = p**r, p ** (r + 1)
+            seen: dict[int, tuple[int, tuple[int, int] | None]] = {}
+
+            def best(i: int) -> tuple[int, int] | None:
+                # The cheapest valuation-r pivot (cost, column) of row i in its
+                # cell.  A live row is divisible by p^r (see the end of the
+                # round); the pivot's column must be too.
+                home = cell[i]
+                if (hit := seen.get(i)) and hit[0] == version[home]:
+                    return hit[1]
+                row, found = rows[i], None
+                width = len(row) - 1
+                for j, x in row.items():
+                    if x % step and cell[j] == home:
+                        cost = width * (len(cols[j]) - 1)
+                        if (found is None or cost < found[0]) and not (
+                            r and any(rows[s][j] % scale for s in cols[j])
+                        ):
+                            found = (cost, j)
+                seen[i] = (version[home], found)
+                return found
+
+            def pivot(i: int, j: int) -> None:
+                # Clear column j with row i and drop both.
+                version[cell[i]] += 1
+                prow = rows.pop(i)
+                for c in prow:
+                    cols[c].discard(i)
+                inv = pow(prow.pop(j) // scale, -1, modulus)
+                terms = list(prow.items())
+                for t in cols.pop(j):
+                    row = rows[t]
+                    f = row.pop(j) // scale * inv % modulus
+                    for c, v in terms:
+                        w = (row.get(c, 0) - f * v) % modulus
+                        if w:
+                            if c not in row:
+                                cols[c].add(t)
+                            row[c] = w
+                        elif c in row:
+                            del row[c]
+                            cols[c].discard(t)
+                if r:
+                    exponents.append(r)
+
+            # One pass per Markowitz cap over the rows whose least valuation
+            # is r, then uncapped passes over every live row (pivots may have
+            # brought some down to r) until a pass takes nothing.
+            for cap in _MARKOWITZ_CAPS:
+                for i in active:
+                    if i in rows and (found := best(i)) and found[0] <= cap:
+                        pivot(i, found[1])
+            taken = True
+            while taken:
+                taken = False
+                for i in live:
+                    if i in rows and (found := best(i)):
+                        pivot(i, found[1])
+                        taken = True
+            # The next round is the least valuation above r that is some live
+            # row's least and lies in the row's cell.  A row whose least
+            # valuation is lower keeps it through this stage, since every
+            # update from now on is divisible by p^r: it waits for the next.
+            lows = {i: _least_valuations(rows[i], cell, i, p) for i in live if i in rows}
+            r = min((low for low, inside in lows.values() if r < low == inside < rounds), default=rounds)
+            live = [i for i, (low, _) in lows.items() if low >= r]
+            active = [i for i in live if lows[i][0] == r]
+    return exponents, len(rows)
+
+
+def _least_valuations(row: dict[int, int], cell: list[int], i: int, p: int) -> tuple[float, float]:
+    """The least p-adic valuation of the row's entries, and the least of
+    those in the columns of row i's cell (inf where there are none)."""
+    low, inside, home = math.inf, math.inf, cell[i]
+    for j, x in row.items():
+        e = 0
+        while x % p == 0:
+            x //= p
+            e += 1
+        low = min(low, e)
+        if cell[j] == home:
+            inside = min(inside, e)
+    return low, inside
+
+
+# ---------------------------------------------------------------------------
 # Quotients and the recursive decomposition of the group.
 # ---------------------------------------------------------------------------
 
@@ -742,20 +950,35 @@ def delta_vector(graph: GasketGraph, index: int) -> list[int]:
 
 def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list[int]:
     """Invariant factors (> 1) of the sandpile group modulo the subgroup
-    generated by the given integer vectors' classes.
+    generated by the given integer vectors' classes; a non-integer entry
+    raises TypeError (`operator.index`).
 
-    Computed as the cokernel of [Delta | g1 | ... | gk], reduced modulo the
-    group order throughout; that is legal because order * Z^V already lies in
-    the column lattice of Delta.
+    The cokernel of [Delta | g1 | ... | gk] is a quotient of the group, so
+    its order divides the group order and its p-part is the Smith form of
+    that matrix over Z/p^K once p^K is at least the p-part of the order.
+    Each prime of `factor_order` runs `_local_smith` with a small K =
+    level + 1 first.  If a row survives its K rounds (a factor p^K or more,
+    as the 3^(n+1) of a corner-sink group), the prime is run again with K
+    doubled, up to the exponent of p in the order, which is always exact.
+    (Going there at once would make every residue of the level-8
+    corner-sink p = 3 run a number of 7,800 bits.)  The p-parts are
+    assembled by `direct_sum_invariants`.
     """
     n = graph.n_vertices
-    for g in generators:
+    columns = [[operator.index(v) for v in g] for g in generators]
+    for g in columns:
         if len(g) != n:
             raise ValueError("generator length must match vertex count")
-    delta = reduced_laplacian(graph)
-    augmented = [delta[i] + [g[i] for g in generators] for i in range(n)]
-    dec = smith_mod(augmented, lattice_data(graph).order)
-    return [d for d in dec.diag if d > 1]
+    matrix, stages = _nested_rows(graph, columns)
+    parts = []
+    for p, top in factor_order(graph.level, lattice_data(graph).order).items():
+        rounds = min(graph.level + 1, top)
+        exponents, left = _local_smith(matrix, stages, p, rounds)
+        while left and rounds < top:
+            rounds = min(2 * rounds, top)
+            exponents, left = _local_smith(matrix, stages, p, rounds)
+        parts.append([p**e for e in exponents] + [p**rounds] * left)
+    return direct_sum_invariants(parts)
 
 
 def direct_sum_invariants(factor_lists: list[list[int]]) -> list[int]:
@@ -789,8 +1012,8 @@ class GroupTheoremReport:
                 "convention": self.convention,
                 "lhs_factors": [str(d) for d in self.lhs_factors],
                 "rhs_factors": [str(d) for d in self.rhs_factors],
-                "lhs_order": str(self.lhs_order),
-                "rhs_order": str(self.rhs_order),
+                "lhs_order": digits(self.lhs_order),
+                "rhs_order": digits(self.rhs_order),
             },
         }
 

@@ -761,9 +761,17 @@ def test_non_integral_entries_are_refused():
         sandpile.recurrent_rep(graph, [2.7] * n)
     with pytest.raises(TypeError):
         group.laplacian_factor(graph).solve([Fraction(1, 2)] * n)
+    with pytest.raises(TypeError):
+        group.quotient_invariants(graph, [[1.9] + [0] * (n - 1)])
+    with pytest.raises(TypeError):
+        group.smith_mod([[2.5]], 10)
+    with pytest.raises(TypeError):
+        group.smith_mod([[2]], 10.0)
     # Integers of any kind pass, numpy's included, and mean the same.
+    assert group.smith_mod([[np.int64(2)]], np.int64(10)).diag == [2]
     x = [random.Random(1).randint(-9, 9) for _ in range(n)]
     as_numpy = list(np.array(x, dtype=np.int64))
+    assert group.quotient_invariants(graph, [as_numpy]) == group.quotient_invariants(graph, [x])
     assert group.lattice_reduce(graph, as_numpy) == group.lattice_reduce(graph, x)
     assert sandpile.recurrent_rep(graph, as_numpy) == sandpile.recurrent_rep(graph, x)
     assert group.in_lattice(graph, as_numpy) == group.in_lattice(graph, x)
@@ -940,10 +948,10 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
     assert mat_mul(data.U, data.Uinv) == group.mat_identity(graph.n_vertices)
     assert data.U is data.basis.U and data.Uinv is data.basis.Uinv
     assert calls == [True]
-    # The summands come from the basis; the invariant factors are the
-    # quotient by nothing, one more run, without transforms.
+    # The invariant factors are the quotient by nothing, from the local Smith
+    # forms: no further smith_mod run, and the same summands as the basis.
     assert data.invariants == tuple(d for _, d in data.cyclic)
-    assert calls == [True, False]
+    assert calls == [True]
 
     def wrong_diagonal(matrix, modulus, transforms=False):
         dec = real(matrix, modulus, transforms=transforms)
@@ -951,9 +959,117 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
         return dec
 
     monkeypatch.setattr(group, "smith_mod", wrong_diagonal)
-    for view in ("invariants", "U"):
+    with pytest.raises(ArithmeticError):
+        group.LatticeData(graph, order).U
+
+    local = group._local_smith
+
+    def extra_factor(matrix, stages, p, rounds):
+        exponents, left = local(matrix, stages, p, rounds)
+        return exponents + [1], left
+
+    monkeypatch.setattr(group, "_local_smith", extra_factor)
+    with pytest.raises(ArithmeticError):
+        group.LatticeData(graph, order).invariants
+
+
+# ---------------------------------------------------------------------------
+# Local Smith forms against smith_mod and the closed form.
+# ---------------------------------------------------------------------------
+
+
+def smith_reference(graph, generators):
+    """The quotient's invariant factors by `smith_mod` of [Delta | g1 ...]
+    modulo the order: the reference for the local Smith forms."""
+    delta = reduced_laplacian(graph)
+    augmented = [row + [g[i] for g in generators] for i, row in enumerate(delta)]
+    return [d for d in group.smith_mod(augmented, group.lattice_data(graph).order).diag if d > 1]
+
+
+def theorem_generators(level):
+    """The generators of both sides of `check_group_theorem`: the parent's
+    six junction classes and the child's three corner pairs."""
+    parent, child = build_gasket(level), build_gasket(level - 1)
+    x, y, z = (child.corner_index(name) for name in CORNER_NAMES)
+    pairs = [[group.delta_vector(child, i), group.delta_vector(child, j)] for i, j in ((x, y), (y, z), (z, x))]
+    junctions = [group._junction_copy_vector(parent, side, copy) for side, copy in group._PRIMARY_ASSIGNMENT]
+    junctions += [group.delta_vector(parent, parent.junction_index(side)) for side in ("left", "right", "bottom")]
+    return [(parent, junctions)] + [(child, pair) for pair in pairs]
+
+
+def closed_form_invariants(level):
+    """G_n = (Z/2)^((3^n+1)/2) + sum over 1 <= k < n of (Z/3^k)^(3^(n-k))
+    and (Z/5^k)^(3^(n-1-k)), + (Z/N)^2 with N = 2 * 5^n + 3^(n+1), n >= 1,
+    as a divisibility chain."""
+    big = 2 * 5**level + 3 ** (level + 1)
+    cyclic = [2] * ((3**level + 1) // 2) + [big, big]
+    for k in range(1, level):
+        cyclic += [3**k] * 3 ** (level - k) + [5**k] * 3 ** (level - 1 - k)
+    return group.direct_sum_invariants([cyclic])
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_local_factors_equal_smith_mod(level, boundary):
+    graph = build_gasket(level, boundary)
+    factors = group.sandpile_group_invariants(graph)
+    assert factors == smith_reference(graph, [])
+    assert math.prod(factors) == group.sandpile_group_order(graph)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_local_quotients_equal_smith_mod(level):
+    rng = random.Random(20 + level)
+    cases = theorem_generators(level) if level else []
+    for boundary in BOUNDARIES:
+        graph = build_gasket(level, boundary)
+        n = graph.n_vertices
+        for count in (1, 2, 3):
+            cases.append((graph, [[rng.choice((0, 0, 1, -1, 2, 5, 6)) for _ in range(n)] for _ in range(count)]))
+        cases.append((graph, [[5 * rng.randrange(-2, 3) for _ in range(n)]]))
+    for graph, generators in cases:
+        assert group.quotient_invariants(graph, generators) == smith_reference(graph, generators)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_invariant_factors_follow_the_closed_form(level):
+    assert group.sandpile_group_invariants(build_gasket(level)) == closed_form_invariants(level)
+
+
+def test_factor_order_refuses_a_stray_prime():
+    assert group.factor_order(0, 50) == {2: 1, 5: 2}
+    assert group.factor_order(1, 1444) == {2: 2, 19: 2}
+    order = group.sandpile_group_order(build_gasket(8))
+    powers = group.factor_order(8, order)
+    assert set(powers) == {2, 3, 5, 7, 114_419}
+    assert math.prod(p**e for p, e in powers.items()) == order
+    for stray in (7, 11 * 13, 1_000_003):
         with pytest.raises(ArithmeticError):
-            getattr(group.LatticeData(graph, order), view)
+            group.factor_order(1, 1444 * stray)
+    with pytest.raises(ArithmeticError):
+        group.factor_order(8, order * 11)
+
+
+@pytest.mark.parametrize("corner", CORNER_NAMES)
+def test_a_factor_beyond_the_first_rounds_is_run_again(monkeypatch, corner):
+    # A corner-sink group has a factor 3^(n+1), one more than the first
+    # K = n + 1 rounds can tell apart from 0, so p = 3 runs again.
+    graph = build_gasket(3, corner_sink(corner))
+    local = group._local_smith
+    runs = []
+
+    def recording(matrix, stages, p, rounds):
+        exponents, left = local(matrix, stages, p, rounds)
+        runs.append((p, rounds, left))
+        return exponents, left
+
+    monkeypatch.setattr(group, "_local_smith", recording)
+    factors = group.quotient_invariants(graph, [])
+    threes = [(rounds, left) for p, rounds, left in runs if p == 3]
+    assert threes[0] == (4, 1) and len(threes) == 2
+    assert threes[1][0] > 4 and threes[1][1] == 0
+    assert factors[-1] % 3**4 == 0
+    assert factors == smith_reference(graph, [])
 
 
 def test_in_lattice_accepts_laplacian_columns():

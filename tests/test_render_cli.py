@@ -388,15 +388,11 @@ def test_cli_rejects_bad_level(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["group", "snf", "--level", "6"],
-        ["group", "check-theorem", "--level", "6"],
         ["group", "tau", "--level", "9", "--method", "matrix-tree"],
         ["sandpile", "identity", "--level", "8", "--boundary", "corner_sink:lower_left"],
         ["markov", "simulate", "--level", "8", "--steps", "1"],
     ],
     ids=[
-        "snf",
-        "check-theorem",
         "tau-matrix-tree",
         "identity",
         "markov-simulate",
@@ -435,6 +431,28 @@ def test_cli_markov_trials_run_at_level_8(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [e["trials"] for e in doc["chi_decay"]] == [1000] * 4
     assert main(["markov", "simulate", "--level", "8", "--steps", "50", "--trials", "3"]) == 0
+
+
+def test_cli_group_commands_run_at_level_6(capsys):
+    # The invariant factors come from the local Smith forms, so the Smith
+    # commands take the general cap of 8.
+    start = time.perf_counter()
+    assert main(["group", "snf", "--level", "6", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["level", "boundary", "invariant_factors", "determinant"]
+    assert doc["determinant"] == str(sandpile_group_order(build_gasket(6)))
+    assert main(["group", "check-theorem", "--level", "6"]) == 0
+    assert capsys.readouterr().out == "decomposition level 6: pass (convention primary)\n"
+    assert time.perf_counter() - start < 5.0
+
+
+def test_cli_group_snf_prints_the_level_8_order_in_full(capsys):
+    # The order has 4485 digits, above Python's default int -> str limit.
+    assert main(["group", "snf", "--level", "8", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["determinant"] == digits(sandpile_group_order(build_gasket(8)))
+    assert len(doc["determinant"]) == 4485
+    assert digits(math.prod(int(d) for d in doc["invariant_factors"])) == doc["determinant"]
 
 
 def test_cli_matrix_tree_tau_prints_the_recursion_digits_at_level_8(capsys):
