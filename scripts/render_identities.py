@@ -26,13 +26,14 @@ def main() -> int:
     parser.add_argument("--format", choices=("ppm", "svg"), default="ppm")
     parser.add_argument("--scale", type=int, default=12)
     args = parser.parse_args()
+    if args.min_level < 1:
+        parser.error("the tile gluing needs --min-level >= 1")
 
     args.out.mkdir(parents=True, exist_ok=True)
     spec = RenderSpec(fmt=args.format, scale=args.scale)
     for level in range(args.min_level, args.max_level + 1):
         conf = identity(build_gasket(level))
-        if level >= 2:
-            assert conf == identity_from_tiles(level), "tile gluing disagrees"
+        assert conf == identity_from_tiles(level), "tile gluing disagrees"
         path = args.out / f"identity_level{level}.{args.format}"
         path.write_bytes(render(conf, spec))
         hist = Counter(conf.chips)

@@ -66,12 +66,8 @@ def _check_level(parser, args, cap=8, why=""):
         parser.error(f"--level must be between 0 and {cap}" + (f": {why}" if why else ""))
 
 
-# Levels past these caps would run for seconds to minutes; they are refused
-# at once.
-_IDENTITY_WHY = (
-    "stabilizing the identity takes about 6 s at level 8, and on a corner-sink "
-    "boundary about 2 s at level 7 and 23 s at level 8"
-)
+# Levels past this cap would run for seconds to minutes; they are refused at
+# once.
 _TRAJECTORY_WHY = "one trajectory stabilizes its draw counts: about 2 s at level 7 and 23 s at level 8"
 
 
@@ -102,7 +98,7 @@ def cmd_sandpile_stabilize(parser, args) -> int:
 
 
 def cmd_sandpile_identity(parser, args) -> int:
-    _check_level(parser, args, cap=8 if args.boundary == "normal" else 7, why=_IDENTITY_WHY)
+    _check_level(parser, args)
     graph = _graph_arg(args)
     conf = identity(graph)
     if args.render:
@@ -123,8 +119,8 @@ def cmd_sandpile_burn(parser, args) -> int:
 
 def cmd_selfsim_id(parser, args) -> int:
     _check_level(parser, args)
-    if args.level < 2:
-        parser.error("the tile construction needs --level >= 2")
+    if args.level < 1:
+        parser.error("the tile construction needs --level >= 1")
     conf = selfsim.identity_from_tiles(args.level)
     _print(config_to_json(conf), args.json, [config_to_text(conf)])
     return 0

@@ -6,16 +6,19 @@ level k+1 is the union of three level-k copies translated by (0,0), (2**k, 0)
 and (0, 2**k), glued at the three junction vertices.  The canonical vertex
 order everywhere in this package is lexicographic ascending in (b, a).
 
-Two structures on a graph are owned here and shared by the rest of the
+Three structures are owned here and shared by the rest of the
 package: `cell_index`, the cells of every level as index arrays (the layout
-of the Laplacian factorization and of the level-1 cell characters), and
-`laplacian_product`, the one exact Delta @ v.  The toppling rounds keep their
+of the Laplacian factorization and of the level-1 cell characters),
+`laplacian_product`, the one exact Delta @ v, and the chip vectors of the
+corner-parameterized tiles (`tile_chips`), glued from rotated and
+translated copies by pure index geometry.  The toppling rounds keep their
 own int64 update and `reduced_laplacian` the dense matrix that the Smith and
 Bareiss reductions need.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -247,6 +250,67 @@ def subcopy_embedding(level: int, copy: str) -> tuple[int, ...]:
     child_coords, _ = gasket_cells(level - 1)
     parent = build_gasket(level)
     return tuple(parent.index((a + da, b + db)) for a, b in child_coords)
+
+
+def assemble_from_copies(level: int, parts: dict[str, Sequence[int]]) -> list[int]:
+    """Glue three level-(n-1) chip vectors into a level-n one, requiring the
+    copies to agree at the shared junction vertices."""
+    out: list[int | None] = [None] * gasket_size(level)
+    for name in (LOWER_LEFT, LOWER_RIGHT, TOP):
+        chips = parts[name]
+        for child_i, parent_i in enumerate(subcopy_embedding(level, name)):
+            if out[parent_i] is None:
+                out[parent_i] = chips[child_i]
+            elif out[parent_i] != chips[child_i]:
+                raise ValueError(f"junction mismatch at parent vertex {parent_i}")
+    return out  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=256)
+def tile_chips(level: int, x: int, y: int, z: int) -> tuple[int, ...]:
+    """Chips of the (x, y, z) tile on the bare level-`level` gasket, corner
+    values x (lower left), y (lower right), z (top).  Level 0 is just the
+    corners; level n glues the (x,3,3), (3,y,2) and (3,2,z) tiles of level
+    n-1.  Memoized: the corner arguments of the sub-tiles take few distinct
+    values (one tile has at most 7 distinct sub-tiles per level), so each is
+    built once.  The cache is bounded because callers choose the corner
+    values."""
+    if level == 0:
+        return (x, y, z)  # the canonical order of the level-0 corners
+    parts = {
+        LOWER_LEFT: tile_chips(level - 1, x, 3, 3),
+        LOWER_RIGHT: tile_chips(level - 1, 3, y, 2),
+        TOP: tile_chips(level - 1, 3, 2, z),
+    }
+    return tuple(assemble_from_copies(level, parts))
+
+
+def rotate_chips(graph: GasketGraph, chips: Sequence[int], direction: str = "ccw") -> tuple[int, ...]:
+    """Rotate a chip vector with the gasket: chips travel with their
+    vertices, so the new value at the image of v is the old value at v."""
+    if direction == "ccw":
+        perm = rotation_ccw(graph)
+    elif direction == "cw":
+        perm = rotation_cw(graph)
+    else:
+        raise ValueError("direction must be 'ccw' or 'cw'")
+    out = [0] * len(perm)
+    for i, target in enumerate(perm):
+        out[target] = chips[i]
+    return tuple(out)
+
+
+def glue_with_rotations(level: int, chips: Sequence[int]) -> list[int]:
+    """The level-`level` chip vector with the level-(n-1) `chips` in the
+    lower-left copy, their counterclockwise rotation in the lower right and
+    their clockwise rotation on top."""
+    child = build_gasket(level - 1)
+    parts = {
+        LOWER_LEFT: chips,
+        LOWER_RIGHT: rotate_chips(child, chips, "ccw"),
+        TOP: rotate_chips(child, chips, "cw"),
+    }
+    return assemble_from_copies(level, parts)
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gasket import GasketGraph, build_gasket, gasket_size, neighbor_table, parse_boundary
+from .gasket import (
+    LOWER_RIGHT,
+    TOP,
+    GasketGraph,
+    build_gasket,
+    gasket_size,
+    glue_with_rotations,
+    neighbor_table,
+    parse_boundary,
+    rotate_chips,
+    tile_chips,
+)
 from . import group
 
 
@@ -252,11 +263,61 @@ def is_recurrent_burning(conf: Configuration) -> bool:
     return burning_odometer(conf)[0]
 
 
+# The rotation that carries the lower-left corner of a tile onto a sunk
+# corner: rotation_ccw cycles lower-left -> lower-right -> top.
+_SINK_TURN = {LOWER_RIGHT: "ccw", TOP: "cw"}
+
+
+def identity_candidate(graph: GasketGraph) -> tuple[int, ...]:
+    """The identity as the paper's tiles give it, by index geometry alone.
+
+    Normal boundary: the level-(n-1) (2,2,2) tile glued with its
+    counterclockwise and clockwise rotations, and at level 0 the (2,2,2)
+    tile itself.  Corner sink: the level-n (1,1,1) tile, turned so that its
+    lower-left corner sits on the sink, restricted to the other vertices."""
+    level, boundary = graph.level, graph.boundary
+    if boundary.kind == "normal":
+        if level == 0:
+            return tile_chips(0, 2, 2, 2)
+        return tuple(glue_with_rotations(level, tile_chips(level - 1, 2, 2, 2)))
+    full = build_gasket(level)
+    chips = tile_chips(level, 1, 1, 1)
+    if boundary.corner in _SINK_TURN:
+        chips = rotate_chips(full, chips, _SINK_TURN[boundary.corner])
+    return tuple(chips[full.index(c)] for c in graph.coords)
+
+
+def _certified_identity(graph: GasketGraph, chips) -> Configuration:
+    """`chips` as a configuration when it is the identity of `graph`;
+    otherwise ArithmeticError.
+
+    A stable configuration that passes the burning test is recurrent, each
+    class of the sandpile group holds exactly one recurrent configuration
+    (Dhar 1990; Holroyd et al. 2008), and the identity's class is the
+    lattice itself.  So stable, recurrent and in the lattice is the identity,
+    and no avalanche beyond the burning test is run."""
+    conf = config(graph, chips)
+    if not conf.is_stable:
+        raise ArithmeticError("the identity candidate is not stable")
+    if not is_recurrent_burning(conf):
+        raise ArithmeticError("the identity candidate is not recurrent")
+    if not group.in_lattice(graph, list(conf.chips)):
+        raise ArithmeticError("the identity candidate is not in the lattice")
+    return conf
+
+
 @lru_cache(maxsize=None)
 def identity(graph: GasketGraph) -> Configuration:
     """The neutral element of the sandpile group on recurrent configurations:
-    the recurrent representative of the zero class."""
-    return recurrent_rep(graph, [0] * graph.n_vertices)
+    the recurrent configuration in the lattice's own class.
+
+    It is built from the self-similar tiles (`identity_candidate`) and
+    returned only once certified: stable, recurrent by the burning test and
+    in the lattice, which makes it the one recurrent configuration of the
+    zero class.  A candidate that fails raises ArithmeticError.  The
+    stabilizing construction `recurrent_rep(graph, [0] * n)` gives the same
+    configuration and serves as the reference."""
+    return _certified_identity(graph, identity_candidate(graph))
 
 
 def recurrent_rep(graph: GasketGraph, entries) -> Configuration:
@@ -270,6 +331,8 @@ def recurrent_rep(graph: GasketGraph, entries) -> Configuration:
     The reduced vector's entries lie in [1 - #neighbors(v), deg(v) - 1], so
     every chip count is at least 2m_v - #neighbors(v) + 1 >= m_v, and a
     configuration >= m stabilizes to the recurrent one in its class.
+    With a zero vector this is the identity by stabilization, the reference
+    for the tile construction in `identity`.
     """
     x = [operator.index(v) for v in entries]
     if len(x) != graph.n_vertices:

@@ -1,75 +1,39 @@
 """Self-similar structure of recurrent configurations on gasket graphs.
 
 The central object is a family of configurations parameterized by the three
-corner values: at level 1 the interior is fixed at 3 chips on the bottom and
-left midpoints and 2 on the right midpoint, and at level n+1 the family is
-assembled from three level-n members whose corner arguments agree across the
-junctions.  Doubling such a configuration and stabilizing it with one corner
-as the sink reproduces the family with a shifted corner argument, the sunk
-corner collecting the chips that leave; gluing the all-2-corner member with
-its two rotations yields the group identity.  No check here stabilizes: the
-doubling identity, corner transport and junction invariance are each
-decided by the burning test and lattice membership.
+corner values: at level 0 a member is just its corner values, and at level
+n+1 it is assembled from three level-n members whose corner arguments agree
+across the junctions (`gasket.tile_chips`; the recursion puts 3 chips on the
+bottom and left midpoints of level 1 and 2 on the right one).  Doubling such
+a configuration and stabilizing it with one corner as the sink reproduces
+the family with a shifted corner argument, the sunk corner collecting the
+chips that leave; gluing the all-2-corner member with its two rotations
+yields the group identity, which `sandpile.identity` builds this way.  No
+check here stabilizes: the doubling identity, corner transport and junction
+invariance are each decided by the burning test and lattice membership.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
+# `assemble_from_copies` is re-exported: gluing copies belongs to this
+# module's public interface, though the index geometry lives in `gasket`.
 from .gasket import (
     CORNER_NAMES,
     LOWER_LEFT,
     LOWER_RIGHT,
     TOP,
+    assemble_from_copies,
     build_gasket,
     corner_sink,
+    glue_with_rotations,
     junction_coords,
-    rotation_ccw,
-    rotation_cw,
-    subcopy_embedding,
+    rotate_chips,
+    tile_chips,
 )
-from .sandpile import Configuration, config, is_recurrent_burning
+from .sandpile import Configuration, config, identity_candidate, is_recurrent_burning
 from . import group
-
-# Fixed interior of the level-1 family member, keyed by local coordinate:
-# bottom and left midpoints carry 3 chips, the right midpoint carries 2.
-_LEVEL1_INTERIOR = {(1, 0): 3, (0, 1): 3, (1, 1): 2}
-
-
-@lru_cache(maxsize=256)
-def _tile_chips(level: int, x: int, y: int, z: int) -> tuple[int, ...]:
-    """Chips of the (x, y, z) tile.  Memoized: the corner arguments of the
-    sub-tiles take few distinct values (one tile has at most 7 distinct
-    sub-tiles per level), so each is built once.  The cache is bounded
-    because callers choose the corner values."""
-    if level == 1:
-        values = {(0, 0): x, (2, 0): y, (0, 2): z, **_LEVEL1_INTERIOR}
-        graph = build_gasket(1)
-        return tuple(values[c] for c in graph.coords)
-    parts = {
-        LOWER_LEFT: _tile_chips(level - 1, x, 3, 3),
-        LOWER_RIGHT: _tile_chips(level - 1, 3, y, 2),
-        TOP: _tile_chips(level - 1, 3, 2, z),
-    }
-    return tuple(assemble_from_copies(level, parts))
-
-
-def assemble_from_copies(level: int, parts: dict[str, Sequence[int]]) -> list[int]:
-    """Glue three level-(n-1) chip vectors into a level-n one, requiring the
-    copies to agree at the shared junction vertices."""
-    n_parent = build_gasket(level).n_vertices
-    out: list[int | None] = [None] * n_parent
-    for name in (LOWER_LEFT, LOWER_RIGHT, TOP):
-        chips = parts[name]
-        for child_i, parent_i in enumerate(subcopy_embedding(level, name)):
-            if out[parent_i] is None:
-                out[parent_i] = chips[child_i]
-            elif out[parent_i] != chips[child_i]:
-                raise ValueError(f"junction mismatch at parent vertex {parent_i}")
-    return out  # type: ignore[return-value]
-
 
 def build_tile(level: int, x: int, y: int, z: int) -> Configuration:
     """The corner-parameterized self-similar configuration with corner values
@@ -79,23 +43,13 @@ def build_tile(level: int, x: int, y: int, z: int) -> Configuration:
     for v in (x, y, z):
         if v < 0:
             raise ValueError("corner values must be non-negative")
-    graph = build_gasket(level)
-    return config(graph, _tile_chips(level, x, y, z))
+    return config(build_gasket(level), tile_chips(level, x, y, z))
 
 
 def rotate_config(conf: Configuration, direction: str = "ccw") -> Configuration:
     """Rotate a configuration with the gasket: chips travel with their
     vertices, so the new value at the image of v is the old value at v."""
-    if direction == "ccw":
-        perm = rotation_ccw(conf.graph)
-    elif direction == "cw":
-        perm = rotation_cw(conf.graph)
-    else:
-        raise ValueError("direction must be 'ccw' or 'cw'")
-    chips = [0] * len(perm)
-    for i, target in enumerate(perm):
-        chips[target] = conf.chips[i]
-    return Configuration(conf.graph, tuple(chips))
+    return Configuration(conf.graph, rotate_chips(conf.graph, conf.chips, direction))
 
 
 def _glue_with_rotations(conf: Configuration) -> Configuration:
@@ -103,21 +57,18 @@ def _glue_with_rotations(conf: Configuration) -> Configuration:
     counterclockwise rotation in the lower right and its clockwise rotation
     on top."""
     level = conf.graph.level + 1
-    parts = {
-        LOWER_LEFT: list(conf.chips),
-        LOWER_RIGHT: list(rotate_config(conf, "ccw").chips),
-        TOP: list(rotate_config(conf, "cw").chips),
-    }
-    return config(build_gasket(level), assemble_from_copies(level, parts))
+    return config(build_gasket(level), glue_with_rotations(level, conf.chips))
 
 
 def identity_from_tiles(level: int) -> Configuration:
-    """The sandpile identity assembled without any toppling: the all-2-corner
-    tile glued with its two rotations.  Defined for level >= 2; the level-1
-    identity is only available through stabilization."""
-    if level < 2:
-        raise ValueError("the tile construction of the identity needs level >= 2")
-    return _glue_with_rotations(build_tile(level - 1, 2, 2, 2))
+    """The sandpile identity assembled without any toppling: the level-(n-1)
+    all-2-corner tile glued with its two rotations, for level >= 1.  It is
+    the candidate that `sandpile.identity` certifies; this function does not
+    certify it."""
+    if level < 1:
+        raise ValueError("the tile construction of the identity needs level >= 1")
+    graph = build_gasket(level)
+    return Configuration(graph, identity_candidate(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,8 @@ def test_criterion_1_identity_theorem():
     for level in (2, 3, 4, 5, 6):
         graph = build_gasket(level)
         glued = identity_from_tiles(level)
-        assert glued == identity(graph), f"tile identity mismatch at level {level}"
+        stabilized = recurrent_rep(graph, [0] * graph.n_vertices)
+        assert glued == stabilized == identity(graph), f"tile identity mismatch at level {level}"
         assert set(glued.chips) == {2, 3}
         header, _, body = render_ppm(glued).partition(b"\n255\n")
         colors = {tuple(body[i : i + 3]) for i in range(0, len(body), 3)}

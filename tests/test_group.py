@@ -1169,6 +1169,18 @@ def test_flipped_junction_assignment_gives_the_same_quotient(level):
     assert primary == flipped
 
 
+@pytest.mark.parametrize("level", range(1, 7))
+def test_the_three_corner_pair_quotients_agree(level):
+    # The symmetry that lets the theorem check compute one child quotient.
+    child = build_gasket(level - 1)
+    x, y, z = (child.corner_index(name) for name in CORNER_NAMES)
+    first, second, third = (
+        group.quotient_invariants(child, [group.delta_vector(child, i), group.delta_vector(child, j)])
+        for i, j in ((x, y), (y, z), (z, x))
+    )
+    assert first == second == third
+
+
 def test_a_failing_group_theorem_computes_its_quotient_once(monkeypatch, capsys):
     real = group.quotient_invariants
     parent_quotients = []

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from gasketpile.cli import main
-from gasketpile.gasket import build_gasket
+from gasketpile.gasket import CORNER_NAMES, build_gasket
 from gasketpile.group import digits, sandpile_group_order, tau_recursion
 from gasketpile.render import (
     BACKGROUND,
@@ -179,6 +179,28 @@ def test_cli_identity_and_tile_identity_agree(capsys):
     code, tile_out = run_cli(capsys, "selfsim", "id", "--level", "2")
     assert code == 0
     assert tile_out == text_out
+
+
+def test_cli_tile_identity_runs_at_level_1(capsys):
+    code, tile_out = run_cli(capsys, "selfsim", "id", "--level", "1")
+    assert code == 0
+    assert tile_out.strip() == "1 normal 2 2 2 2 2 2"
+    with pytest.raises(SystemExit) as info:
+        main(["selfsim", "id", "--level", "0"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("boundary", ["normal", *(f"corner_sink:{name}" for name in CORNER_NAMES)])
+def test_cli_identity_runs_at_level_8_on_every_boundary(boundary, capsys):
+    # The identity is built from tiles and certified, with no avalanche
+    # but its burning test, so every boundary takes the general cap.
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "sandpile", "identity", "--level", "8", "--boundary", boundary)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    level, token, *chips = out.split()
+    assert (level, token) == ("8", boundary)
+    assert set(chips) <= {"1", "2", "3"}
 
 
 def test_cli_identity_render_to_file(tmp_path, capsys):
@@ -389,7 +411,7 @@ def test_cli_rejects_bad_level(capsys):
     "argv",
     [
         ["group", "tau", "--level", "9", "--method", "matrix-tree"],
-        ["sandpile", "identity", "--level", "8", "--boundary", "corner_sink:lower_left"],
+        ["sandpile", "identity", "--level", "9", "--boundary", "corner_sink:lower_left"],
         ["markov", "simulate", "--level", "8", "--steps", "1"],
     ],
     ids=[

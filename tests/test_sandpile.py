@@ -7,8 +7,18 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketpile import group, sandpile
-from gasketpile.gasket import LOWER_LEFT, build_gasket, corner_sink, parse_boundary, reduced_laplacian
+from gasketpile import gasket, group, sandpile
+from gasketpile.gasket import (
+    CORNER_NAMES,
+    LOWER_LEFT,
+    LOWER_RIGHT,
+    NORMAL,
+    TOP,
+    build_gasket,
+    corner_sink,
+    parse_boundary,
+    reduced_laplacian,
+)
 from gasketpile.sandpile import (
     Configuration,
     burning_odometer,
@@ -332,25 +342,117 @@ def test_recurrent_rep_handles_wild_entries():
 
 @pytest.mark.parametrize("level", range(1, 5))
 def test_recurrent_rep_stabilizes_once(level, monkeypatch):
-    """A cold identity and the representative of a wild vector each cost one
+    """A cold identity runs one stabilization, its burning test, and no
+    toppling rounds; the representative of a wild vector costs one more
     stabilization: no cached helper configuration is stabilized first."""
-    real = sandpile._stabilize_raw
-    calls = []
+    real, real_rounds = sandpile._stabilize_raw, sandpile._topple_rounds
+    calls, rounds = [], []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    def counting_rounds(*args, **kwargs):
+        rounds.append(1)
+        return real_rounds(*args, **kwargs)
+
     graph = build_gasket(level)
-    for cached in vars(sandpile).values():
-        if hasattr(cached, "cache_clear") and getattr(cached, "__module__", None) == sandpile.__name__:
-            cached.cache_clear()
+    for module in (sandpile, gasket, group):
+        for cached in vars(module).values():
+            if hasattr(cached, "cache_clear") and getattr(cached, "__module__", None) == module.__name__:
+                cached.cache_clear()
     monkeypatch.setattr(sandpile, "_stabilize_raw", counting)
+    monkeypatch.setattr(sandpile, "_topple_rounds", counting_rounds)
     identity(graph)
-    assert len(calls) == 1
+    assert (len(calls), len(rounds)) == (1, 0)
     rng = random.Random(level)
     recurrent_rep(graph, [rng.randint(-10**6, 10**6) for _ in range(graph.n_vertices)])
     assert len(calls) == 2
+
+
+BOUNDARIES = (NORMAL, *(corner_sink(name) for name in CORNER_NAMES))
+
+
+@pytest.mark.parametrize("level", range(8))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_tile_identity_equals_the_stabilized_one(level, boundary):
+    graph = build_gasket(level, boundary)
+    assert identity(graph) == recurrent_rep(graph, [0] * graph.n_vertices)
+
+
+def corner_sink_candidate(level, sink, turn):
+    """The (1,1,1) tile, rotated by `turn` (or not), restricted to the gasket
+    with the corner `sink` sunk."""
+    full, graph = build_gasket(level), build_gasket(level, corner_sink(sink))
+    chips = gasket.tile_chips(level, 1, 1, 1)
+    if turn:
+        chips = gasket.rotate_chips(full, chips, turn)
+    return graph, [chips[full.index(c)] for c in graph.coords]
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_the_tile_turned_onto_the_sink_is_certified(level):
+    for sink, turn in ((LOWER_LEFT, None), (LOWER_RIGHT, "ccw"), (TOP, "cw")):
+        graph, chips = corner_sink_candidate(level, sink, turn)
+        assert sandpile._certified_identity(graph, chips) == identity(graph)
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+@pytest.mark.parametrize(
+    "sink, turn",
+    [(LOWER_RIGHT, "cw"), (TOP, "ccw"), (LOWER_LEFT, "ccw"), (TOP, None), (LOWER_RIGHT, None)],
+    ids=["wrong-rotation-lower-right", "wrong-rotation-top", "rotated-lower-left", "wrong-corner-top",
+         "wrong-corner-lower-right"],
+)
+def test_a_corner_sink_candidate_on_the_wrong_corner_is_refused(level, sink, turn):
+    graph, chips = corner_sink_candidate(level, sink, turn)
+    with pytest.raises(ArithmeticError):
+        sandpile._certified_identity(graph, chips)
+
+
+@pytest.mark.parametrize("level", [2, 3, 5])
+def test_a_normal_candidate_with_swapped_rotations_is_refused(level):
+    # Level 1 is left out: its level-0 (2,2,2) tile is invariant under rotation.
+    child = build_gasket(level - 1)
+    tile = gasket.tile_chips(level - 1, 2, 2, 2)
+    swapped = gasket.assemble_from_copies(level, {
+        LOWER_LEFT: tile,
+        LOWER_RIGHT: gasket.rotate_chips(child, tile, "cw"),
+        TOP: gasket.rotate_chips(child, tile, "ccw"),
+    })
+    with pytest.raises(ArithmeticError):
+        sandpile._certified_identity(build_gasket(level), swapped)
+
+
+@pytest.mark.parametrize("level", [0, 1, 3, 5])
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_anidentity_candidate_with_one_chip_moved_is_refused(level, boundary):
+    graph = build_gasket(level, boundary)
+    chips = list(sandpile.identity_candidate(graph))
+    for target in range(1, graph.n_vertices):
+        moved = chips[:]
+        moved[0] -= 1
+        moved[target] += 1
+        with pytest.raises(ArithmeticError):
+            sandpile._certified_identity(graph, moved)
+
+
+def test_a_corrupted_tile_makes_identity_raise(monkeypatch):
+    graph = build_gasket(3, corner_sink(TOP))
+    real = sandpile.tile_chips
+
+    def corrupted(level, x, y, z):
+        chips = list(real(level, x, y, z))
+        chips[5] += 1
+        return tuple(chips)
+
+    sandpile.identity.cache_clear()
+    monkeypatch.setattr(sandpile, "tile_chips", corrupted)
+    try:
+        with pytest.raises(ArithmeticError):
+            identity(graph)
+    finally:
+        sandpile.identity.cache_clear()
 
 
 def test_recurrent_rep_rejects_wrong_length():

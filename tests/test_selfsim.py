@@ -12,7 +12,7 @@ from gasketpile.gasket import (
     junction_coords,
     subcopy_embedding,
 )
-from gasketpile import group, sandpile, selfsim
+from gasketpile import gasket, group, sandpile, selfsim
 from gasketpile.sandpile import (
     config,
     identity,
@@ -101,24 +101,24 @@ def test_memoized_tiles_equal_the_plain_recursion(level):
 
 
 def test_a_cold_tile_builds_each_distinct_sub_tile_once(monkeypatch):
-    """build_tile(6, 2, 1, 1) has 121 sub-tiles above level 1, but only 25
+    """build_tile(6, 2, 1, 1) has 364 sub-tiles above level 0, but only 32
     distinct (level, x, y, z): 1 at level 6, 3 at level 5 and 7 at each of
-    levels 4, 3 and 2."""
-    selfsim._tile_chips.cache_clear()
+    levels 4, 3, 2 and 1."""
+    gasket.tile_chips.cache_clear()
     calls = []
-    real = selfsim.assemble_from_copies
+    real = gasket.assemble_from_copies
 
     def counting(level, parts):
         calls.append(level)
         return real(level, parts)
 
-    monkeypatch.setattr(selfsim, "assemble_from_copies", counting)
+    monkeypatch.setattr(gasket, "assemble_from_copies", counting)
     tile = build_tile(6, 2, 1, 1)
-    assert len(calls) == 25
-    assert [calls.count(level) for level in range(2, 7)] == [7, 7, 7, 3, 1]
+    assert len(calls) == 32
+    assert [calls.count(level) for level in range(1, 7)] == [7, 7, 7, 7, 3, 1]
     assert build_tile(6, 2, 1, 1) == tile
-    assert len(calls) == 25
-    assert isinstance(selfsim._tile_chips(6, 2, 1, 1), tuple)
+    assert len(calls) == 32
+    assert isinstance(gasket.tile_chips(6, 2, 1, 1), tuple)
 
 
 def test_tile_rejects_bad_arguments():
@@ -149,14 +149,17 @@ def test_rotation_moves_chips_with_vertices():
         rotate_config(tile, "widdershins")
 
 
-@pytest.mark.parametrize("level", [2, 3, 6, 7])
+@pytest.mark.parametrize("level", [1, 2, 3, 6, 7])
 def test_tile_gluing_reproduces_the_identity(level):
-    assert identity_from_tiles(level) == identity(build_gasket(level))
+    graph = build_gasket(level)
+    assert identity_from_tiles(level) == recurrent_rep(graph, [0] * graph.n_vertices)
 
 
-def test_identity_gluing_needs_level_at_least_2():
+def test_identity_gluing_needs_level_at_least_1():
+    # Level 1 glues three level-0 (2,2,2) tiles, which are just their corners.
+    assert identity_from_tiles(1).chips == (2,) * 6
     with pytest.raises(ValueError):
-        identity_from_tiles(1)
+        identity_from_tiles(0)
 
 
 @pytest.mark.parametrize("level,gain", [(1, 10), (2, 34), (5, 970), (6, 2914)])
