@@ -70,6 +70,20 @@ def _check_level(parser, args, cap=8, why=""):
 # once.
 _TRAJECTORY_WHY = "one trajectory stabilizes its draw counts: about 2 s at level 7 and 23 s at level 8"
 
+# Monte Carlo requests above this many draws are refused, each trajectory
+# counting as _TRIAL_DRAWS more for seeding its generator and counting its
+# draws: at the budget a command takes about 3-4 s on a 2-core VM.
+_DRAW_BUDGET = 10**8
+_TRIAL_DRAWS = 500
+
+
+def _check_draws(parser, draws, trajectories):
+    if draws + trajectories * _TRIAL_DRAWS > _DRAW_BUDGET:
+        parser.error(
+            f"{draws:,} draws over {trajectories:,} trajectories exceed the Monte Carlo budget of "
+            f"{_DRAW_BUDGET:,} draws (each trajectory counts as {_TRIAL_DRAWS} draws more)"
+        )
+
 
 def cmd_gasket(parser, args) -> int:
     _check_level(parser, args)
@@ -242,6 +256,7 @@ def cmd_markov_simulate(parser, args) -> int:
         _check_level(parser, args, cap=7, why=_TRAJECTORY_WHY)
     if args.level < 1:
         parser.error("--level must be >= 1")
+    _check_draws(parser, args.steps * args.trials, args.trials)
     seed = markov.master_seed(args.seed)
     if args.trials > 1:
         est = markov.estimate_chi_decay(args.level, args.steps, args.trials, seed=seed)
@@ -270,6 +285,7 @@ def cmd_markov_report(parser, args) -> int:
     _check_level(parser, args)
     if args.level < 1:
         parser.error("--level must be >= 1")
+    _check_draws(parser, args.trials * sum(markov.CHI_TIMES), args.trials * len(markov.CHI_TIMES))
     report = markov.mixing_report(
         args.level,
         chi_trials=args.trials,

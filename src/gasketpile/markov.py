@@ -16,6 +16,10 @@ on every configuration of a class, and it is 1 on the identity, the group's
 zero. After t steps the statistic therefore depends only on the draws:
 `estimate_chi_decay` counts their parities per cell.
 
+Trajectory i's draws are the values that `trajectory_rng(seed, i)` returns
+to `randrange(n + 1)` calls; both walk paths generate them in bulk with
+`_randbelow_chunks` and count them with `np.bincount`.
+
 The stationary law is uniform on recurrent configurations.
 `sample_stationary` draws from it without any group algebra: a uniform
 spanning tree by Wilson's algorithm, mapped to its recurrent configuration
@@ -32,10 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gasket import GasketGraph, build_gasket, gasket_size
+from .gasket import GasketGraph, build_gasket, cell_index, gasket_size
 from .sandpile import Configuration, recurrent_rep
-from .spectral import DEFAULT_CHARACTER_CAP, walk_spectrum
-from .spectral import level1_cells, t_star
+from .spectral import DEFAULT_CHARACTER_CAP, t_star, walk_spectrum
 from . import group
 
 SEED_ENV_VAR = "GASKETPILE_SEED"
@@ -58,6 +61,42 @@ def trajectory_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
+# Words per `getrandbits` round and values per yielded array: bounds the draw
+# buffers at a few MB whatever steps x trials is.
+_DRAW_CHUNK = 1 << 16
+
+
+def _randbelow_chunks(rng: random.Random, m: int, count: int):
+    """Yield the values of `count` calls of `rng.randrange(m)`, in order, as
+    uint32 arrays of at most `_DRAW_CHUNK` values.
+
+    This pins CPython's stream: `randrange(m)` is `_randbelow_with_getrandbits`,
+    which sets k = m.bit_length() and redraws `getrandbits(k)` until the value
+    is below m.  For k <= 32, `getrandbits(k)` is the top k bits of one 32-bit
+    Mersenne-twister word, and `getrandbits(32 * w)` is w such words, the
+    first drawn least significant.  So the words are read in bulk, shifted
+    right by 32 - k, and the ones below m kept, in order.  A round reads a few
+    more words than it expects to need and carries the surplus to the next
+    array, so the generator ends up past the words `randrange` would read.
+    Raises ValueError unless 1 <= m < 2**32."""
+    if not 1 <= m < 1 << 32:
+        raise ValueError("modulus must be in 1..2**32 - 1")
+    k = m.bit_length()
+    getrandbits, shift = rng.getrandbits, 32 - k
+    kept = np.empty(0, dtype=np.uint32)
+    while count > 0:
+        size = min(count, _DRAW_CHUNK)
+        while kept.size < size:
+            need = size - kept.size
+            w = (need << k) // m + 2 * math.isqrt(need) + 8  # expected words plus a margin
+            words = np.frombuffer(getrandbits(32 * w).to_bytes(4 * w, "little"), dtype="<u4") >> shift
+            words = words[words < m]
+            kept = np.concatenate((kept, words)) if kept.size else words
+        yield kept[:size]
+        kept = kept[size:]
+        count -= size
+
+
 def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: int = 0) -> Configuration:
     """The walk's configuration after `steps` steps from the identity, on
     trajectory `index` of the master seed: `recurrent_rep` of the draw counts.
@@ -66,11 +105,10 @@ def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: in
     if steps < 0:
         raise ValueError("steps must be >= 0")
     n = graph.n_vertices
-    counts = [0] * (n + 1)  # the last slot counts the sink draws
-    randrange = trajectory_rng(master_seed(seed), index).randrange
-    for _ in range(steps):
-        counts[randrange(n + 1)] += 1
-    return recurrent_rep(graph, counts[:n])
+    counts = np.zeros(n + 1, dtype=np.int64)  # the last slot counts the sink draws
+    for draws in _randbelow_chunks(trajectory_rng(master_seed(seed), index), n + 1, steps):
+        counts += np.bincount(draws, minlength=n + 1)
+    return recurrent_rep(graph, counts[:n].tolist())
 
 
 @dataclass
@@ -111,25 +149,24 @@ def estimate_chi_decay(level: int, t: int, trials: int, seed: int | None = None)
     different cells are disjoint, so a cell's parity is odd exactly when an
     odd number of draws landed on its midpoints.  A trial costs O(t + cells).
     """
+    if level < 1:
+        raise ValueError("the statistic needs level >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     expected = expected_chi(level, t)
     n = gasket_size(level)
-    cells = level1_cells(level)
-    n_cells = len(cells)
+    mids = cell_index(build_gasket(level))[0][0]  # the level-1 cells' midpoints
+    n_cells = len(mids)
     # Draw -> cell slot; the sink draw n and non-midpoints go to slot n_cells.
-    slot = [n_cells] * (n + 1)
-    for c, cell in enumerate(cells):
-        for v in cell.midpoint_indices:
-            slot[v] = c
+    slot = np.full(n + 1, n_cells, dtype=np.intp)
+    slot[mids] = np.arange(n_cells)[:, None]
     seed_val = master_seed(seed)
     values = np.empty(trials)
     for i in range(trials):
-        randrange = trajectory_rng(seed_val, i).randrange
-        odd = bytearray(n_cells + 1)
-        for _ in range(t):
-            odd[slot[randrange(n + 1)]] ^= 1
-        values[i] = (n_cells - 2 * (sum(odd) - odd[n_cells])) / n_cells
+        counts = np.zeros(n_cells + 1, dtype=np.intp)
+        for draws in _randbelow_chunks(trajectory_rng(seed_val, i), n + 1, t):
+            counts += np.bincount(slot[draws], minlength=n_cells + 1)
+        values[i] = (n_cells - 2 * np.count_nonzero(counts[:n_cells] & 1)) / n_cells
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return ChiDecayEstimate(

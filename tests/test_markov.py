@@ -35,6 +35,48 @@ def test_trajectory_rng_is_reproducible():
     ]
 
 
+def bulk_draws(rng, m, count):
+    return np.concatenate([np.empty(0, np.uint32), *markov._randbelow_chunks(rng, m, count)]).tolist()
+
+
+# 2**k rejects half its words: k = m.bit_length() is one bit more than needed.
+MODULI = (1, 2, 3, 7, 16, 17, 43, 124, 9844, 2**31 - 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_bulk_draws_are_the_randrange_stream(m):
+    for seed, index in ((0, 0), (7, 3), (12345, 98)):
+        for count in (0, 1, 5_000):
+            reference = markov.trajectory_rng(seed, index)
+            expected = [reference.randrange(m) for _ in range(count)]
+            assert bulk_draws(markov.trajectory_rng(seed, index), m, count) == expected, (seed, index, count)
+
+
+@pytest.mark.parametrize("m", (2, 124, 9844, 2**32 - 1))
+def test_bulk_draws_cross_chunk_boundaries(monkeypatch, m):
+    monkeypatch.setattr(markov, "_DRAW_CHUNK", 7)
+    reference = markov.trajectory_rng(4, 1)
+    expected = [reference.randrange(m) for _ in range(1_000)]
+    chunks = list(markov._randbelow_chunks(markov.trajectory_rng(4, 1), m, 1_000))
+    assert [len(c) for c in chunks] == [7] * 142 + [6]
+    assert np.concatenate(chunks).tolist() == expected
+
+
+@pytest.mark.parametrize("m", (0, -3, 2**32, 2**40))
+def test_bulk_draws_refuse_moduli_outside_32_bits(m):
+    with pytest.raises(ValueError, match="modulus"):
+        bulk_draws(markov.trajectory_rng(0, 0), m, 1)
+
+
+def test_chunked_walks_equal_the_unchunked_ones(monkeypatch):
+    graph = build_gasket(3)
+    chain = markov.run_chain(graph, 500, seed=5, index=2)
+    estimate = markov.estimate_chi_decay(3, 40, 30, seed=5)
+    monkeypatch.setattr(markov, "_DRAW_CHUNK", 13)
+    assert markov.run_chain(graph, 500, seed=5, index=2) == chain
+    assert markov.estimate_chi_decay(3, 40, 30, seed=5) == estimate
+
+
 def replay_chain(graph, steps, seed, index):
     """The walk step by step through the public `stabilize`: draw a vertex
     or the sink from the trajectory's generator, add a chip, stabilize."""
@@ -326,6 +368,8 @@ def test_gasket_size():
     assert all(markov.gasket_size(n) == build_gasket(n).n_vertices for n in range(6))
     with pytest.raises(ValueError):
         markov.expected_chi(-1, 3)
+    with pytest.raises(ValueError, match="level >= 1"):
+        markov.estimate_chi_decay(0, 3, 2)
 
 
 def test_bound_times_at_level2():

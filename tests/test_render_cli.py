@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from gasketpile import cli, markov
 from gasketpile.cli import main
 from gasketpile.gasket import CORNER_NAMES, build_gasket
 from gasketpile.group import digits, sandpile_group_order, tau_recursion
@@ -453,6 +454,42 @@ def test_cli_markov_trials_run_at_level_8(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [e["trials"] for e in doc["chi_decay"]] == [1000] * 4
     assert main(["markov", "simulate", "--level", "8", "--steps", "50", "--trials", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["markov", "simulate", "--level", "1", "--steps", "10000000000", "--trials", "2"],
+        ["markov", "simulate", "--level", "1", "--steps", "1000000000"],
+        ["markov", "simulate", "--level", "8", "--steps", "0", "--trials", "200001"],
+        ["markov", "report", "--level", "8", "--trials", "49000"],
+    ],
+    ids=["simulate-trials", "simulate-chain", "simulate-many-trajectories", "report"],
+)
+def test_cli_refuses_monte_carlo_requests_over_the_draw_budget(argv, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed the Monte Carlo budget" in captured.err
+
+
+def test_the_draw_budget_counts_draws_and_trajectories(monkeypatch, capsys):
+    # simulate: steps x trials draws and `trials` trajectories; report:
+    # trials x sum(CHI_TIMES) draws over trials x len(CHI_TIMES) trajectories.
+    monkeypatch.setattr(cli, "_DRAW_BUDGET", 2 * (3 + cli._TRIAL_DRAWS))
+    assert main(["markov", "simulate", "--level", "1", "--steps", "3", "--trials", "2"]) == 0
+    with pytest.raises(SystemExit):
+        main(["markov", "simulate", "--level", "1", "--steps", "4", "--trials", "2"])
+    per_trial = sum(markov.CHI_TIMES) + len(markov.CHI_TIMES) * cli._TRIAL_DRAWS
+    monkeypatch.setattr(cli, "_DRAW_BUDGET", 2 * per_trial)
+    assert main(["markov", "report", "--level", "1", "--trials", "2"]) == 0
+    with pytest.raises(SystemExit):
+        main(["markov", "report", "--level", "1", "--trials", "3"])
+    assert capsys.readouterr().err.count("exceed the Monte Carlo budget") == 2
 
 
 def test_cli_group_commands_run_at_level_6(capsys):
