@@ -14,6 +14,7 @@ Example:
 import argparse
 
 from gasketpile import markov
+from gasketpile.cli import check_draws
 from gasketpile.gasket import build_gasket
 from gasketpile.spectral import GroupTooLargeError
 
@@ -41,6 +42,9 @@ def main() -> int:
                         help="Monte Carlo trials for the decay estimates (0 = skip)")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
+    # Every level draws `trials` trajectories per time in CHI_TIMES.
+    trials = args.trials * max(args.max_level, 0)
+    check_draws(parser, trials * sum(markov.CHI_TIMES), trials * len(markov.CHI_TIMES))
 
     header = f"{'level':>5} {'vertices':>9} {'gap<=':>10} {'t_lower':>8} {'t_upper':>8} {'t_exact':>8}"
     print(header)

@@ -69,6 +69,8 @@ def _check_level(parser, args, cap=8, why=""):
 # Levels past this cap would run for seconds to minutes; they are refused at
 # once.
 _TRAJECTORY_WHY = "one trajectory stabilizes its draw counts: about 2 s at level 7 and 23 s at level 8"
+_GROUP_CAP = 9
+_GROUP_WHY = "level 10 builds a gasket of 88,575 vertices, which no command is enabled for yet"
 
 # Monte Carlo requests above this many draws are refused, each trajectory
 # counting as _TRIAL_DRAWS more for seeding its generator and counting its
@@ -77,7 +79,9 @@ _DRAW_BUDGET = 10**8
 _TRIAL_DRAWS = 500
 
 
-def _check_draws(parser, draws, trajectories):
+def check_draws(parser, draws, trajectories):
+    """Refuse through `parser.error` (exit 2) a Monte Carlo request over the
+    draw budget; `scripts/mixing_table.py` shares it."""
     if draws + trajectories * _TRIAL_DRAWS > _DRAW_BUDGET:
         parser.error(
             f"{draws:,} draws over {trajectories:,} trajectories exceed the Monte Carlo budget of "
@@ -157,7 +161,7 @@ def cmd_selfsim_verify(parser, args) -> int:
 
 
 def cmd_group_snf(parser, args) -> int:
-    _check_level(parser, args)
+    _check_level(parser, args, cap=_GROUP_CAP, why=_GROUP_WHY)
     graph = _graph_arg(args)
     data_l = group.lattice_data(graph)
     order = group.digits(data_l.order)
@@ -176,7 +180,7 @@ def cmd_group_snf(parser, args) -> int:
 
 
 def cmd_group_check_theorem(parser, args) -> int:
-    _check_level(parser, args)
+    _check_level(parser, args, cap=_GROUP_CAP, why=_GROUP_WHY)
     if args.level < 1:
         parser.error("--level must be >= 1")
     report = group.check_group_theorem(args.level)
@@ -256,7 +260,7 @@ def cmd_markov_simulate(parser, args) -> int:
         _check_level(parser, args, cap=7, why=_TRAJECTORY_WHY)
     if args.level < 1:
         parser.error("--level must be >= 1")
-    _check_draws(parser, args.steps * args.trials, args.trials)
+    check_draws(parser, args.steps * args.trials, args.trials)
     seed = markov.master_seed(args.seed)
     if args.trials > 1:
         est = markov.estimate_chi_decay(args.level, args.steps, args.trials, seed=seed)
@@ -285,7 +289,7 @@ def cmd_markov_report(parser, args) -> int:
     _check_level(parser, args)
     if args.level < 1:
         parser.error("--level must be >= 1")
-    _check_draws(parser, args.trials * sum(markov.CHI_TIMES), args.trials * len(markov.CHI_TIMES))
+    check_draws(parser, args.trials * sum(markov.CHI_TIMES), args.trials * len(markov.CHI_TIMES))
     report = markov.mixing_report(
         args.level,
         chi_trials=args.trials,

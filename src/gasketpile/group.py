@@ -14,10 +14,13 @@ lattice; the solve's integer check and the reduction take Delta @ v from
 Two Smith engines share the rest.  `quotient_invariants` gives every set of
 invariant factors in production: the group's own (`LatticeData.invariants`,
 `sandpile_group_invariants`, `group snf`) as the quotient by nothing, and
-the four quotients of `check_group_theorem`.  It factors the order
-(`factor_order`) and runs a sparse local Smith form over Z/p^K per prime
-(`_local_smith`), pivoting inside the cells of `gasket.cell_index`, finest
-first; all primes of the level-8 group take 0.8-1.7 s on a 2-core VM.
+the four quotients of `check_group_theorem`.  It reads the order's primes
+off the factorization (`factor_order`) and runs a sparse local Smith form
+over Z/p^K per prime (`localsmith`), pivoting inside the cells of
+`gasket.cell_index`, finest first.  Cells that are translates of one another
+are eliminated once per stage and the result is moved onto the others, so
+all primes of the group take about 12 ms at level 5, 0.07-0.10 s at level 8
+and 0.18-0.30 s at level 10 on a 2-core VM.
 `smith_mod` is a dense bounded-entry Smith reduction modulo the order; with
 transforms it gives `LatticeData.basis`, the adapted basis behind the class
 labels, the characters and the walk spectrum.  The tests check the two
@@ -57,6 +60,7 @@ from .gasket import (
     reduced_laplacian,
     subcopy_embedding,
 )
+from .localsmith import _local_smith, _nested_rows, _valuation
 
 Matrix = list[list[int]]
 
@@ -742,18 +746,22 @@ def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Invariant factors from sparse local Smith forms, one prime at a time.
+# The primes of the order, read off the factorization.
 # ---------------------------------------------------------------------------
 
 
-def factor_order(level: int, order: int) -> dict[int, int]:
-    """{p: v_p(order)} for a level-`level` group order, by trial division over
-    2, 3, 5 and the primes of N = 2 * 5**level + 3**(level + 1).  Every
-    gasket group order factors so (on the normal boundary it is
+def factor_order(factor: LaplacianFactor) -> dict[int, int]:
+    """{p: v_p(order)} for the group order det(Delta) of a factored reduced
+    Laplacian, read off the factorization: det(Delta) is the product of
+    det(blocks[k])**C_k and det(top_block), so v_p(order) is the sum of
+    C_k * v_p(det blocks[k]) and v_p(det top_block), valuations of small
+    rationals, and the order is never divided.  The primes are 2, 3, 5 and
+    those of N = 2 * 5**level + 3**(level + 1), by trial division of N:
+    every gasket group order factors so (on the normal boundary it is
     2^a 3^b 5^c N^2 for level >= 1, on a corner-sink boundary it has no
-    factor N); a cofactor left over raises ArithmeticError."""
-    if order <= 0:
-        raise ValueError("a group order is positive")
+    factor N).  The prime powers must multiply out to the determinant, or
+    ArithmeticError is raised: a factor is left over."""
+    level = factor.graph.level
     primes, rest, d = [2, 3, 5], 2 * 5**level + 3 ** (level + 1), 7
     while d * d <= rest:
         if rest % d == 0:
@@ -763,177 +771,16 @@ def factor_order(level: int, order: int) -> dict[int, int]:
         d += 2
     if rest > 5:
         primes.append(rest)
+    dets = [(_inverse(block)[1], len(cells)) for block, cells in zip(factor.blocks, factor.mids)]
+    dets.append((_inverse(factor.top_block)[1], 1))
     powers = {}
     for p in primes:
-        e = 0
-        while order % p == 0:
-            order //= p
-            e += 1
+        e = sum(count * (_valuation(det.numerator, p) - _valuation(det.denominator, p)) for det, count in dets)
         if e:
             powers[p] = e
-    if order != 1:
-        raise ArithmeticError(f"the level-{level} group order has a factor {order} outside 2, 3, 5 and N")
+    if min(powers.values(), default=0) < 0 or math.prod(p**e for p, e in powers.items()) != factor.determinant:
+        raise ArithmeticError(f"the level-{level} group order has a factor outside 2, 3, 5 and N")
     return powers
-
-
-# Markowitz cost caps (row entries - 1) * (column entries - 1) of the passes
-# before the uncapped one: cheap pivots first.
-_MARKOWITZ_CAPS = (4, 16, 64, 256)
-
-
-def _nested_rows(graph: GasketGraph, columns: list[list[int]]) -> tuple[dict[int, dict[int, int]], list[list[int]]]:
-    """The rows {column: entry} of [Delta | g1 | ... | gk], one per vertex in
-    the nested-dissection order of `gasket.cell_index` (each level's
-    midpoints cell by cell, finest first, then the big corners), and per
-    stage k the level-k cell of every row and column: the cell whose
-    midpoints, or those of the cells below it, hold the vertex, or -1 for a
-    vertex that is no level-k cell's midpoint or below one.  Every vertex is
-    in the one cell of the last stage, and so are the generators."""
-    n, level = graph.n_vertices, graph.level
-    mids, _, big = cell_index(graph)
-    home_level = np.full(n + len(columns), level, dtype=np.int64)
-    home_cell = np.zeros(n + len(columns), dtype=np.int64)
-    for k, cells in enumerate(mids):
-        home_level[cells] = k
-        home_cell[cells] = np.arange(len(cells))[:, None]
-    stages = [
-        np.where(home_level <= k, home_cell // 3 ** np.maximum(k - home_level, 0), -1).tolist()
-        for k in range(level + 1)
-    ]
-    rows = {}
-    for v in [int(v) for cells in mids for v in cells.ravel()] + [v for v in big if v != n]:
-        row = rows[v] = {v: graph.degrees[v]}
-        for w in graph.neighbors[v]:
-            row[w] = row.get(w, 0) - 1
-        for k, g in enumerate(columns):
-            if g[v]:
-                row[n + k] = g[v]
-    return rows, stages
-
-
-def _local_smith(
-    matrix: dict[int, dict[int, int]], stages: list[list[int]], p: int, rounds: int
-) -> tuple[list[int], int]:
-    """Smith form over Z/p^rounds of the rows of `_nested_rows`: the
-    exponents e >= 1 of its p-power invariant factors below p^rounds, and
-    the number of rows that survive every round (factors p^rounds or more).
-
-    Rows are dicts {column: residue}, with a row set per column.  A pivot
-    (i, j) of valuation r needs every entry of row i and of column j
-    divisible by p^r: it is a unit of the row divided by p^r, and it splits
-    off Z/p^r.  Row operations clear its column, and the pivot row and
-    column are dropped (column operations clear the row and touch no other).
-
-    Stage k pivots only inside a level-k cell, on a row and a column that
-    both lie in it (`stages[k]`), so fill never leaves the cell and its
-    three corners.  Within a stage the rounds r = 0, 1, ... take the
-    valuation-r pivots, rows in nested-dissection order, in one pass per
-    Markowitz cost cap and then uncapped until none is left; a row without
-    one waits for the next stage.  The last stage is the whole gasket, and
-    there these are the usual rounds that divide the surviving rows by p.
-    The local stages matter at p = 2 and p = 5, where a cell's rows are
-    divisible by p in combination (a level-1 cell's midpoint block has Smith
-    form diag(1, 5, 10)): each cell splits off its own factors of p before
-    its rows reach the coarser cells, and the rows stay short."""
-    modulus = p**rounds
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, entries in matrix.items():
-        row = rows[i] = {j: x % modulus for j, x in entries.items() if x % modulus}
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    exponents: list[int] = []
-    for cell in stages:
-        live = active = [i for i in rows if cell[i] >= 0]
-        # A pivot changes the rows and column counts of its own cell only
-        # (and of its corners, which lie in no cell of this stage), so a
-        # row's best pivot holds until a pivot in its cell bumps the version.
-        version = Counter()
-        r = 0
-        while active:
-            scale, step = p**r, p ** (r + 1)
-            seen: dict[int, tuple[int, tuple[int, int] | None]] = {}
-
-            def best(i: int) -> tuple[int, int] | None:
-                # The cheapest valuation-r pivot (cost, column) of row i in its
-                # cell.  A live row is divisible by p^r (see the end of the
-                # round); the pivot's column must be too.
-                home = cell[i]
-                if (hit := seen.get(i)) and hit[0] == version[home]:
-                    return hit[1]
-                row, found = rows[i], None
-                width = len(row) - 1
-                for j, x in row.items():
-                    if x % step and cell[j] == home:
-                        cost = width * (len(cols[j]) - 1)
-                        if (found is None or cost < found[0]) and not (
-                            r and any(rows[s][j] % scale for s in cols[j])
-                        ):
-                            found = (cost, j)
-                seen[i] = (version[home], found)
-                return found
-
-            def pivot(i: int, j: int) -> None:
-                # Clear column j with row i and drop both.
-                version[cell[i]] += 1
-                prow = rows.pop(i)
-                for c in prow:
-                    cols[c].discard(i)
-                inv = pow(prow.pop(j) // scale, -1, modulus)
-                terms = list(prow.items())
-                for t in cols.pop(j):
-                    row = rows[t]
-                    f = row.pop(j) // scale * inv % modulus
-                    for c, v in terms:
-                        w = (row.get(c, 0) - f * v) % modulus
-                        if w:
-                            if c not in row:
-                                cols[c].add(t)
-                            row[c] = w
-                        elif c in row:
-                            del row[c]
-                            cols[c].discard(t)
-                if r:
-                    exponents.append(r)
-
-            # One pass per Markowitz cap over the rows whose least valuation
-            # is r, then uncapped passes over every live row (pivots may have
-            # brought some down to r) until a pass takes nothing.
-            for cap in _MARKOWITZ_CAPS:
-                for i in active:
-                    if i in rows and (found := best(i)) and found[0] <= cap:
-                        pivot(i, found[1])
-            taken = True
-            while taken:
-                taken = False
-                for i in live:
-                    if i in rows and (found := best(i)):
-                        pivot(i, found[1])
-                        taken = True
-            # The next round is the least valuation above r that is some live
-            # row's least and lies in the row's cell.  A row whose least
-            # valuation is lower keeps it through this stage, since every
-            # update from now on is divisible by p^r: it waits for the next.
-            lows = {i: _least_valuations(rows[i], cell, i, p) for i in live if i in rows}
-            r = min((low for low, inside in lows.values() if r < low == inside < rounds), default=rounds)
-            live = [i for i, (low, _) in lows.items() if low >= r]
-            active = [i for i in live if lows[i][0] == r]
-    return exponents, len(rows)
-
-
-def _least_valuations(row: dict[int, int], cell: list[int], i: int, p: int) -> tuple[float, float]:
-    """The least p-adic valuation of the row's entries, and the least of
-    those in the columns of row i's cell (inf where there are none)."""
-    low, inside, home = math.inf, math.inf, cell[i]
-    for j, x in row.items():
-        e = 0
-        while x % p == 0:
-            x //= p
-            e += 1
-        low = min(low, e)
-        if cell[j] == home:
-            inside = min(inside, e)
-    return low, inside
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +817,7 @@ def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list
             raise ValueError("generator length must match vertex count")
     matrix, stages = _nested_rows(graph, columns)
     parts = []
-    for p, top in factor_order(graph.level, lattice_data(graph).order).items():
+    for p, top in factor_order(laplacian_factor(graph)).items():
         rounds = min(graph.level + 1, top)
         exponents, left = _local_smith(matrix, stages, p, rounds)
         while left and rounds < top:

@@ -12,7 +12,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form
 
-from gasketpile import cli, group, sandpile
+from gasketpile import cli, group, localsmith, sandpile
 from gasketpile.gasket import (
     CORNER_NAMES,
     LOWER_LEFT,
@@ -20,6 +20,7 @@ from gasketpile.gasket import (
     NORMAL,
     TOP,
     build_gasket,
+    cell_index,
     corner_sink,
     reduced_laplacian,
 )
@@ -1031,23 +1032,119 @@ def test_local_quotients_equal_smith_mod(level):
         assert group.quotient_invariants(graph, generators) == smith_reference(graph, generators)
 
 
+def record_pivot_loops(monkeypatch):
+    """Per `_local_smith` run, per stage, the set of cells of each call of
+    the pivot loop at that stage."""
+    runs = []
+    local, loop = group._local_smith, localsmith._pivot_loop
+
+    def recording_local(matrix, stages, p, rounds):
+        runs.append([[] for _ in stages])
+        recording_local.stages = stages
+        return local(matrix, stages, p, rounds)
+
+    def recording_loop(rows, cols, cell, live, p, rounds):
+        k = next(k for k, stage in enumerate(recording_local.stages) if stage.cell is cell)
+        runs[-1][k].append({cell[i] for i in live})
+        return loop(rows, cols, cell, live, p, rounds)
+
+    monkeypatch.setattr(group, "_local_smith", recording_local)
+    monkeypatch.setattr(localsmith, "_pivot_loop", recording_loop)
+    return runs
+
+
+def test_each_stage_eliminates_one_cell_of_the_translates(monkeypatch):
+    # With no generators every level-k cell of the normal boundary is a
+    # translate of the others: each stage runs the pivot loop on one of
+    # them, the last on the whole gasket, once per prime run.
+    graph = build_gasket(4)
+    runs = record_pivot_loops(monkeypatch)
+    assert group.quotient_invariants(graph, []) == LEVEL4_FACTORS
+    assert len(runs) == len(group.factor_order(group.laplacian_factor(graph)))
+    for stages in runs:
+        assert [[len(cells) for cells in calls] for calls in stages] == [[1]] * 5
+
+
+def test_generators_keep_their_cells_out_of_the_class(monkeypatch):
+    # A generator on one level-0 cell's midpoints makes that cell and the
+    # cells above it run on their own, beside the representative.
+    graph = build_gasket(4)
+    mids, _, _ = cell_index(graph)
+    generator = [0] * graph.n_vertices
+    generator[int(mids[0][13, 1])] = 2
+    runs = record_pivot_loops(monkeypatch)
+    assert group.quotient_invariants(graph, [generator]) == smith_reference(graph, [generator])
+    for stages in runs:
+        assert [sorted(len(cells) for cells in calls) for calls in stages] == [[1, 1]] * 3 + [[1]] * 2
+        assert [13, 4, 1] == [next(iter(calls[-1])) for calls in stages[:3]]
+
+
+def cell_generators(graph, rng):
+    """Two generator sets: random entries on the midpoints of one level-0
+    cell, and one random midpoint entry in one cell of every level."""
+    mids, _, _ = cell_index(graph)
+    deep = [0] * graph.n_vertices
+    for v in mids[0][rng.randrange(len(mids[0]))]:
+        deep[int(v)] = rng.choice((1, 2, 3, 5, -4))
+    spread = [0] * graph.n_vertices
+    for cells in mids:
+        spread[int(cells[rng.randrange(len(cells)), rng.randrange(3)])] = rng.choice((1, 2, 5, 10))
+    return [[deep], [deep, [rng.choice((0, 0, 0, 1, 2)) * x for x in deep]], [spread]]
+
+
+@pytest.mark.parametrize("level", range(2, 5))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_quotients_by_generators_in_single_cells_equal_smith_mod(level, boundary):
+    graph = build_gasket(level, boundary)
+    for generators in cell_generators(graph, random.Random(level)):
+        assert group.quotient_invariants(graph, generators) == smith_reference(graph, generators)
+
+
 @pytest.mark.parametrize("level", range(1, 9))
 def test_invariant_factors_follow_the_closed_form(level):
     assert group.sandpile_group_invariants(build_gasket(level)) == closed_form_invariants(level)
 
 
+def trial_division_powers(level, order):
+    """{p: v_p(order)} by dividing the order by 2, 3, 5 and the primes of
+    N = 2 * 5**level + 3**(level + 1) one at a time: the reference for
+    `factor_order`.  None if a factor is left over."""
+    primes, rest = [2, 3, 5], 2 * 5**level + 3 ** (level + 1)
+    primes += [d for d in range(7, rest + 1) if rest % d == 0 and all(d % q for q in range(2, math.isqrt(d) + 1))]
+    powers = {}
+    for p in primes:
+        while order % p == 0:
+            order //= p
+            powers[p] = powers.get(p, 0) + 1
+    return powers if order == 1 else None
+
+
+@pytest.mark.parametrize("level", range(9))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_factor_order_equals_trial_division(level, boundary):
+    factor = group.laplacian_factor(build_gasket(level, boundary))
+    assert group.factor_order(factor) == trial_division_powers(level, factor.determinant)
+
+
 def test_factor_order_refuses_a_stray_prime():
-    assert group.factor_order(0, 50) == {2: 1, 5: 2}
-    assert group.factor_order(1, 1444) == {2: 2, 19: 2}
-    order = group.sandpile_group_order(build_gasket(8))
-    powers = group.factor_order(8, order)
+    factors = [group.laplacian_factor(build_gasket(level)) for level in (0, 1, 8)]
+    assert group.factor_order(factors[0]) == {2: 1, 5: 2}
+    assert group.factor_order(factors[1]) == {2: 2, 19: 2}
+    powers = group.factor_order(factors[2])
     assert set(powers) == {2, 3, 5, 7, 114_419}
-    assert math.prod(p**e for p, e in powers.items()) == order
+    assert math.prod(p**e for p, e in powers.items()) == factors[2].determinant
     for stray in (7, 11 * 13, 1_000_003):
+        # A determinant with a factor the blocks do not have, and a top
+        # block whose determinant has one.
         with pytest.raises(ArithmeticError):
-            group.factor_order(1, 1444 * stray)
+            group.factor_order(dataclasses.replace(factors[1], determinant=1444 * stray))
+        num, den = factors[1].top_block
+        scaled = num.copy()
+        scaled[0] *= stray
+        with pytest.raises(ArithmeticError):
+            group.factor_order(dataclasses.replace(factors[1], top_block=(scaled, den), determinant=1444 * stray))
     with pytest.raises(ArithmeticError):
-        group.factor_order(8, order * 11)
+        group.factor_order(dataclasses.replace(factors[2], determinant=factors[2].determinant * 11))
 
 
 @pytest.mark.parametrize("corner", CORNER_NAMES)

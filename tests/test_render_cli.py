@@ -34,6 +34,8 @@ from gasketpile.sandpile import (
 )
 from gasketpile.spectral import distinguishing_statistic
 
+from test_group import closed_form_invariants
+
 G1 = build_gasket(1)
 
 
@@ -250,6 +252,18 @@ def test_cli_group_check_theorem(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_cli_group_commands_run_at_level_9(capsys):
+    # One class representative per stage keeps the local Smith forms to a
+    # fraction of a second at level 9; the commands take their cap of 9.
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "group", "snf", "--level", "9", "--json")
+    assert code == 0
+    assert json.loads(out)["invariant_factors"] == [str(d) for d in closed_form_invariants(9)]
+    code, out = run_cli(capsys, "group", "check-theorem", "--level", "9")
+    assert code == 0 and out.startswith("decomposition level 9: pass")
+    assert time.perf_counter() - start < 10.0
+
+
 def test_cli_group_tau_methods_agree(capsys):
     code, rec = run_cli(capsys, "group", "tau", "--level", "3")
     assert code == 0
@@ -414,11 +428,15 @@ def test_cli_rejects_bad_level(capsys):
         ["group", "tau", "--level", "9", "--method", "matrix-tree"],
         ["sandpile", "identity", "--level", "9", "--boundary", "corner_sink:lower_left"],
         ["markov", "simulate", "--level", "8", "--steps", "1"],
+        ["group", "snf", "--level", "10"],
+        ["group", "check-theorem", "--level", "10"],
     ],
     ids=[
         "tau-matrix-tree",
         "identity",
         "markov-simulate",
+        "snf",
+        "check-theorem",
     ],
 )
 def test_cli_refuses_infeasible_levels_quickly(argv, capsys):

@@ -3,9 +3,12 @@
 import importlib.util
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+
+import pytest
 
 from gasketpile import markov
 from gasketpile.gasket import build_gasket
@@ -50,6 +53,22 @@ def test_mixing_table(monkeypatch, capsys):
     ])
     stderr = values.std(ddof=1) / math.sqrt(len(values))
     assert points[(2, 5)][:2] == [f"{values.mean():.5f}", f"{stderr:.5f}"]
+
+
+def test_mixing_table_refuses_trials_over_the_draw_budget(monkeypatch, capsys):
+    # 2 levels x 10^7 trials x 41 steps is 8.2 * 10^8 draws: refused before
+    # the table and before any draw.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a refused request drew")
+
+    monkeypatch.setattr(markov, "estimate_chi_decay", no_draws)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as refused:
+        run_script(monkeypatch, "mixing_table", "--max-level", "2", "--trials", "10000000")
+    assert time.perf_counter() - start < 1
+    assert refused.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "exceed the Monte Carlo budget" in out.err
 
 
 def test_render_identities(monkeypatch, capsys, tmp_path):
