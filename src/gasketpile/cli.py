@@ -5,6 +5,15 @@ Subcommands mirror the library modules: gasket (graph export), sandpile
 check-theorem / tau), spectral (eigs / distance), markov (simulate / report),
 and render.  Exit status is 0 on success, 1 when a verification-style
 subcommand reports failure, 2 on usage errors.
+
+Every `--level` runs from 0 to 10, or from 1 to 10 for the commands that
+need a level-1 cell or the three sub-gaskets (`selfsim id`, `selfsim
+verify`, `group check-theorem`, `spectral eigs`, `markov simulate` and
+`markov report`).  At level 10 (88,575 vertices) each command finishes
+within about 10 s on a 2-core VM, most in 2-4 s; level 11 builds 265,722
+vertices, three times as many.  argparse refuses any other level with exit
+2 before a graph is built.  A single trajectory (`markov simulate` with one
+trial) runs to level 7.
 """
 
 from __future__ import annotations
@@ -57,20 +66,29 @@ def _print(data: dict, as_json: bool, human: list[str]):
             print(line)
 
 
-def _add_level(p, required=True):
-    p.add_argument("--level", type=int, required=required)
-
-
-def _check_level(parser, args, cap=8, why=""):
-    if args.level < 0 or args.level > cap:
-        parser.error(f"--level must be between 0 and {cap}" + (f": {why}" if why else ""))
-
-
-# Levels past this cap would run for seconds to minutes; they are refused at
-# once.
+_LEVEL_CAP = 10
+_CAP_WHY = (
+    "level 11 builds a gasket of 265,722 vertices, three times level 10's, "
+    "where the junction check already takes about 10 s"
+)
 _TRAJECTORY_WHY = "one trajectory stabilizes its draw counts: about 2 s at level 7 and 23 s at level 8"
-_GROUP_CAP = 9
-_GROUP_WHY = "level 10 builds a gasket of 88,575 vertices, which no command is enabled for yet"
+
+
+def _add_level(p, low=0):
+    """Declare `--level` with the range low.._LEVEL_CAP, so that argparse
+    refuses any other level with exit 2 before a handler runs."""
+
+    def level(text: str) -> int:
+        value = int(text)
+        if value > _LEVEL_CAP:
+            raise argparse.ArgumentTypeError(f"must be between {low} and {_LEVEL_CAP}: {_CAP_WHY}")
+        if value < low:
+            why = "level 0 has no level-1 cells or sub-gaskets" if low else "a level is not negative"
+            raise argparse.ArgumentTypeError(f"must be between {low} and {_LEVEL_CAP}: {why}")
+        return value
+
+    p.add_argument("--level", type=level, required=True)
+
 
 # Monte Carlo requests above this many draws are refused, each trajectory
 # counting as _TRIAL_DRAWS more for seeding its generator and counting its
@@ -90,7 +108,6 @@ def check_draws(parser, draws, trajectories):
 
 
 def cmd_gasket(parser, args) -> int:
-    _check_level(parser, args)
     graph = _graph_arg(args)
     data = graph_to_json(graph)
     human = [
@@ -116,13 +133,14 @@ def cmd_sandpile_stabilize(parser, args) -> int:
 
 
 def cmd_sandpile_identity(parser, args) -> int:
-    _check_level(parser, args)
     graph = _graph_arg(args)
     conf = identity(graph)
     if args.render:
         spec = render.RenderSpec(fmt="svg" if args.render.endswith(".svg") else "ppm")
+        # Render first: a refused raster leaves no empty file behind.
+        data = render.render(conf, spec)
         with open(args.render, "wb") as fh:
-            fh.write(render.render(conf, spec))
+            fh.write(data)
     _print(config_to_json(conf), args.json, [config_to_text(conf)])
     return 0
 
@@ -136,18 +154,12 @@ def cmd_sandpile_burn(parser, args) -> int:
 
 
 def cmd_selfsim_id(parser, args) -> int:
-    _check_level(parser, args)
-    if args.level < 1:
-        parser.error("the tile construction needs --level >= 1")
     conf = selfsim.identity_from_tiles(args.level)
     _print(config_to_json(conf), args.json, [config_to_text(conf)])
     return 0
 
 
 def cmd_selfsim_verify(parser, args) -> int:
-    _check_level(parser, args)
-    if args.level < 1:
-        parser.error("verification checks need --level >= 1")
     if args.check == "doubling":
         report = selfsim.verify_doubling(args.level)
     elif args.check == "transport":
@@ -161,7 +173,6 @@ def cmd_selfsim_verify(parser, args) -> int:
 
 
 def cmd_group_snf(parser, args) -> int:
-    _check_level(parser, args, cap=_GROUP_CAP, why=_GROUP_WHY)
     graph = _graph_arg(args)
     data_l = group.lattice_data(graph)
     order = group.digits(data_l.order)
@@ -180,9 +191,6 @@ def cmd_group_snf(parser, args) -> int:
 
 
 def cmd_group_check_theorem(parser, args) -> int:
-    _check_level(parser, args, cap=_GROUP_CAP, why=_GROUP_WHY)
-    if args.level < 1:
-        parser.error("--level must be >= 1")
     report = group.check_group_theorem(args.level)
     data = report.to_json()
     human = [
@@ -194,7 +202,6 @@ def cmd_group_check_theorem(parser, args) -> int:
 
 
 def cmd_group_tau(parser, args) -> int:
-    _check_level(parser, args)
     if args.method == "recursion":
         value = group.tau_recursion(args.level)
     else:
@@ -206,9 +213,6 @@ def cmd_group_tau(parser, args) -> int:
 
 
 def cmd_spectral_eigs(parser, args) -> int:
-    _check_level(parser, args)
-    if args.level < 1:
-        parser.error("--level must be >= 1 for cell harmonics")
     graph = build_gasket(args.level)
     n = graph.n_vertices
     cell_eig = Fraction(n - 5, n + 1)
@@ -236,7 +240,6 @@ def cmd_spectral_eigs(parser, args) -> int:
 
 
 def cmd_spectral_distance(parser, args) -> int:
-    _check_level(parser, args)
     graph = build_gasket(args.level)
     result = spectral.exact_distance(graph, args.t, cap=args.cap)
     data = {
@@ -254,12 +257,8 @@ def cmd_markov_simulate(parser, args) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
     # Many trials are evaluated from their draws; one trajectory costs an identity.
-    if args.trials > 1:
-        _check_level(parser, args)
-    else:
-        _check_level(parser, args, cap=7, why=_TRAJECTORY_WHY)
-    if args.level < 1:
-        parser.error("--level must be >= 1")
+    if args.trials == 1 and args.level > 7:
+        parser.error(f"--level must be between 1 and 7 for one trajectory: {_TRAJECTORY_WHY}")
     check_draws(parser, args.steps * args.trials, args.trials)
     seed = markov.master_seed(args.seed)
     if args.trials > 1:
@@ -286,9 +285,6 @@ def cmd_markov_simulate(parser, args) -> int:
 def cmd_markov_report(parser, args) -> int:
     if args.trials < 0:
         parser.error("--trials must be >= 0")
-    _check_level(parser, args)
-    if args.level < 1:
-        parser.error("--level must be >= 1")
     check_draws(parser, args.trials * sum(markov.CHI_TIMES), args.trials * len(markov.CHI_TIMES))
     report = markov.mixing_report(
         args.level,
@@ -346,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selfsim", help="self-similar structure")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
     p = ssub.add_parser("id")
-    _add_level(p)
+    _add_level(p, low=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_selfsim_id)
     p = ssub.add_parser("verify")
-    _add_level(p)
+    _add_level(p, low=1)
     p.add_argument("--check", choices=("doubling", "transport", "junction"), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_selfsim_verify)
@@ -363,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_group_snf)
     p = ssub.add_parser("check-theorem")
-    _add_level(p)
+    _add_level(p, low=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_group_check_theorem)
     p = ssub.add_parser("tau")
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectral", help="harmonic functions and distances")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
     p = ssub.add_parser("eigs")
-    _add_level(p)
+    _add_level(p, low=1)
     p.add_argument("--all", action="store_true")
     p.add_argument("--cap", type=int, default=spectral.DEFAULT_CHARACTER_CAP)
     p.add_argument("--json", action="store_true")
@@ -390,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("markov", help="the chip-adding walk")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
     p = ssub.add_parser("simulate")
-    _add_level(p)
+    _add_level(p, low=1)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_markov_simulate)
     p = ssub.add_parser("report")
-    _add_level(p)
+    _add_level(p, low=1)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")

@@ -20,7 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -107,37 +106,24 @@ def eigenvalue(h: HarmonicFunction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Level1Cell:
-    vertex_indices: tuple[int, ...]
-    midpoint_indices: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def level1_cells(level: int) -> tuple[Level1Cell, ...]:
-    """The 3**(level-1) level-1 cells of the normally wired gasket, in the
-    depth-first order of `gasket.cell_index`: vertices in canonical order
-    (corner, bottom midpoint, corner, left midpoint, right midpoint,
-    corner), midpoints bottom, left, right."""
-    if level < 1:
+def _level1_midpoints(graph: GasketGraph) -> list[list[int]]:
+    """The midpoints (bottom, left, right) of each level-1 cell, in the
+    depth-first order of `gasket.cell_index`."""
+    if graph.level < 1:
         raise ValueError("cells exist for level >= 1")
-    mids, corners, _ = cell_index(build_gasket(level))
-    return tuple(
-        Level1Cell((x, p, y, q, r, z), (p, q, r))
-        for (p, q, r), (x, y, z) in zip(mids[0].tolist(), corners[0].tolist())
-    )
+    return cell_index(graph)[0][0].tolist()
 
 
 def cell_harmonic(level: int, cell: int) -> HarmonicFunction:
     """The +-1 harmonic function that is -1 exactly on the three midpoints of
     one level-1 cell (cells are 1-indexed in enumeration order)."""
-    cells = level1_cells(level)
+    graph = build_gasket(level)
+    cells = _level1_midpoints(graph)
     if not 1 <= cell <= len(cells):
         raise ValueError(f"cell index must be in 1..{len(cells)}")
-    graph = build_gasket(level)
     half = Fraction(1, 2)
     rotation = [Fraction(0)] * graph.n_vertices
-    for v in cells[cell - 1].midpoint_indices:
+    for v in cells[cell - 1]:
         rotation[v] = half
     return HarmonicFunction(graph, tuple(rotation))
 
@@ -147,12 +133,9 @@ def distinguishing_statistic(graph: GasketGraph, entries) -> float:
     (-1)**(chips on the cell midpoints).  A class function on the group."""
     if graph.boundary.kind != "normal":
         raise ValueError("statistic defined on normally wired gaskets")
-    cells = level1_cells(graph.level)
-    total = 0
-    for cell in cells:
-        s = sum(entries[v] for v in cell.midpoint_indices)
-        total += -1 if s % 2 else 1
-    return total / len(cells)
+    cells = _level1_midpoints(graph)
+    odd = sum(1 for p, q, r in cells if (entries[p] + entries[q] + entries[r]) % 2)
+    return (len(cells) - 2 * odd) / len(cells)
 
 
 # ---------------------------------------------------------------------------

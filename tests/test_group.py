@@ -1100,7 +1100,7 @@ def test_quotients_by_generators_in_single_cells_equal_smith_mod(level, boundary
         assert group.quotient_invariants(graph, generators) == smith_reference(graph, generators)
 
 
-@pytest.mark.parametrize("level", range(1, 9))
+@pytest.mark.parametrize("level", range(1, 10))
 def test_invariant_factors_follow_the_closed_form(level):
     assert group.sandpile_group_invariants(build_gasket(level)) == closed_form_invariants(level)
 

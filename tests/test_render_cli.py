@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -8,7 +9,7 @@ import warnings
 
 import pytest
 
-from gasketpile import cli, markov
+from gasketpile import cli, gasket, markov
 from gasketpile.cli import main
 from gasketpile.gasket import CORNER_NAMES, build_gasket
 from gasketpile.group import digits, sandpile_group_order, tau_recursion
@@ -215,6 +216,16 @@ def test_cli_identity_render_to_file(tmp_path, capsys):
     assert out_path.read_bytes().startswith(b"P6\n")
 
 
+def test_cli_identity_refused_render_leaves_no_file(tmp_path, capsys, monkeypatch):
+    from gasketpile import render as render_module
+
+    monkeypatch.setattr(render_module, "MAX_PIXELS", 10)
+    out_path = tmp_path / "id.ppm"
+    assert main(["sandpile", "identity", "--level", "1", "--render", str(out_path)]) == 2
+    assert "pixels, above the limit" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_cli_burn_exit_codes(tmp_path, capsys):
     good = tmp_path / "max.txt"
     good.write_text(config_to_text(max_config(G1)))
@@ -254,7 +265,7 @@ def test_cli_group_check_theorem(capsys):
 
 def test_cli_group_commands_run_at_level_9(capsys):
     # One class representative per stage keeps the local Smith forms to a
-    # fraction of a second at level 9; the commands take their cap of 9.
+    # fraction of a second at level 9.
     start = time.perf_counter()
     code, out = run_cli(capsys, "group", "snf", "--level", "9", "--json")
     assert code == 0
@@ -262,6 +273,12 @@ def test_cli_group_commands_run_at_level_9(capsys):
     code, out = run_cli(capsys, "group", "check-theorem", "--level", "9")
     assert code == 0 and out.startswith("decomposition level 9: pass")
     assert time.perf_counter() - start < 10.0
+
+
+def test_cli_group_snf_runs_at_the_cap_of_10(capsys):
+    code, out = run_cli(capsys, "group", "snf", "--level", "10", "--json")
+    assert code == 0
+    assert json.loads(out)["invariant_factors"] == [str(d) for d in closed_form_invariants(10)]
 
 
 def test_cli_group_tau_methods_agree(capsys):
@@ -416,36 +433,62 @@ def test_cli_closes_its_input_file(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-def test_cli_rejects_bad_level(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["gasket", "--level", "99"])
-    assert info.value.code == 2
+# Every command that takes --level: its other required arguments and the
+# lowest level it accepts.  The highest is 10 for all of them.
+LEVEL_COMMANDS = {
+    ("gasket",): ((), 0),
+    ("sandpile", "identity"): (("--boundary", "corner_sink:lower_left"), 0),
+    ("selfsim", "id"): ((), 1),
+    ("selfsim", "verify"): (("--check", "junction"), 1),
+    ("group", "snf"): ((), 0),
+    ("group", "check-theorem"): ((), 1),
+    ("group", "tau"): (("--method", "matrix-tree"), 0),
+    ("spectral", "eigs"): (("--all",), 1),
+    ("spectral", "distance"): (("--t", "1"), 0),
+    ("markov", "simulate"): (("--steps", "1", "--trials", "2"), 1),
+    ("markov", "report"): (("--trials", "10"), 1),
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["group", "tau", "--level", "9", "--method", "matrix-tree"],
-        ["sandpile", "identity", "--level", "9", "--boundary", "corner_sink:lower_left"],
-        ["markov", "simulate", "--level", "8", "--steps", "1"],
-        ["group", "snf", "--level", "10"],
-        ["group", "check-theorem", "--level", "10"],
-    ],
-    ids=[
-        "tau-matrix-tree",
-        "identity",
-        "markov-simulate",
-        "snf",
-        "check-theorem",
-    ],
-)
-def test_cli_refuses_infeasible_levels_quickly(argv, capsys):
+def level_commands(parser, prefix=()):
+    """The subcommand paths of `parser` that declare `--level`."""
+    for action in parser._actions:
+        if "--level" in action.option_strings:
+            yield prefix
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from level_commands(sub, (*prefix, name))
+
+
+def test_the_level_table_lists_every_level_command():
+    assert sorted(level_commands(cli.build_parser())) == sorted(LEVEL_COMMANDS)
+
+
+@pytest.mark.parametrize("command", LEVEL_COMMANDS, ids=" ".join)
+def test_cli_refuses_levels_out_of_range_before_any_build(command, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a refused level built a gasket")
+
+    monkeypatch.setattr(gasket, "_build_gasket", no_build)
+    extra, low = LEVEL_COMMANDS[command]
+    below = "level 0 has no level-1 cells" if low else "a level is not negative"
+    for level, why in ((11, "level 11 builds a gasket of 265,722 vertices"), (low - 1, below)):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--level", str(level), *extra])
+        assert time.perf_counter() - start < 1.0
+        assert info.value.code == 2
+        assert f"argument --level: must be between {low} and 10: {why}" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_single_trajectory_above_level_7(capsys):
     start = time.perf_counter()
     with pytest.raises(SystemExit) as info:
-        main(argv)
+        main(["markov", "simulate", "--level", "8", "--steps", "1"])
     assert time.perf_counter() - start < 1.0
     assert info.value.code == 2
-    assert "--level must be between 0 and" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--level must be between 1 and 7 for one trajectory" in err and "23 s at level 8" in err
 
 
 @pytest.mark.parametrize(
@@ -511,8 +554,7 @@ def test_the_draw_budget_counts_draws_and_trajectories(monkeypatch, capsys):
 
 
 def test_cli_group_commands_run_at_level_6(capsys):
-    # The invariant factors come from the local Smith forms, so the Smith
-    # commands take the general cap of 8.
+    # The invariant factors come from the local Smith forms.
     start = time.perf_counter()
     assert main(["group", "snf", "--level", "6", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gasketpile import group
-from gasketpile.gasket import LOWER_LEFT, NORMAL, build_gasket, corner_sink, reduced_laplacian
+from gasketpile.gasket import LOWER_LEFT, NORMAL, build_gasket, cell_index, corner_sink, reduced_laplacian
 from gasketpile.markov import exact_tv_curve
 from gasketpile.sandpile import identity, max_config
 from gasketpile.spectral import (
@@ -19,7 +19,6 @@ from gasketpile.spectral import (
     eigenvalue,
     exact_distance,
     l2_bound_check,
-    level1_cells,
     walk_spectrum,
 )
 
@@ -61,25 +60,33 @@ def test_level1_cell_harmonic_layout():
     assert h.is_real and h.is_harmonic() and not h.is_trivial
 
 
+def level1_cells(level):
+    """The level-1 cells as the level-0 rows of `gasket.cell_index` give
+    them: vertices (corner, bottom midpoint, corner, left midpoint, right
+    midpoint, corner) and midpoints (bottom, left, right)."""
+    mids, corners, _ = cell_index(build_gasket(level))
+    return [((x, p, y, q, r, z), (p, q, r)) for (p, q, r), (x, y, z) in zip(mids[0].tolist(), corners[0].tolist())]
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_cells_partition_midpoints(level):
     graph = build_gasket(level)
     cells = level1_cells(level)
     assert len(cells) == 3 ** (level - 1)
-    mids = [v for cell in cells for v in cell.midpoint_indices]
+    mids = [v for _, midpoints in cells for v in midpoints]
     assert len(mids) == len(set(mids))
-    for cell in cells:
-        assert len(cell.vertex_indices) == 6
-        assert set(cell.midpoint_indices) < set(cell.vertex_indices)
-    covered = {v for cell in cells for v in cell.vertex_indices}
+    for vertices, midpoints in cells:
+        assert len(vertices) == 6
+        assert set(midpoints) < set(vertices)
+    covered = {v for vertices, _ in cells for v in vertices}
     assert covered == set(range(graph.n_vertices))
 
 
 def reference_cells(level):
-    """The level-1 cells by the coordinate recursion `level1_cells` used
-    before it read `gasket.cell_index`: origins depth-first in copy order
-    lower-left, lower-right, top; vertices (0,0), (1,0), (2,0), (0,1),
-    (1,1), (0,2) and midpoints (1,0), (0,1), (1,1) around each origin."""
+    """The level-1 cells by the coordinate recursion: origins depth-first
+    in copy order lower-left, lower-right, top; vertices (0,0), (1,0),
+    (2,0), (0,1), (1,1), (0,2) and midpoints (1,0), (0,1), (1,1) around
+    each origin."""
 
     def origins(k):
         if k == 1:
@@ -100,7 +107,7 @@ def reference_cells(level):
 @pytest.mark.parametrize("level", range(1, 9))
 def test_cells_equal_the_coordinate_recursion(level):
     want = reference_cells(level)
-    assert [(c.vertex_indices, c.midpoint_indices) for c in level1_cells(level)] == want
+    assert level1_cells(level) == want
     n = build_gasket(level).n_vertices
     half = Fraction(1, 2)
     # Every cell up to level 4; the first, last and five random ones above.
@@ -152,8 +159,13 @@ def test_cell_harmonic_bounds():
         cell_harmonic(2, 0)
     with pytest.raises(ValueError):
         cell_harmonic(2, 4)
+    # Level 0 has no level-1 cells: `cell_index` lists no level there, and
+    # both readers raise ValueError, not IndexError.
+    assert cell_index(G0)[0] == ()
     with pytest.raises(ValueError):
-        level1_cells(0)
+        cell_harmonic(0, 1)
+    with pytest.raises(ValueError):
+        distinguishing_statistic(G0, [0] * G0.n_vertices)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
