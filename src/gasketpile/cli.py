@@ -10,7 +10,7 @@ Every `--level` runs from 0 to 10, or from 1 to 10 for the commands that
 need a level-1 cell or the three sub-gaskets (`selfsim id`, `selfsim
 verify`, `group check-theorem`, `spectral eigs`, `markov simulate` and
 `markov report`).  At level 10 (88,575 vertices) each command finishes
-within about 10 s on a 2-core VM, most in 2-4 s; level 11 builds 265,722
+within about 2 s on a 2-core VM, most in 0.3-0.9 s; level 11 builds 265,722
 vertices, three times as many.  argparse refuses any other level with exit
 2 before a graph is built.  A single trajectory (`markov simulate` with one
 trial) runs to level 7.
@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import group, markov, render, selfsim, spectral
 from .gasket import (
@@ -69,7 +70,7 @@ def _print(data: dict, as_json: bool, human: list[str]):
 _LEVEL_CAP = 10
 _CAP_WHY = (
     "level 11 builds a gasket of 265,722 vertices, three times level 10's, "
-    "where the junction check already takes about 10 s"
+    "and its junction check builds level 12, nine times level 10's"
 )
 _TRAJECTORY_WHY = "one trajectory stabilizes its draw counts: about 2 s at level 7 and 23 s at level 8"
 
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_level(p)
     p.add_argument("--boundary", default="normal")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gasket)
+    p.set_defaults(func=partial(cmd_gasket, p))
 
     sp = sub.add_parser("sandpile", help="sandpile dynamics")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
@@ -327,29 +328,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-")
     p.add_argument("--frozen", action="append", choices=CORNER_NAMES)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sandpile_stabilize)
+    p.set_defaults(func=partial(cmd_sandpile_stabilize, p))
     p = ssub.add_parser("identity")
     _add_level(p)
     p.add_argument("--boundary", default="normal")
     p.add_argument("--render")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sandpile_identity)
+    p.set_defaults(func=partial(cmd_sandpile_identity, p))
     p = ssub.add_parser("burn")
     p.add_argument("--input", default="-")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sandpile_burn)
+    p.set_defaults(func=partial(cmd_sandpile_burn, p))
 
     sp = sub.add_parser("selfsim", help="self-similar structure")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
     p = ssub.add_parser("id")
     _add_level(p, low=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selfsim_id)
+    p.set_defaults(func=partial(cmd_selfsim_id, p))
     p = ssub.add_parser("verify")
     _add_level(p, low=1)
     p.add_argument("--check", choices=("doubling", "transport", "junction"), required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selfsim_verify)
+    p.set_defaults(func=partial(cmd_selfsim_verify, p))
 
     sp = sub.add_parser("group", help="sandpile group structure")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
@@ -357,16 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_level(p)
     p.add_argument("--boundary", default="normal")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_group_snf)
+    p.set_defaults(func=partial(cmd_group_snf, p))
     p = ssub.add_parser("check-theorem")
     _add_level(p, low=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_group_check_theorem)
+    p.set_defaults(func=partial(cmd_group_check_theorem, p))
     p = ssub.add_parser("tau")
     _add_level(p)
     p.add_argument("--method", choices=("recursion", "matrix-tree"), default="recursion")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_group_tau)
+    p.set_defaults(func=partial(cmd_group_tau, p))
 
     sp = sub.add_parser("spectral", help="harmonic functions and distances")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
@@ -375,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--cap", type=int, default=spectral.DEFAULT_CHARACTER_CAP)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_spectral_eigs)
+    p.set_defaults(func=partial(cmd_spectral_eigs, p))
     p = ssub.add_parser("distance")
     _add_level(p)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--cap", type=int, default=spectral.DEFAULT_CHARACTER_CAP)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_spectral_distance)
+    p.set_defaults(func=partial(cmd_spectral_distance, p))
 
     sp = sub.add_parser("markov", help="the chip-adding walk")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
@@ -391,20 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_markov_simulate)
+    p.set_defaults(func=partial(cmd_markov_simulate, p))
     p = ssub.add_parser("report")
     _add_level(p, low=1)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_markov_report)
+    p.set_defaults(func=partial(cmd_markov_report, p))
 
     p = sub.add_parser("render", help="draw a configuration")
     p.add_argument("--input", default="-")
     p.add_argument("--out", required=True)
     p.add_argument("--scale", type=int, default=12)
     p.add_argument("--format", choices=("ppm", "svg"))
-    p.set_defaults(func=cmd_render)
+    p.set_defaults(func=partial(cmd_render, p))
 
     return parser
 
@@ -413,7 +414,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        # Handlers are bound to their subcommand's parser, whose usage their refusals print.
+        return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

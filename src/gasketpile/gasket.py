@@ -6,13 +6,16 @@ level k+1 is the union of three level-k copies translated by (0,0), (2**k, 0)
 and (0, 2**k), glued at the three junction vertices.  The canonical vertex
 order everywhere in this package is lexicographic ascending in (b, a).
 
-Three structures are owned here and shared by the rest of the
-package: `cell_index`, the cells of every level as index arrays (the layout
-of the Laplacian factorization and of the level-1 cell characters),
-`laplacian_product`, the one exact Delta @ v, and the chip vectors of the
-corner-parameterized tiles (`tile_chips`), glued from rotated and
-translated copies by pure index geometry.  The toppling rounds keep their
-own int64 update and `reduced_laplacian` the dense matrix that the Smith and
+The arrays are the graph: a `GasketGraph` holds the coordinates, a grid
+from coordinate to index and the 4 x n neighbour table, and every map
+between coordinates and indices (the rotations, the sub-copy embeddings,
+the gluing of chip vectors, the cells) is a gather or scatter on the grid.
+The tuples of Python ints (`coords`, `neighbors`, `edges`) are views, built
+on first use.  Also shared with the rest of the package: `cell_index`, the
+cells of every level as index arrays (the layout of the Laplacian
+factorization and of the level-1 cell characters), `laplacian_product`, the
+one exact Delta @ v, the chip vectors of the corner-parameterized tiles
+(`tile_chips`) and `reduced_laplacian`, the dense matrix that the Smith and
 Bareiss reductions need.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,33 +77,6 @@ def parse_boundary(token: str) -> Boundary:
     raise ValueError(f"bad boundary token {token!r}")
 
 
-@lru_cache(maxsize=None)
-def gasket_cells(level: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], tuple[int, int]], ...]]:
-    """Vertex coordinates and undirected edges (as coordinate pairs) of the
-    bare level-`level` gasket, both in canonical order."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if level == 0:
-        verts = {(0, 0), (1, 0), (0, 1)}
-        edges = {((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1))}
-    else:
-        sub_verts, sub_edges = gasket_cells(level - 1)
-        half = 1 << (level - 1)
-        verts = set()
-        edges = set()
-        for name in (LOWER_LEFT, LOWER_RIGHT, TOP):
-            da, db = COPY_OFFSETS[name]
-            da, db = da * half, db * half
-            verts.update((a + da, b + db) for a, b in sub_verts)
-            edges.update(
-                tuple(sorted(((ua + da, ub + db), (va + da, vb + db)), key=lambda p: (p[1], p[0])))
-                for (ua, ub), (va, vb) in sub_edges
-            )
-    order = sorted(verts, key=lambda p: (p[1], p[0]))
-    canonical_edges = tuple(sorted(edges, key=lambda e: (e[0][1], e[0][0], e[1][1], e[1][0])))
-    return tuple(order), canonical_edges
-
-
 def gasket_size(level: int) -> int:
     """Vertex count of the bare level-`level` gasket, without building it."""
     if level < 0:
@@ -126,38 +102,59 @@ def junction_coords(level: int) -> dict[str, tuple[int, int]]:
 class GasketGraph:
     """A gasket of some level plus its sink wiring.
 
-    `coords` lists the non-sink vertices in canonical (b, a) order; `neighbors`
-    is the gasket adjacency restricted to them; `beta[i]` counts edges from
-    vertex i to the sink; `degrees[i]` is the full degree including sink edges;
-    `vertex_index` maps each coordinate back to its canonical index.
+    `points` holds the non-sink vertices' coordinates (n x 2) in canonical
+    order; `grid[a, b]` is the index of the vertex at (a, b), or n where
+    there is none or it is the sink; `table[k, v]` is the k-th neighbour of
+    v in ascending order, or n, a padding slot.  `beta[i]` counts edges from
+    vertex i to the sink and `degrees[i]` is the full degree including sink
+    edges.
     """
 
     level: int
     boundary: Boundary
-    coords: tuple[tuple[int, int], ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    beta: tuple[int, ...]
-    degrees: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    vertex_index: dict[tuple[int, int], int] = field(repr=False)
+    points: np.ndarray = field(repr=False)
+    grid: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)
+    beta: tuple[int, ...] = field(repr=False)
+    degrees: tuple[int, ...] = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.coords)
+        return len(self.points)
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.points.T.tolist()))
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        rows = list(zip(*self.table.tolist()))
+        # Only the corners and the sunk corner's neighbours have padding.
+        for v in np.flatnonzero(self.table[-1] == self.n_vertices).tolist():
+            rows[v] = rows[v][: self.degrees[v] - self.beta[v]]
+        return tuple(rows)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*_edge_pairs(self.table).T.tolist()))
 
     def index(self, coord: tuple[int, int]) -> int:
-        return self.vertex_index[coord]
+        if coord not in self:
+            raise KeyError(coord)
+        return int(self.grid[tuple(coord)])
 
     def __contains__(self, coord: tuple[int, int]) -> bool:
-        return coord in self.vertex_index
+        a, b = coord
+        side = 1 << self.level
+        return 0 <= a <= side and 0 <= b <= side and self.grid[a, b] != self.n_vertices
 
     def corner_index(self, name: str) -> int | None:
         """Canonical index of a corner, or None when that corner is the sink."""
         coord = corner_coords(self.level)[name]
-        return self.vertex_index.get(coord)
+        return self.index(coord) if coord in self else None
 
     def junction_index(self, side: str) -> int:
-        return self.vertex_index[junction_coords(self.level)[side]]
+        return self.index(junction_coords(self.level)[side])
 
     @property
     def sink_degree(self) -> int:
@@ -177,42 +174,72 @@ def build_gasket(level: int, boundary: Boundary = NORMAL) -> GasketGraph:
     return _build_gasket(level, boundary)
 
 
+def _edge_pairs(table: np.ndarray) -> np.ndarray:
+    """Edges (i, j), i < j, in ascending order as an m x 2 array: each
+    vertex's neighbour table entries above it, vertex by vertex."""
+    rows = table.T
+    above = (rows > np.arange(len(rows))[:, None]) & (rows < len(rows))
+    return np.stack([np.nonzero(above)[0], rows[above]], axis=1)
+
+
 @lru_cache(maxsize=None)
 def _build_gasket(level: int, boundary: Boundary) -> GasketGraph:
-    coords, coord_edges = gasket_cells(level)
-    corners = corner_coords(level)
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    side = 1 << level
     if boundary.kind == "corner_sink":
-        sunk = corners[boundary.corner]
-        kept = tuple(c for c in coords if c != sunk)
+        # The normal graph less its corner s: each neighbour of s gets a
+        # sink edge, and every index above s drops by one, the padding slot
+        # included, which then sorts last in each table column.
+        full = build_gasket(level)
+        corner = corner_coords(level)[boundary.corner]
+        s, n = full.grid[corner], full.n_vertices - 1
+        points = np.delete(full.points, s, axis=0)
+        grid = full.grid - (full.grid > s)
+        grid[corner] = n
+        table = np.delete(full.table, s, axis=1)
+        beta = (table == s).sum(axis=0)
+        table = np.sort(np.where(table == s, n, table - (table > s)), axis=0)
     else:
-        sunk = None
-        kept = coords
-    index = {c: i for i, c in enumerate(kept)}
-    nbrs: list[list[int]] = [[] for _ in kept]
-    beta = [0] * len(kept)
-    edges: list[tuple[int, int]] = []
-    for u, v in coord_edges:
-        if sunk is not None and (u == sunk or v == sunk):
-            other = v if u == sunk else u
-            beta[index[other]] += 1
-            continue
-        i, j = index[u], index[v]
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-        edges.append((i, j) if i < j else (j, i))
-    if boundary.kind == "normal":
-        for c in corners.values():
-            beta[index[c]] += 2
-    degrees = tuple(len(nbrs[i]) + beta[i] for i in range(len(kept)))
+        if level == 0:
+            points = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.intp)
+            edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.intp)
+        else:
+            # Three translated copies of the level below; `np.unique` on the
+            # (b, a) key merges the junctions.  Copies share no edge, and a
+            # translation keeps the (b, a) order, so i < j still holds.
+            child = build_gasket(level - 1)
+            shifts = np.array([COPY_OFFSETS[name] for name in (LOWER_LEFT, LOWER_RIGHT, TOP)]) * (side // 2)
+            copies = (child.points + shifts[:, None]).reshape(-1, 2)
+            keys, where = np.unique(copies[:, 1] * (side + 1) + copies[:, 0], return_inverse=True)
+            points = np.stack([keys % (side + 1), keys // (side + 1)], axis=1)
+            ends = where[_edge_pairs(child.table) + child.n_vertices * np.arange(3)[:, None, None]].reshape(-1, 2)
+            keys = np.sort(ends[:, 0] * len(points) + ends[:, 1])
+            edges = np.stack(np.divmod(keys, len(points)), axis=1)
+        n = len(points)
+        grid = np.full((side + 1, side + 1), n, dtype=np.intp)
+        grid[points[:, 0], points[:, 1]] = np.arange(n)
+        # Each edge in both directions, stably sorted by source: a vertex's
+        # lower neighbours come first, each half ascending as the edges are,
+        # and its k-th entry goes to slot k.
+        source, target = np.concatenate([edges[:, ::-1], edges]).T
+        order = np.argsort(source, kind="stable")
+        source, target = source[order], target[order]
+        count = np.bincount(source, minlength=n)
+        table = np.full((4, n), n, dtype=np.intp)
+        table[np.arange(len(source)) - np.repeat(np.cumsum(count) - count, count), source] = target
+        beta = np.zeros(n, dtype=np.intp)
+        beta[[grid[c] for c in corner_coords(level).values()]] = 2
+    for array in (points, grid, table):
+        array.flags.writeable = False
     return GasketGraph(
         level=level,
         boundary=boundary,
-        coords=kept,
-        neighbors=tuple(tuple(sorted(n)) for n in nbrs),
-        beta=tuple(beta),
-        degrees=degrees,
-        edges=tuple(sorted(edges)),
-        vertex_index=index,
+        points=points,
+        grid=grid,
+        table=table,
+        beta=tuple(beta.tolist()),
+        degrees=tuple(((table != n).sum(axis=0) + beta).tolist()),
     )
 
 
@@ -223,13 +250,13 @@ def rotation_ccw(graph: GasketGraph) -> tuple[int, ...]:
     only an automorphism of normally wired gaskets."""
     if graph.boundary.kind != "normal":
         raise ValueError("rotation is an automorphism of the normal boundary only")
-    side = 1 << graph.level
-    return tuple(graph.index((side - a - b, a)) for a, b in graph.coords)
+    a, b = graph.points.T
+    return tuple(graph.grid[(1 << graph.level) - a - b, a].tolist())
 
 
 def rotation_cw(graph: GasketGraph) -> tuple[int, ...]:
     perm = rotation_ccw(graph)
-    return tuple(perm[perm[i]] for i in range(len(perm)))
+    return tuple(perm[i] for i in perm)
 
 
 @lru_cache(maxsize=None)
@@ -246,24 +273,25 @@ def subcopy_embedding(level: int, copy: str) -> tuple[int, ...]:
         raise ValueError(f"copy must be one of {CORNER_NAMES}")
     half = 1 << (level - 1)
     da, db = COPY_OFFSETS[copy]
-    da, db = da * half, db * half
-    child_coords, _ = gasket_cells(level - 1)
-    parent = build_gasket(level)
-    return tuple(parent.index((a + da, b + db)) for a, b in child_coords)
+    a, b = build_gasket(level - 1).points.T
+    return tuple(build_gasket(level).grid[a + da * half, b + db * half].tolist())
 
 
 def assemble_from_copies(level: int, parts: dict[str, Sequence[int]]) -> list[int]:
     """Glue three level-(n-1) chip vectors into a level-n one, requiring the
     copies to agree at the shared junction vertices."""
-    out: list[int | None] = [None] * gasket_size(level)
+    out = np.empty(gasket_size(level), dtype=object)
+    written = np.zeros(len(out), dtype=bool)
     for name in (LOWER_LEFT, LOWER_RIGHT, TOP):
-        chips = parts[name]
-        for child_i, parent_i in enumerate(subcopy_embedding(level, name)):
-            if out[parent_i] is None:
-                out[parent_i] = chips[child_i]
-            elif out[parent_i] != chips[child_i]:
-                raise ValueError(f"junction mismatch at parent vertex {parent_i}")
-    return out  # type: ignore[return-value]
+        image = np.array(subcopy_embedding(level, name))
+        chips = np.array(parts[name], dtype=object)
+        held = written[image]
+        clash = image[held][out[image[held]] != chips[held]]
+        if len(clash):
+            raise ValueError(f"junction mismatch at parent vertex {clash[0]}")
+        out[image] = chips
+        written[image] = True
+    return out.tolist()
 
 
 @lru_cache(maxsize=256)
@@ -287,17 +315,12 @@ def tile_chips(level: int, x: int, y: int, z: int) -> tuple[int, ...]:
 
 def rotate_chips(graph: GasketGraph, chips: Sequence[int], direction: str = "ccw") -> tuple[int, ...]:
     """Rotate a chip vector with the gasket: chips travel with their
-    vertices, so the new value at the image of v is the old value at v."""
-    if direction == "ccw":
-        perm = rotation_ccw(graph)
-    elif direction == "cw":
-        perm = rotation_cw(graph)
-    else:
+    vertices, so the new value at the image of v is the old value at v,
+    a gather through the inverse rotation."""
+    inverse = {"ccw": rotation_cw, "cw": rotation_ccw}.get(direction)
+    if inverse is None:
         raise ValueError("direction must be 'ccw' or 'cw'")
-    out = [0] * len(perm)
-    for i, target in enumerate(perm):
-        out[target] = chips[i]
-    return tuple(out)
+    return tuple(chips[i] for i in inverse(graph))
 
 
 def glue_with_rotations(level: int, chips: Sequence[int]) -> list[int]:
@@ -313,21 +336,9 @@ def glue_with_rotations(level: int, chips: Sequence[int]) -> list[int]:
     return assemble_from_copies(level, parts)
 
 
-@lru_cache(maxsize=None)
-def neighbor_table(graph: GasketGraph) -> np.ndarray:
-    """Neighbour-index table, one row per neighbour slot (4 x n): entry
-    [k, v] is the k-th neighbour of v, or n, a padding slot, where v has
-    fewer than k + 1 neighbours."""
-    n = graph.n_vertices
-    table = np.full((4, n), n, dtype=np.intp)
-    for v, nbrs in enumerate(graph.neighbors):
-        table[: len(nbrs), v] = nbrs
-    return table
-
-
 def laplacian_product(graph: GasketGraph, entries) -> np.ndarray:
     """Delta @ v as an object array: deg(v) v_v minus the sum of v over the
-    neighbours, gathered through `neighbor_table`.  Exact for Python ints
+    neighbours, gathered through the neighbour table.  Exact for Python ints
     and Fractions, since every step is a Python operation on the entries."""
     n = graph.n_vertices
     padded = np.zeros(n + 1, dtype=object)
@@ -336,7 +347,7 @@ def laplacian_product(graph: GasketGraph, entries) -> np.ndarray:
         raise ValueError("vector length must match vertex count")
     padded[:n] = values
     out = np.array(graph.degrees, dtype=object) * values
-    for slot in neighbor_table(graph):
+    for slot in graph.table:
         out -= padded[slot]
     return out
 
@@ -351,11 +362,8 @@ def cell_index(graph: GasketGraph) -> tuple[tuple[np.ndarray, ...], tuple[np.nda
     Cells are listed depth-first: each cell's lower-left, lower-right and
     top sub-cells follow one another, so level 0 lists the level-1 cells
     sub-gasket by sub-gasket, from the largest copies down."""
-    n, level = graph.n_vertices, graph.level
+    level, grid = graph.level, graph.grid
     side = 1 << level
-    grid = np.full((side + 1, side + 1), n, dtype=np.intp)
-    a, b = np.array(graph.coords, dtype=np.intp).T
-    grid[a, b] = np.arange(n)
     a = b = np.zeros(1, dtype=np.intp)
     mids, corners = [], []
     for k in reversed(range(level)):
@@ -373,12 +381,10 @@ def reduced_laplacian(graph: GasketGraph) -> list[list[int]]:
     """Graph Laplacian of gasket + sink with the sink row and column deleted:
     full degree on the diagonal, -1 per gasket edge off the diagonal."""
     n = graph.n_vertices
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = graph.degrees[i]
-        for j in graph.neighbors[i]:
-            mat[i][j] -= 1
-    return mat
+    mat = np.zeros((n, n + 1), dtype=np.int64)  # column n takes the padding
+    mat[np.arange(n), np.arange(n)] = graph.degrees
+    mat[np.arange(n), graph.table] = -1
+    return mat[:, :n].tolist()
 
 
 def graph_to_json(graph: GasketGraph) -> dict:
@@ -387,7 +393,7 @@ def graph_to_json(graph: GasketGraph) -> dict:
     return {
         "level": graph.level,
         "boundary": graph.boundary.token(),
-        "vertices": [list(c) for c in graph.coords],
+        "vertices": graph.points.tolist(),
         "edges": [list(e) for e in graph.edges],
         "beta": list(graph.beta),
     }

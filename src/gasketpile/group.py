@@ -56,7 +56,6 @@ from .gasket import (
     cell_index,
     corner_sink,
     laplacian_product,
-    neighbor_table,
     reduced_laplacian,
     subcopy_embedding,
 )
@@ -469,7 +468,7 @@ def _level0_rows(graph: GasketGraph, mids: np.ndarray, corners: np.ndarray) -> t
     must have the same ones (entries to a sunk corner are skipped), and no
     midpoint may have a neighbour outside its cell; else ArithmeticError."""
     n = graph.n_vertices
-    table = neighbor_table(graph)
+    table = graph.table
     targets = np.concatenate([mids, corners], axis=1)
     real = targets != n
     rows = []
@@ -876,16 +875,13 @@ _PRIMARY_ASSIGNMENT = (("left", TOP), ("bottom", LOWER_LEFT), ("right", LOWER_RI
 def _junction_copy_vector(graph: GasketGraph, side: str, copy: str) -> list[int]:
     """Indicator vector of the two neighbors of a junction that lie in the
     named sub-copy."""
-    jidx = graph.junction_index(side)
-    image = set(subcopy_embedding(graph.level, copy))
-    vec = [0] * graph.n_vertices
-    hits = 0
-    for w in graph.neighbors[jidx]:
-        if w in image:
-            vec[w] = 1
-            hits += 1
-    if hits != 2:
+    nbrs = graph.table[:, graph.junction_index(side)]
+    inside = nbrs[np.isin(nbrs, subcopy_embedding(graph.level, copy))].tolist()
+    if len(inside) != 2:
         raise ArithmeticError(f"junction {side} should have 2 neighbors in copy {copy}")
+    vec = [0] * graph.n_vertices
+    for w in inside:
+        vec[w] = 1
     return vec
 
 

@@ -38,14 +38,10 @@ class RenderSpec:
     scale: int = 12  # pixels per unit edge
 
 
-def _positions(conf: Configuration, spec: RenderSpec):
-    half_sqrt3 = math.sqrt(3) / 2
-    pts = []
-    for a, b in conf.graph.coords:
-        x = (a + b / 2) * spec.scale + MARGIN
-        y = b * half_sqrt3 * spec.scale
-        pts.append((x, y))
-    return pts
+def _positions(conf: Configuration, spec: RenderSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices' planar x and y in pixels, y upwards."""
+    a, b = conf.graph.points.T
+    return (a + b / 2) * spec.scale + MARGIN, b * (math.sqrt(3) / 2) * spec.scale
 
 
 def render(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
@@ -71,22 +67,32 @@ def _disc_stencil(radius: float) -> tuple[np.ndarray, np.ndarray]:
     return dy, dx
 
 
+def _ppm_size(side: int, scale: int) -> tuple[int, int]:
+    width = math.ceil(side * scale) + 2 * MARGIN + 1
+    return width, math.ceil(side * scale * math.sqrt(3) / 2) + 2 * MARGIN + 1
+
+
 def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
     """Binary PPM of the configuration's discs.  Where discs overlap (small
     scales), the vertex with the highest index owns the pixel.  A raster of
-    more than `MAX_PIXELS` pixels is refused with ValueError before any
-    buffer is built."""
+    more than `MAX_PIXELS` pixels is refused with ValueError, naming the
+    largest scale that fits, before any buffer is built."""
     side = 1 << conf.graph.level
-    width = math.ceil(side * spec.scale) + 2 * MARGIN + 1
-    height = math.ceil(side * spec.scale * math.sqrt(3) / 2) + 2 * MARGIN + 1
+    width, height = _ppm_size(side, spec.scale)
     if width * height > MAX_PIXELS:
+        # The raster without its margins bounds the scale from above.
+        fits = math.isqrt(math.ceil(MAX_PIXELS / (side * side * math.sqrt(3) / 2)))
+        while fits and math.prod(_ppm_size(side, fits)) > MAX_PIXELS:
+            fits -= 1
         raise ValueError(
-            f"a {width} x {height} raster has {width * height} pixels, above the limit of {MAX_PIXELS}"
+            f"a {width} x {height} raster has {width * height} pixels, above the limit of {MAX_PIXELS}; "
+            + (f"the largest scale that fits is {fits}" if fits else "no scale fits")
         )
     dy, dx = _disc_stencil(max(1.0, spec.scale * RADIUS_FRAC))
     # Flip vertically: image row 0 is the top of the triangle.
-    centers = [(height - 1 - (round(y) + MARGIN), round(x)) for x, y in _positions(conf, spec)]
-    py, px = np.array(centers, dtype=np.intp).T
+    x, y = _positions(conf, spec)
+    py = height - 1 - (np.round(y).astype(np.intp) + MARGIN)
+    px = np.round(x).astype(np.intp)
     iy = py[:, None] + dy
     ix = px[:, None] + dx
     inside = (iy >= 0) & (iy < height) & (ix >= 0) & (ix < width)
@@ -104,19 +110,18 @@ def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
 
 
 def render_svg(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
-    side = 1 << conf.graph.level
-    width = side * spec.scale + 2 * MARGIN
-    height = math.ceil(side * spec.scale * math.sqrt(3) / 2) + 2 * MARGIN
+    # One pixel narrower and lower than the PPM raster.
+    width, height = (v - 1 for v in _ppm_size(1 << conf.graph.level, spec.scale))
     radius = max(1.0, spec.scale * RADIUS_FRAC)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for (x, y), chips in zip(_positions(conf, spec), conf.chips):
+    x, y = _positions(conf, spec)
+    for cx, cy, chips in zip(x.tolist(), (height - MARGIN - y).tolist(), conf.chips):
         r, g, b = color_for(chips)
-        cy = height - MARGIN - y
         lines.append(
-            f'<circle cx="{x:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="rgb({r},{g},{b})"/>'
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="rgb({r},{g},{b})"/>'
         )
     lines.append("</svg>\n")
     return "\n".join(lines).encode()

@@ -36,7 +36,6 @@ from .gasket import (
     build_gasket,
     gasket_size,
     glue_with_rotations,
-    neighbor_table,
     parse_boundary,
     rotate_chips,
     tile_chips,
@@ -208,7 +207,7 @@ def _topple_rounds(graph: GasketGraph, chips: list[int], thresholds) -> list[int
     at most U = T * 8n**2 for a chip total T, so the jump's intermediate
     values lie in [-4U, T + 4U], which `_fits_int64` keeps in int64."""
     n = len(chips)
-    slots = neighbor_table(graph)
+    slots = graph.table
     c = np.array(chips, dtype=np.int64)
     d = np.array(thresholds, dtype=np.int64)
     odometer = np.zeros(n, dtype=np.int64)
@@ -284,7 +283,8 @@ def identity_candidate(graph: GasketGraph) -> tuple[int, ...]:
     chips = tile_chips(level, 1, 1, 1)
     if boundary.corner in _SINK_TURN:
         chips = rotate_chips(full, chips, _SINK_TURN[boundary.corner])
-    return tuple(chips[full.index(c)] for c in graph.coords)
+    sunk = full.corner_index(boundary.corner)  # the canonical order less the sink
+    return chips[:sunk] + chips[sunk + 1 :]
 
 
 def _certified_identity(graph: GasketGraph, chips) -> Configuration:

@@ -28,7 +28,6 @@ from .gasket import (
     build_gasket,
     corner_sink,
     glue_with_rotations,
-    junction_coords,
     rotate_chips,
     tile_chips,
 )
@@ -121,7 +120,7 @@ def verify_doubling(level: int) -> DoublingReport:
     tile, expected = build_tile(level, 2, 1, 1), build_tile(level, 2 + 4 * 3**level, 1, 1)
     corner = tile.graph.corner_index(LOWER_LEFT)
     sunk = build_gasket(level, corner_sink(LOWER_LEFT))
-    start, target = (config(sunk, [t.value_at(c) for c in sunk.coords]) for t in (tile, expected))
+    start, target = (config(sunk, t.chips[:corner] + t.chips[corner + 1 :]) for t in (tile, expected))
     corner_start, corner_final = 2 * tile.chips[corner], 2 * tile.total - target.total
     if not (start.is_stable and is_recurrent_burning(start)):
         mismatch = "start: the (2,1,1) tile is not recurrent"
@@ -230,8 +229,8 @@ def verify_junction_invariance(level: int, conf: Configuration) -> JunctionRepor
     parent = assembled.graph
     recurrent_ok = is_recurrent_burning(assembled)
     added = [0] * parent.n_vertices
-    for coord in junction_coords(level + 1).values():
-        added[parent.index(coord)] = 2 * 3**level
+    for side in ("left", "right", "bottom"):
+        added[parent.junction_index(side)] = 2 * 3**level
     return JunctionReport(
         level=level,
         passed=recurrent_ok and group.in_lattice(parent, added),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,15 +12,16 @@ from gasketpile.gasket import (
     NORMAL,
     TOP,
     build_gasket,
+    assemble_from_copies,
     cell_index,
     corner_coords,
     corner_sink,
-    gasket_cells,
     graph_to_json,
     junction_coords,
     laplacian_product,
     parse_boundary,
     reduced_laplacian,
+    rotate_chips,
     rotation_ccw,
     rotation_cw,
     subcopy_embedding,
@@ -39,6 +41,55 @@ def cofactor_det(mat):
         sign = -1 if j % 2 else 1
         total += sign * mat[0][j] * cofactor_det(minor)
     return total
+
+
+def reference_cells(level):
+    """Vertex coordinates and edges (as coordinate pairs) of the bare gasket
+    by the coordinate recursion on sets of tuples, both sorted by (b, a): the
+    reference for the array build."""
+    if level == 0:
+        verts = {(0, 0), (1, 0), (0, 1)}
+        edges = {((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1))}
+    else:
+        sub_verts, sub_edges = reference_cells(level - 1)
+        half = 1 << (level - 1)
+        verts, edges = set(), set()
+        for da, db in ((0, 0), (half, 0), (0, half)):
+            verts.update((a + da, b + db) for a, b in sub_verts)
+            edges.update(
+                tuple(sorted(((ua + da, ub + db), (va + da, vb + db)), key=lambda p: (p[1], p[0])))
+                for (ua, ub), (va, vb) in sub_edges
+            )
+    order = sorted(verts, key=lambda p: (p[1], p[0]))
+    return tuple(order), tuple(sorted(edges, key=lambda e: (e[0][1], e[0][0], e[1][1], e[1][0])))
+
+
+def reference_graph(level, boundary):
+    """(coords, edges, neighbors, beta, degrees) from `reference_cells` by a
+    coordinate dict: a sunk corner's edges become sink edges, and the normal
+    boundary adds two sink edges at every corner."""
+    coords, coord_edges = reference_cells(level)
+    corners = corner_coords(level)
+    sunk = corners[boundary.corner] if boundary.kind == "corner_sink" else None
+    kept = tuple(c for c in coords if c != sunk)
+    index = {c: i for i, c in enumerate(kept)}
+    nbrs = [[] for _ in kept]
+    beta = [0] * len(kept)
+    edges = []
+    for u, v in coord_edges:
+        if sunk in (u, v):
+            beta[index[v if u == sunk else u]] += 1
+            continue
+        i, j = index[u], index[v]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+        edges.append((min(i, j), max(i, j)))
+    if sunk is None:
+        for c in corners.values():
+            beta[index[c]] += 2
+    neighbors = tuple(tuple(sorted(x)) for x in nbrs)
+    degrees = tuple(len(x) + b for x, b in zip(neighbors, beta))
+    return kept, tuple(sorted(edges)), neighbors, tuple(beta), degrees
 
 
 @pytest.mark.parametrize("level,expected", [(0, 3), (1, 6), (2, 15), (3, 42), (4, 123), (5, 366), (6, 1095)])
@@ -144,7 +195,7 @@ def test_rotation_conjugates_laplacian(level):
 @pytest.mark.parametrize("level", range(1, 4))
 def test_subcopy_embeddings(level):
     parent = build_gasket(level)
-    child_coords, child_edges = gasket_cells(level - 1)
+    child_coords, child_edges = reference_cells(level - 1)
     child_index = {c: i for i, c in enumerate(child_coords)}
     seen = {}
     for name in CORNER_NAMES:
@@ -278,3 +329,59 @@ def test_cell_index_lists_cells_depth_first(level, boundary):
                 assert sub == [[x, p, q], [p, y, r], [q, r, z]]
     if level:
         assert corners[-1].tolist() == [list(big)]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+@pytest.mark.parametrize("level", range(8))
+def test_build_equals_the_set_recursion(level, boundary):
+    graph = build_gasket(level, boundary)
+    coords, edges, neighbors, beta, degrees = reference_graph(level, boundary)
+    assert graph.coords == coords
+    assert graph.edges == edges
+    assert graph.neighbors == neighbors
+    assert graph.beta == beta
+    assert graph.degrees == degrees
+    assert [graph.index(c) for c in coords] == list(range(len(coords)))
+    side = 1 << level
+    outside = {(-1, 0), (0, -1), (side + 1, 0), (0, side + 1), (side, side), *corner_coords(level).values()}
+    for c in outside - set(coords):
+        assert c not in graph
+        with pytest.raises(KeyError):
+            graph.index(c)
+
+
+# SHA-256 over json.dumps(graph_to_json(g)) for levels 0-9, each on the
+# normal boundary and then on the corner sinks in CORNER_NAMES order, as
+# the set-and-sort build produced them.
+GRAPH_JSON_SHA256 = "15ebf740333f334400b0dfd319a38cb04a732981819b19acfa58f811ff3efce8"
+
+
+def test_graph_json_hash_through_level_9():
+    digest = hashlib.sha256()
+    for level in range(10):
+        for boundary in BOUNDARIES:
+            digest.update(json.dumps(graph_to_json(build_gasket(level, boundary))).encode())
+    assert digest.hexdigest() == GRAPH_JSON_SHA256
+
+
+def python_ints(values):
+    return all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_views_hold_python_ints(boundary):
+    """numpy integers would slow the toppling queue and change JSON."""
+    graph = build_gasket(3, boundary)
+    assert python_ints(v for c in graph.coords for v in c)
+    assert python_ints(v for e in graph.edges for v in e)
+    assert python_ints(v for nbrs in graph.neighbors for v in nbrs)
+    assert python_ints(graph.beta) and python_ints(graph.degrees)
+    assert python_ints(v for row in reduced_laplacian(graph) for v in row)
+    assert python_ints(graph_to_json(graph)["vertices"][0])
+    assert python_ints([graph.index(graph.coords[-1])] + [v for v in map(graph.corner_index, CORNER_NAMES) if v is not None])
+    if boundary == NORMAL:
+        assert python_ints(rotation_ccw(graph)) and python_ints(rotation_cw(graph))
+        assert python_ints(rotate_chips(graph, [1] * graph.n_vertices, "cw"))
+        assert python_ints(subcopy_embedding(3, TOP))
+        parts = {name: [2] * build_gasket(2).n_vertices for name in CORNER_NAMES}
+        assert python_ints(assemble_from_copies(3, parts))

@@ -744,9 +744,9 @@ def test_factor_refuses_cells_that_differ():
         group.laplacian_factor(heavier)
     # A midpoint whose edge to a cell mate leads to another cell instead.
     a, mate, b = (int(v) for v in (factor.mids[0][0, 0], factor.mids[0][0, 1], factor.mids[0][1, 0]))
-    neighbors = list(graph.neighbors)
-    neighbors[a] = tuple(b if w == mate else w for w in neighbors[a])
-    wired = dataclasses.replace(graph, neighbors=tuple(neighbors))
+    table = graph.table.copy()
+    table[table[:, a] == mate, a] = b
+    wired = dataclasses.replace(graph, table=table)
     with pytest.raises(ArithmeticError, match="outside its cell"):
         group.laplacian_factor(wired)
 

@@ -222,7 +222,23 @@ def test_cli_identity_refused_render_leaves_no_file(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(render_module, "MAX_PIXELS", 10)
     out_path = tmp_path / "id.ppm"
     assert main(["sandpile", "identity", "--level", "1", "--render", str(out_path)]) == 2
-    assert "pixels, above the limit" in capsys.readouterr().err
+    assert "pixels, above the limit of 10; no scale fits" in capsys.readouterr().err
+    assert not out_path.exists()
+    # The refusal names the largest scale that fits, and that scale renders.
+    monkeypatch.setattr(render_module, "MAX_PIXELS", 10**4)
+    assert main(["sandpile", "identity", "--level", "3", "--render", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert "a 113 x 101 raster has 11413 pixels, above the limit of 10000" in err
+    scale = int(err.split("the largest scale that fits is ")[1])
+    conf_path = tmp_path / "id.txt"
+    conf_path.write_text(config_to_text(identity(build_gasket(3))))
+    render_args = ["render", "--input", str(conf_path), "--out", str(out_path), "--scale"]
+    assert main([*render_args, str(scale)]) == 0
+    width, height = map(int, out_path.read_bytes().split(b"\n")[1].split())
+    assert width * height <= 10**4
+    out_path.unlink()
+    assert main([*render_args, str(scale + 1)]) == 2
+    assert f"the largest scale that fits is {scale}" in capsys.readouterr().err
     assert not out_path.exists()
 
 
@@ -389,7 +405,9 @@ def test_cli_render_refuses_a_scale_below_one(scale, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["render", "--input", str(conf_path), "--out", str(out_path), "--scale", scale])
     assert info.value.code == 2
-    assert "--scale must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--scale must be >= 1" in err
+    assert_subcommand_refusal(err, ["render"])
     assert not out_path.exists()
 
 
@@ -481,6 +499,14 @@ def test_cli_refuses_levels_out_of_range_before_any_build(command, capsys, monke
         assert f"argument --level: must be between {low} and 10: {why}" in capsys.readouterr().err
 
 
+def assert_subcommand_refusal(err, command):
+    """A handler's refusal prints its subcommand's usage and name, as the
+    argparse refusals do."""
+    name = " ".join(["gasketpile", *command])
+    assert err.startswith(f"usage: {name} ")
+    assert f"{name}: error: " in err
+
+
 def test_cli_refuses_a_single_trajectory_above_level_7(capsys):
     start = time.perf_counter()
     with pytest.raises(SystemExit) as info:
@@ -489,6 +515,7 @@ def test_cli_refuses_a_single_trajectory_above_level_7(capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "--level must be between 1 and 7 for one trajectory" in err and "23 s at level 8" in err
+    assert_subcommand_refusal(err, ["markov", "simulate"])
 
 
 @pytest.mark.parametrize(
@@ -536,6 +563,7 @@ def test_cli_refuses_monte_carlo_requests_over_the_draw_budget(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceed the Monte Carlo budget" in captured.err
+    assert_subcommand_refusal(captured.err, argv[:2])
 
 
 def test_the_draw_budget_counts_draws_and_trajectories(monkeypatch, capsys):
@@ -688,3 +716,4 @@ def test_cli_refuses_bad_trial_counts(argv, reason, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert reason in captured.err
+    assert_subcommand_refusal(captured.err, argv[:2])

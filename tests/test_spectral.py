@@ -94,11 +94,11 @@ def reference_cells(level):
         half = 1 << (k - 1)
         return [(a + da * half, b + db * half) for da, db in ((0, 0), (1, 0), (0, 1)) for a, b in origins(k - 1)]
 
-    index = build_gasket(level).vertex_index
+    index = build_gasket(level).index
     return [
         (
-            tuple(index[(a + da, b + db)] for da, db in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))),
-            tuple(index[(a + da, b + db)] for da, db in ((1, 0), (0, 1), (1, 1))),
+            tuple(index((a + da, b + db)) for da, db in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))),
+            tuple(index((a + da, b + db)) for da, db in ((1, 0), (0, 1), (1, 1))),
         )
         for a, b in origins(level)
     ]
