@@ -93,7 +93,7 @@ def _add_level(p, low=0):
 
 # Monte Carlo requests above this many draws are refused, each trajectory
 # counting as _TRIAL_DRAWS more for seeding its generator and counting its
-# draws: at the budget a command takes about 3-4 s on a 2-core VM.
+# draws: at the budget a command takes at most about 5-10 s on a 2-core VM.
 _DRAW_BUDGET = 10**8
 _TRIAL_DRAWS = 500
 

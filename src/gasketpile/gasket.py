@@ -364,13 +364,14 @@ def cell_index(graph: GasketGraph) -> tuple[tuple[np.ndarray, ...], tuple[np.nda
     sub-gasket by sub-gasket, from the largest copies down."""
     level, grid = graph.level, graph.grid
     side = 1 << level
-    a = b = np.zeros(1, dtype=np.intp)
+    flat, row = grid.ravel(), side + 1  # (a, b) is flat[a * row + b]
+    origins = np.zeros(1, dtype=np.intp)  # the cells' lower-left corners
     mids, corners = [], []
     for k in reversed(range(level)):
         h = 1 << k
-        mids.append(np.stack([grid[a + h, b], grid[a, b + h], grid[a + h, b + h]], axis=1))
-        corners.append(np.stack([grid[a, b], grid[a + 2 * h, b], grid[a, b + 2 * h]], axis=1))
-        a, b = np.stack([a, a + h, a], axis=1).ravel(), np.stack([b, b, b + h], axis=1).ravel()
+        mids.append(flat[origins[:, None] + np.array([h * row, h, h * row + h])])
+        corners.append(flat[origins[:, None] + np.array([0, 2 * h * row, 2 * h])])
+        origins = (origins[:, None] + np.array([0, h * row, h])).ravel()
     for cells in mids + corners:
         cells.flags.writeable = False
     big = (int(grid[0, 0]), int(grid[side, 0]), int(grid[0, side]))

@@ -17,8 +17,11 @@ zero. After t steps the statistic therefore depends only on the draws:
 `estimate_chi_decay` counts their parities per cell.
 
 Trajectory i's draws are the values that `trajectory_rng(seed, i)` returns
-to `randrange(n + 1)` calls; both walk paths generate them in bulk with
-`_randbelow_chunks` and count them with `np.bincount`.
+to `randrange(n + 1)` calls.  Both walk paths decode them in bulk with
+`_randbelow_rounds`, which reads the words of a whole block of trajectories
+at once, and count them with `np.bincount`: `run_chain` per vertex,
+`estimate_chi_decay` per trial and cell, one call for all of a block's draws
+that one round decodes.
 
 The stationary law is uniform on recurrent configurations.
 `sample_stationary` draws from it without any group algebra: a uniform
@@ -32,6 +35,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from fractions import Fraction
 
 import numpy as np
@@ -61,40 +65,53 @@ def trajectory_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-# Words per `getrandbits` round and values per yielded array: bounds the draw
-# buffers at a few MB whatever steps x trials is.
+# Values per generator per round, and the words of a block of trajectories,
+# their generators' states included: bounds the draw buffers at a few MB
+# whatever steps x trials is.
 _DRAW_CHUNK = 1 << 16
 
 
-def _randbelow_chunks(rng: random.Random, m: int, count: int):
-    """Yield the values of `count` calls of `rng.randrange(m)`, in order, as
-    uint32 arrays of at most `_DRAW_CHUNK` values.
+def _words(need: int, m: int) -> int:
+    """Words to read for `need` values below m: the expected count plus a
+    margin of about three standard deviations and 8."""
+    return (need << m.bit_length()) // m + 2 * math.isqrt(need) + 8
+
+
+def _randbelow_rounds(rngs: list[random.Random], m: int, count: int):
+    """The values of `count` calls of `rng.randrange(m)` for every generator
+    in `rngs`, in rounds.  A round yields four arrays: the places in `rngs`
+    of the generators it read, the position in its stream of each one's
+    first new value, how many new values each got, and the new values,
+    generator after generator and in order.
 
     This pins CPython's stream: `randrange(m)` is `_randbelow_with_getrandbits`,
     which sets k = m.bit_length() and redraws `getrandbits(k)` until the value
     is below m.  For k <= 32, `getrandbits(k)` is the top k bits of one 32-bit
     Mersenne-twister word, and `getrandbits(32 * w)` is w such words, the
-    first drawn least significant.  So the words are read in bulk, shifted
-    right by 32 - k, and the ones below m kept, in order.  A round reads a few
-    more words than it expects to need and carries the surplus to the next
-    array, so the generator ends up past the words `randrange` would read.
+    first drawn least significant.  So a round reads each short generator's
+    words in bulk, for at most `_DRAW_CHUNK` values, joins them into one
+    buffer, shifts them right by 32 - k and keeps the ones below m, each
+    generator's first ones up to the values it still needs.  A generator
+    that falls short reads again in the next round; the generators end up
+    past the words `randrange` would read.
     Raises ValueError unless 1 <= m < 2**32."""
     if not 1 <= m < 1 << 32:
         raise ValueError("modulus must be in 1..2**32 - 1")
-    k = m.bit_length()
-    getrandbits, shift = rng.getrandbits, 32 - k
-    kept = np.empty(0, dtype=np.uint32)
-    while count > 0:
-        size = min(count, _DRAW_CHUNK)
-        while kept.size < size:
-            need = size - kept.size
-            w = (need << k) // m + 2 * math.isqrt(need) + 8  # expected words plus a margin
-            words = np.frombuffer(getrandbits(32 * w).to_bytes(4 * w, "little"), dtype="<u4") >> shift
-            words = words[words < m]
-            kept = np.concatenate((kept, words)) if kept.size else words
-        yield kept[:size]
-        kept = kept[size:]
-        count -= size
+    shift = 32 - m.bit_length()
+    short, left = (list(range(len(rngs))), [count] * len(rngs)) if count > 0 else ([], [])
+    while short:
+        w = [_words(min(c, _DRAW_CHUNK), m) for c in left]
+        words = np.frombuffer(
+            b"".join([rngs[i].getrandbits(32 * c).to_bytes(4 * c, "little") for i, c in zip(short, w)]), dtype="<u4"
+        ) >> shift
+        ok = words < m
+        got = np.add.reduceat(ok, np.cumsum(w) - w, dtype=np.int64).tolist()  # accepted words per generator
+        take = [min(a, b) for a, b in zip(got, left)]
+        accepted = words[ok]
+        values = [accepted[a : a + b] for a, b in zip(accumulate(got, initial=0), take)]
+        yield np.array(short), count - np.array(left), np.array(take), np.concatenate(values)
+        still = [(i, a - b) for i, a, b in zip(short, left, take) if a > b]
+        short, left = [i for i, _ in still], [a for _, a in still]
 
 
 def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: int = 0) -> Configuration:
@@ -106,7 +123,7 @@ def run_chain(graph: GasketGraph, steps: int, seed: int | None = None, index: in
         raise ValueError("steps must be >= 0")
     n = graph.n_vertices
     counts = np.zeros(n + 1, dtype=np.int64)  # the last slot counts the sink draws
-    for draws in _randbelow_chunks(trajectory_rng(master_seed(seed), index), n + 1, steps):
+    for *_, draws in _randbelow_rounds([trajectory_rng(master_seed(seed), index)], n + 1, steps):
         counts += np.bincount(draws, minlength=n + 1)
     return recurrent_rep(graph, counts[:n].tolist())
 
@@ -149,29 +166,65 @@ def estimate_chi_decay(level: int, t: int, trials: int, seed: int | None = None)
     different cells are disjoint, so a cell's parity is odd exactly when an
     odd number of draws landed on its midpoints.  A trial costs O(t + cells).
     """
+    return _chi_estimates(level, (t,), trials, seed)[0]
+
+
+def _chi_estimates(level: int, times: tuple[int, ...], trials: int, seed: int | None) -> list[ChiDecayEstimate]:
+    """`estimate_chi_decay` at each of the ascending `times`, from one read
+    of each trajectory: its draws up to t are the first t of one stream.
+
+    The trials run in blocks.  `_randbelow_rounds` decodes a block's draws
+    at once, and one `np.bincount` over (time, trial, cell) counts them, a
+    draw at position p once for every time above p.  A block reads about
+    `_DRAW_CHUNK` words a round at most, its generators' states included,
+    and holds at most 4 * `_DRAW_CHUNK` counts (2 MB), whatever t, trials
+    and the number of cells are."""
     if level < 1:
         raise ValueError("the statistic needs level >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    expected = expected_chi(level, t)
+    expected = [expected_chi(level, t) for t in times]
     n = gasket_size(level)
     mids = cell_index(build_gasket(level))[0][0]  # the level-1 cells' midpoints
     n_cells = len(mids)
     # Draw -> cell slot; the sink draw n and non-midpoints go to slot n_cells.
     slot = np.full(n + 1, n_cells, dtype=np.intp)
     slot[mids] = np.arange(n_cells)[:, None]
-    seed_val = master_seed(seed)
-    values = np.empty(trials)
-    for i in range(trials):
-        counts = np.zeros(n_cells + 1, dtype=np.intp)
-        for draws in _randbelow_chunks(trajectory_rng(seed_val, i), n + 1, t):
-            counts += np.bincount(slot[draws], minlength=n_cells + 1)
-        values[i] = (n_cells - 2 * np.count_nonzero(counts[:n_cells] & 1)) / n_cells
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    return ChiDecayEstimate(
-        level=level, t=t, trials=trials, mean=mean, stderr=stderr, expected=expected,
-    )
+    # A trajectory's first round and its generator's 625-word state.
+    words = _words(min(times[-1], _DRAW_CHUNK), n + 1) + 625
+    block = max(1, min(_DRAW_CHUNK // words, 4 * _DRAW_CHUNK // (len(times) * (n_cells + 1))))
+    seed_val, last = master_seed(seed), len(times) - 1
+    values = np.ones((len(times), trials))  # without draws every cell is even
+    for lo in range(0, trials, block):
+        rngs = [trajectory_rng(seed_val, i) for i in range(lo, min(lo + block, trials))]
+        span = len(rngs) * (n_cells + 1)  # one time's counts
+        counts = None
+        for owner, first, size, draws in _randbelow_rounds(rngs, n + 1, times[-1]):
+            key = slot[draws]
+            key += np.repeat(last * span + owner * (n_cells + 1), size)
+            # A draw counts for every time above its position, so for the last
+            # time always; positions are worked out only for the earlier ones.
+            earlier = [
+                key[np.arange(key.size) + np.repeat(first - np.cumsum(size) + size, size) < t] - (last - j) * span
+                for j, t in enumerate(times[:-1])
+            ]
+            part = np.bincount(np.concatenate([*earlier, key]), minlength=len(times) * span)
+            counts = part if counts is None else counts + part
+        if counts is not None:
+            counts &= 1
+            odd = counts.reshape(-1, n_cells + 1)[:, :n_cells].sum(axis=1)
+            values[:, lo : lo + len(rngs)] = (n_cells - 2 * odd.reshape(len(times), -1)) / n_cells
+    return [
+        ChiDecayEstimate(
+            level=level,
+            t=t,
+            trials=trials,
+            mean=float(row.mean()),
+            stderr=float(row.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf"),
+            expected=e,
+        )
+        for t, row, e in zip(times, values, expected)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +436,5 @@ def mixing_report(level: int, chi_trials: int = 0, seed: int | None = None) -> M
         group_order=group.sandpile_group_order(build_gasket(level)),
     )
     if chi_trials > 0:
-        for t in CHI_TIMES:
-            report.chi_decay.append(estimate_chi_decay(level, t, chi_trials, seed=seed))
+        report.chi_decay = _chi_estimates(level, CHI_TIMES, chi_trials, seed)
     return report

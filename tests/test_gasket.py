@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gasketpile.gasket import (
@@ -329,6 +330,39 @@ def test_cell_index_lists_cells_depth_first(level, boundary):
                 assert sub == [[x, p, q], [p, y, r], [q, r, z]]
     if level:
         assert corners[-1].tolist() == [list(big)]
+
+
+def reference_cell_index(graph):
+    """`cell_index` by a stacked recursion on coordinates: every level reads
+    the cells' six vertices off the grid one (a, b) pair at a time and
+    splits each cell's lower-left corner into its three sub-cells'."""
+    level, grid = graph.level, graph.grid
+    side = 1 << level
+    a = b = np.zeros(1, dtype=np.intp)
+    mids, corners = [], []
+    for k in reversed(range(level)):
+        h = 1 << k
+        mids.append(np.stack([grid[a + h, b], grid[a, b + h], grid[a + h, b + h]], axis=1))
+        corners.append(np.stack([grid[a, b], grid[a + 2 * h, b], grid[a, b + 2 * h]], axis=1))
+        a, b = np.stack([a, a + h, a], axis=1).ravel(), np.stack([b, b, b + h], axis=1).ravel()
+    big = (int(grid[0, 0]), int(grid[side, 0]), int(grid[0, side]))
+    return tuple(mids[::-1]), tuple(corners[::-1]), big
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+@pytest.mark.parametrize("level", range(11))
+def test_cell_index_equals_the_stacked_recursion(level, boundary):
+    graph = build_gasket(level, boundary)
+    mids, corners, big = cell_index(graph)
+    want_mids, want_corners, want_big = reference_cell_index(graph)
+    assert big == want_big
+    if boundary.corner:
+        assert big[CORNER_NAMES.index(boundary.corner)] == graph.n_vertices
+    assert len(mids) == len(want_mids) == len(corners) == len(want_corners) == level
+    for got, want in zip(mids + corners, want_mids + want_corners):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from gasketpile import group, markov, sandpile
-from gasketpile.gasket import CORNER_NAMES, LOWER_LEFT, NORMAL, build_gasket, corner_sink, gasket_size
+from gasketpile.gasket import CORNER_NAMES, LOWER_LEFT, NORMAL, build_gasket, cell_index, corner_sink, gasket_size
 from gasketpile.sandpile import identity, is_recurrent_burning, recurrent_rep, stabilize
 from gasketpile.spectral import GroupTooLargeError, distinguishing_statistic
 
@@ -35,8 +35,22 @@ def test_trajectory_rng_is_reproducible():
     ]
 
 
+def drawn_streams(rngs, m, count):
+    """Each generator's values from `_randbelow_rounds`, checking that every
+    round continues each generator's stream where the last one stopped."""
+    streams = [[] for _ in rngs]
+    rounds = 0
+    for owner, first, size, values in markov._randbelow_rounds(rngs, m, count):
+        rounds += 1
+        assert size.sum() == len(values) and values.dtype == np.uint32
+        for i, start, part in zip(owner.tolist(), first.tolist(), np.split(values, np.cumsum(size)[:-1])):
+            assert start == len(streams[i])
+            streams[i] += part.tolist()
+    return streams, rounds
+
+
 def bulk_draws(rng, m, count):
-    return np.concatenate([np.empty(0, np.uint32), *markov._randbelow_chunks(rng, m, count)]).tolist()
+    return drawn_streams([rng], m, count)[0][0]
 
 
 # 2**k rejects half its words: k = m.bit_length() is one bit more than needed.
@@ -54,12 +68,16 @@ def test_bulk_draws_are_the_randrange_stream(m):
 
 @pytest.mark.parametrize("m", (2, 124, 9844, 2**32 - 1))
 def test_bulk_draws_cross_chunk_boundaries(monkeypatch, m):
+    """Three generators drawn together in rounds of at most 7 values' words
+    each: every generator's values are its own `randrange` stream."""
     monkeypatch.setattr(markov, "_DRAW_CHUNK", 7)
-    reference = markov.trajectory_rng(4, 1)
-    expected = [reference.randrange(m) for _ in range(1_000)]
-    chunks = list(markov._randbelow_chunks(markov.trajectory_rng(4, 1), m, 1_000))
-    assert [len(c) for c in chunks] == [7] * 142 + [6]
-    assert np.concatenate(chunks).tolist() == expected
+    expected = []
+    for index in range(3):
+        reference = markov.trajectory_rng(4, index)
+        expected.append([reference.randrange(m) for _ in range(1_000)])
+    streams, rounds = drawn_streams([markov.trajectory_rng(4, index) for index in range(3)], m, 1_000)
+    assert streams == expected
+    assert rounds >= 1_000 / markov._words(7, m)
 
 
 @pytest.mark.parametrize("m", (0, -3, 2**32, 2**40))
@@ -75,6 +93,97 @@ def test_chunked_walks_equal_the_unchunked_ones(monkeypatch):
     monkeypatch.setattr(markov, "_DRAW_CHUNK", 13)
     assert markov.run_chain(graph, 500, seed=5, index=2) == chain
     assert markov.estimate_chi_decay(3, 40, 30, seed=5) == estimate
+
+
+def reference_chi_decay(level, t, trials, seed):
+    """The per-trial loop: trajectory i's t draws by `randrange`, counted per
+    level-1 cell by one `np.bincount`, one value per trial."""
+    n = gasket_size(level)
+    mids = cell_index(build_gasket(level))[0][0]
+    n_cells = len(mids)
+    slot = np.full(n + 1, n_cells, dtype=np.intp)
+    slot[mids] = np.arange(n_cells)[:, None]
+    values = np.empty(trials)
+    for i in range(trials):
+        rng = markov.trajectory_rng(seed, i)
+        draws = np.array([rng.randrange(n + 1) for _ in range(t)], dtype=np.intp)
+        counts = np.bincount(slot[draws], minlength=n_cells + 1)
+        values[i] = (n_cells - 2 * np.count_nonzero(counts[:n_cells] & 1)) / n_cells
+    return markov.ChiDecayEstimate(
+        level=level,
+        t=t,
+        trials=trials,
+        mean=float(values.mean()),
+        stderr=float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf"),
+        expected=markov.expected_chi(level, t),
+    )
+
+
+def spy_rounds(monkeypatch):
+    """Record the rounds that each call of `_randbelow_rounds`, one block of
+    trajectories, yields."""
+    blocks = []
+    decode = markov._randbelow_rounds
+
+    def spy(rngs, m, count):
+        blocks.append(0)
+        for part in decode(rngs, m, count):
+            blocks[-1] += 1
+            yield part
+
+    monkeypatch.setattr(markov, "_randbelow_rounds", spy)
+    return blocks
+
+
+# (level, t, trials, seed, _DRAW_CHUNK or None, blocks, a block with at
+# least this many rounds)
+CHI_TABLE = [
+    (1, 1, 250, 3, None, 3, 1),  # blocks of 103 trials
+    (2, 5, 7, 1, 1_300, 4, 1),  # blocks of two trials
+    (1, 0, 5, 0, None, 1, 0),  # no draws
+    (1, 0, 1, 2, None, 1, 0),
+    (3, 17, 1, 4, None, 1, 1),  # one trial: no stderr
+    (3, 40, 30, 5, 13, 30, 3),  # t above the chunk: rounds per trajectory
+    (4, 100, 20, 2, None, 1, 1),  # the benchmark's op
+    (9, 3, 50, 8, None, 2, 1),  # blocks of 39 trials, bounded by their counts
+]
+
+
+@pytest.mark.parametrize("level, t, trials, seed, chunk, blocks, rounds", CHI_TABLE)
+def test_chi_decay_equals_the_per_trial_loop(monkeypatch, level, t, trials, seed, chunk, blocks, rounds):
+    if chunk:
+        monkeypatch.setattr(markov, "_DRAW_CHUNK", chunk)
+    seen = spy_rounds(monkeypatch)
+    assert markov.estimate_chi_decay(level, t, trials, seed=seed) == reference_chi_decay(level, t, trials, seed)
+    assert len(seen) == blocks and max(seen) >= rounds, seen
+
+
+def test_chi_decay_refills_a_short_first_read(monkeypatch):
+    # Level 2 draws below m = 16 from 5-bit values, so half the words are
+    # rejected and a first read falls short now and then.
+    short = next(i for i in itertools.count() if drawn_streams([markov.trajectory_rng(0, i)], 16, 100)[1] > 1)
+    seen = spy_rounds(monkeypatch)
+    assert markov.estimate_chi_decay(2, 100, short + 1, seed=0) == reference_chi_decay(2, 100, short + 1, 0)
+    assert seen == [2]
+
+
+@pytest.mark.parametrize("chunk", (None, 13))
+def test_mixing_report_reads_each_trajectory_once(monkeypatch, chunk):
+    """The draws up to each time in CHI_TIMES are the first ones of one
+    stream, so every trajectory is seeded once for all four estimates."""
+    if chunk:
+        monkeypatch.setattr(markov, "_DRAW_CHUNK", chunk)
+    seeded = []
+    trajectory_rng = markov.trajectory_rng
+
+    def spy(seed, index):
+        seeded.append(index)
+        return trajectory_rng(seed, index)
+
+    monkeypatch.setattr(markov, "trajectory_rng", spy)
+    report = markov.mixing_report(2, chi_trials=40, seed=6)
+    assert sorted(seeded) == list(range(40))
+    assert report.chi_decay == [reference_chi_decay(2, t, 40, 6) for t in markov.CHI_TIMES]
 
 
 def replay_chain(graph, steps, seed, index):
