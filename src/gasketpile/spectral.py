@@ -10,8 +10,10 @@ finest level of `gasket.cell_index`, the layout the Laplacian factorization
 eliminates.  These functions are exactly the characters
 of the sandpile group, and each one is an eigenfunction of the chip-adding
 walk with eigenvalue (1 + sum_v h(v)) / (n_vertices + 1).  `walk_spectrum`
-gets them all, and so the walk's exact distances from uniform, from one
-Fourier transform of the one-step measure over the Smith torus.
+gets them all, and so the walk's exact l2 distance from uniform, from one
+Fourier transform of the one-step measure over the Smith torus.  The torus
+and the walk's steps on it come from `_smith_shifts`, which
+`markov.exact_tv_curve` also reads to evolve the walk's law directly.
 """
 
 from __future__ import annotations
@@ -187,19 +189,28 @@ class DistanceResult:
     tv_upper: float
 
 
+def _smith_shifts(graph: GasketGraph, cap: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The Smith torus Z/d_1 x ... x Z/d_r of the group and the walk's steps
+    on it: the Smith coordinates of each vertex delta.  Refuses with
+    GroupTooLargeError above `cap`, before any Smith work."""
+    data = group.lattice_data(graph)
+    if data.order > cap:
+        raise GroupTooLargeError(data.order, cap)
+    dims = [d for _, d in data.cyclic] or [1]
+    return dims, [data.coordinates(group.delta_vector(graph, v)) for v in range(graph.n_vertices)]
+
+
 def walk_spectrum(graph: GasketGraph, cap: int = DEFAULT_CHARACTER_CAP) -> np.ndarray:
     """All walk eigenvalues from one transform over the Smith torus: entry m
     of the `numpy.fft.fftn` of the one-step measure (mass 1/(n+1) on 0 and on
     the Smith coordinates of each vertex delta) is the eigenvalue of the
     character x -> exp(-2 pi i sum_i m_i x_i / d_i), entry 0 the trivial one.
     Refuses with GroupTooLargeError above `cap`, before any Smith work."""
-    data = group.lattice_data(graph)
-    if data.order > cap:
-        raise GroupTooLargeError(data.order, cap)
-    counts = np.zeros([d for _, d in data.cyclic] or (1,))
+    dims, shifts = _smith_shifts(graph, cap)
+    counts = np.zeros(dims)
     counts.flat[0] = 1
-    for v in range(graph.n_vertices):
-        counts[data.coordinates(group.delta_vector(graph, v))] += 1
+    for shift in shifts:
+        counts[shift] += 1
     return np.fft.fftn(counts / (graph.n_vertices + 1))
 
 

@@ -153,18 +153,26 @@ def test_determinant_matches_cofactor_oracle(rows):
     assert group.determinant(rows) == cofactor_det(rows)
 
 
+def first_pivot(m):
+    """The row and column that `_fraction_free` eliminates first: the head
+    of the minimum-degree order, which depends on the off-diagonal pattern
+    alone."""
+    return group._minimum_degree_order(group._sparse_rows(m))[0]
+
+
 def reference_cases(rng, count):
     """Random 1x1 to 8x8 matrices, dense and sparse.  A third get a zero
-    leading entry (a row swap at the first step) and a third a repeated row
-    (singular; a zero entry at 1x1).  About half of the rest have a
-    negative determinant."""
+    diagonal entry at the first pivot of the elimination order (a row swap
+    at the first step) and a third a repeated row (singular; a zero entry at
+    1x1).  About half of the rest have a negative determinant."""
     for _ in range(count):
         n = rng.randint(1, 8)
         density = rng.choice((0.2, 0.4, 0.7, 1.0))
         m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
         kind = rng.randrange(3)
         if kind == 1 or (kind == 2 and n == 1):
-            m[0][0] = 0
+            k = first_pivot(m)
+            m[k][k] = 0
         elif kind == 2:
             i, j = rng.sample(range(n), 2)
             m[i] = list(m[j])
@@ -177,7 +185,8 @@ def test_fraction_free_kernel_equals_the_dense_references():
     for m in reference_cases(rng, 1500):
         det = group.determinant(m)
         assert det == dense_bareiss(m)
-        seen["swap"] += m[0][0] == 0 and any(row[0] for row in m)
+        k = first_pivot(m)
+        seen["swap"] += m[k][k] == 0 and any(row[k] for row in m)
         seen["negative"] += det < 0
         if det == 0:
             seen["singular"] += 1
@@ -191,8 +200,10 @@ def test_fraction_free_kernel_equals_the_dense_references():
 
 
 def test_fraction_free_kernel_swaps_a_zero_pivot_for_the_lowest_row():
+    # Full patterns keep the canonical order, so positions are row indices.
     # The leading entry is zero; rows 1 and 2 both qualify, row 1 is taken.
     m = [[0, 2, 1], [3, 1, 4], [5, 9, 2]]
+    assert group._minimum_degree_order(group._sparse_rows(m)) == [0, 1, 2]
     assert group.determinant(m) == dense_bareiss(m) == cofactor_det(m) == 50
     # Here the second pivot vanishes only after the first step.
     m = [[1, 2, 3], [2, 4, 1], [3, 1, 5]]
@@ -201,6 +212,26 @@ def test_fraction_free_kernel_swaps_a_zero_pivot_for_the_lowest_row():
     assert (b, scale) == dense_gauss_jordan(m)
     assert mat_mul(m, b) == [[scale * v for v in row] for row in group.mat_identity(3)]
     assert group.determinant([[0, 0], [0, 5]]) == 0
+
+
+def test_elimination_order_takes_the_least_degree_first():
+    # An arrow matrix: row and column 0 are full, the rest is diagonal but
+    # for one entry joining 2 and 5.  In canonical order the hub's
+    # elimination fills every row.  By degree the leaves of degree 1 go
+    # first; then the hub ties 2 and 5 at degree 2 and goes first, the
+    # lowest index, and its elimination makes no fill.
+    n = 7
+    m = [[4 if i == j else (1 + i + j if 0 in (i, j) else 0) for j in range(n)] for i in range(n)]
+    m[2][5] = 3  # one-sided: the pattern is symmetrized
+    rows = group._sparse_rows(m)
+    assert group._minimum_degree_order(rows) == [1, 3, 4, 6, 0, 2, 5]
+    assert group.determinant(m) == dense_bareiss(m) == cofactor_det(m)
+    b, scale = group.scaled_inverse(m)
+    assert (b, scale) == dense_gauss_jordan(m)
+    # The 4-cycle 0-2-1-3: eliminating 0 joins 2 and 3, so 1, 2 and 3 all
+    # keep degree 2 and 1 goes next; without the fill 2 would, at degree 1.
+    cycle = [[4, 0, -1, -1], [0, 4, -1, -1], [-1, -1, 4, 0], [-1, -1, 0, 4]]
+    assert group._minimum_degree_order(group._sparse_rows(cycle)) == [0, 1, 2, 3]
 
 
 def test_reference_paths_use_neither_engine(monkeypatch):

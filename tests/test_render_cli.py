@@ -482,6 +482,50 @@ def test_the_level_table_lists_every_level_command():
     assert sorted(level_commands(cli.build_parser())) == sorted(LEVEL_COMMANDS)
 
 
+def command_paths(parser, prefix=()):
+    """Every command path of `parser`, groups and leaves."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*prefix, name)
+                yield from command_paths(sub, (*prefix, name))
+
+
+# Every help and usage text, and refusals by argparse and by the handlers.
+PARSER_CASES = [
+    [], ["--help"], ["bogus"], ["--level", "2", "gasket"], ["gasket", "--level", "2", "sandpile"],
+    ["--", "gasket", "--level", "0"], ["group", "--help", "snf"],
+    ["gasket", "--level", "11"], ["group", "snf", "--level", "-1"], ["selfsim", "id", "--level", "x"],
+    ["markov", "simulate", "--level", "8", "--steps", "1"],
+    ["markov", "report", "--level", "8", "--trials", "49000"],
+    ["render", "--out", "unused.ppm", "--scale", "0"],
+    *([*path, *extra] for path in command_paths(cli.build_parser()) for extra in ([], ["--help"], ["--bogus"])),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_parser_for_one_command_prints_what_the_full_parser_prints(argv, monkeypatch, capsys):
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    lazy = outcome()
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: build_parser())
+    assert lazy == outcome()
+
+
+def test_the_parser_declares_only_the_commands_argv_names():
+    assert list(level_commands(cli.build_parser(["group", "snf", "--level", "3"]))) == [("group", "snf")]
+    assert list(level_commands(cli.build_parser(["markov", "--help"]))) == []
+    assert sorted(level_commands(cli.build_parser(["selfsim", "id", "verify"]))) == [
+        ("selfsim", "id"), ("selfsim", "verify")
+    ]
+
+
 @pytest.mark.parametrize("command", LEVEL_COMMANDS, ids=" ".join)
 def test_cli_refuses_levels_out_of_range_before_any_build(command, capsys, monkeypatch):
     def no_build(*args):

@@ -35,9 +35,20 @@ def test_group_survey(monkeypatch, capsys):
 
 
 def test_mixing_table(monkeypatch, capsys):
-    # Level 2's group (25.6M elements) is over the transform's cap: "-".
+    # Level 2's group (25.6M elements) is over the group-order cap: "-".
     argv = ["--max-level", "2", "--exact-levels", "2", "--trials", "200", "--seed", "1"]
+    seeded = []
+    trajectory_rng = markov.trajectory_rng
+
+    def spy(seed, index):
+        seeded.append(index)
+        return trajectory_rng(seed, index)
+
+    monkeypatch.setattr(markov, "trajectory_rng", spy)
     assert run_script(monkeypatch, "mixing_table", *argv) == 0
+    # One read of each trajectory per level serves all four times.
+    assert sorted(seeded) == sorted(list(range(200)) * 2)
+    monkeypatch.setattr(markov, "trajectory_rng", trajectory_rng)
     table, decay = capsys.readouterr().out.split("\n\n")
     rows = {int(line.split()[0]): line.split() for line in table.splitlines()[2:]}
     assert rows[1] == ["1", "6", "0.857143", "0", "47", "9"]
@@ -61,7 +72,7 @@ def test_mixing_table_refuses_trials_over_the_draw_budget(monkeypatch, capsys):
     def no_draws(*args, **kwargs):
         raise AssertionError("a refused request drew")
 
-    monkeypatch.setattr(markov, "estimate_chi_decay", no_draws)
+    monkeypatch.setattr(markov, "mixing_report", no_draws)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as refused:
         run_script(monkeypatch, "mixing_table", "--max-level", "2", "--trials", "10000000")
@@ -69,6 +80,14 @@ def test_mixing_table_refuses_trials_over_the_draw_budget(monkeypatch, capsys):
     assert refused.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "exceed the Monte Carlo budget" in out.err
+
+
+def test_mixing_table_refuses_negative_trials(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as refused:
+        run_script(monkeypatch, "mixing_table", "--max-level", "1", "--trials", "-1")
+    assert refused.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--trials must be >= 0" in out.err
 
 
 def test_render_identities(monkeypatch, capsys, tmp_path):

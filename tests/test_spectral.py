@@ -323,13 +323,31 @@ def test_exact_distance_equals_the_per_character_sum(graph):
         assert math.isclose(result.l2, expected, rel_tol=1e-12, abs_tol=1e-15), t
 
 
+def fourier_tv_reference(graph, t_max):
+    """TV curve by Fourier inversion: the law after t steps is the inverse
+    transform of the t-th power of `walk_spectrum`, one `ifftn` per t."""
+    spectrum = walk_spectrum(graph)
+    power = np.ones_like(spectrum)
+    curve = []
+    for _ in range(t_max + 1):
+        curve.append(0.5 * float(np.abs(np.fft.ifftn(power).real - 1 / spectrum.size).sum()))
+        power *= spectrum
+    return curve
+
+
+@pytest.mark.parametrize("reference", [rolled_tv_reference, fourier_tv_reference], ids=["rolled", "fourier"])
 @pytest.mark.parametrize("graph", ENGINE_GRAPHS)
-def test_exact_tv_curve_equals_the_rolled_evolution(graph):
+def test_exact_tv_curve_equals_the_references(graph, reference):
     curve = exact_tv_curve(graph, 100)
-    reference = rolled_tv_reference(graph, 100)
-    assert len(curve) == len(reference) == 101
-    for t, (value, expected) in enumerate(zip(curve, reference)):
+    expected_curve = reference(graph, 100)
+    assert len(curve) == len(expected_curve) == 101
+    for t, (value, expected) in enumerate(zip(curve, expected_curve)):
         assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=1e-15), t
+
+
+def test_exact_tv_curve_has_no_transform_noise_floor():
+    # Fourier inversion leaves about 1e-14 at t = 200 on level 1.
+    assert exact_tv_curve(G1, 200)[200] < 1e-15
 
 
 def test_walk_spectrum_holds_the_trivial_eigenvalue_first():
