@@ -45,7 +45,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.trials < 0:
         parser.error("--trials must be >= 0")
-    # Every level draws `trials` trajectories per time in CHI_TIMES.
+    # Every level reads `trials` trajectories once but counts their draws
+    # once per time in CHI_TIMES; each is charged per time, as the CLI's
+    # `markov report` charges it, since that is what the counting costs.
     trials = args.trials * max(args.max_level, 0)
     check_draws(parser, trials * sum(markov.CHI_TIMES), trials * len(markov.CHI_TIMES))
 

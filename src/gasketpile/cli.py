@@ -286,6 +286,10 @@ def cmd_markov_simulate(parser, args) -> int:
 def cmd_markov_report(parser, args) -> int:
     if args.trials < 0:
         parser.error("--trials must be >= 0")
+    # The report reads each of its `trials` trajectories once, to the last
+    # time, but counts its draws once per time in CHI_TIMES, so a block of
+    # trajectories is a quarter of one time's (3 against 13 at level 10).
+    # Charging every time's draws and trajectories tracks that cost.
     check_draws(parser, args.trials * sum(markov.CHI_TIMES), args.trials * len(markov.CHI_TIMES))
     report = markov.mixing_report(
         args.level,

@@ -1,26 +1,28 @@
 """Exact linear algebra for sandpile groups on gasket graphs.
 
 The sandpile group of a graph is Z^V modulo the column lattice of the
-reduced Laplacian Delta; its order equals det(Delta).  `laplacian_factor`
+reduced Laplacian Delta; its order equals det(Delta).  One object holds it:
+`LatticeData`, built once per graph by the cached `lattice_data`, which
 eliminates Delta over the rationals one gasket level at a time, finest
-first (nested dissection): every cell of a level has the same exact 3 x 3
-midpoint block, so a level is one block and the two index arrays of
-`gasket.cell_index`, and a solve is a few numpy object-array steps per
-level.  Its determinant is the order, and its O(n) solves of Delta y = x
-decide lattice membership, element orders and the reduction modulo the
-lattice; the solve's integer check and the reduction take Delta @ v from
-`gasket.laplacian_product`.
+first (nested dissection).  Every cell of a level has the same exact 3 x 3
+midpoint block, inverted once, so a level is one block and the two index
+arrays of `gasket.cell_index`, and the same pass stores the solve plan and
+each block's determinant.  Their product is the order, and the O(n)
+`LatticeData.solve` of Delta y = x decides lattice membership, element
+orders and the reduction modulo the lattice; the solve's integer check and
+the reduction take Delta @ v from `gasket.laplacian_product`.
 
-Two Smith engines share the rest.  `quotient_invariants` gives every set of
+Two Smith engines give the rest.  `quotient_invariants` gives every set of
 invariant factors in production: the group's own (`LatticeData.invariants`,
 `sandpile_group_invariants`, `group snf`) as the quotient by nothing, and
 the four quotients of `check_group_theorem`.  It reads the order's primes
-off the factorization (`factor_order`) and runs a sparse local Smith form
-over Z/p^K per prime (`localsmith`), pivoting inside the cells of
-`gasket.cell_index`, finest first.  Cells that are translates of one another
-are eliminated once per stage and the result is moved onto the others, so
-all primes of the group take about 12 ms at level 5, 0.07-0.10 s at level 8
-and 0.18-0.30 s at level 10 on a 2-core VM.
+off the stored block determinants (`factor_order`) and runs a sparse local
+Smith form over Z/p^K per prime (`localsmith`), in the factor's
+elimination order, pivoting inside the cells of `gasket.cell_index`,
+finest first.  Cells that are translates of one another are eliminated
+once per stage and the result is moved onto the others, so all primes of
+the group take about 12 ms at level 5, 0.07-0.10 s at level 8 and
+0.18-0.30 s at level 10 on a 2-core VM.
 `smith_mod` is a dense bounded-entry Smith reduction modulo the order; with
 transforms it gives `LatticeData.basis`, the adapted basis behind the class
 labels, the characters and the walk spectrum.  The tests check the two
@@ -187,8 +189,8 @@ def determinant(matrix: Matrix) -> int:
     permutation leaves the determinant unchanged, and its minimum-degree
     order keeps the fill small: about 5.5 ms at level 4 and 55-60 ms at
     level 5 for the reduced Laplacians.  A reference path, independent of
-    `laplacian_factor` and of the Smith code on purpose: the tests
-    cross-check all three."""
+    `lattice_data` and of the Smith code on purpose: the tests cross-check
+    all three."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
@@ -409,7 +411,7 @@ def scaled_inverse(matrix: Matrix) -> tuple[Matrix, int]:
     checked exact, and x_k is row order[k] of |p| * A^-1.  Entries stay
     bounded by the adjugate's.  This costs O(n) per nonzero of U: 5 ms at
     level 3 and 45 ms at level 4 for the reduced Laplacian.  A reference
-    path for the sparse solves of `LaplacianFactor`."""
+    path for the sparse solves of `LatticeData`."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("scaled_inverse needs a square matrix")
@@ -444,7 +446,8 @@ def sandpile_group_order(graph: GasketGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact factorization of the reduced Laplacian, one cell block per level.
+# The lattice of the reduced Laplacian: its exact factorization, one cell
+# block per level, and its Smith data.
 # ---------------------------------------------------------------------------
 
 # A small exact matrix over Q: integer numerators (an object array of Python
@@ -497,18 +500,6 @@ def _inverse(matrix: Exact) -> tuple[Exact, Fraction]:
     return _lowest(inverse, det), Fraction(det, den**size)
 
 
-def _positions(n: int, mids, top) -> tuple[np.ndarray, np.ndarray]:
-    """The elimination order (each level's midpoints cell by cell, then the
-    top corners, then the padding slot n) and its inverse; ArithmeticError
-    unless the cells and the top cover every vertex once."""
-    order = np.concatenate([m.ravel() for m in mids] + [np.array([*top, n], dtype=np.intp)])
-    if not np.array_equal(np.sort(order), np.arange(n + 1)):
-        raise ArithmeticError("the cells and the top do not cover every vertex once")
-    pos = np.empty(n + 1, dtype=np.intp)
-    pos[order] = np.arange(n + 1)
-    return order, pos
-
-
 def _level0_rows(graph: GasketGraph, mids: np.ndarray, corners: np.ndarray) -> tuple[Exact, Exact]:
     """The off-diagonal Laplacian entries of the finest cells' midpoints,
     among themselves and to their corners, read from the graph.  Every cell
@@ -546,40 +537,43 @@ def _coarse_rows(update: Exact) -> tuple[Exact, Exact]:
 
 
 @dataclass(frozen=True, eq=False)
-class LaplacianFactor:
-    """Delta as nested cell blocks, finest level first (nested dissection).
+class LatticeData:
+    """The sandpile group of one graph: Z^V modulo the column lattice of the
+    reduced Laplacian Delta, held as the nested-dissection factor of Delta
+    that `lattice_data` builds, with the Smith data computed on first use.
 
-    Level k holds the 3**(n-1-k) cells of side 2**(k+1): `mids[k]` and
-    `corners[k]` are C x 3 index arrays of their midpoints (bottom, left,
-    right) and corners (lower left, lower right, top), a sunk corner read as
-    the padding slot n, which holds 0.  Once the finer levels are
-    eliminated, every cell's midpoint rows are the same exact 3 x 3 blocks:
-    `blocks[k]` among its midpoints and `couplings[k]` to its corners.  The
-    big corners left at the end, `top`, carry the dense `top_block`.
-    `determinant` is det(Delta), the product of det(blocks[k])**C_k and
-    det(top_block)."""
+    The factor eliminates the cells one level at a time, finest first.
+    `elimination` lists each level's midpoints cell by cell, then the big
+    corners left at the end, then the padding slot n, which holds 0;
+    `position` is its inverse.  Level k holds the 3**(n-1-k) cells of side
+    2**(k+1), and once the finer levels are eliminated every cell's midpoint
+    rows are the same exact 3 x 3 blocks: M among its midpoints and B to its
+    corners.  Per level the solve plan holds `corner_positions`, the C x 3
+    positions of the cells' corners (lower left, lower right, top; a sunk
+    corner is the padding slot), `forward` = M^-T B, `back` = M^-T and
+    `reach` = (M^-1 B)^T; `top_inverse` inverts the dense block of the big
+    corners.  `dets` holds det(M) with the level's cell count C, then the
+    top block's determinant with count 1, and `order` is their product
+    det(Delta), the group order.
+
+    The Smith data must multiply out to the order, or ArithmeticError is
+    raised.  `invariants`, the invariant factors above 1, is
+    `quotient_invariants` by no generators: the local Smith forms, one per
+    prime, with no `smith_mod` run.  `basis`, the adapted basis U, Uinv,
+    comes from one `smith_mod` run with transforms and names its own
+    summands: `cyclic` lists the positions and orders of its factors above
+    1, the coordinates every class label uses."""
 
     graph: GasketGraph
-    mids: tuple[np.ndarray, ...]
-    corners: tuple[np.ndarray, ...]
-    blocks: tuple[Exact, ...]
-    couplings: tuple[Exact, ...]
-    top: tuple[int, ...]
-    top_block: Exact
-    determinant: int
-
-    @cached_property
-    def _steps(self):
-        """The elimination order and its inverse; per level the corner
-        positions in that order and M^-T B (forward), M^-T and (M^-1 B)^T
-        (back); last the top block's inverse."""
-        order, pos = _positions(self.graph.n_vertices, self.mids, self.top)
-        levels = []
-        for corners, block, coupling in zip(self.corners, self.blocks, self.couplings):
-            inv, _ = _inverse(block)
-            forward = _times(_transpose(inv), coupling)
-            levels.append((pos[corners], forward, _transpose(inv), _transpose(_times(inv, coupling))))
-        return order, pos, levels, _inverse(self.top_block)[0]
+    elimination: np.ndarray
+    position: np.ndarray
+    corner_positions: tuple[np.ndarray, ...]
+    forward: tuple[Exact, ...]
+    back: tuple[Exact, ...]
+    reach: tuple[Exact, ...]
+    top_inverse: Exact
+    dets: tuple[tuple[Fraction, int], ...]
+    order: int
 
     def solve(self, entries) -> tuple[list[int], int]:
         """Integer vector y and the least D >= 1 with Delta @ y == D * x,
@@ -597,10 +591,10 @@ class LaplacianFactor:
         x = np.array([operator.index(v) for v in entries] + [0], dtype=object)
         if len(x) != n + 1:
             raise ValueError("vector length must match vertex count")
-        order, pos, levels, (top_inv, top_den) = self._steps
+        levels = list(zip(self.corner_positions, self.forward, self.back, self.reach))
         # Forward: z[start:] shares the denominator `den`; each level's
         # midpoint values are kept with theirs.
-        z = x[order]
+        z = x[self.elimination]
         den, start, kept = 1, 0, []
         for corners, (forward, forward_den), _, _ in levels:
             count = len(corners)
@@ -615,6 +609,7 @@ class LaplacianFactor:
                 z[corners[:, j]] -= fold[:, j]
             start = end
         # Top, then back: y[start:n] shares the denominator `den`.
+        top_inv, top_den = self.top_inverse
         y = np.zeros(n + 1, dtype=object)
         y[start:n] = top_inv.dot(z[start:n])
         den *= top_den
@@ -628,7 +623,7 @@ class LaplacianFactor:
                 y[end:n] *= new // den
             y[start:end] = ym.ravel()
             den = new
-        out = y[pos[:n]]
+        out = y[self.position[:n]]
         g = math.gcd(den, *out)
         if g > 1:
             out //= g
@@ -636,101 +631,6 @@ class LaplacianFactor:
         if not (laplacian_product(graph, out) == den * x[:n]).all():
             raise ArithmeticError("sparse solve fails Delta @ y == D * x")
         return out.tolist(), den
-
-
-@lru_cache(maxsize=None)
-def laplacian_factor(graph: GasketGraph) -> LaplacianFactor:
-    """Exact block elimination of the reduced Laplacian, one level at a time.
-
-    The midpoints of a cell touch only each other and the cell's corners,
-    so eliminating every finest cell's three midpoints at once is the
-    Delta-Y step behind the tau recursion: the corners are left joined by
-    conductance 3/5 of the old one, and the Schur complement is again a
-    gasket one level down.  The blocks are computed, not typed in: level 0
-    reads the graph's Laplacian rows, each coarser level takes its links
-    from the corner update B^T M^-1 B of the level below and its diagonal
-    from the degrees minus every update so far, and every cell of a level
-    must have the same diagonal, or ArithmeticError is raised.  On the
-    gasket, blocks[k] is (3/5)**k [[4, -1, -1], [-1, 4, -1], [-1, -1, 4]] on
-    every boundary.  The determinant must be a positive integer, or
-    ArithmeticError is raised."""
-    n, level = graph.n_vertices, graph.level
-    mids, corners, big = cell_index(graph)
-    top = tuple(v for v in big if v != n)
-    order, pos = _positions(n, mids, top)
-    # Numerators over `scale` of the Schur complement's diagonal, in
-    # elimination order; the entries from `start` on are still live.
-    diag = np.array([*graph.degrees, 0], dtype=object)[order]
-    scale, start = 1, 0
-    blocks, couplings = [], []
-    num, den = 1, 1
-    for k in range(level):
-        count = len(mids[k])
-        end = start + 3 * count
-        cells = diag[start:end].reshape(count, 3)
-        if (cells != cells[0]).any():
-            raise ArithmeticError(f"the level-{k} cells differ on the diagonal")
-        among, coupling = _level0_rows(graph, mids[0], corners[0]) if k == 0 else _coarse_rows(update)
-        block = _with_diagonal(among, cells[0], scale)
-        inv, det = _inverse(block)
-        update = _times(_transpose(coupling), _times(inv, coupling))
-        new = math.lcm(scale, update[1])
-        if new != scale:
-            diag[end:] *= new // scale
-            scale = new
-        corner_pos = pos[corners[k]]
-        for j in range(3):
-            diag[corner_pos[:, j]] -= update[0][j, j] * (scale // update[1])
-        blocks.append(block)
-        couplings.append(coupling)
-        num *= det.numerator**count
-        den *= det.denominator**count
-        start = end
-    if level:
-        slots = [j for j, v in enumerate(big) if v != n]
-        links = (-update[0][np.ix_(slots, slots)], update[1])
-    else:
-        links = (np.array([[-graph.neighbors[u].count(v) for v in top] for u in top], dtype=object), 1)
-    top_block = _with_diagonal(links, diag[start:n], scale)
-    _, det = _inverse(top_block)
-    det, rem = divmod(num * det.numerator, den * det.denominator)
-    if rem or det <= 0:
-        raise ArithmeticError("the determinant must be a positive integer")
-    return LaplacianFactor(
-        graph=graph,
-        mids=tuple(mids),
-        corners=tuple(corners),
-        blocks=tuple(blocks),
-        couplings=tuple(couplings),
-        top=top,
-        top_block=top_block,
-        determinant=det,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Cached lattice data per graph: the order from the factorization, the
-# invariant factors and the Smith basis of the reduced Laplacian, reused by
-# the character enumeration and the walk spectrum.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class LatticeData:
-    """The sandpile group of one graph: Z^V modulo the column lattice of the
-    reduced Laplacian Delta, whose index `order` is det(Delta), the
-    determinant of `laplacian_factor`.
-
-    Everything else is computed on first use, once, and must multiply out to
-    the order, or ArithmeticError is raised.  `invariants`, the invariant
-    factors above 1, is `quotient_invariants` by no generators: the local
-    Smith forms, one per prime, with no `smith_mod` run.  `basis`, the
-    adapted basis U, Uinv, comes from one `smith_mod` run with transforms
-    and names its own summands: `cyclic` lists the positions and orders of
-    its factors above 1, the coordinates every class label uses."""
-
-    graph: GasketGraph
-    order: int
 
     def _checked(self, factors: list[int]) -> list[int]:
         if math.prod(factors) != self.order:
@@ -770,14 +670,91 @@ class LatticeData:
 
 @lru_cache(maxsize=None)
 def lattice_data(graph: GasketGraph) -> LatticeData:
-    return LatticeData(graph=graph, order=laplacian_factor(graph).determinant)
+    """Exact block elimination of the reduced Laplacian, one level at a
+    time, in one pass that also builds the solve plan and the determinant.
+
+    The midpoints of a cell touch only each other and the cell's corners,
+    so eliminating every finest cell's three midpoints at once is the
+    Delta-Y step behind the tau recursion: the corners are left joined by
+    conductance 3/5 of the old one, and the Schur complement is again a
+    gasket one level down.  The blocks are computed, not typed in: level 0
+    reads the graph's Laplacian rows, each coarser level takes its links
+    from the corner update B^T M^-1 B of the level below and its diagonal
+    from the degrees minus every update so far, and every cell of a level
+    must have the same diagonal, or ArithmeticError is raised.  On the
+    gasket, M is (3/5)**k [[4, -1, -1], [-1, 4, -1], [-1, -1, 4]] at level
+    k on every boundary.  Each block is inverted once.  The determinant must
+    be a positive integer, or ArithmeticError is raised."""
+    n, level = graph.n_vertices, graph.level
+    mids, corners, big = cell_index(graph)
+    top = [v for v in big if v != n]
+    # The elimination order: each level's midpoints cell by cell, then the
+    # top corners, then the padding slot n.
+    elimination = np.concatenate([m.ravel() for m in mids] + [np.array([*top, n], dtype=np.intp)])
+    if not np.array_equal(np.sort(elimination), np.arange(n + 1)):
+        raise ArithmeticError("the cells and the top do not cover every vertex once")
+    position = np.empty(n + 1, dtype=np.intp)
+    position[elimination] = np.arange(n + 1)
+    # Numerators over `scale` of the Schur complement's diagonal, in
+    # elimination order; the entries from `start` on are still live.
+    diag = np.array([*graph.degrees, 0], dtype=object)[elimination]
+    scale, start = 1, 0
+    corner_positions, forward, back, reach, dets = [], [], [], [], []
+    num, den = 1, 1
+    for k in range(level):
+        count = len(mids[k])
+        end = start + 3 * count
+        cells = diag[start:end].reshape(count, 3)
+        if (cells != cells[0]).any():
+            raise ArithmeticError(f"the level-{k} cells differ on the diagonal")
+        among, coupling = _level0_rows(graph, mids[0], corners[0]) if k == 0 else _coarse_rows(update)
+        inv, det = _inverse(_with_diagonal(among, cells[0], scale))
+        solved = _times(inv, coupling)
+        update = _times(_transpose(coupling), solved)
+        new = math.lcm(scale, update[1])
+        if new != scale:
+            diag[end:] *= new // scale
+            scale = new
+        corner_pos = position[corners[k]]
+        for j in range(3):
+            diag[corner_pos[:, j]] -= update[0][j, j] * (scale // update[1])
+        corner_positions.append(corner_pos)
+        forward.append(_times(_transpose(inv), coupling))
+        back.append(_transpose(inv))
+        reach.append(_transpose(solved))
+        dets.append((det, count))
+        num *= det.numerator**count
+        den *= det.denominator**count
+        start = end
+    if level:
+        slots = [j for j, v in enumerate(big) if v != n]
+        links = (-update[0][np.ix_(slots, slots)], update[1])
+    else:
+        links = (np.array([[-graph.neighbors[u].count(v) for v in top] for u in top], dtype=object), 1)
+    top_inverse, det = _inverse(_with_diagonal(links, diag[start:n], scale))
+    dets.append((det, 1))
+    order, rem = divmod(num * det.numerator, den * det.denominator)
+    if rem or order <= 0:
+        raise ArithmeticError("the determinant must be a positive integer")
+    return LatticeData(
+        graph=graph,
+        elimination=elimination,
+        position=position,
+        corner_positions=tuple(corner_positions),
+        forward=tuple(forward),
+        back=tuple(back),
+        reach=tuple(reach),
+        top_inverse=top_inverse,
+        dets=tuple(dets),
+        order=order,
+    )
 
 
 def in_lattice(graph: GasketGraph, entries: list[int]) -> bool:
     """Whether the integer vector lies in the column lattice of the reduced
     Laplacian, i.e. represents the trivial group element.  True exactly when
     Delta^{-1} @ x is integral.  A non-integer entry raises TypeError."""
-    return laplacian_factor(graph).solve(entries)[1] == 1
+    return lattice_data(graph).solve(entries)[1] == 1
 
 
 def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
@@ -787,7 +764,7 @@ def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
     [1 - #neighbors(v), deg(v) - 1].  A non-integer entry raises
     TypeError."""
     x = np.array([operator.index(v) for v in entries], dtype=object)
-    y, den = laplacian_factor(graph).solve(x)
+    y, den = lattice_data(graph).solve(x)
     return (x - laplacian_product(graph, np.array(y, dtype=object) // den)).tolist()
 
 
@@ -796,18 +773,18 @@ def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def factor_order(factor: LaplacianFactor) -> dict[int, int]:
-    """{p: v_p(order)} for the group order det(Delta) of a factored reduced
-    Laplacian, read off the factorization: det(Delta) is the product of
-    det(blocks[k])**C_k and det(top_block), so v_p(order) is the sum of
-    C_k * v_p(det blocks[k]) and v_p(det top_block), valuations of small
+def factor_order(data: LatticeData) -> dict[int, int]:
+    """{p: v_p(order)} for the group order det(Delta), read off the
+    factorization: det(Delta) is the product of det(M_k)**C_k and the top
+    block's determinant (`data.dets`), so v_p(order) is the sum of
+    C_k * v_p(det M_k) and v_p of the top one, valuations of small
     rationals, and the order is never divided.  The primes are 2, 3, 5 and
     those of N = 2 * 5**level + 3**(level + 1), by trial division of N:
     every gasket group order factors so (on the normal boundary it is
     2^a 3^b 5^c N^2 for level >= 1, on a corner-sink boundary it has no
-    factor N).  The prime powers must multiply out to the determinant, or
+    factor N).  The prime powers must multiply out to the order, or
     ArithmeticError is raised: a factor is left over."""
-    level = factor.graph.level
+    level = data.graph.level
     primes, rest, d = [2, 3, 5], 2 * 5**level + 3 ** (level + 1), 7
     while d * d <= rest:
         if rest % d == 0:
@@ -817,14 +794,12 @@ def factor_order(factor: LaplacianFactor) -> dict[int, int]:
         d += 2
     if rest > 5:
         primes.append(rest)
-    dets = [(_inverse(block)[1], len(cells)) for block, cells in zip(factor.blocks, factor.mids)]
-    dets.append((_inverse(factor.top_block)[1], 1))
     powers = {}
     for p in primes:
-        e = sum(count * (_valuation(det.numerator, p) - _valuation(det.denominator, p)) for det, count in dets)
+        e = sum(count * (_valuation(det.numerator, p) - _valuation(det.denominator, p)) for det, count in data.dets)
         if e:
             powers[p] = e
-    if min(powers.values(), default=0) < 0 or math.prod(p**e for p, e in powers.items()) != factor.determinant:
+    if min(powers.values(), default=0) < 0 or math.prod(p**e for p, e in powers.items()) != data.order:
         raise ArithmeticError(f"the level-{level} group order has a factor outside 2, 3, 5 and N")
     return powers
 
@@ -861,9 +836,10 @@ def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list
     for g in columns:
         if len(g) != n:
             raise ValueError("generator length must match vertex count")
-    matrix, stages = _nested_rows(graph, columns)
+    data = lattice_data(graph)
+    matrix, stages = _nested_rows(graph, columns, data.position[:n].tolist())
     parts = []
-    for p, top in factor_order(laplacian_factor(graph)).items():
+    for p, top in factor_order(data).items():
         rounds = min(graph.level + 1, top)
         exponents, left = _local_smith(matrix, stages, p, rounds)
         while left and rounds < top:

@@ -2,13 +2,14 @@
 gasket graph, the engine behind `group.quotient_invariants`.
 
 `_nested_rows` lays out the rows of the reduced Laplacian and the
-generators in the nested-dissection order of `gasket.cell_index` and plans
-the stages: stage k pivots inside the level-k cells, and the last stage is
-the whole gasket.  `_local_smith` runs them for one prime.  The cells of a
-stage that carry no generator entry and no sunk corner are translates of
-one another: one of them runs the pivot loop (`_pivot_loop`) and `_replay`
-moves its result onto the copies that a coarser stage needs, so a stage
-costs about one cell, not 3**(n-1-k).
+generators in the elimination order of `group.lattice_data`, which it is
+given, and plans the stages on the cells of `gasket.cell_index`: stage k
+pivots inside the level-k cells, and the last stage is the whole gasket.
+`_local_smith` runs them for one prime.  The cells of a stage that carry
+no generator entry and no sunk corner are translates of one another: one
+of them runs the pivot loop (`_pivot_loop`) and `_replay` moves its result
+onto the copies that a coarser stage needs, so a stage costs about one
+cell, not 3**(n-1-k).
 """
 
 from __future__ import annotations
@@ -47,15 +48,17 @@ class _Stage(NamedTuple):
     table: np.ndarray
 
 
-def _nested_rows(graph: GasketGraph, columns: list[list[int]]) -> tuple[dict[int, dict[int, int]], list[_Stage]]:
+def _nested_rows(
+    graph: GasketGraph, columns: list[list[int]], rank: list[int]
+) -> tuple[dict[int, dict[int, int]], list[_Stage]]:
     """The rows {column: entry} of [Delta | g1 | ... | gk] that `_local_smith`
-    starts from, in the nested-dissection order of `gasket.cell_index` (each
-    level's midpoints cell by cell, finest first, then the big corners), and
-    its stages.  Stage k gives the level-k cell of every row and column: the
-    cell whose midpoints, or those of the cells below it, hold the vertex,
-    or -1 for a vertex that is no level-k cell's midpoint or below one.
-    Every vertex is in the one cell of the last stage, and so are the
-    generators.
+    starts from, ranked by `rank`, every vertex's position in the
+    nested-dissection order of `group.lattice_data` (each level's midpoints
+    cell by cell, finest first, then the big corners), and its stages.
+    Stage k gives the level-k cell of every row and column: the cell whose
+    midpoints, or those of the cells below it, hold the vertex, or -1 for a
+    vertex that is no level-k cell's midpoint or below one.  Every vertex is
+    in the one cell of the last stage, and so are the generators.
 
     A level-k cell below the last stage is alike when no generator has an
     entry on its midpoints or below them and none of its corners is sunk:
@@ -76,9 +79,6 @@ def _nested_rows(graph: GasketGraph, columns: list[list[int]]) -> tuple[dict[int
     for k, cells in enumerate(mids):
         home_level[cells] = k
         home_cell[cells] = np.arange(len(cells))[:, None]
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.concatenate([m.ravel() for m in mids] + [np.array(top, dtype=np.intp)])] = np.arange(n)
-    rank = rank.tolist()
     touched = np.array(sorted({v for g in columns for v, x in enumerate(g) if x}), dtype=np.int64)
     cells = [np.where(home_level <= k, home_cell // 3 ** np.maximum(k - home_level, 0), -1) for k in range(level + 1)]
     stages = [_Stage(cells[level].tolist(), rank, 0, np.empty((0, 0), dtype=np.intp))]

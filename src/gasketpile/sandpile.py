@@ -178,7 +178,7 @@ def _least_action_start(graph: GasketGraph, chips: list[int]) -> list[int]:
     """max(0, ceil(Delta^{-1}(chips - m))) entrywise, with m = degree - 1 the
     maximal stable configuration: a lower bound on the odometer of
     stabilizing `chips`, from one sparse solve."""
-    y, den = group.laplacian_factor(graph).solve([c - d + 1 for c, d in zip(chips, graph.degrees)])
+    y, den = group.lattice_data(graph).solve([c - d + 1 for c, d in zip(chips, graph.degrees)])
     return [max(0, -(-v // den)) for v in y]
 
 

@@ -191,13 +191,16 @@ class DistanceResult:
 
 def _smith_shifts(graph: GasketGraph, cap: int) -> tuple[list[int], list[tuple[int, ...]]]:
     """The Smith torus Z/d_1 x ... x Z/d_r of the group and the walk's steps
-    on it: the Smith coordinates of each vertex delta.  Refuses with
-    GroupTooLargeError above `cap`, before any Smith work."""
+    on it: the Smith coordinates of each vertex delta, column v of Uinv on
+    the cyclic summands, reduced modulo their orders (the entries that
+    `enumerate_characters` scales).  Refuses with GroupTooLargeError above
+    `cap`, before any Smith work."""
     data = group.lattice_data(graph)
     if data.order > cap:
         raise GroupTooLargeError(data.order, cap)
     dims = [d for _, d in data.cyclic] or [1]
-    return dims, [data.coordinates(group.delta_vector(graph, v)) for v in range(graph.n_vertices)]
+    rows = [(data.Uinv[i], d) for i, d in data.cyclic]
+    return dims, [tuple(row[v] % d for row, d in rows) for v in range(graph.n_vertices)]
 
 
 def walk_spectrum(graph: GasketGraph, cap: int = DEFAULT_CHARACTER_CAP) -> np.ndarray:

