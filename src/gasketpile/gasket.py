@@ -14,9 +14,9 @@ The tuples of Python ints (`coords`, `neighbors`, `edges`) are views, built
 on first use.  Also shared with the rest of the package: `cell_index`, the
 cells of every level as index arrays (the layout of the Laplacian
 factorization and of the level-1 cell characters), `laplacian_product`, the
-one exact Delta @ v, the chip vectors of the corner-parameterized tiles
-(`tile_chips`) and `reduced_laplacian`, the dense matrix that the Smith and
-Bareiss reductions need.
+one exact Delta @ v (in int64 for an int64 array), the chip vectors of the
+corner-parameterized tiles (`tile_chips`) and `reduced_laplacian`, the
+dense matrix that the Smith and Bareiss reductions need.
 """
 
 from __future__ import annotations
@@ -337,16 +337,22 @@ def glue_with_rotations(level: int, chips: Sequence[int]) -> list[int]:
 
 
 def laplacian_product(graph: GasketGraph, entries) -> np.ndarray:
-    """Delta @ v as an object array: deg(v) v_v minus the sum of v over the
-    neighbours, gathered through the neighbour table.  Exact for Python ints
-    and Fractions, since every step is a Python operation on the entries."""
+    """Delta @ v: deg(v) v_v minus the sum of v over the neighbours,
+    gathered through the neighbour table.  An int64 array is multiplied in
+    int64, exact while every |v_v| < 2**59 (a degree is at most 4, so an
+    entry of the product is at most 8 |v| in size); anything else becomes
+    an object array, exact for Python ints and Fractions, since every step
+    is a Python operation on the entries."""
     n = graph.n_vertices
-    padded = np.zeros(n + 1, dtype=object)
-    values = np.array(entries, dtype=object)
+    if isinstance(entries, np.ndarray) and entries.dtype == np.int64:
+        values = entries
+    else:
+        values = np.array(entries, dtype=object)
     if values.shape != (n,):
         raise ValueError("vector length must match vertex count")
+    padded = np.zeros(n + 1, dtype=values.dtype)
     padded[:n] = values
-    out = np.array(graph.degrees, dtype=object) * values
+    out = np.array(graph.degrees, dtype=values.dtype) * values
     for slot in graph.table:
         out -= padded[slot]
     return out

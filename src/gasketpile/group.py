@@ -8,9 +8,11 @@ first (nested dissection).  Every cell of a level has the same exact 3 x 3
 midpoint block, inverted once, so a level is one block and the two index
 arrays of `gasket.cell_index`, and the same pass stores the solve plan and
 each block's determinant.  Their product is the order, and the O(n)
-`LatticeData.solve` of Delta y = x decides lattice membership, element
-orders and the reduction modulo the lattice; the solve's integer check and
-the reduction take Delta @ v from `gasket.laplacian_product`.
+`LatticeData.solve` of Delta y = x gives element orders, the reduction
+modulo the lattice and the toppling head start; `in_lattice` certifies a
+member without it, by a float64 solve through the same plan, rounded and
+checked in integers.  Every check and the reduction take Delta @ v from
+`gasket.laplacian_product`.
 
 Two Smith engines give the rest.  `quotient_invariants` gives every set of
 invariant factors in production: the group's own (`LatticeData.invariants`,
@@ -550,11 +552,13 @@ class LatticeData:
     rows are the same exact 3 x 3 blocks: M among its midpoints and B to its
     corners.  Per level the solve plan holds `corner_positions`, the C x 3
     positions of the cells' corners (lower left, lower right, top; a sunk
-    corner is the padding slot), `forward` = M^-T B, `back` = M^-T and
-    `reach` = (M^-1 B)^T; `top_inverse` inverts the dense block of the big
+    corner is the padding slot), `inverse` = M^-1 and `reach` = M^-1 B; M is
+    symmetric, so forward substitution reads `reach` and back substitution
+    its transpose.  `top_inverse` inverts the dense block of the big
     corners.  `dets` holds det(M) with the level's cell count C, then the
     top block's determinant with count 1, and `order` is their product
-    det(Delta), the group order.
+    det(Delta), the group order.  `float_plan` is the same plan in float64,
+    for the guesses that `in_lattice` certifies.
 
     The Smith data must multiply out to the order, or ArithmeticError is
     raised.  `invariants`, the invariant factors above 1, is
@@ -568,8 +572,7 @@ class LatticeData:
     elimination: np.ndarray
     position: np.ndarray
     corner_positions: tuple[np.ndarray, ...]
-    forward: tuple[Exact, ...]
-    back: tuple[Exact, ...]
+    inverse: tuple[Exact, ...]
     reach: tuple[Exact, ...]
     top_inverse: Exact
     dets: tuple[tuple[Fraction, int], ...]
@@ -591,20 +594,20 @@ class LatticeData:
         x = np.array([operator.index(v) for v in entries] + [0], dtype=object)
         if len(x) != n + 1:
             raise ValueError("vector length must match vertex count")
-        levels = list(zip(self.corner_positions, self.forward, self.back, self.reach))
+        levels = list(zip(self.corner_positions, self.inverse, self.reach))
         # Forward: z[start:] shares the denominator `den`; each level's
         # midpoint values are kept with theirs.
         z = x[self.elimination]
         den, start, kept = 1, 0, []
-        for corners, (forward, forward_den), _, _ in levels:
+        for corners, _, (reach, reach_den) in levels:
             count = len(corners)
             end = start + 3 * count
             xm = z[start:end].reshape(count, 3)
             kept.append((xm, den))
-            if forward_den != 1:
-                z[end:] *= forward_den
-                den *= forward_den
-            fold = xm.dot(forward)
+            if reach_den != 1:
+                z[end:] *= reach_den
+                den *= reach_den
+            fold = xm.dot(reach)
             for j in range(3):
                 z[corners[:, j]] -= fold[:, j]
             start = end
@@ -613,12 +616,10 @@ class LatticeData:
         y = np.zeros(n + 1, dtype=object)
         y[start:n] = top_inv.dot(z[start:n])
         den *= top_den
-        for (corners, _, (inv, inv_den), (reach, reach_den)), (xm, xden) in zip(
-            reversed(levels), reversed(kept)
-        ):
+        for (corners, (inv, inv_den), (reach, reach_den)), (xm, xden) in zip(reversed(levels), reversed(kept)):
             end, start = start, start - 3 * len(corners)
             new = math.lcm(inv_den * xden, reach_den * den)
-            ym = xm.dot(inv) * (new // (inv_den * xden)) - y[corners].dot(reach) * (new // (reach_den * den))
+            ym = xm.dot(inv) * (new // (inv_den * xden)) - y[corners].dot(reach.T) * (new // (reach_den * den))
             if new != den:
                 y[end:n] *= new // den
             y[start:end] = ym.ravel()
@@ -631,6 +632,42 @@ class LatticeData:
         if not (laplacian_product(graph, out) == den * x[:n]).all():
             raise ArithmeticError("sparse solve fails Delta @ y == D * x")
         return out.tolist(), den
+
+    @cached_property
+    def float_plan(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+        """Each level's M^-1 and M^-1 B, then the top block's inverse, in
+        float64: the numerators over the common denominator."""
+
+        def approx(exact: Exact) -> np.ndarray:
+            num, den = exact
+            return num.astype(np.float64) / den
+
+        levels = tuple((approx(inv), approx(reach)) for inv, reach in zip(self.inverse, self.reach))
+        return levels, approx(self.top_inverse)
+
+    def approximate(self, x: np.ndarray) -> np.ndarray:
+        """Delta^{-1} x in float64, unchecked: the sweeps of `solve` through
+        `float_plan`.  The 3-wide products run in einsum: a first BLAS call
+        costs more memory than the whole guess at level 5."""
+        n = self.graph.n_vertices
+        levels, top_inv = self.float_plan
+        z = np.append(x.astype(np.float64), 0.0)[self.elimination]
+        start, kept = 0, []
+        for corners, (_, reach) in zip(self.corner_positions, levels):
+            end = start + 3 * len(corners)
+            xm = z[start:end].reshape(-1, 3)
+            kept.append(xm)
+            fold = np.einsum("ij,jk->ik", xm, reach)
+            for j in range(3):
+                z[corners[:, j]] -= fold[:, j]
+            start = end
+        y = np.zeros(n + 1)
+        y[start:n] = np.einsum("ij,j->i", top_inv, z[start:n])
+        for corners, (inv, reach), xm in zip(reversed(self.corner_positions), reversed(levels), reversed(kept)):
+            end, start = start, start - 3 * len(corners)
+            ym = np.einsum("ij,jk->ik", xm, inv) - np.einsum("ij,kj->ik", y[corners], reach)
+            y[start:end] = ym.ravel()
+        return y[self.position[:n]]
 
     def _checked(self, factors: list[int]) -> list[int]:
         if math.prod(factors) != self.order:
@@ -660,12 +697,6 @@ class LatticeData:
         """(position, factor) for every factor of `basis` above 1: the cyclic
         summands Z/factor, with U's column `position` as generator."""
         return tuple((i, d) for i, d in enumerate(self.basis.diag) if d > 1)
-
-    def coordinates(self, entries: list[int]) -> tuple[int, ...]:
-        """Canonical label of the class of `entries`: its adapted-basis
-        coordinates on the cyclic summands, reduced modulo their orders."""
-        x = list(entries)
-        return tuple(sum(u * v for u, v in zip(self.Uinv[i], x)) % d for i, d in self.cyclic)
 
 
 @lru_cache(maxsize=None)
@@ -699,7 +730,7 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
     # elimination order; the entries from `start` on are still live.
     diag = np.array([*graph.degrees, 0], dtype=object)[elimination]
     scale, start = 1, 0
-    corner_positions, forward, back, reach, dets = [], [], [], [], []
+    corner_positions, inverse, reach, dets = [], [], [], []
     num, den = 1, 1
     for k in range(level):
         count = len(mids[k])
@@ -708,7 +739,10 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
         if (cells != cells[0]).any():
             raise ArithmeticError(f"the level-{k} cells differ on the diagonal")
         among, coupling = _level0_rows(graph, mids[0], corners[0]) if k == 0 else _coarse_rows(update)
-        inv, det = _inverse(_with_diagonal(among, cells[0], scale))
+        block = _with_diagonal(among, cells[0], scale)
+        if (block[0] != block[0].T).any():
+            raise ArithmeticError(f"the level-{k} block is not symmetric")
+        inv, det = _inverse(block)
         solved = _times(inv, coupling)
         update = _times(_transpose(coupling), solved)
         new = math.lcm(scale, update[1])
@@ -719,9 +753,8 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
         for j in range(3):
             diag[corner_pos[:, j]] -= update[0][j, j] * (scale // update[1])
         corner_positions.append(corner_pos)
-        forward.append(_times(_transpose(inv), coupling))
-        back.append(_transpose(inv))
-        reach.append(_transpose(solved))
+        inverse.append(inv)
+        reach.append(solved)
         dets.append((det, count))
         num *= det.numerator**count
         den *= det.denominator**count
@@ -741,8 +774,7 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
         elimination=elimination,
         position=position,
         corner_positions=tuple(corner_positions),
-        forward=tuple(forward),
-        back=tuple(back),
+        inverse=tuple(inverse),
         reach=tuple(reach),
         top_inverse=top_inverse,
         dets=tuple(dets),
@@ -750,11 +782,31 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
     )
 
 
-def in_lattice(graph: GasketGraph, entries: list[int]) -> bool:
-    """Whether the integer vector lies in the column lattice of the reduced
-    Laplacian, i.e. represents the trivial group element.  True exactly when
-    Delta^{-1} @ x is integral.  A non-integer entry raises TypeError."""
-    return lattice_data(graph).solve(entries)[1] == 1
+# Delta @ y stays below 8 * 2**40 in int64 for entries below the bound.
+_CERTIFIED_BOUND = 2**40
+
+
+def in_lattice(graph: GasketGraph, entries) -> bool:
+    """Whether the integer vector x lies in the column lattice of the
+    reduced Laplacian, i.e. represents the trivial group element; a
+    non-integer entry raises TypeError, a wrong length ValueError.
+
+    An integer y with Delta @ y == x proves membership (approximate, then
+    verify: Dixon 1982).  y is `LatticeData.approximate` rounded, and the
+    check runs in int64.  An entry of x or y of 2**40 or more, a rounding
+    off by more than 0.25 or a failed check takes the exact solve."""
+    ints = list(map(operator.index, entries))
+    if len(ints) != graph.n_vertices:
+        raise ValueError("vector length must match vertex count")
+    data = lattice_data(graph)
+    if -_CERTIFIED_BOUND < min(ints) and max(ints) < _CERTIFIED_BOUND:
+        x = np.array(ints, dtype=np.int64)
+        approx = data.approximate(x)
+        y = np.rint(approx)
+        if (np.abs(approx - y) <= 0.25).all() and (np.abs(y) < _CERTIFIED_BOUND).all():
+            if (laplacian_product(graph, y.astype(np.int64)) == x).all():
+                return True
+    return data.solve(ints)[1] == 1
 
 
 def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:

@@ -54,12 +54,12 @@ class Configuration:
     def __post_init__(self):
         if len(self.chips) != self.graph.n_vertices:
             raise ValueError("chip vector length must match vertex count")
-        if any(c < 0 for c in self.chips):
+        if min(self.chips, default=0) < 0:
             raise ValueError("chip counts must be non-negative")
 
     @property
     def is_stable(self) -> bool:
-        return all(c < d for c, d in zip(self.chips, self.graph.degrees))
+        return all(map(operator.lt, self.chips, self.graph.degrees))
 
     @property
     def total(self) -> int:
@@ -87,7 +87,7 @@ class Configuration:
 def config(graph: GasketGraph, entries) -> Configuration:
     """A configuration from integer entries (`operator.index`); a float or
     Fraction raises TypeError instead of being truncated."""
-    return Configuration(graph, tuple(operator.index(v) for v in entries))
+    return Configuration(graph, tuple(map(operator.index, entries)))
 
 
 def zero_config(graph: GasketGraph) -> Configuration:
@@ -252,9 +252,9 @@ def burning_odometer(conf: Configuration):
     """
     if not conf.is_stable:
         raise ValueError("burning test needs a stable configuration")
-    chips = [c + b for c, b in zip(conf.chips, conf.graph.beta)]
+    chips = list(map(operator.add, conf.chips, conf.graph.beta))
     odometer = _stabilize_raw(conf.graph, chips)
-    recurrent = tuple(chips) == conf.chips and all(u == 1 for u in odometer)
+    recurrent = tuple(chips) == conf.chips and odometer.count(1) == len(odometer)
     return recurrent, tuple(odometer)
 
 
@@ -301,7 +301,7 @@ def _certified_identity(graph: GasketGraph, chips) -> Configuration:
         raise ArithmeticError("the identity candidate is not stable")
     if not is_recurrent_burning(conf):
         raise ArithmeticError("the identity candidate is not recurrent")
-    if not group.in_lattice(graph, list(conf.chips)):
+    if not group.in_lattice(graph, conf.chips):
         raise ArithmeticError("the identity candidate is not in the lattice")
     return conf
 

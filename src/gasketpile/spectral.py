@@ -39,9 +39,13 @@ class GroupTooLargeError(ValueError):
         self.order = order
         self.cap = cap
         # Orders of high levels run to thousands of digits, past Python's
-        # default int -> str limit; those are named by their size.
-        shown = order if order < 10**30 else f"of {order.bit_length()} bits"
-        super().__init__(f"group order {shown} exceeds the group-order cap {cap}")
+        # default int -> str limit; those are compared with the cap by
+        # their size in bits.
+        if order < 10**30:
+            message = f"group order {order} exceeds the group-order cap {cap}"
+        else:
+            message = f"group order of {order.bit_length()} bits exceeds the group-order cap of {cap.bit_length()} bits"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,12 @@ def test_laplacian_product_equals_the_dense_matrix(level, boundary):
         got = laplacian_product(graph, v)
         assert got.tolist() == want
         assert all(type(g) is type(w) for g, w in zip(got, want))
+    # An int64 array is multiplied in int64, up to entries of 2**59.
+    for span in (3, 2**59 - 1):
+        v = [rng.randint(-span, span) for _ in range(n)]
+        got = laplacian_product(graph, np.array(v, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [sum(a * b for a, b in zip(row, v)) for row in lap]
 
 
 def test_laplacian_product_refuses_a_wrong_length():

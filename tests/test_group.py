@@ -22,6 +22,7 @@ from gasketpile.gasket import (
     build_gasket,
     cell_index,
     corner_sink,
+    laplacian_product,
     reduced_laplacian,
 )
 
@@ -117,6 +118,14 @@ def dense_gauss_jordan(matrix):
     if det < 0:
         return [[-v for v in row[n:]] for row in a], -det
     return [row[n:] for row in a], det
+
+
+def smith_coordinates(data, entries):
+    """Canonical label of the class of `entries`: its adapted-basis
+    coordinates on the cyclic summands of `data`, reduced modulo their
+    orders, as O(n) Python sums per summand."""
+    x = list(entries)
+    return [sum(u * v for u, v in zip(data.Uinv[i], x)) % d for i, d in data.cyclic]
 
 
 def element_order(graph, entries):
@@ -622,8 +631,8 @@ def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
     and as corners vertices of higher valuation (a sunk corner as the
     padding n); each midpoint touches only its own cell, the elimination
     takes the midpoints level by level and cell by cell, and every cell's
-    blocks are (3/5)^k times the level-1 cell's: M is the inverse of the
-    transpose of `back`, and B is M^T `forward`."""
+    blocks are (3/5)^k times the level-1 cell's: M is the inverse of
+    `inverse`, and B is M `reach`."""
     cell = [[4, -1, -1], [-1, 4, -1], [-1, -1, 4]]
     touch = [[-1, -1, 0], [-1, 0, -1], [0, -1, -1]]
     for boundary in BOUNDARIES:
@@ -632,7 +641,7 @@ def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
         data = group.lattice_data(graph)
         all_mids, all_corners, _ = cell_index(graph)
         valuation = [min(v2(x, level + 1) for x in c) for c in graph.coords]
-        assert len(all_mids) == len(all_corners) == len(data.back) == len(data.forward) == level
+        assert len(all_mids) == len(all_corners) == len(data.inverse) == len(data.reach) == level
         start = 0
         for k, (mids, corners) in enumerate(zip(all_mids, all_corners)):
             assert mids.shape == corners.shape == (3 ** (level - 1 - k), 3)
@@ -646,14 +655,14 @@ def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
             assert data.elimination[start : start + mids.size].tolist() == mids.ravel().tolist()
             assert (data.corner_positions[k] == data.position[corners]).all()
             start += mids.size
-            num, den = data.back[k]
-            adjugate, det = dense_gauss_jordan(num.T.tolist())
+            num, den = data.inverse[k]
+            adjugate, det = dense_gauss_jordan(num.tolist())
             block = [[Fraction(den * v, det) for v in row] for row in adjugate]
             c = Fraction(3, 5) ** k
             assert block == [[c * v for v in row] for row in cell]
             # A corner slot that is the sink in every cell is never read.
             real = [j for j in range(3) if (corners[:, j] != n).any()]
-            coupling = mat_mul([list(col) for col in zip(*block)], fractions(data.forward[k]))
+            coupling = mat_mul(block, fractions(data.reach[k]))
             assert [[row[j] for j in real] for row in coupling] == [[c * row[j] for j in real] for row in touch]
         corners_left = [graph.corner_index(name) for name in CORNER_NAMES]
         assert data.elimination[start:].tolist() == [v for v in corners_left if v is not None] + [n]
@@ -767,9 +776,9 @@ def test_solve_rejects_a_corrupted_factor(monkeypatch):
         return dataclasses.replace(data, elimination=elimination, position=position)
 
     broken = [
-        corrupted("back", 0, bump),
-        corrupted("back", 2, bump),
-        corrupted("forward", 1, bump),
+        corrupted("inverse", 0, bump),
+        corrupted("inverse", 2, bump),
+        corrupted("reach", 0, bump),
         corrupted("reach", 1, bump),
         reordered(swap_slots),
         corrupted("corner_positions", 1, swap_slots),
@@ -806,6 +815,15 @@ def test_factor_refuses_cells_that_differ():
     wired = dataclasses.replace(graph, table=table)
     with pytest.raises(ArithmeticError, match="outside its cell"):
         group.lattice_data(wired)
+    # In every finest cell, the bottom midpoint's edge to the lower-left
+    # corner leads to the left midpoint instead: the cells agree, but M is
+    # not symmetric, and the solve plan relies on M = M^T.
+    table = graph.table.copy()
+    for (a, left, _), (corner, _, _) in zip(mids.tolist(), cell_index(graph)[1][0].tolist()):
+        table[table[:, a] == corner, a] = left
+    lopsided = dataclasses.replace(graph, table=table)
+    with pytest.raises(ArithmeticError, match="not symmetric"):
+        group.lattice_data(lopsided)
 
 
 @pytest.mark.parametrize("boundary", (NORMAL, corner_sink(LOWER_RIGHT)), ids=lambda b: b.token())
@@ -1010,7 +1028,7 @@ def test_lattice_data_round_trips_coordinates():
             for (i, _), c in zip(data.cyclic, coords):
                 full[i] = c
             vec = mat_vec(data.U, full)
-            assert list(data.coordinates(vec)) == coords
+            assert smith_coordinates(data, vec) == coords
 
 
 def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatch):
@@ -1257,6 +1275,79 @@ def test_in_lattice_accepts_laplacian_columns():
             assert group.in_lattice(graph, [lap[i][v] for i in range(n)])
         assert group.in_lattice(graph, [0] * n)
         assert not group.in_lattice(graph, group.delta_vector(graph, 0))
+
+
+def lattice_members(graph, rng):
+    """Random integer combinations of the Laplacian's columns, small and
+    large, and the identity configuration."""
+    n = graph.n_vertices
+    for span in (1, 9, 10**6):
+        yield laplacian_product(graph, [rng.randint(-span, span) for _ in range(n)]).tolist()
+    yield list(sandpile.identity(graph).chips)
+
+
+def refuse_the_exact_solve(self, entries):
+    raise LookupError("the exact solve was called")
+
+
+@pytest.mark.parametrize("level", range(7))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_in_lattice_equals_the_exact_solve(level, boundary, monkeypatch):
+    """The certified membership agrees with the rational solve on members,
+    the certificate vectors, delta vectors, members plus one chip and
+    entries of 2**70, refuses what the solve refuses, and certifies every
+    member by its float guess alone."""
+    graph = build_gasket(level, boundary)
+    n = graph.n_vertices
+    data = group.lattice_data(graph)
+    rng = random.Random(f"member:{level}:{boundary.token()}")
+    members = list(lattice_members(graph, rng))
+    vectors = members + list(certificate_vectors(graph))
+    vectors += [group.delta_vector(graph, v) for v in rng.sample(range(n), min(n, 3))]
+    for x in members:
+        chip = rng.randrange(n)
+        vectors.append([c + (v == chip) for v, c in enumerate(x)])
+    vectors += [[2**70 * c for c in x] for x in (members[0], group.delta_vector(graph, 0))]
+    for x in vectors:
+        assert group.in_lattice(graph, x) == (data.solve(x)[1] == 1)
+    monkeypatch.setattr(group.LatticeData, "solve", refuse_the_exact_solve)
+    assert all(group.in_lattice(graph, x) for x in members)
+    with pytest.raises(TypeError):
+        group.in_lattice(graph, members[0][:-1] + [float(members[0][-1])])
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            group.in_lattice(graph, [0] * length)
+
+
+def test_in_lattice_certifies_members_without_the_exact_solve(monkeypatch):
+    graph = build_gasket(5)
+    member = list(sandpile.identity(graph).chips)
+    combination = laplacian_product(graph, [random.Random(3).randint(-9, 9) for _ in member]).tolist()
+    monkeypatch.setattr(group.LatticeData, "solve", refuse_the_exact_solve)
+    assert group.in_lattice(graph, member) and group.in_lattice(graph, combination)
+    # A non-member, and entries of 2**70, take the exact solve.
+    for x in (group.delta_vector(graph, 0), [2**70 * c for c in member]):
+        with pytest.raises(LookupError, match="exact solve was called"):
+            group.in_lattice(graph, x)
+
+
+def test_in_lattice_never_trusts_a_wrong_guess(monkeypatch):
+    """However wrong the float guess, True needs Delta @ y == x in
+    integers: a guess that fails the check, or is far from integers, falls
+    back to the exact solve, whose verdict stands."""
+    graph = build_gasket(4, corner_sink(TOP))
+    n = graph.n_vertices
+    member = list(sandpile.identity(graph).chips)
+    near_member = [c + (v == 0) for v, c in enumerate(member)]
+    guesses = [np.zeros(n), np.full(n, 0.5), np.full(n, np.nan), np.full(n, 2.0**50)]
+    for guess in guesses:
+        monkeypatch.setattr(group.LatticeData, "approximate", lambda self, x: guess)
+        assert group.in_lattice(graph, member)
+        assert not group.in_lattice(graph, near_member)
+    # The true solution of a non-member's neighbour is refused too.
+    y, den = group.lattice_data(graph).solve(member)
+    monkeypatch.setattr(group.LatticeData, "approximate", lambda self, x: np.array(y, dtype=float) / den)
+    assert not group.in_lattice(graph, near_member)
 
 
 def test_element_orders_on_level0():

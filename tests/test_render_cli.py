@@ -578,6 +578,20 @@ def test_cli_spectral_commands_refuse_large_groups_quickly(argv, capsys):
         assert "exceeds the group-order cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "level,message",
+    [
+        ("3", "group order 80490526711142400000 exceeds the group-order cap 1000000"),
+        ("4", "group order of 190 bits exceeds the group-order cap of 20 bits"),
+    ],
+)
+def test_cli_spectral_refusal_names_order_and_cap_in_one_unit(level, message, capsys):
+    # Below 10**30 the order is printed in full, against the cap in full;
+    # above it, both sides are bit lengths.
+    assert main(["spectral", "eigs", "--all", "--level", level]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_markov_trials_run_at_level_8(capsys):
     # The trials are evaluated from their draws, without the identity.
     start = time.perf_counter()

@@ -23,6 +23,7 @@ from gasketpile.spectral import (
 )
 
 from test_acceptance import product_harmonic
+from test_group import smith_coordinates
 
 G0 = build_gasket(0)
 G1 = build_gasket(1)
@@ -300,7 +301,7 @@ def rolled_tv_reference(graph, t_max):
     n = graph.n_vertices
     dist = np.zeros([d for _, d in data.cyclic])
     dist.flat[0] = 1.0  # the identity class has zero coordinates
-    shifts = [data.coordinates(group.delta_vector(graph, v)) for v in range(n)]
+    shifts = [tuple(smith_coordinates(data, group.delta_vector(graph, v))) for v in range(n)]
     axes = tuple(range(dist.ndim))
     uniform = 1.0 / dist.size
     curve = [0.5 * float(np.abs(dist - uniform).sum())]
