@@ -7,24 +7,25 @@ eliminates Delta over the rationals one gasket level at a time, finest
 first (nested dissection).  Every cell of a level has the same exact 3 x 3
 midpoint block, inverted once, so a level is one block and the two index
 arrays of `gasket.cell_index`, and the same pass stores the solve plan and
-each block's determinant.  Their product is the order, and the O(n)
-`LatticeData.solve` of Delta y = x gives element orders, the reduction
-modulo the lattice and the toppling head start; `in_lattice` certifies a
-member without it, by a float64 solve through the same plan, rounded and
-checked in integers.  Every check and the reduction take Delta @ v from
-`gasket.laplacian_product`.
+the order's prime factorization, read off the block determinants
+(`_prime_powers`); the order itself is multiplied out on first use only.
+The O(n) `LatticeData.solve` of Delta y = x gives element orders, the
+reduction modulo the lattice and the toppling head start; `in_lattice`
+certifies a member without it, by a float64 solve through the same plan,
+rounded and checked in integers.  Every check and the reduction take
+Delta @ v from `gasket.laplacian_product`.
 
 Two Smith engines give the rest.  `quotient_invariants` gives every set of
 invariant factors in production: the group's own (`LatticeData.invariants`,
 `sandpile_group_invariants`, `group snf`) as the quotient by nothing, and
 the four quotients of `check_group_theorem`.  It reads the order's primes
-off the stored block determinants (`factor_order`) and runs a sparse local
-Smith form over Z/p^K per prime (`localsmith`), in the factor's
-elimination order, pivoting inside the cells of `gasket.cell_index`,
-finest first.  Cells that are translates of one another are eliminated
-once per stage and the result is moved onto the others, so all primes of
-the group take about 12 ms at level 5, 0.07-0.10 s at level 8 and
-0.18-0.30 s at level 10 on a 2-core VM.
+from `LatticeData.powers` and runs a sparse local Smith form over Z/p^K
+per prime (`localsmith`), in the factor's elimination order, pivoting
+inside the cells of `gasket.cell_index`, finest first.  Cells that are
+translates of one another are eliminated once per stage and the result is
+moved onto the others, so all primes of the group take about 12 ms at
+level 5, 0.07-0.10 s at level 8 and 0.18-0.30 s at level 10 on a 2-core
+VM.
 `smith_mod` is a dense bounded-entry Smith reduction modulo the order; with
 transforms it gives `LatticeData.basis`, the adapted basis behind the class
 labels, the characters and the walk spectrum.  The tests check the two
@@ -555,10 +556,12 @@ class LatticeData:
     corner is the padding slot), `inverse` = M^-1 and `reach` = M^-1 B; M is
     symmetric, so forward substitution reads `reach` and back substitution
     its transpose.  `top_inverse` inverts the dense block of the big
-    corners.  `dets` holds det(M) with the level's cell count C, then the
-    top block's determinant with count 1, and `order` is their product
-    det(Delta), the group order.  `float_plan` is the same plan in float64,
-    for the guesses that `in_lattice` certifies.
+    corners.  `powers` is the group order det(Delta) as {p: v_p(order)}: the
+    product of each level's det(M) to the power of its cell count and the
+    top block's determinant, factored by `_prime_powers`.  `order` is that
+    product, multiplied out on first use only, so a solve never builds it.
+    `float_plan` is the same plan in float64, for the guesses that
+    `in_lattice` certifies.
 
     The Smith data must multiply out to the order, or ArithmeticError is
     raised.  `invariants`, the invariant factors above 1, is
@@ -575,8 +578,7 @@ class LatticeData:
     inverse: tuple[Exact, ...]
     reach: tuple[Exact, ...]
     top_inverse: Exact
-    dets: tuple[tuple[Fraction, int], ...]
-    order: int
+    powers: dict[int, int]
 
     def solve(self, entries) -> tuple[list[int], int]:
         """Integer vector y and the least D >= 1 with Delta @ y == D * x,
@@ -669,8 +671,12 @@ class LatticeData:
             y[start:end] = ym.ravel()
         return y[self.position[:n]]
 
+    @cached_property
+    def order(self) -> int:
+        return math.prod(p**e for p, e in self.powers.items())
+
     def _checked(self, factors: list[int]) -> list[int]:
-        if math.prod(factors) != self.order:
+        if _product(factors) != self.order:
             raise ArithmeticError("invariant factors disagree with the determinant")
         return factors
 
@@ -715,7 +721,8 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
     must have the same diagonal, or ArithmeticError is raised.  On the
     gasket, M is (3/5)**k [[4, -1, -1], [-1, 4, -1], [-1, -1, 4]] at level
     k on every boundary.  Each block is inverted once.  The determinant must
-    be a positive integer, or ArithmeticError is raised."""
+    be a positive integer with the primes of `_prime_powers`, or
+    ArithmeticError is raised."""
     n, level = graph.n_vertices, graph.level
     mids, corners, big = cell_index(graph)
     top = [v for v in big if v != n]
@@ -731,7 +738,6 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
     diag = np.array([*graph.degrees, 0], dtype=object)[elimination]
     scale, start = 1, 0
     corner_positions, inverse, reach, dets = [], [], [], []
-    num, den = 1, 1
     for k in range(level):
         count = len(mids[k])
         end = start + 3 * count
@@ -756,8 +762,6 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
         inverse.append(inv)
         reach.append(solved)
         dets.append((det, count))
-        num *= det.numerator**count
-        den *= det.denominator**count
         start = end
     if level:
         slots = [j for j, v in enumerate(big) if v != n]
@@ -766,9 +770,6 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
         links = (np.array([[-graph.neighbors[u].count(v) for v in top] for u in top], dtype=object), 1)
     top_inverse, det = _inverse(_with_diagonal(links, diag[start:n], scale))
     dets.append((det, 1))
-    order, rem = divmod(num * det.numerator, den * det.denominator)
-    if rem or order <= 0:
-        raise ArithmeticError("the determinant must be a positive integer")
     return LatticeData(
         graph=graph,
         elimination=elimination,
@@ -777,8 +778,7 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
         inverse=tuple(inverse),
         reach=tuple(reach),
         top_inverse=top_inverse,
-        dets=tuple(dets),
-        order=order,
+        powers=_prime_powers(level, dets),
     )
 
 
@@ -825,18 +825,16 @@ def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def factor_order(data: LatticeData) -> dict[int, int]:
-    """{p: v_p(order)} for the group order det(Delta), read off the
-    factorization: det(Delta) is the product of det(M_k)**C_k and the top
-    block's determinant (`data.dets`), so v_p(order) is the sum of
-    C_k * v_p(det M_k) and v_p of the top one, valuations of small
-    rationals, and the order is never divided.  The primes are 2, 3, 5 and
+def _prime_powers(level: int, dets: list[tuple[Fraction, int]]) -> dict[int, int]:
+    """{p: v_p(order)} for the group order det(Delta), the product of
+    det**count over `dets`: the sum of count * v_p(det), valuations of small
+    rationals, so the order is never built.  The primes are 2, 3, 5 and
     those of N = 2 * 5**level + 3**(level + 1), by trial division of N:
     every gasket group order factors so (on the normal boundary it is
     2^a 3^b 5^c N^2 for level >= 1, on a corner-sink boundary it has no
-    factor N).  The prime powers must multiply out to the order, or
-    ArithmeticError is raised: a factor is left over."""
-    level = data.graph.level
+    factor N).  A numerator or denominator with a factor left over (a sign
+    included), or a negative exponent sum, raises ArithmeticError: the
+    determinant must be a positive integer."""
     primes, rest, d = [2, 3, 5], 2 * 5**level + 3 ** (level + 1), 7
     while d * d <= rest:
         if rest % d == 0:
@@ -846,14 +844,18 @@ def factor_order(data: LatticeData) -> dict[int, int]:
         d += 2
     if rest > 5:
         primes.append(rest)
-    powers = {}
-    for p in primes:
-        e = sum(count * (_valuation(det.numerator, p) - _valuation(det.denominator, p)) for det, count in data.dets)
-        if e:
-            powers[p] = e
-    if min(powers.values(), default=0) < 0 or math.prod(p**e for p, e in powers.items()) != data.order:
-        raise ArithmeticError(f"the level-{level} group order has a factor outside 2, 3, 5 and N")
-    return powers
+    powers = dict.fromkeys(primes, 0)
+    for det, count in dets:
+        for value, weight in ((det.numerator, count), (det.denominator, -count)):
+            for p in primes:
+                e = _valuation(value, p)
+                value //= p**e
+                powers[p] += weight * e
+            if value != 1:
+                raise ArithmeticError(f"the level-{level} group order has a factor outside 2, 3, 5 and N")
+    if min(powers.values()) < 0:
+        raise ArithmeticError("the determinant must be a positive integer")
+    return {p: e for p, e in powers.items() if e}
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +877,7 @@ def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list
     The cokernel of [Delta | g1 | ... | gk] is a quotient of the group, so
     its order divides the group order and its p-part is the Smith form of
     that matrix over Z/p^K once p^K is at least the p-part of the order.
-    Each prime of `factor_order` runs `_local_smith` with a small K =
+    Each prime of `data.powers` runs `_local_smith` with a small K =
     level + 1 first.  If a row survives its K rounds (a factor p^K or more,
     as the 3^(n+1) of a corner-sink group), the prime is run again with K
     doubled, up to the exponent of p in the order, which is always exact.
@@ -891,7 +893,7 @@ def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list
     data = lattice_data(graph)
     matrix, stages = _nested_rows(graph, columns, data.position[:n].tolist())
     parts = []
-    for p, top in factor_order(data).items():
+    for p, top in data.powers.items():
         rounds = min(graph.level + 1, top)
         exponents, left = _local_smith(matrix, stages, p, rounds)
         while left and rounds < top:
@@ -899,6 +901,12 @@ def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list
             exponents, left = _local_smith(matrix, stages, p, rounds)
         parts.append([p**e for e in exponents] + [p**rounds] * left)
     return direct_sum_invariants(parts)
+
+
+def _product(factors) -> int:
+    """The product of many factors with few distinct values, one power per
+    value: a running product over tens of thousands of them is quadratic."""
+    return math.prod(d**c for d, c in Counter(factors).items())
 
 
 def direct_sum_invariants(factor_lists: list[list[int]]) -> list[int]:
@@ -989,8 +997,8 @@ def check_group_theorem(level: int) -> GroupTheoremReport:
         convention="primary",
         lhs_factors=lhs,
         rhs_factors=rhs,
-        lhs_order=math.prod(lhs),
-        rhs_order=math.prod(d for part in rhs_parts for d in part),
+        lhs_order=_product(lhs),
+        rhs_order=_product(d for part in rhs_parts for d in part),
     )
 
 

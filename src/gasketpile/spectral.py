@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -154,34 +155,21 @@ def enumerate_characters(
 ) -> list[HarmonicFunction]:
     """All |group| multiplicative harmonic functions, trivial one first.
 
-    The rotation vectors are the classes of Delta^{-1} Z^V modulo Z^V,
-    enumerated from the Smith basis of the reduced Laplacian.  Refuses with
-    GroupTooLargeError when the group order exceeds `cap`.
+    The rotation vectors are the classes of Delta^{-1} Z^V modulo Z^V.  The
+    Laplacian is symmetric, so Delta^{-1} Z^V = Uinv^T D^{-1} Z^V: on the
+    Smith torus of `_smith_shifts`, the character with coordinates (m_i)
+    rotates vertex v by sum_i m_i * shift_v[i] / d_i mod 1, summed in
+    integers over L = lcm(d_i).  Refuses with GroupTooLargeError when the
+    group order exceeds `cap`.
     """
-    data = group.lattice_data(graph)
-    if data.order > cap:
-        raise GroupTooLargeError(data.order, cap)
-    n = graph.n_vertices
-    orders = [d for _, d in data.cyclic]
-    common = math.lcm(*orders)
-    # The Laplacian is symmetric, so Delta^{-1} Z^V = Uinv^T D^{-1} Z^V: row i
-    # of Uinv divided by d_i generates the d_i-torsion of the dual group.
-    # Scale by common/d_i and reduce mod common; the rotation vector of the
-    # coordinate tuple (m_i) is then sum_i m_i * row_i / common mod 1.
-    columns = [
-        [(v * (common // d)) % common for v in data.Uinv[i]] for i, d in data.cyclic
-    ]
+    dims, shifts = _smith_shifts(graph, cap)
+    common = math.lcm(*dims)
+    scaled = [[s * (common // d) for s, d in zip(shift, dims)] for shift in shifts]
     fractions = [Fraction(a, common) for a in range(common)]
-    out = []
-    for counts in product(*(range(d) for d in orders)):
-        acc = [0] * n
-        for m, col in zip(counts, columns):
-            if m:
-                for v in range(n):
-                    acc[v] += m * col[v]
-        rotation = tuple(fractions[a % common] for a in acc)
-        out.append(HarmonicFunction(graph, rotation))
-    return out
+    return [
+        HarmonicFunction(graph, tuple(fractions[sum(map(operator.mul, counts, row)) % common] for row in scaled))
+        for counts in product(*map(range, dims))
+    ]
 
 
 @dataclass(frozen=True)
@@ -196,9 +184,8 @@ class DistanceResult:
 def _smith_shifts(graph: GasketGraph, cap: int) -> tuple[list[int], list[tuple[int, ...]]]:
     """The Smith torus Z/d_1 x ... x Z/d_r of the group and the walk's steps
     on it: the Smith coordinates of each vertex delta, column v of Uinv on
-    the cyclic summands, reduced modulo their orders (the entries that
-    `enumerate_characters` scales).  Refuses with GroupTooLargeError above
-    `cap`, before any Smith work."""
+    the cyclic summands, reduced modulo their orders.  Refuses with
+    GroupTooLargeError above `cap`, before any Smith work."""
     data = group.lattice_data(graph)
     if data.order > cap:
         raise GroupTooLargeError(data.order, cap)

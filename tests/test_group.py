@@ -12,7 +12,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form
 
-from gasketpile import cli, group, localsmith, sandpile
+from gasketpile import cli, group, localsmith, sandpile, selfsim
 from gasketpile.gasket import (
     CORNER_NAMES,
     LOWER_LEFT,
@@ -829,8 +829,7 @@ def test_factor_refuses_cells_that_differ():
 @pytest.mark.parametrize("boundary", (NORMAL, corner_sink(LOWER_RIGHT)), ids=lambda b: b.token())
 def test_each_block_is_inverted_once(monkeypatch, boundary):
     # Building the lattice inverts each level's block and the top block; a
-    # solve, the order's primes and the invariant factors read what it
-    # stored.
+    # solve, the order and the invariant factors read what it stored.
     real = group._inverse
     calls = []
 
@@ -843,7 +842,7 @@ def test_each_block_is_inverted_once(monkeypatch, boundary):
     monkeypatch.setattr(group, "_inverse", counting)
     data = group.lattice_data(graph)
     assert data.solve([1] * graph.n_vertices)[1] > 1
-    assert math.prod(p**e for p, e in group.factor_order(data).items()) == data.order
+    assert data.order == group.determinant(reduced_laplacian(graph))
     assert math.prod(group.quotient_invariants(graph, [])) == data.order
     assert len(calls) == graph.level + 1
 
@@ -1043,7 +1042,7 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
     cached = group.lattice_data(graph)
     monkeypatch.setattr(group, "smith_mod", counting)
     # A copy of the cached lattice, with no Smith data computed yet.
-    data = dataclasses.replace(cached, order=cached.order)
+    data = dataclasses.replace(cached)
     assert mat_mul(data.U, data.Uinv) == group.mat_identity(graph.n_vertices)
     assert data.U is data.basis.U and data.Uinv is data.basis.Uinv
     assert calls == [True]
@@ -1059,7 +1058,7 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
 
     monkeypatch.setattr(group, "smith_mod", wrong_diagonal)
     with pytest.raises(ArithmeticError):
-        dataclasses.replace(cached, order=cached.order).U
+        dataclasses.replace(cached).U
 
     local = group._local_smith
 
@@ -1069,7 +1068,7 @@ def test_lattice_data_takes_the_basis_from_one_checked_transforms_run(monkeypatc
 
     monkeypatch.setattr(group, "_local_smith", extra_factor)
     with pytest.raises(ArithmeticError):
-        dataclasses.replace(cached, order=cached.order).invariants
+        dataclasses.replace(cached).invariants
 
 
 # ---------------------------------------------------------------------------
@@ -1158,7 +1157,7 @@ def test_each_stage_eliminates_one_cell_of_the_translates(monkeypatch):
     graph = build_gasket(4)
     runs = record_pivot_loops(monkeypatch)
     assert group.quotient_invariants(graph, []) == LEVEL4_FACTORS
-    assert len(runs) == len(group.factor_order(group.lattice_data(graph)))
+    assert len(runs) == len(group.lattice_data(graph).powers)
     for stages in runs:
         assert [[len(cells) for cells in calls] for calls in stages] == [[1]] * 5
 
@@ -1203,45 +1202,94 @@ def test_invariant_factors_follow_the_closed_form(level):
     assert group.sandpile_group_invariants(build_gasket(level)) == closed_form_invariants(level)
 
 
-def trial_division_powers(level, order):
-    """{p: v_p(order)} by dividing the order by 2, 3, 5 and the primes of
-    N = 2 * 5**level + 3**(level + 1) one at a time: the reference for
-    `factor_order`.  None if a factor is left over."""
-    primes, rest = [2, 3, 5], 2 * 5**level + 3 ** (level + 1)
-    primes += [d for d in range(7, rest + 1) if rest % d == 0 and all(d % q for q in range(2, math.isqrt(d) + 1))]
-    powers = {}
-    for p in primes:
-        while order % p == 0:
-            order //= p
-            powers[p] = powers.get(p, 0) + 1
-    return powers if order == 1 else None
+@pytest.mark.parametrize("level", range(10))
+@pytest.mark.parametrize("corner", CORNER_NAMES)
+def test_corner_sink_order_equals_the_tree_count_recursion(level, corner):
+    # Matrix-tree: a corner-sink group order counts the bare gasket's
+    # spanning trees, which the product recursion gives without the factor.
+    assert group.lattice_data(build_gasket(level, corner_sink(corner))).order == group.tau_recursion(level)
 
 
-@pytest.mark.parametrize("level", range(9))
-@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
-def test_factor_order_equals_trial_division(level, boundary):
-    data = group.lattice_data(build_gasket(level, boundary))
-    assert group.factor_order(data) == trial_division_powers(level, data.order)
+@pytest.mark.parametrize("level", range(1, 10))
+def test_order_equals_the_closed_form_product(level):
+    assert group.lattice_data(build_gasket(level)).order == math.prod(closed_form_invariants(level))
 
 
-def test_factor_order_refuses_a_stray_prime():
-    lattices = [group.lattice_data(build_gasket(level)) for level in (0, 1, 8)]
-    assert group.factor_order(lattices[0]) == {2: 1, 5: 2}
-    assert group.factor_order(lattices[1]) == {2: 2, 19: 2}
-    powers = group.factor_order(lattices[2])
-    assert set(powers) == {2, 3, 5, 7, 114_419}
-    assert math.prod(p**e for p, e in powers.items()) == lattices[2].order
+def recorded_dets(monkeypatch, graph):
+    """The (det, count) pairs that `lattice_data` hands `_prime_powers`,
+    from a fresh construction that bypasses the cache."""
+    calls = []
+    real = group._prime_powers
+
+    def recording(level, dets):
+        calls.append(list(dets))
+        return real(level, dets)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(group, "_prime_powers", recording)
+        group.lattice_data.__wrapped__(graph)
+    return calls[0]
+
+
+def test_prime_powers_refuse_a_stray_prime(monkeypatch):
+    dets = {level: recorded_dets(monkeypatch, build_gasket(level)) for level in (0, 1, 8)}
+    assert group._prime_powers(0, dets[0]) == {2: 1, 5: 2}
+    assert group._prime_powers(1, dets[1]) == {2: 2, 19: 2}
+    assert set(group._prime_powers(8, dets[8])) == {2, 3, 5, 7, 114_419}
+    *blocks, (top, count) = dets[1]
     for stray in (7, 11 * 13, 1_000_003):
-        # An order with a factor the blocks do not have, and a top block
-        # whose stored determinant has one.
-        with pytest.raises(ArithmeticError):
-            group.factor_order(dataclasses.replace(lattices[1], order=1444 * stray))
-        *blocks, (top, count) = lattices[1].dets
-        dets = (*blocks, (top * stray, count))
-        with pytest.raises(ArithmeticError):
-            group.factor_order(dataclasses.replace(lattices[1], dets=dets, order=1444 * stray))
-    with pytest.raises(ArithmeticError):
-        group.factor_order(dataclasses.replace(lattices[2], order=lattices[2].order * 11))
+        # A top block whose determinant has a factor outside 2, 3, 5 and N,
+        # on its numerator and on its denominator.
+        for changed in (top * stray, top / stray):
+            with pytest.raises(ArithmeticError, match="factor outside"):
+                group._prime_powers(1, [*blocks, (changed, count)])
+    *blocks8, (top8, count8) = dets[8]
+    with pytest.raises(ArithmeticError, match="factor outside"):
+        group._prime_powers(8, [*blocks8, (top8 * 11, count8)])
+    # Only primes of the order, but a negative exponent: not an integer.
+    with pytest.raises(ArithmeticError, match="positive integer"):
+        group._prime_powers(1, [*blocks, (top / 2**3, count)])
+    # The same refusal from construction, with every block determinant off.
+    real = group._inverse
+
+    def off_by_seven(matrix):
+        inverse, det = real(matrix)
+        return inverse, det * 7
+
+    monkeypatch.setattr(group, "_inverse", off_by_seven)
+    with pytest.raises(ArithmeticError, match="factor outside"):
+        group.lattice_data.__wrapped__(build_gasket(1))
+
+
+@pytest.mark.parametrize("boundary", (NORMAL, corner_sink(TOP)), ids=lambda b: b.token())
+def test_solves_and_certificates_never_build_the_order(boundary):
+    # The order is multiplied out on first use: the solve, the lattice
+    # checks, the identity and the self-similarity checks never need it,
+    # while the Smith data check against it.
+    level = 5
+    graph = build_gasket(level, boundary)
+    group.lattice_data.cache_clear()
+    n = graph.n_vertices
+    x = [random.Random(5).randint(-9, 9) for _ in range(n)]
+    group.lattice_data(graph).solve(x)
+    group.in_lattice(graph, x)
+    group.lattice_reduce(graph, x)
+    identity = sandpile.identity(graph)
+    touched = [graph]
+    if boundary.kind == "normal":
+        assert selfsim.verify_junction_invariance(level, identity).passed
+        touched.append(build_gasket(level + 1))
+    else:
+        assert selfsim.verify_corner_transport(level, corner=boundary.corner).passed
+    for g in touched:
+        assert "order" not in group.lattice_data(g).__dict__
+    data = group.lattice_data(graph)
+    data.invariants
+    assert "order" in data.__dict__
+    # The basis is dense: a fresh level-2 lattice keeps it quick.
+    small = dataclasses.replace(group.lattice_data(build_gasket(2, boundary)))
+    small.basis
+    assert "order" in small.__dict__
 
 
 @pytest.mark.parametrize("corner", CORNER_NAMES)
