@@ -9,11 +9,13 @@ midpoint block, inverted once, so a level is one block and the two index
 arrays of `gasket.cell_index`, and the same pass stores the solve plan and
 the order's prime factorization, read off the block determinants
 (`_prime_powers`); the order itself is multiplied out on first use only.
-The O(n) `LatticeData.solve` of Delta y = x gives element orders, the
-reduction modulo the lattice and the toppling head start; `in_lattice`
-certifies a member without it, by a float64 solve through the same plan,
-rounded and checked in integers.  Every check and the reduction take
-Delta @ v from `gasket.laplacian_product`.
+One substitution sweep over the plan serves both solves of Delta y = x.
+On object integers it is the exact O(n) `LatticeData.solve`, which gives
+element orders, the reduction modulo the lattice and the toppling head
+start; in float64 it is `LatticeData.approximate`, by which `in_lattice`
+certifies a member without the exact solve, rounded and checked in
+integers.  Every check and the reduction take Delta @ v from
+`gasket.laplacian_product`.
 
 Two Smith engines give the rest.  `quotient_invariants` gives every set of
 invariant factors in production: the group's own (`LatticeData.invariants`,
@@ -539,6 +541,11 @@ def _coarse_rows(update: Exact) -> tuple[Exact, Exact]:
     return (among, den), (coupling, den)
 
 
+# A solve plan: per level, the cells' corner positions, M^-1 and M^-1 B;
+# then the inverse of the top block.
+Plan = tuple[tuple[tuple[np.ndarray, Exact, Exact], ...], Exact]
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeData:
     """The sandpile group of one graph: Z^V modulo the column lattice of the
@@ -560,8 +567,9 @@ class LatticeData:
     product of each level's det(M) to the power of its cell count and the
     top block's determinant, factored by `_prime_powers`.  `order` is that
     product, multiplied out on first use only, so a solve never builds it.
-    `float_plan` is the same plan in float64, for the guesses that
-    `in_lattice` certifies.
+    `solve` and `approximate` run the plan in one sweep (`_sweep`): the
+    exact plan on object integers, and `float_plan`, the same plan in
+    float64, for the guesses that `in_lattice` certifies.
 
     The Smith data must multiply out to the order, or ArithmeticError is
     raised.  `invariants`, the invariant factors above 1, is
@@ -583,23 +591,50 @@ class LatticeData:
     def solve(self, entries) -> tuple[list[int], int]:
         """Integer vector y and the least D >= 1 with Delta @ y == D * x,
         so that Delta^{-1} x = y / D exactly.  Entries must be integers
-        (`operator.index`), or TypeError is raised.
-
-        Forward substitution folds each level's midpoints into their cell
-        corners, the top block is solved densely, and back substitution
-        recovers each level's midpoints from its corners: a few object-array
-        steps per level, with one common denominator per level and one gcd
-        at the end.  The result is checked against the sparse Laplacian in
+        (`operator.index`), or TypeError is raised.  `_sweep` runs the plan
+        on object integers, and one gcd at the end brings y / D to lowest
+        terms.  The result is checked against the sparse Laplacian in
         integers; a mismatch raises ArithmeticError."""
         graph = self.graph
-        n = graph.n_vertices
-        x = np.array([operator.index(v) for v in entries] + [0], dtype=object)
-        if len(x) != n + 1:
+        x = np.array([operator.index(v) for v in entries], dtype=object)
+        if len(x) != graph.n_vertices:
             raise ValueError("vector length must match vertex count")
-        levels = list(zip(self.corner_positions, self.inverse, self.reach))
+        plan = tuple(zip(self.corner_positions, self.inverse, self.reach)), self.top_inverse
+        y, den = self._sweep(plan, x)
+        g = math.gcd(den, *y)
+        if g > 1:
+            y //= g
+            den //= g
+        if not (laplacian_product(graph, y) == den * x).all():
+            raise ArithmeticError("sparse solve fails Delta @ y == D * x")
+        return y.tolist(), den
+
+    @cached_property
+    def float_plan(self) -> Plan:
+        """The plan of `solve` in float64, every denominator divided out."""
+
+        def approx(exact: Exact) -> Exact:
+            return exact[0].astype(np.float64) / exact[1], 1
+
+        levels = zip(self.corner_positions, self.inverse, self.reach)
+        return tuple((c, approx(inv), approx(reach)) for c, inv, reach in levels), approx(self.top_inverse)
+
+    def approximate(self, x: np.ndarray) -> np.ndarray:
+        """Delta^{-1} x in float64, unchecked: `_sweep` through `float_plan`."""
+        return self._sweep(self.float_plan, x.astype(np.float64))[0]
+
+    def _sweep(self, plan: Plan, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """y and D with Delta @ y == D * x, D not in lowest terms.  Forward
+        substitution folds each level's midpoints into their cell corners,
+        the top block is solved densely, and back substitution recovers each
+        level's midpoints from its corners: a few array steps per level,
+        with one common denominator per level on object integers.  On a
+        float plan every denominator is 1, so every rescaling is by 1."""
+        levels, (top_inv, top_den) = plan
+        n = len(x)
         # Forward: z[start:] shares the denominator `den`; each level's
         # midpoint values are kept with theirs.
-        z = x[self.elimination]
+        z = np.append(x, 0)[self.elimination]
         den, start, kept = 1, 0, []
         for corners, _, (reach, reach_den) in levels:
             count = len(corners)
@@ -614,8 +649,7 @@ class LatticeData:
                 z[corners[:, j]] -= fold[:, j]
             start = end
         # Top, then back: y[start:n] shares the denominator `den`.
-        top_inv, top_den = self.top_inverse
-        y = np.zeros(n + 1, dtype=object)
+        y = np.zeros_like(z)
         y[start:n] = top_inv.dot(z[start:n])
         den *= top_den
         for (corners, (inv, inv_den), (reach, reach_den)), (xm, xden) in zip(reversed(levels), reversed(kept)):
@@ -626,50 +660,7 @@ class LatticeData:
                 y[end:n] *= new // den
             y[start:end] = ym.ravel()
             den = new
-        out = y[self.position[:n]]
-        g = math.gcd(den, *out)
-        if g > 1:
-            out //= g
-            den //= g
-        if not (laplacian_product(graph, out) == den * x[:n]).all():
-            raise ArithmeticError("sparse solve fails Delta @ y == D * x")
-        return out.tolist(), den
-
-    @cached_property
-    def float_plan(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
-        """Each level's M^-1 and M^-1 B, then the top block's inverse, in
-        float64: the numerators over the common denominator."""
-
-        def approx(exact: Exact) -> np.ndarray:
-            num, den = exact
-            return num.astype(np.float64) / den
-
-        levels = tuple((approx(inv), approx(reach)) for inv, reach in zip(self.inverse, self.reach))
-        return levels, approx(self.top_inverse)
-
-    def approximate(self, x: np.ndarray) -> np.ndarray:
-        """Delta^{-1} x in float64, unchecked: the sweeps of `solve` through
-        `float_plan`.  The 3-wide products run in einsum: a first BLAS call
-        costs more memory than the whole guess at level 5."""
-        n = self.graph.n_vertices
-        levels, top_inv = self.float_plan
-        z = np.append(x.astype(np.float64), 0.0)[self.elimination]
-        start, kept = 0, []
-        for corners, (_, reach) in zip(self.corner_positions, levels):
-            end = start + 3 * len(corners)
-            xm = z[start:end].reshape(-1, 3)
-            kept.append(xm)
-            fold = np.einsum("ij,jk->ik", xm, reach)
-            for j in range(3):
-                z[corners[:, j]] -= fold[:, j]
-            start = end
-        y = np.zeros(n + 1)
-        y[start:n] = np.einsum("ij,j->i", top_inv, z[start:n])
-        for corners, (inv, reach), xm in zip(reversed(self.corner_positions), reversed(levels), reversed(kept)):
-            end, start = start, start - 3 * len(corners)
-            ym = np.einsum("ij,jk->ik", xm, inv) - np.einsum("ij,kj->ik", y[corners], reach)
-            y[start:end] = ym.ravel()
-        return y[self.position[:n]]
+        return y[self.position[:n]], den
 
     @cached_property
     def order(self) -> int:
@@ -767,7 +758,7 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
         slots = [j for j, v in enumerate(big) if v != n]
         links = (-update[0][np.ix_(slots, slots)], update[1])
     else:
-        links = (np.array([[-graph.neighbors[u].count(v) for v in top] for u in top], dtype=object), 1)
+        links = (np.array([[-int((graph.table[:, u] == v).sum()) for v in top] for u in top], dtype=object), 1)
     top_inverse, det = _inverse(_with_diagonal(links, diag[start:n], scale))
     dets.append((det, 1))
     return LatticeData(

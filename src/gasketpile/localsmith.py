@@ -102,10 +102,14 @@ def _nested_rows(
     stages.reverse()
     runs.reverse()
     rows = {}
-    for v in [int(v) for cells, run in zip(mids, runs) for v in cells[run].ravel()] + top:
+    # Each row from the vertex's column of the neighbour table, which lists
+    # the neighbours ascending and then the padding slot n.
+    running = np.concatenate([cells[run].ravel() for cells, run in zip(mids, runs)] + [np.array(top, dtype=np.intp)])
+    for v, near in zip(running.tolist(), graph.table[:, running].T.tolist()):
         row = rows[v] = {v: graph.degrees[v]}
-        for w in graph.neighbors[v]:
-            row[w] = row.get(w, 0) - 1
+        for w in near:
+            if w != n:
+                row[w] = row.get(w, 0) - 1
         for k, g in enumerate(columns):
             if g[v]:
                 row[n + k] = g[v]

@@ -12,7 +12,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form
 
-from gasketpile import cli, group, localsmith, sandpile, selfsim
+from gasketpile import cli, gasket, group, localsmith, sandpile, selfsim
 from gasketpile.gasket import (
     CORNER_NAMES,
     LOWER_LEFT,
@@ -1396,6 +1396,45 @@ def test_in_lattice_never_trusts_a_wrong_guess(monkeypatch):
     y, den = group.lattice_data(graph).solve(member)
     monkeypatch.setattr(group.LatticeData, "approximate", lambda self, x: np.array(y, dtype=float) / den)
     assert not group.in_lattice(graph, near_member)
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_approximate_agrees_with_the_exact_solve(level):
+    """The float sweep of `approximate` and the exact sweep of `solve` run
+    one plan: on members and non-members, delta vectors and entries up to
+    2**30, the float answer is y / D up to 1e-9 of the largest entry."""
+    for b, boundary in enumerate(BOUNDARIES):
+        graph = build_gasket(level, boundary)
+        n = graph.n_vertices
+        data = group.lattice_data(graph)
+        rng = random.Random(100 * level + b)
+        vectors = [
+            [rng.randint(-9, 9) for _ in range(n)],
+            [rng.randint(-(2**30), 2**30) for _ in range(n)],
+            laplacian_product(graph, [rng.randint(-9, 9) for _ in range(n)]).tolist(),
+            group.delta_vector(graph, 0),
+            group.delta_vector(graph, rng.randrange(n)),
+            group.delta_vector(graph, n - 1),
+        ]
+        for x in vectors:
+            y, den = data.solve(x)
+            exact = np.array([v / den for v in y])
+            approx = data.approximate(np.array(x, dtype=np.int64))
+            assert approx.dtype == np.float64 and approx.shape == (n,)
+            assert np.abs(approx - exact).max() <= 1e-9 * (1 + np.abs(exact).max())
+
+
+def test_quotient_invariants_never_builds_the_neighbour_view():
+    """The factor and the local Smith rows read the neighbour table: a fresh
+    graph, not the interned one, gets the same invariants and never
+    materializes its `neighbors` tuples."""
+    fresh = gasket._build_gasket.__wrapped__(5, NORMAL)
+    assert fresh is not build_gasket(5)
+    assert group.quotient_invariants(fresh, []) == group.quotient_invariants(build_gasket(5), [])
+    assert "neighbors" not in vars(fresh)
+    level0 = gasket._build_gasket.__wrapped__(0, corner_sink(TOP))
+    assert group.quotient_invariants(level0, []) == group.quotient_invariants(build_gasket(0, corner_sink(TOP)), [])
+    assert "neighbors" not in vars(level0)
 
 
 def test_element_orders_on_level0():

@@ -28,11 +28,14 @@ from gasketpile.render import (
 from gasketpile.sandpile import (
     config,
     config_from_json,
+    config_to_json,
     config_to_text,
     identity,
     is_recurrent_burning,
     max_config,
+    stabilize,
 )
+from gasketpile.selfsim import build_tile
 from gasketpile.spectral import distinguishing_statistic
 
 from test_group import closed_form_invariants
@@ -174,6 +177,39 @@ def test_cli_sandpile_stabilize_accepts_json_input(tmp_path, capsys):
     level, boundary, *chips = out.splitlines()[0].split()
     assert (level, boundary) == ("0", "normal")
     assert all(int(c) < 4 for c in chips)
+
+
+def test_cli_sandpile_stabilize_frozen_corners(tmp_path, capsys):
+    """`--frozen` keeps a corner from toppling: the output is `stabilize`
+    with that corner frozen, and its odometer entry is 0.  On the normal
+    boundary the doubled (2,1,1) tile then leaves 8 chips on the lower-left
+    corner, not the 14 of the doubling, whose other corners have no sink
+    edges: the doubling lives on `corner_sink:lower_left`."""
+    tile = build_tile(1, 2, 1, 1)
+    doubled = config(tile.graph, [2 * c for c in tile.chips])
+    path = tmp_path / "doubled.txt"
+    path.write_text(config_to_text(doubled) + "\n")
+    for names in (["lower_left"], ["lower_left", "top"]):
+        frozen = [tile.graph.corner_index(name) for name in names]
+        flags = [arg for name in names for arg in ("--frozen", name)]
+        code, out = run_cli(capsys, "sandpile", "stabilize", "--input", str(path), *flags, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        result, odometer = stabilize(doubled, frozen=frozen)
+        assert doc == {"config": config_to_json(result), "odometer": list(odometer)}
+        assert all(doc["odometer"][v] == 0 for v in frozen)
+        if len(names) == 1:
+            assert doc["config"]["chips"][frozen[0]] == 8
+
+
+def test_cli_sandpile_stabilize_refuses_to_freeze_the_sink(tmp_path, capsys):
+    graph = build_gasket(1, gasket.corner_sink("lower_left"))
+    path = tmp_path / "sunk.txt"
+    path.write_text(config_to_text(config(graph, [3] * graph.n_vertices)) + "\n")
+    with pytest.raises(SystemExit) as info:
+        main(["sandpile", "stabilize", "--input", str(path), "--frozen", "lower_left"])
+    assert info.value.code == 2
+    assert "corner lower_left is the sink" in capsys.readouterr().err
 
 
 def test_cli_identity_and_tile_identity_agree(capsys):
