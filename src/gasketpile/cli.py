@@ -110,12 +110,13 @@ def check_draws(parser, draws, trajectories):
 
 def cmd_gasket(parser, args) -> int:
     graph = _graph_arg(args)
-    data = graph_to_json(graph)
+    # A gasket edge counts twice in the degrees, a sink edge once.
+    edges = (sum(graph.degrees) - graph.sink_degree) // 2
     human = [
         f"level {graph.level} boundary {graph.boundary.token()}",
-        f"vertices {graph.n_vertices} gasket-edges {len(graph.edges)} sink-degree {graph.sink_degree}",
+        f"vertices {graph.n_vertices} gasket-edges {edges} sink-degree {graph.sink_degree}",
     ]
-    _print(data, args.json, human)
+    _print(graph_to_json(graph) if args.json else None, args.json, human)
     return 0
 
 

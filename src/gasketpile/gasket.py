@@ -294,23 +294,20 @@ def assemble_from_copies(level: int, parts: dict[str, Sequence[int]]) -> list[in
     return out.tolist()
 
 
-@lru_cache(maxsize=256)
 def tile_chips(level: int, x: int, y: int, z: int) -> tuple[int, ...]:
     """Chips of the (x, y, z) tile on the bare level-`level` gasket, corner
-    values x (lower left), y (lower right), z (top).  Level 0 is just the
-    corners; level n glues the (x,3,3), (3,y,2) and (3,2,z) tiles of level
-    n-1.  Memoized: the corner arguments of the sub-tiles take few distinct
-    values (one tile has at most 7 distinct sub-tiles per level), so each is
-    built once.  The cache is bounded because callers choose the corner
-    values."""
-    if level == 0:
-        return (x, y, z)  # the canonical order of the level-0 corners
-    parts = {
-        LOWER_LEFT: tile_chips(level - 1, x, 3, 3),
-        LOWER_RIGHT: tile_chips(level - 1, 3, y, 2),
-        TOP: tile_chips(level - 1, 3, 2, z),
-    }
-    return tuple(assemble_from_copies(level, parts))
+    values x (lower left), y (lower right), z (top), as Python ints.  The
+    paper glues the (x,3,3), (3,y,2) and (3,2,z) tiles of level n-1 into
+    level n, level 0 being the corners.  The copies agree at the junctions,
+    3 at the bottom and left ones and 2 at the right one, so by induction
+    every cell holds 3 on its bottom and left midpoints and 2 on its right
+    one, and only the corners carry the arguments."""
+    mids, _, big = cell_index(build_gasket(level))
+    chips = np.full(gasket_size(level), 3, dtype=object)
+    for cells in mids:
+        chips[cells[:, 2]] = 2
+    chips[list(big)] = x, y, z
+    return tuple(chips.tolist())
 
 
 def rotate_chips(graph: GasketGraph, chips: Sequence[int], direction: str = "ccw") -> tuple[int, ...]:

@@ -145,7 +145,7 @@ class ChiDecayEstimate:
             "t": self.t,
             "trials": self.trials,
             "mean": self.mean,
-            "stderr": self.stderr,
+            "stderr": self.stderr if math.isfinite(self.stderr) else None,  # JSON has no inf
             "expected": self.expected,
         }
 

@@ -29,17 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gasket import (
-    LOWER_RIGHT,
-    TOP,
-    GasketGraph,
-    build_gasket,
-    gasket_size,
-    glue_with_rotations,
-    parse_boundary,
-    rotate_chips,
-    tile_chips,
-)
+from .gasket import CORNER_NAMES, GasketGraph, build_gasket, cell_index, gasket_size, parse_boundary
 from . import group
 
 
@@ -262,29 +252,33 @@ def is_recurrent_burning(conf: Configuration) -> bool:
     return burning_odometer(conf)[0]
 
 
-# The rotation that carries the lower-left corner of a tile onto a sunk
-# corner: rotation_ccw cycles lower-left -> lower-right -> top.
-_SINK_TURN = {LOWER_RIGHT: "ccw", TOP: "cw"}
-
-
 def identity_candidate(graph: GasketGraph) -> tuple[int, ...]:
-    """The identity as the paper's tiles give it, by index geometry alone.
-
-    Normal boundary: the level-(n-1) (2,2,2) tile glued with its
-    counterclockwise and clockwise rotations, and at level 0 the (2,2,2)
-    tile itself.  Corner sink: the level-n (1,1,1) tile, turned so that its
-    lower-left corner sits on the sink, restricted to the other vertices."""
-    level, boundary = graph.level, graph.boundary
-    if boundary.kind == "normal":
-        if level == 0:
-            return tile_chips(0, 2, 2, 2)
-        return tuple(glue_with_rotations(level, tile_chips(level - 1, 2, 2, 2)))
-    full = build_gasket(level)
-    chips = tile_chips(level, 1, 1, 1)
-    if boundary.corner in _SINK_TURN:
-        chips = rotate_chips(full, chips, _SINK_TURN[boundary.corner])
-    sunk = full.corner_index(boundary.corner)  # the canonical order less the sink
-    return chips[:sunk] + chips[sunk + 1 :]
+    """The identity by the paper's characterization, one scatter over the
+    cells of `cell_index`: 3 chips everywhere, except that
+    - with a corner sink, every cell holds 2 on its midpoint opposite the
+      sink and the two other corners hold 1 (the level-n (1,1,1) tile
+      turned so that its lower-left corner sits on the sink);
+    - on the normal boundary, a cell below the top one lies in the copy at
+      some corner c and holds 2 opposite c, and the top cell's midpoints
+      and the corners hold 2 (the level-(n-1) (2,2,2) tile glued with its
+      two rotations; level 0 is all 2)."""
+    mids, _, big = cell_index(graph)
+    chips = np.full(graph.n_vertices + 1, 3)  # slot n takes a sunk corner
+    # Midpoint column 2 - c lies opposite corner c of CORNER_NAMES, and a
+    # level's cells are the lower-left, lower-right and top copy's, a third each.
+    if graph.boundary.kind == "corner_sink":
+        sink = CORNER_NAMES.index(graph.boundary.corner)
+        for cells in mids:
+            chips[cells[:, 2 - sink]] = 2
+        chips[list(big)] = 1
+    else:
+        for cells in mids[:-1]:
+            copy = np.arange(len(cells)) * 3 // len(cells)
+            chips[cells[np.arange(len(cells)), 2 - copy]] = 2
+        if mids:
+            chips[mids[-1]] = 2
+        chips[list(big)] = 2
+    return tuple(chips[:-1].tolist())
 
 
 def _certified_identity(graph: GasketGraph, chips) -> Configuration:
@@ -311,12 +305,13 @@ def identity(graph: GasketGraph) -> Configuration:
     """The neutral element of the sandpile group on recurrent configurations:
     the recurrent configuration in the lattice's own class.
 
-    It is built from the self-similar tiles (`identity_candidate`) and
-    returned only once certified: stable, recurrent by the burning test and
-    in the lattice, which makes it the one recurrent configuration of the
-    zero class.  A candidate that fails raises ArithmeticError.  The
-    stabilizing construction `recurrent_rep(graph, [0] * n)` gives the same
-    configuration and serves as the reference."""
+    It is written down from the paper's characterization
+    (`identity_candidate`) and returned only once certified: stable,
+    recurrent by the burning test and in the lattice, which makes it the one
+    recurrent configuration of the zero class.  A candidate that fails
+    raises ArithmeticError.  The glued tiles (`selfsim.identity_from_tiles`)
+    and the stabilizing `recurrent_rep(graph, [0] * n)` give the same
+    configuration and serve as the references."""
     return _certified_identity(graph, identity_candidate(graph))
 
 
@@ -332,7 +327,7 @@ def recurrent_rep(graph: GasketGraph, entries) -> Configuration:
     every chip count is at least 2m_v - #neighbors(v) + 1 >= m_v, and a
     configuration >= m stabilizes to the recurrent one in its class.
     With a zero vector this is the identity by stabilization, the reference
-    for the tile construction in `identity`.
+    for the characterization in `identity`.
     """
     x = [operator.index(v) for v in entries]
     if len(x) != graph.n_vertices:

@@ -3,14 +3,15 @@
 The central object is a family of configurations parameterized by the three
 corner values: at level 0 a member is just its corner values, and at level
 n+1 it is assembled from three level-n members whose corner arguments agree
-across the junctions (`gasket.tile_chips`; the recursion puts 3 chips on the
-bottom and left midpoints of level 1 and 2 on the right one).  Doubling such
-a configuration and stabilizing it with one corner as the sink reproduces
-the family with a shifted corner argument, the sunk corner collecting the
-chips that leave; gluing the all-2-corner member with its two rotations
-yields the group identity, which `sandpile.identity` builds this way.  No
-check here stabilizes: the doubling identity, corner transport and junction
-invariance are each decided by the burning test and lattice membership.
+across the junctions; so every cell holds 3 chips on its bottom and left
+midpoints and 2 on its right one, the closed form `gasket.tile_chips`
+writes.  Doubling such a configuration and stabilizing it with one corner
+as the sink reproduces the family with a shifted corner argument, the sunk
+corner collecting the chips that leave; gluing the all-2-corner member with
+its two rotations yields the group identity (`identity_from_tiles`), which
+`sandpile.identity` writes down cell by cell instead.  No check here
+stabilizes: the doubling identity, corner transport and junction invariance
+are each decided by the burning test and lattice membership.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .gasket import (
     rotate_chips,
     tile_chips,
 )
-from .sandpile import Configuration, config, identity_candidate, is_recurrent_burning
+from .sandpile import Configuration, config, is_recurrent_burning
 from . import group
 
 def build_tile(level: int, x: int, y: int, z: int) -> Configuration:
@@ -60,14 +61,13 @@ def _glue_with_rotations(conf: Configuration) -> Configuration:
 
 
 def identity_from_tiles(level: int) -> Configuration:
-    """The sandpile identity assembled without any toppling: the level-(n-1)
-    all-2-corner tile glued with its two rotations, for level >= 1.  It is
-    the candidate that `sandpile.identity` certifies; this function does not
-    certify it."""
+    """The sandpile identity assembled without any toppling, as the paper
+    does: the level-(n-1) all-2-corner tile glued with its two rotations,
+    for level >= 1.  `sandpile.identity` builds it cell by cell and
+    certifies it; this function does not certify it."""
     if level < 1:
         raise ValueError("the tile construction of the identity needs level >= 1")
-    graph = build_gasket(level)
-    return Configuration(graph, identity_candidate(graph))
+    return config(build_gasket(level), glue_with_rotations(level, tile_chips(level - 1, 2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,15 @@ def test_cli_gasket_human(capsys):
     assert "vertices 3 gasket-edges 3 sink-degree 6" in out
 
 
+@pytest.mark.parametrize("level", range(7))
+@pytest.mark.parametrize("boundary", ["normal", *(f"corner_sink:{name}" for name in CORNER_NAMES)])
+def test_cli_gasket_counts_the_edges_from_the_degrees(capsys, level, boundary):
+    code, out = run_cli(capsys, "gasket", "--level", str(level), "--boundary", boundary)
+    assert code == 0
+    graph = build_gasket(level, gasket.parse_boundary(boundary))
+    assert f"gasket-edges {len(graph.edges)} sink-degree" in out
+
+
 def test_cli_sandpile_stabilize_from_file(tmp_path, capsys):
     path = tmp_path / "conf.txt"
     path.write_text("0 normal 4 0 0\n")
@@ -405,6 +414,19 @@ def test_cli_markov_report(capsys):
     assert doc["upper_bound_t"] == 125
     assert doc["lower_bound_t"] == 0
     assert doc["group_order"] == "25613280"
+
+
+def test_cli_markov_report_with_one_trial_prints_strict_json(capsys):
+    # One trial has no standard error: the library keeps inf, the document
+    # writes null, since strict parsers refuse the Infinity token.
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    code, out = run_cli(capsys, "markov", "report", "--level", "2", "--trials", "1", "--json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=refuse)
+    assert [e["stderr"] for e in doc["chi_decay"]] == [None] * len(doc["chi_decay"])
+    assert markov.estimate_chi_decay(2, 1, 1).stderr == math.inf
 
 
 def test_cli_markov_report_prints_the_full_order_at_level_8(capsys):

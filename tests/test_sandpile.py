@@ -390,6 +390,23 @@ def corner_sink_candidate(level, sink, turn):
     return graph, [chips[full.index(c)] for c in graph.coords]
 
 
+@pytest.mark.parametrize("level", range(9))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_the_characterization_equals_the_tile_construction(level, boundary):
+    """The cell-by-cell candidate against the paper's tiles: glued with their
+    rotations on the normal boundary (level 0 is the (2,2,2) tile itself),
+    turned onto the sink otherwise."""
+    graph = build_gasket(level, boundary)
+    if boundary.kind == "corner_sink":
+        turn = {LOWER_LEFT: None, LOWER_RIGHT: "ccw", TOP: "cw"}[boundary.corner]
+        expected = corner_sink_candidate(level, boundary.corner, turn)[1]
+    elif level == 0:
+        expected = gasket.tile_chips(0, 2, 2, 2)
+    else:
+        expected = gasket.glue_with_rotations(level, gasket.tile_chips(level - 1, 2, 2, 2))
+    assert sandpile.identity_candidate(graph) == tuple(expected)
+
+
 @pytest.mark.parametrize("level", [1, 3, 5])
 def test_the_tile_turned_onto_the_sink_is_certified(level):
     for sink, turn in ((LOWER_LEFT, None), (LOWER_RIGHT, "ccw"), (TOP, "cw")):
@@ -437,17 +454,19 @@ def test_anidentity_candidate_with_one_chip_moved_is_refused(level, boundary):
             sandpile._certified_identity(graph, moved)
 
 
-def test_a_corrupted_tile_makes_identity_raise(monkeypatch):
-    graph = build_gasket(3, corner_sink(TOP))
-    real = sandpile.tile_chips
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_a_corrupted_cell_layout_makes_identity_raise(monkeypatch, boundary):
+    # Every cell's midpoint columns turned by one: (bottom, left, right)
+    # read as (left, right, bottom), so each 2 lands on a wrong midpoint.
+    real = sandpile.cell_index
 
-    def corrupted(level, x, y, z):
-        chips = list(real(level, x, y, z))
-        chips[5] += 1
-        return tuple(chips)
+    def corrupted(graph):
+        mids, corners, big = real(graph)
+        return tuple(np.roll(cells, -1, axis=1) for cells in mids), corners, big
 
+    graph = build_gasket(3, boundary)
     sandpile.identity.cache_clear()
-    monkeypatch.setattr(sandpile, "tile_chips", corrupted)
+    monkeypatch.setattr(sandpile, "cell_index", corrupted)
     try:
         with pytest.raises(ArithmeticError):
             identity(graph)

@@ -82,7 +82,7 @@ def test_tile_recursion_assembles_from_three_children(level):
 
 
 def tile_chips_by_recursion(level, x, y, z):
-    """The tile recursion without memoization: every sub-tile is rebuilt."""
+    """The paper's tile recursion, the reference for the closed form."""
     if level == 1:
         values = {(0, 0): x, (2, 0): y, (0, 2): z, (1, 0): 3, (0, 1): 3, (1, 1): 2}
         return [values[c] for c in build_gasket(1).coords]
@@ -95,30 +95,27 @@ def tile_chips_by_recursion(level, x, y, z):
 
 
 @pytest.mark.parametrize("level", range(1, 9))
-def test_memoized_tiles_equal_the_plain_recursion(level):
-    for args in ((2, 1, 1), (2, 2, 2), (2 + 4 * 3**level, 1, 1), (7, 0, 5)):
-        assert build_tile(level, *args).chips == tuple(tile_chips_by_recursion(level, *args))
+def test_closed_form_tiles_equal_the_plain_recursion(level):
+    for args in ((2, 1, 1), (2, 2, 2), (2 + 4 * 3**level, 1, 1), (7, 0, 5), (2**70, 3, 2**70 + 1)):
+        chips = gasket.tile_chips(level, *args)
+        assert chips == tuple(tile_chips_by_recursion(level, *args))
+        assert all(type(c) is int for c in chips)
 
 
-def test_a_cold_tile_builds_each_distinct_sub_tile_once(monkeypatch):
-    """build_tile(6, 2, 1, 1) has 364 sub-tiles above level 0, but only 32
-    distinct (level, x, y, z): 1 at level 6, 3 at level 5 and 7 at each of
-    levels 4, 3, 2 and 1."""
-    gasket.tile_chips.cache_clear()
-    calls = []
-    real = gasket.assemble_from_copies
+def test_tiles_and_the_identity_candidate_neither_glue_nor_rotate(monkeypatch):
+    """Both are one scatter over `cell_index`: no copy is glued and no chip
+    vector is rotated, at any level."""
 
-    def counting(level, parts):
-        calls.append(level)
-        return real(level, parts)
+    def forbidden(*args):
+        raise AssertionError("glued or rotated")
 
-    monkeypatch.setattr(gasket, "assemble_from_copies", counting)
-    tile = build_tile(6, 2, 1, 1)
-    assert len(calls) == 32
-    assert [calls.count(level) for level in range(1, 7)] == [7, 7, 7, 7, 3, 1]
-    assert build_tile(6, 2, 1, 1) == tile
-    assert len(calls) == 32
-    assert isinstance(gasket.tile_chips(6, 2, 1, 1), tuple)
+    for name in ("assemble_from_copies", "rotate_chips", "rotation_ccw", "rotation_cw"):
+        monkeypatch.setattr(gasket, name, forbidden)
+    # Corner values no other test uses, so no cache can answer for them.
+    assert gasket.tile_chips(6, 11, 12, 13)[:3] == (11, 3, 3)
+    for boundary in (gasket.NORMAL, *(corner_sink(name) for name in CORNER_NAMES)):
+        for level in (0, 1, 4):
+            assert set(sandpile.identity_candidate(build_gasket(level, boundary))) <= {1, 2, 3}
 
 
 def test_tile_rejects_bad_arguments():
