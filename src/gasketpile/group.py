@@ -6,9 +6,12 @@ reduced Laplacian Delta; its order equals det(Delta).  One object holds it:
 eliminates Delta over the rationals one gasket level at a time, finest
 first (nested dissection).  Every cell of a level has the same exact 3 x 3
 midpoint block, inverted once, so a level is one block and the two index
-arrays of `gasket.cell_index`, and the same pass stores the solve plan and
-the order's prime factorization, read off the block determinants
-(`_prime_powers`); the order itself is multiplied out on first use only.
+arrays of `gasket.cell_index`.  The blocks come from the unit triangle by
+one corner-update recursion and the diagonal from the degrees: the factor
+reads nothing else of the graph, and every solve is checked against it.
+The same pass stores the solve plan and the order's prime factorization,
+read off the block determinants (`_prime_powers`); the order itself is
+multiplied out on first use only.
 One substitution sweep over the plan serves both solves of Delta y = x.
 On object integers it is the exact O(n) `LatticeData.solve`, which gives
 element orders, the reduction modulo the lattice and the toppling head
@@ -505,35 +508,14 @@ def _inverse(matrix: Exact) -> tuple[Exact, Fraction]:
     return _lowest(inverse, det), Fraction(det, den**size)
 
 
-def _level0_rows(graph: GasketGraph, mids: np.ndarray, corners: np.ndarray) -> tuple[Exact, Exact]:
-    """The off-diagonal Laplacian entries of the finest cells' midpoints,
-    among themselves and to their corners, read from the graph.  Every cell
-    must have the same ones (entries to a sunk corner are skipped), and no
-    midpoint may have a neighbour outside its cell; else ArithmeticError."""
-    n = graph.n_vertices
-    table = graph.table
-    targets = np.concatenate([mids, corners], axis=1)
-    real = targets != n
-    rows = []
-    for i in range(3):
-        nbrs = table[:, mids[:, i]]
-        counts = sum(slot[:, None] == targets for slot in nbrs) * real
-        if (counts.sum(axis=1) != (nbrs != n).sum(axis=0)).any():
-            raise ArithmeticError("a midpoint has a neighbour outside its cell")
-        first = counts[real.argmax(axis=0), range(6)]
-        if ((counts != first) & real).any():
-            raise ArithmeticError("the finest cells differ in their Laplacian rows")
-        rows.append([-int(v) for v in first])
-    rows = np.array(rows, dtype=object)
-    return (rows[:, :3], 1), (rows[:, 3:], 1)
-
-
 def _coarse_rows(update: Exact) -> tuple[Exact, Exact]:
     """The off-diagonal entries of a cell's midpoint rows one level up, from
     the corner update B^T M^-1 B of the level below, which links the corners
-    of each finer cell.  The finer cells of a cell are its lower-left one,
-    with corners (X, P, Q), its lower-right one (P, Y, R) and its top one
-    (Q, R, Z), for midpoints P, Q, R and corners X, Y, Z."""
+    of each finer cell; the recursion starts from the unit triangle, whose
+    update is all ones (its corners joined with conductance 1).  The finer
+    cells of a cell are its lower-left one, with corners (X, P, Q), its
+    lower-right one (P, Y, R) and its top one (Q, R, Z), for midpoints P, Q,
+    R and corners X, Y, Z.  The rows are symmetric by construction."""
     num, den = update
     u01, u02, u12 = -num[0, 1], -num[0, 2], -num[1, 2]
     among = np.array([[0, u12, u02], [u12, 0, u01], [u02, u01, 0]], dtype=object)
@@ -558,11 +540,12 @@ class LatticeData:
     `position` is its inverse.  Level k holds the 3**(n-1-k) cells of side
     2**(k+1), and once the finer levels are eliminated every cell's midpoint
     rows are the same exact 3 x 3 blocks: M among its midpoints and B to its
-    corners.  Per level the solve plan holds `corner_positions`, the C x 3
-    positions of the cells' corners (lower left, lower right, top; a sunk
-    corner is the padding slot), `inverse` = M^-1 and `reach` = M^-1 B; M is
-    symmetric, so forward substitution reads `reach` and back substitution
-    its transpose.  `top_inverse` inverts the dense block of the big
+    corners, built from the unit triangle by `_coarse_rows`.  Per level the
+    solve plan holds `corner_positions`, the C x 3 positions of the cells'
+    corners (lower left, lower right, top; a sunk corner is the padding
+    slot), `inverse` = M^-1 and `reach` = M^-1 B; M is symmetric, so
+    forward substitution reads `reach` and back substitution its
+    transpose.  `top_inverse` inverts the dense block of the big
     corners.  `powers` is the group order det(Delta) as {p: v_p(order)}: the
     product of each level's det(M) to the power of its cell count and the
     top block's determinant, factored by `_prime_powers`.  `order` is that
@@ -705,15 +688,18 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
     so eliminating every finest cell's three midpoints at once is the
     Delta-Y step behind the tau recursion: the corners are left joined by
     conductance 3/5 of the old one, and the Schur complement is again a
-    gasket one level down.  The blocks are computed, not typed in: level 0
-    reads the graph's Laplacian rows, each coarser level takes its links
-    from the corner update B^T M^-1 B of the level below and its diagonal
-    from the degrees minus every update so far, and every cell of a level
-    must have the same diagonal, or ArithmeticError is raised.  On the
-    gasket, M is (3/5)**k [[4, -1, -1], [-1, 4, -1], [-1, -1, 4]] at level
-    k on every boundary.  Each block is inverted once.  The determinant must
-    be a positive integer with the primes of `_prime_powers`, or
-    ArithmeticError is raised."""
+    gasket one level down.  The blocks are computed, not typed in: each
+    level takes its links from the corner update B^T M^-1 B of the level
+    below, starting from the unit triangle (its corners joined with
+    conductance 1), and its diagonal from the degrees minus every update
+    so far; every cell of a level must have the same diagonal, or
+    ArithmeticError is raised.  The top block is the last update on the
+    live corners.  So the factor reads only the cell layout and the
+    degrees; the edges are read by the exact check of every solve and the
+    order check of the Smith data.  On the gasket, M is (3/5)**k [[4, -1,
+    -1], [-1, 4, -1], [-1, -1, 4]] at level k on every boundary.  Each
+    block is inverted once.  The determinant must be a positive integer
+    with the primes of `_prime_powers`, or ArithmeticError is raised."""
     n, level = graph.n_vertices, graph.level
     mids, corners, big = cell_index(graph)
     top = [v for v in big if v != n]
@@ -729,17 +715,15 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
     diag = np.array([*graph.degrees, 0], dtype=object)[elimination]
     scale, start = 1, 0
     corner_positions, inverse, reach, dets = [], [], [], []
+    update = (np.ones((3, 3), dtype=object), 1)  # the unit triangle
     for k in range(level):
         count = len(mids[k])
         end = start + 3 * count
         cells = diag[start:end].reshape(count, 3)
         if (cells != cells[0]).any():
             raise ArithmeticError(f"the level-{k} cells differ on the diagonal")
-        among, coupling = _level0_rows(graph, mids[0], corners[0]) if k == 0 else _coarse_rows(update)
-        block = _with_diagonal(among, cells[0], scale)
-        if (block[0] != block[0].T).any():
-            raise ArithmeticError(f"the level-{k} block is not symmetric")
-        inv, det = _inverse(block)
+        among, coupling = _coarse_rows(update)
+        inv, det = _inverse(_with_diagonal(among, cells[0], scale))
         solved = _times(inv, coupling)
         update = _times(_transpose(coupling), solved)
         new = math.lcm(scale, update[1])
@@ -754,11 +738,8 @@ def lattice_data(graph: GasketGraph) -> LatticeData:
         reach.append(solved)
         dets.append((det, count))
         start = end
-    if level:
-        slots = [j for j, v in enumerate(big) if v != n]
-        links = (-update[0][np.ix_(slots, slots)], update[1])
-    else:
-        links = (np.array([[-int((graph.table[:, u] == v).sum()) for v in top] for u in top], dtype=object), 1)
+    slots = [j for j, v in enumerate(big) if v != n]
+    links = (-update[0][np.ix_(slots, slots)], update[1])
     top_inverse, det = _inverse(_with_diagonal(links, diag[start:n], scale))
     dets.append((det, 1))
     return LatticeData(
