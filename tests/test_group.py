@@ -835,10 +835,11 @@ def test_factor_refuses_cells_that_differ():
         # Laplacian (as `laplacian_product` applies it) iff adj @ x = 0
         # modulo its determinant.
         columns = [laplacian_product(bad, group.delta_vector(bad, j)).tolist() for j in range(n)]
-        adj, det = group.scaled_inverse([list(row) for row in zip(*columns)])
+        laplacian = [list(row) for row in zip(*columns)]
+        adj, det = group.scaled_inverse(laplacian)
         vectors = [columns[5], [1] * n, group.delta_vector(bad, mid)]
         vectors += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(5)]
-        vectors += [mat_vec(list(zip(*columns)), [rng.randint(-2, 2) for _ in range(n)]) for _ in range(3)]
+        vectors += [mat_vec(laplacian, [rng.randint(-2, 2) for _ in range(n)]) for _ in range(3)]
         for x in vectors:
             try:
                 answer = group.in_lattice(bad, x)
