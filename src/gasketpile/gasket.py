@@ -6,13 +6,13 @@ level k+1 is the union of three level-k copies translated by (0,0), (2**k, 0)
 and (0, 2**k), glued at the three junction vertices.  The canonical vertex
 order everywhere in this package is lexicographic ascending in (b, a).
 
-The arrays are the graph: a `GasketGraph` holds the coordinates, a grid
-from coordinate to index and the 4 x n neighbour table, and every map
-between coordinates and indices (the rotations, the sub-copy embeddings,
-the gluing of chip vectors, the cells) is a gather or scatter on the grid.
-The tuples of Python ints (`coords`, `neighbors`, `edges`) are views, built
-on first use.  Also shared with the rest of the package: `cell_index`, the
-cells of every level as index arrays (the layout of the Laplacian
+The arrays are the graph: a `GasketGraph` holds the coordinates and the
+4 x n neighbour table.  The order ascends in the key b * (2**n + 1) + a, so
+every map from coordinates to indices (the rotations, the sub-copy
+embeddings, the cells) is one `searchsorted` on the sorted keys.  The keys
+and the tuples of Python ints (`coords`, `neighbors`, `edges`) are views,
+built on first use.  Also shared with the rest of the package: `cell_index`,
+the cells of every level as index arrays (the layout of the Laplacian
 factorization and of the level-1 cell characters), `laplacian_product`, the
 one exact Delta @ v (in int64 for an int64 array), the chip vectors of the
 corner-parameterized tiles (`tile_chips`) and `reduced_laplacian`, the
@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -103,9 +104,9 @@ class GasketGraph:
     """A gasket of some level plus its sink wiring.
 
     `points` holds the non-sink vertices' coordinates (n x 2) in canonical
-    order; `grid[a, b]` is the index of the vertex at (a, b), or n where
-    there is none or it is the sink; `table[k, v]` is the k-th neighbour of
-    v in ascending order, or n, a padding slot.  `beta[i]` counts edges from
+    order, so their keys b * (2**n + 1) + a ascend and a coordinate is
+    looked up by its key; `table[k, v]` is the k-th neighbour of v in
+    ascending order, or n, a padding slot.  `beta[i]` counts edges from
     vertex i to the sink and `degrees[i]` is the full degree including sink
     edges.
     """
@@ -113,7 +114,6 @@ class GasketGraph:
     level: int
     boundary: Boundary
     points: np.ndarray = field(repr=False)
-    grid: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
     beta: tuple[int, ...] = field(repr=False)
     degrees: tuple[int, ...] = field(repr=False)
@@ -121,6 +121,10 @@ class GasketGraph:
     @property
     def n_vertices(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _key(self.level, *self.points.T)
 
     @cached_property
     def coords(self) -> tuple[tuple[int, int], ...]:
@@ -139,19 +143,20 @@ class GasketGraph:
         return tuple(zip(*_edge_pairs(self.table).T.tolist()))
 
     def index(self, coord: tuple[int, int]) -> int:
-        if coord not in self:
+        if (i := self._find(coord)) == self.n_vertices:
             raise KeyError(coord)
-        return int(self.grid[tuple(coord)])
+        return i
 
     def __contains__(self, coord: tuple[int, int]) -> bool:
-        a, b = coord
-        side = 1 << self.level
-        return 0 <= a <= side and 0 <= b <= side and self.grid[a, b] != self.n_vertices
+        return self._find(coord) != self.n_vertices
+
+    def _find(self, coord: tuple[int, int]) -> int:
+        inside = 0 <= min(coord) and max(coord) <= 1 << self.level
+        return int(_lookup(self._keys, _key(self.level, *coord))) if inside else self.n_vertices
 
     def corner_index(self, name: str) -> int | None:
         """Canonical index of a corner, or None when that corner is the sink."""
-        coord = corner_coords(self.level)[name]
-        return self.index(coord) if coord in self else None
+        return None if name == self.boundary.corner else self.index(corner_coords(self.level)[name])
 
     def junction_index(self, side: str) -> int:
         return self.index(junction_coords(self.level)[side])
@@ -174,6 +179,17 @@ def build_gasket(level: int, boundary: Boundary = NORMAL) -> GasketGraph:
     return _build_gasket(level, boundary)
 
 
+def _key(level: int, a, b):
+    """The ascending sort key of (a, b); (2**n + 1, 0) aliases (0, 1), so check the range."""
+    return b * ((1 << level) + 1) + a
+
+
+def _lookup(keys: np.ndarray, wanted) -> np.ndarray:
+    """Index of each wanted key in the ascending `keys`; n = len(keys) where it is absent."""
+    at = keys.searchsorted(wanted)
+    return np.where(keys.take(at, mode="clip") == wanted, at, len(keys))
+
+
 def _edge_pairs(table: np.ndarray) -> np.ndarray:
     """Edges (i, j), i < j, in ascending order as an m x 2 array: each
     vertex's neighbour table entries above it, vertex by vertex."""
@@ -192,11 +208,8 @@ def _build_gasket(level: int, boundary: Boundary) -> GasketGraph:
         # sink edge, and every index above s drops by one, the padding slot
         # included, which then sorts last in each table column.
         full = build_gasket(level)
-        corner = corner_coords(level)[boundary.corner]
-        s, n = full.grid[corner], full.n_vertices - 1
+        s, n = full.index(corner_coords(level)[boundary.corner]), full.n_vertices - 1
         points = np.delete(full.points, s, axis=0)
-        grid = full.grid - (full.grid > s)
-        grid[corner] = n
         table = np.delete(full.table, s, axis=1)
         beta = (table == s).sum(axis=0)
         table = np.sort(np.where(table == s, n, table - (table > s)), axis=0)
@@ -211,14 +224,12 @@ def _build_gasket(level: int, boundary: Boundary) -> GasketGraph:
             child = build_gasket(level - 1)
             shifts = np.array([COPY_OFFSETS[name] for name in (LOWER_LEFT, LOWER_RIGHT, TOP)]) * (side // 2)
             copies = (child.points + shifts[:, None]).reshape(-1, 2)
-            keys, where = np.unique(copies[:, 1] * (side + 1) + copies[:, 0], return_inverse=True)
+            keys, where = np.unique(_key(level, copies[:, 0], copies[:, 1]), return_inverse=True)
             points = np.stack([keys % (side + 1), keys // (side + 1)], axis=1)
             ends = where[_edge_pairs(child.table) + child.n_vertices * np.arange(3)[:, None, None]].reshape(-1, 2)
             keys = np.sort(ends[:, 0] * len(points) + ends[:, 1])
             edges = np.stack(np.divmod(keys, len(points)), axis=1)
         n = len(points)
-        grid = np.full((side + 1, side + 1), n, dtype=np.intp)
-        grid[points[:, 0], points[:, 1]] = np.arange(n)
         # Each edge in both directions, stably sorted by source: a vertex's
         # lower neighbours come first, each half ascending as the edges are,
         # and its k-th entry goes to slot k.
@@ -229,14 +240,12 @@ def _build_gasket(level: int, boundary: Boundary) -> GasketGraph:
         table = np.full((4, n), n, dtype=np.intp)
         table[np.arange(len(source)) - np.repeat(np.cumsum(count) - count, count), source] = target
         beta = np.zeros(n, dtype=np.intp)
-        beta[[grid[c] for c in corner_coords(level).values()]] = 2
-    for array in (points, grid, table):
-        array.flags.writeable = False
+        beta[_lookup(_key(level, *points.T), [_key(level, *c) for c in corner_coords(level).values()])] = 2
+    points.flags.writeable = table.flags.writeable = False
     return GasketGraph(
         level=level,
         boundary=boundary,
         points=points,
-        grid=grid,
         table=table,
         beta=tuple(beta.tolist()),
         degrees=tuple(((table != n).sum(axis=0) + beta).tolist()),
@@ -251,7 +260,7 @@ def rotation_ccw(graph: GasketGraph) -> tuple[int, ...]:
     if graph.boundary.kind != "normal":
         raise ValueError("rotation is an automorphism of the normal boundary only")
     a, b = graph.points.T
-    return tuple(graph.grid[(1 << graph.level) - a - b, a].tolist())
+    return tuple(_lookup(graph._keys, _key(graph.level, (1 << graph.level) - a - b, a)).tolist())
 
 
 def rotation_cw(graph: GasketGraph) -> tuple[int, ...]:
@@ -271,10 +280,9 @@ def subcopy_embedding(level: int, copy: str) -> tuple[int, ...]:
         raise ValueError("level must be >= 1")
     if copy not in COPY_OFFSETS:
         raise ValueError(f"copy must be one of {CORNER_NAMES}")
-    half = 1 << (level - 1)
-    da, db = COPY_OFFSETS[copy]
-    a, b = build_gasket(level - 1).points.T
-    return tuple(build_gasket(level).grid[a + da * half, b + db * half].tolist())
+    shift = np.array(COPY_OFFSETS[copy]) << (level - 1)
+    a, b = (build_gasket(level - 1).points + shift).T
+    return tuple(_lookup(build_gasket(level)._keys, _key(level, a, b)).tolist())
 
 
 def assemble_from_copies(level: int, parts: dict[str, Sequence[int]]) -> list[int]:
@@ -365,29 +373,31 @@ def cell_index(graph: GasketGraph) -> tuple[tuple[np.ndarray, ...], tuple[np.nda
     Cells are listed depth-first: each cell's lower-left, lower-right and
     top sub-cells follow one another, so level 0 lists the level-1 cells
     sub-gasket by sub-gasket, from the largest copies down."""
-    level, grid = graph.level, graph.grid
-    side = 1 << level
-    flat, row = grid.ravel(), side + 1  # (a, b) is flat[a * row + b]
-    origins = np.zeros(1, dtype=np.intp)  # the cells' lower-left corners
-    mids, corners = [], []
+    level, side = graph.level, 1 << graph.level
+    row = side + 1  # a + h is key + h, b + h is key + h * row
+    origins = np.zeros(1, dtype=np.intp)  # the cells' lower-left corners' keys
+    # A cell of side 2h in units of h: midpoints, corners, sub-cells' origins.
+    steps = np.array([[1, row, row + 1], [0, 2, 2 * row], [0, 1, row]])
+    levels = []
     for k in reversed(range(level)):
-        h = 1 << k
-        mids.append(flat[origins[:, None] + np.array([h * row, h, h * row + h])])
-        corners.append(flat[origins[:, None] + np.array([0, 2 * h * row, 2 * h])])
-        origins = (origins[:, None] + np.array([0, h * row, h])).ravel()
-    for cells in mids + corners:
-        cells.flags.writeable = False
-    big = (int(grid[0, 0]), int(grid[side, 0]), int(grid[0, side]))
-    return tuple(mids[::-1]), tuple(corners[::-1]), big
+        keys = origins[:, None, None] + (steps << k)
+        levels.insert(0, keys)
+        origins = keys[:, 2].ravel()
+    # One search for every level's keys, then each block a view of the result.
+    blocks = [keys[:, 0] for keys in levels] + [keys[:, 1] for keys in levels] + [np.array([[0, side, side * row]])]
+    found = _lookup(graph._keys, np.concatenate(blocks))
+    found.flags.writeable = False
+    cells = [found[end - len(block) : end] for block, end in zip(blocks, accumulate(map(len, blocks)))]
+    return tuple(cells[:level]), tuple(cells[level:-1]), tuple(found[-1].tolist())
 
 
 def reduced_laplacian(graph: GasketGraph) -> list[list[int]]:
     """Graph Laplacian of gasket + sink with the sink row and column deleted:
-    full degree on the diagonal, -1 per gasket edge off the diagonal."""
+    full degree on the diagonal, -1 per neighbour table slot off it."""
     n = graph.n_vertices
     mat = np.zeros((n, n + 1), dtype=np.int64)  # column n takes the padding
     mat[np.arange(n), np.arange(n)] = graph.degrees
-    mat[np.arange(n), graph.table] = -1
+    np.add.at(mat, (np.arange(n), graph.table), -1)
     return mat[:, :n].tolist()
 
 

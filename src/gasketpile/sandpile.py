@@ -70,9 +70,6 @@ class Configuration:
         chips[vertex] += count
         return Configuration(self.graph, tuple(chips))
 
-    def value_at(self, coord: tuple[int, int]) -> int:
-        return self.chips[self.graph.index(coord)]
-
 
 def config(graph: GasketGraph, entries) -> Configuration:
     """A configuration from integer entries (`operator.index`); a float or

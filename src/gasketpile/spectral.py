@@ -83,14 +83,6 @@ class HarmonicFunction:
         total = sum(q * e for q, e in zip(self.rotation, entries))
         return total % 1
 
-    def character_value(self, entries) -> complex:
-        rot = self.character_rotation(entries)
-        if rot == 0:
-            return 1.0
-        if 2 * rot == 1:
-            return -1.0
-        return cmath.exp(2j * math.pi * float(rot))
-
 
 def eigenvalue(h: HarmonicFunction):
     """Walk eigenvalue (1 + sum_v h(v)) / (n + 1).
@@ -230,22 +222,7 @@ def exact_distance(
     )
 
 
-@dataclass(frozen=True)
-class L2BoundCheck:
-    level: int
-    t_star: int
-    l2: float
-    passed: bool
-
-
 def t_star(n_vertices: int) -> int:
     """The spectral upper bound threshold ceil((5/4) (n+1) log(34 n)) for a
     graph with n non-sink vertices."""
     return math.ceil(1.25 * (n_vertices + 1) * math.log(34 * n_vertices))
-
-
-def l2_bound_check(graph: GasketGraph, cap: int = DEFAULT_CHARACTER_CAP) -> L2BoundCheck:
-    """Check l2 <= 1/4 at t* (`t_star`)."""
-    t = t_star(graph.n_vertices)
-    result = exact_distance(graph, t, cap=cap)
-    return L2BoundCheck(level=graph.level, t_star=t, l2=result.l2, passed=result.l2 <= 0.25)

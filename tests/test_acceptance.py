@@ -32,7 +32,7 @@ from gasketpile.spectral import (
     distinguishing_statistic,
     eigenvalue,
     exact_distance,
-    l2_bound_check,
+    t_star,
 )
 
 GROUP_ORDERS = {
@@ -226,11 +226,11 @@ def test_criterion_7_exact_distances():
                 for target in moves[i]:
                     fresh[target] += p / 4.0
         dist = fresh
-    check = l2_bound_check(graph)
-    assert check.t_star == 24
-    assert check.passed and check.l2 <= 0.25
+    assert t_star(graph.n_vertices) == 24
+    l2 = exact_distance(graph, t_star(graph.n_vertices)).l2
+    assert l2 <= 0.25
     print(f"criterion 7 PASS: character sum matches direct evolution within "
-          f"{worst:.2e} for t <= 20; l2 = {check.l2:.4f} <= 1/4 at t* = {check.t_star}")
+          f"{worst:.2e} for t <= 20; l2 = {l2:.4f} <= 1/4 at t* = 24")
 
 
 def test_criterion_8_monte_carlo():

@@ -340,18 +340,24 @@ def test_cell_index_lists_cells_depth_first(level, boundary):
 
 def reference_cell_index(graph):
     """`cell_index` by a stacked recursion on coordinates: every level reads
-    the cells' six vertices off the grid one (a, b) pair at a time and
-    splits each cell's lower-left corner into its three sub-cells'."""
-    level, grid = graph.level, graph.grid
+    the cells' six vertices off a {coord: index} dict of `graph.coords`, one
+    (a, b) pair at a time, n where there is none, and splits each cell's
+    lower-left corner into its three sub-cells'."""
+    level, n = graph.level, graph.n_vertices
+    where = {c: i for i, c in enumerate(graph.coords)}
+
+    def look(a, b):
+        return np.array([where.get(c, n) for c in zip(a.tolist(), b.tolist())], dtype=np.intp)
+
     side = 1 << level
     a = b = np.zeros(1, dtype=np.intp)
     mids, corners = [], []
     for k in reversed(range(level)):
         h = 1 << k
-        mids.append(np.stack([grid[a + h, b], grid[a, b + h], grid[a + h, b + h]], axis=1))
-        corners.append(np.stack([grid[a, b], grid[a + 2 * h, b], grid[a, b + 2 * h]], axis=1))
+        mids.append(np.stack([look(a + h, b), look(a, b + h), look(a + h, b + h)], axis=1))
+        corners.append(np.stack([look(a, b), look(a + 2 * h, b), look(a, b + 2 * h)], axis=1))
         a, b = np.stack([a, a + h, a], axis=1).ravel(), np.stack([b, b, b + h], axis=1).ravel()
-    big = (int(grid[0, 0]), int(grid[side, 0]), int(grid[0, side]))
+    big = tuple(where.get(c, n) for c in ((0, 0), (side, 0), (0, side)))
     return tuple(mids[::-1]), tuple(corners[::-1]), big
 
 
@@ -383,11 +389,24 @@ def test_build_equals_the_set_recursion(level, boundary):
     assert graph.degrees == degrees
     assert [graph.index(c) for c in coords] == list(range(len(coords)))
     side = 1 << level
-    outside = {(-1, 0), (0, -1), (side + 1, 0), (0, side + 1), (side, side), *corner_coords(level).values()}
+    # (side + 1, 0) and (-1, 1) share their keys with (0, 1) and (side, 0).
+    outside = {(-1, 0), (0, -1), (-1, 1), (side + 1, 0), (0, side + 1), (side, side), *corner_coords(level).values()}
     for c in outside - set(coords):
         assert c not in graph
         with pytest.raises(KeyError):
             graph.index(c)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+@pytest.mark.parametrize("level", range(11))
+def test_graph_holds_no_array_larger_than_its_table(level, boundary):
+    """The graph's arrays, fields and cached views alike, grow with its n
+    vertices, not with the (2**level + 1)**2 square of coordinates."""
+    graph = build_gasket(level, boundary)
+    graph.coords, graph.neighbors, graph.edges, graph.index(graph.coords[-1])
+    arrays = [v for v in vars(graph).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 3
+    assert max(array.size for array in arrays) <= 4 * graph.n_vertices
 
 
 # SHA-256 over json.dumps(graph_to_json(g)) for levels 0-9, each on the

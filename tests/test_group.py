@@ -798,6 +798,34 @@ def test_solve_rejects_a_corrupted_factor(monkeypatch):
         group.lattice_data.__wrapped__(data.graph)
 
 
+def miswired_graphs():
+    """Two level-3 gaskets wired otherwise than their cell layout.  In
+    `wired`, a midpoint's edge to a cell mate leads to another cell
+    instead.  In `lopsided`, in every finest cell, the bottom midpoint's
+    edge to the lower-left corner leads to the left midpoint instead, so
+    its table holds the left midpoint twice."""
+    graph = build_gasket(3)
+    mids, corners, _ = cell_index(graph)
+    a, mate, b = (int(v) for v in (mids[0][0, 0], mids[0][0, 1], mids[0][1, 0]))
+    table = graph.table.copy()
+    table[table[:, a] == mate, a] = b
+    wired = dataclasses.replace(graph, table=table)
+    table = graph.table.copy()
+    for (a, left, _), (corner, _, _) in zip(mids[0].tolist(), corners[0].tolist()):
+        table[table[:, a] == corner, a] = left
+    lopsided = dataclasses.replace(graph, table=table)
+    return {"wired": wired, "lopsided": lopsided}
+
+
+@pytest.mark.parametrize("name", ["wired", "lopsided"])
+def test_reduced_laplacian_columns_are_laplacian_products(name):
+    """Each table slot counts once in both, a repeated neighbour too."""
+    bad = miswired_graphs()[name]
+    dense = np.array(reduced_laplacian(bad))
+    for j in range(bad.n_vertices):
+        assert dense[:, j].tolist() == laplacian_product(bad, group.delta_vector(bad, j)).tolist()
+
+
 def test_factor_refuses_cells_that_differ():
     """Cells that differ on the diagonal are refused when the factor is
     built.  The off-diagonal blocks come from the unit triangle, not from
@@ -806,38 +834,25 @@ def test_factor_refuses_cells_that_differ():
     answers only what an integer certificate on that graph proves."""
     graph = build_gasket(3)
     n = graph.n_vertices
-    mids = cell_index(graph)[0][0]
-    mid = int(mids[0, 0])
+    mid = int(cell_index(graph)[0][0][0, 0])
     degrees = list(graph.degrees)
     degrees[mid] += 1
     heavier = dataclasses.replace(graph, degrees=tuple(degrees))
     with pytest.raises(ArithmeticError, match="differ on the diagonal"):
         group.lattice_data(heavier)
-    # A midpoint whose edge to a cell mate leads to another cell instead.
-    a, mate, b = (int(v) for v in (mids[0, 0], mids[0, 1], mids[1, 0]))
-    table = graph.table.copy()
-    table[table[:, a] == mate, a] = b
-    wired = dataclasses.replace(graph, table=table)
-    # In every finest cell, the bottom midpoint's edge to the lower-left
-    # corner leads to the left midpoint instead.
-    table = graph.table.copy()
-    for (a, left, _), (corner, _, _) in zip(mids.tolist(), cell_index(graph)[1][0].tolist()):
-        table[table[:, a] == corner, a] = left
-    lopsided = dataclasses.replace(graph, table=table)
     rng = random.Random(801)
-    for bad in (wired, lopsided):
+    for bad in miswired_graphs().values():
         data = group.lattice_data(bad)
         with pytest.raises(ArithmeticError, match="sparse solve fails"):
             data.solve([1] * n)
         with pytest.raises(ArithmeticError, match="disagree with the determinant"):
             data.invariants
         # The truth on that graph: x is in the column lattice of its
-        # Laplacian (as `laplacian_product` applies it) iff adj @ x = 0
-        # modulo its determinant.
-        columns = [laplacian_product(bad, group.delta_vector(bad, j)).tolist() for j in range(n)]
-        laplacian = [list(row) for row in zip(*columns)]
+        # Laplacian iff adj @ x = 0 modulo its determinant.
+        laplacian = reduced_laplacian(bad)
+        column = [row[5] for row in laplacian]
         adj, det = group.scaled_inverse(laplacian)
-        vectors = [columns[5], [1] * n, group.delta_vector(bad, mid)]
+        vectors = [column, [1] * n, group.delta_vector(bad, mid)]
         vectors += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(5)]
         vectors += [mat_vec(laplacian, [rng.randint(-2, 2) for _ in range(n)]) for _ in range(3)]
         for x in vectors:
@@ -846,7 +861,7 @@ def test_factor_refuses_cells_that_differ():
             except ArithmeticError:
                 continue
             assert answer == all(v % det == 0 for v in mat_vec(adj, x))
-        assert group.in_lattice(bad, columns[5])
+        assert group.in_lattice(bad, column)
 
 
 @pytest.mark.parametrize("level", range(6))

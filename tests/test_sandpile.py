@@ -170,7 +170,7 @@ def wide_inputs(graph, rng):
     yield [2 * (d - 1) for d in graph.degrees]
     if graph.boundary == corner_sink(LOWER_LEFT) and graph.level >= 1:
         doubled = build_tile(graph.level, 2, 1, 1).scale(2)
-        yield [doubled.value_at(c) for c in graph.coords]
+        yield [doubled.chips[doubled.graph.index(c)] for c in graph.coords]
     yield [rng.randrange(d, 3 * d) for d in graph.degrees]
 
 

@@ -259,7 +259,7 @@ def doubling_by_avalanche(level):
     graph = doubled.graph
     corner = graph.corner_index(LOWER_LEFT)
     sunk = build_gasket(level, corner_sink(LOWER_LEFT))
-    rest, _ = stabilize(config(sunk, [doubled.value_at(c) for c in sunk.coords]))
+    rest, _ = stabilize(config(sunk, [doubled.chips[graph.index(c)] for c in sunk.coords]))
     chips = [0] * graph.n_vertices
     for c, v in zip(sunk.coords, rest.chips):
         chips[graph.index(c)] = v

@@ -18,7 +18,7 @@ from gasketpile.spectral import (
     enumerate_characters,
     eigenvalue,
     exact_distance,
-    l2_bound_check,
+    t_star,
     walk_spectrum,
 )
 
@@ -37,7 +37,7 @@ def test_trivial_character():
     h = trivial_character(G1)
     assert h.is_trivial and h.is_real and h.is_harmonic()
     assert eigenvalue(h) == 1
-    assert h.character_value([3, 1, 4, 1, 5, 9]) == 1.0
+    assert h.character_rotation([3, 1, 4, 1, 5, 9]) == 0
 
 
 def test_rotation_vector_must_match_graph():
@@ -405,16 +405,13 @@ def test_exact_distance_decreases():
 
 
 def test_l2_bound_holds_at_the_prescribed_time():
-    for graph, t_star in ((G0, 24), (G1, 47)):
-        check = l2_bound_check(graph)
-        assert check.t_star == t_star
-        assert check.passed
-        assert check.l2 <= 0.25
+    for graph, t in ((G0, 24), (G1, 47)):
+        assert t_star(graph.n_vertices) == t
+        assert exact_distance(graph, t).l2 <= 0.25
 
 
 def test_character_values_lie_on_the_unit_circle():
     for c in enumerate_characters(G0)[:10]:
         for v in c.values():
             assert math.isclose(abs(v), 1.0, abs_tol=1e-12)
-        val = c.character_value([1, 2, 3])
-        assert math.isclose(abs(val), 1.0, abs_tol=1e-12)
+        assert 0 <= c.character_rotation([1, 2, 3]) < 1
