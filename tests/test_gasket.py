@@ -103,7 +103,7 @@ def test_vertex_counts(level, expected):
 @pytest.mark.parametrize("level", range(7))
 def test_edge_counts(level):
     graph = build_gasket(level)
-    assert len(graph.edges) == 3 ** (level + 1)
+    assert len(graph_to_json(graph)["edges"]) == 3 ** (level + 1)
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -131,15 +131,15 @@ def test_corner_and_junction_coords():
 
 
 def test_canonical_vertex_order_is_row_major():
-    graph = build_gasket(2)
-    assert graph.coords == tuple(sorted(graph.coords, key=lambda p: (p[1], p[0])))
-    assert graph.coords[0] == (0, 0)
-    assert graph.coords[-1] == (0, 4)
+    points = build_gasket(2).points.tolist()
+    assert points == sorted(points, key=lambda p: (p[1], p[0]))
+    assert points[0] == [0, 0]
+    assert points[-1] == [0, 4]
 
 
 def test_corner_sink_level1():
     graph = build_gasket(1, corner_sink(LOWER_LEFT))
-    assert graph.coords == ((1, 0), (2, 0), (0, 1), (1, 1), (0, 2))
+    assert graph.points.tolist() == [[1, 0], [2, 0], [0, 1], [1, 1], [0, 2]]
     assert graph.degrees == (4, 2, 4, 4, 2)
     assert graph.beta == (1, 0, 1, 0, 0)
     assert graph.sink_degree == 2
@@ -168,7 +168,7 @@ def test_rotation_is_an_order_three_graph_automorphism(level):
     for _ in range(3):
         triple = [perm[i] for i in triple]
     assert triple == list(range(n))
-    edges = {frozenset(e) for e in graph.edges}
+    edges = {frozenset(e) for e in graph_to_json(graph)["edges"]}
     assert {frozenset((perm[a], perm[b])) for a, b in edges} == edges
     # Corners cycle lower-left -> lower-right -> top.
     ll, lr, tp = (graph.corner_index(name) for name in CORNER_NAMES)
@@ -198,6 +198,7 @@ def test_subcopy_embeddings(level):
     parent = build_gasket(level)
     child_coords, child_edges = reference_cells(level - 1)
     child_index = {c: i for i, c in enumerate(child_coords)}
+    parent_edges = {frozenset(e) for e in graph_to_json(parent)["edges"]}
     seen = {}
     for name in CORNER_NAMES:
         emb = subcopy_embedding(level, name)
@@ -205,7 +206,7 @@ def test_subcopy_embeddings(level):
         assert len(set(emb)) == len(emb)
         for u, v in child_edges:
             i, j = emb[child_index[u]], emb[child_index[v]]
-            assert frozenset((i, j)) in {frozenset(e) for e in parent.edges}
+            assert frozenset((i, j)) in parent_edges
         for i, target in enumerate(emb):
             seen.setdefault(target, set()).add((name, i))
     # Every parent vertex is covered; exactly the three junctions twice.
@@ -241,8 +242,8 @@ def test_reduced_laplacian_row_sums_equal_sink_multiplicities(level):
         # other vertex degree 4.
         assert graph.sink_degree == 2
         corners = set(corner_coords(level).values())
-        for i, c in enumerate(graph.coords):
-            assert lap[i][i] == (2 if c in corners else 4)
+        for i, (a, b) in enumerate(graph.points.tolist()):
+            assert lap[i][i] == (2 if (a, b) in corners else 4)
 
 
 def test_graph_json_is_deterministic_and_faithful():
@@ -313,7 +314,7 @@ def test_cell_index_lists_cells_depth_first(level, boundary):
     assert len(mids) == len(corners) == level
 
     def coord(v):
-        return None if v == n else graph.coords[v]
+        return None if v == n else tuple(graph.points[v].tolist())
 
     side = 1 << level
     assert tuple(coord(v) for v in big) == tuple(
@@ -324,7 +325,7 @@ def test_cell_index_lists_cells_depth_first(level, boundary):
         assert mids[k].shape == corners[k].shape == (3 ** (level - 1 - k), 3)
         assert not mids[k].flags.writeable and not corners[k].flags.writeable
         for (p, q, r), (x, y, z) in zip(mids[k].tolist(), corners[k].tolist()):
-            a, b = graph.coords[p]
+            a, b = graph.points[p].tolist()
             a -= h
             assert (coord(x), coord(y), coord(z)) == tuple(
                 c if c in graph else None for c in ((a, b), (a + 2 * h, b), (a, b + 2 * h))
@@ -340,11 +341,11 @@ def test_cell_index_lists_cells_depth_first(level, boundary):
 
 def reference_cell_index(graph):
     """`cell_index` by a stacked recursion on coordinates: every level reads
-    the cells' six vertices off a {coord: index} dict of `graph.coords`, one
+    the cells' six vertices off a {coord: index} dict of `graph.points`, one
     (a, b) pair at a time, n where there is none, and splits each cell's
     lower-left corner into its three sub-cells'."""
     level, n = graph.level, graph.n_vertices
-    where = {c: i for i, c in enumerate(graph.coords)}
+    where = {c: i for i, c in enumerate(map(tuple, graph.points.tolist()))}
 
     def look(a, b):
         return np.array([where.get(c, n) for c in zip(a.tolist(), b.tolist())], dtype=np.intp)
@@ -382,8 +383,8 @@ def test_cell_index_equals_the_stacked_recursion(level, boundary):
 def test_build_equals_the_set_recursion(level, boundary):
     graph = build_gasket(level, boundary)
     coords, edges, neighbors, beta, degrees = reference_graph(level, boundary)
-    assert graph.coords == coords
-    assert graph.edges == edges
+    assert list(map(tuple, graph.points.tolist())) == list(coords)
+    assert graph_to_json(graph)["edges"] == list(map(list, edges))
     assert graph.neighbors == neighbors
     assert graph.beta == beta
     assert graph.degrees == degrees
@@ -403,7 +404,7 @@ def test_graph_holds_no_array_larger_than_its_table(level, boundary):
     """The graph's arrays, fields and cached views alike, grow with its n
     vertices, not with the (2**level + 1)**2 square of coordinates."""
     graph = build_gasket(level, boundary)
-    graph.coords, graph.neighbors, graph.edges, graph.index(graph.coords[-1])
+    graph.neighbors, (0, 1) in graph
     arrays = [v for v in vars(graph).values() if isinstance(v, np.ndarray)]
     assert len(arrays) >= 3
     assert max(array.size for array in arrays) <= 4 * graph.n_vertices
@@ -431,13 +432,12 @@ def python_ints(values):
 def test_views_hold_python_ints(boundary):
     """numpy integers would slow the toppling queue and change JSON."""
     graph = build_gasket(3, boundary)
-    assert python_ints(v for c in graph.coords for v in c)
-    assert python_ints(v for e in graph.edges for v in e)
+    assert python_ints(v for e in graph_to_json(graph)["edges"] for v in e)
     assert python_ints(v for nbrs in graph.neighbors for v in nbrs)
     assert python_ints(graph.beta) and python_ints(graph.degrees)
     assert python_ints(v for row in reduced_laplacian(graph) for v in row)
     assert python_ints(graph_to_json(graph)["vertices"][0])
-    assert python_ints([graph.index(graph.coords[-1])] + [v for v in map(graph.corner_index, CORNER_NAMES) if v is not None])
+    assert python_ints([graph.index((1, 1))] + [v for v in map(graph.corner_index, CORNER_NAMES) if v is not None])
     if boundary == NORMAL:
         assert python_ints(rotation_ccw(graph)) and python_ints(rotation_cw(graph))
         assert python_ints(rotate_chips(graph, [1] * graph.n_vertices, "cw"))

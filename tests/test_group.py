@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -546,7 +547,7 @@ def tuple_factor(graph):
     a gcd per entry.  Returns (sequence, pivots, below): the elimination
     order, the pivots and each step's column of L under its pivot."""
     infinite = graph.level + 1
-    sequence = sorted(range(graph.n_vertices), key=lambda v: min(v2(x, infinite) for x in graph.coords[v]))
+    sequence = sorted(range(graph.n_vertices), key=lambda v: min(v2(x, infinite) for x in graph.points[v].tolist()))
     rows = [dict.fromkeys(nbrs, (-1, 1)) for nbrs in graph.neighbors]
     diag = [(d, 1) for d in graph.degrees]
     pivots, below = [], []
@@ -640,7 +641,7 @@ def test_factor_eliminates_finest_cells_first_with_bounded_fill(level):
         n = graph.n_vertices
         data = group.lattice_data(graph)
         all_mids, all_corners, _ = cell_index(graph)
-        valuation = [min(v2(x, level + 1) for x in c) for c in graph.coords]
+        valuation = [min(v2(x, level + 1) for x in c) for c in graph.points.tolist()]
         assert len(all_mids) == len(all_corners) == len(data.inverse) == len(data.reach) == level
         start = 0
         for k, (mids, corners) in enumerate(zip(all_mids, all_corners)):
@@ -911,6 +912,34 @@ def test_each_block_is_inverted_once(monkeypatch, boundary):
     assert len(calls) == graph.level + 1
 
 
+def test_digits_equal_str_across_the_threshold():
+    """`digits` against `str` (the digit limit lifted) on 0, +-1 and 10**k - 1,
+    10**k, 10**k + 1 from below to far above `_STR_BITS`, and on random
+    integers up to 2**18 bits; then, under the least digit limit the
+    interpreter allows, on a 10**5-bit integer, which `str` refuses, and
+    on integers just above the threshold."""
+    before = sys.get_int_max_str_digits()
+    rng = random.Random(18)
+    values = [0, 1, -1, 2**group._STR_BITS - 1, 2**group._STR_BITS, 2**group._STR_BITS + 1]
+    for k in [*range(1, 30), *range(590, 620), 1000, 1234, 5000, 40000]:
+        values += [10**k - 1, 10**k, 10**k + 1, -(10**k) - 1]
+    values += [rng.choice((1, -1)) * rng.getrandbits(round(2 ** rng.uniform(1, 18))) for _ in range(12)]
+    values.append(rng.getrandbits(2**18) | 1 << (2**18 - 1))
+    try:
+        sys.set_int_max_str_digits(0)
+        for v in values:
+            assert group.digits(v) == str(v)
+        big = rng.getrandbits(10**5) | 1 << (10**5 - 1)
+        limited = [big, -big, 10**640, 2**group._STR_BITS + 1]
+        want = [str(v) for v in limited]
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValueError):
+            str(big)
+        assert [group.digits(v) for v in limited] == want
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_non_integral_entries_are_refused():
     graph = build_gasket(2)
     n = graph.n_vertices
@@ -928,8 +957,15 @@ def test_non_integral_entries_are_refused():
         group.smith_mod([[2.5]], 10)
     with pytest.raises(TypeError):
         group.smith_mod([[2]], 10.0)
+    with pytest.raises(TypeError):
+        group.determinant([[2.5]])
+    with pytest.raises(TypeError):
+        group.scaled_inverse([[2.5, 0], [0, 1.9]])
+    with pytest.raises(TypeError):
+        group.determinant([[Fraction(5, 2), 0], [0, 1]])
     # Integers of any kind pass, numpy's included, and mean the same.
     assert group.smith_mod([[np.int64(2)]], np.int64(10)).diag == [2]
+    assert group.determinant([[np.int64(2), 1], [1, 3]]) == 5
     x = [random.Random(1).randint(-9, 9) for _ in range(n)]
     as_numpy = list(np.array(x, dtype=np.int64))
     assert group.quotient_invariants(graph, [as_numpy]) == group.quotient_invariants(graph, [x])

@@ -9,7 +9,7 @@ from scipy.stats import chi2
 
 from gasketpile import group, markov, sandpile
 from gasketpile.gasket import CORNER_NAMES, LOWER_LEFT, NORMAL, build_gasket, cell_index, corner_sink, gasket_size
-from gasketpile.sandpile import identity, is_recurrent_burning, recurrent_rep, stabilize
+from gasketpile.sandpile import config, identity, is_recurrent_burning, recurrent_rep, stabilize
 from gasketpile.spectral import GroupTooLargeError, distinguishing_statistic
 
 G1 = build_gasket(1)
@@ -195,7 +195,9 @@ def replay_chain(graph, steps, seed, index):
     for _ in range(steps):
         v = rng.randrange(n + 1)
         if v < n:
-            conf, _ = stabilize(conf.add_chips(v))
+            chips = list(conf.chips)
+            chips[v] += 1
+            conf, _ = stabilize(config(graph, chips))
     return conf
 
 

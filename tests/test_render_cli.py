@@ -101,7 +101,7 @@ def loop_render_ppm(conf, scale):
     radius = max(1.0, scale * RADIUS_FRAC)
     r_int = math.ceil(radius)
     half_sqrt3 = math.sqrt(3) / 2
-    for (a, b), chips in zip(conf.graph.coords, conf.chips):
+    for (a, b), chips in zip(conf.graph.points.tolist(), conf.chips):
         color = bytes(color_for(chips))
         px = round((a + b / 2) * scale + MARGIN)
         py = height - 1 - (round(b * half_sqrt3 * scale) + MARGIN)
@@ -165,7 +165,7 @@ def test_cli_gasket_counts_the_edges_from_the_degrees(capsys, level, boundary):
     code, out = run_cli(capsys, "gasket", "--level", str(level), "--boundary", boundary)
     assert code == 0
     graph = build_gasket(level, gasket.parse_boundary(boundary))
-    assert f"gasket-edges {len(graph.edges)} sink-degree" in out
+    assert f"gasket-edges {len(gasket.graph_to_json(graph)['edges'])} sink-degree" in out
 
 
 def test_cli_sandpile_stabilize_from_file(tmp_path, capsys):
@@ -763,7 +763,7 @@ def test_cli_group_tau_prints_every_digit_at_level_8(capsys):
         assert int(text[-30:]) == tau_recursion(8) % 10**30
         assert main(["group", "tau", "--level", "8", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["spanning_trees"] == text
-        # The limit is lifted for the conversion only, not for the process.
+        # The conversion leaves the process's limit as it was.
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(before)

@@ -80,11 +80,11 @@ def test_max_config_is_stable():
     assert m.chips == (3, 3, 3)
     assert m.is_stable
     assert m.total == 9
-    assert not m.add_chips(0).is_stable
+    assert not config(G0, (4, 3, 3)).is_stable
 
 
 def test_large_pile_batches_down():
-    big = zero_config(G1).add_chips(0, 10_000)
+    big = config(G1, [10_000] + [0] * 5)
     result, odometer = stabilize(big)
     assert result.is_stable
     assert all(u >= 0 for u in odometer)
@@ -141,7 +141,10 @@ def test_kernel_matches_naive_toppling(level, boundary):
     n = graph.n_vertices
     rng = random.Random(f"{level}:{boundary}")
     for trial in range(8):
-        conf = random_config(graph, rng).add_chips(rng.randrange(n), rng.randrange(40))
+        chips = list(random_config(graph, rng).chips)
+        v, extra = rng.randrange(n), rng.randrange(40)
+        chips[v] += extra
+        conf = config(graph, chips)
         frozen = rng.sample(range(n), rng.randrange(1, min(n, 4))) if trial % 2 else ()
         want = naive_stabilize(graph, conf.chips, frozen)
         result, odometer = stabilize(conf, frozen=frozen)
@@ -170,7 +173,7 @@ def wide_inputs(graph, rng):
     yield [2 * (d - 1) for d in graph.degrees]
     if graph.boundary == corner_sink(LOWER_LEFT) and graph.level >= 1:
         doubled = build_tile(graph.level, 2, 1, 1).scale(2)
-        yield [doubled.chips[doubled.graph.index(c)] for c in graph.coords]
+        yield [doubled.chips[doubled.graph.index(c)] for c in graph.points.tolist()]
     yield [rng.randrange(d, 3 * d) for d in graph.degrees]
 
 
@@ -266,7 +269,7 @@ def test_rounds_phase_is_guarded_against_int64_overflow(rounds_calls, monkeypatc
     # A pile of 2**70 does not fit in int64 at all: the queue works in Python
     # ints until the sink has taken enough chips for the bound to hold.
     rounds_calls.clear()
-    pile = zero_config(G1).add_chips(0, 2**70)
+    pile = config(G1, [2**70] + [0] * 5)
     result, odometer = stabilize(pile)
     assert result.is_stable and max(odometer) >= 2**64
     assert all(total * 64 * 6**2 < 2**63 for total in rounds_calls)
@@ -387,7 +390,7 @@ def corner_sink_candidate(level, sink, turn):
     chips = gasket.tile_chips(level, 1, 1, 1)
     if turn:
         chips = gasket.rotate_chips(full, chips, turn)
-    return graph, [chips[full.index(c)] for c in graph.coords]
+    return graph, [chips[full.index(c)] for c in graph.points.tolist()]
 
 
 @pytest.mark.parametrize("level", range(9))
