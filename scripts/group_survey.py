@@ -32,9 +32,9 @@ def main() -> int:
         assert group.tau_matrix_tree(level) == tau
         elapsed = time.monotonic() - start
         print(f"level {level} ({graph.n_vertices} vertices, {elapsed:.2f}s)")
-        print(f"  group order      {order}")
+        print(f"  group order      {group.digits(order)}")
         print(f"  invariant factors {' '.join(map(str, factors))}")
-        print(f"  spanning trees   {tau} (recursion == matrix-tree)")
+        print(f"  spanning trees   {group.digits(tau)} (recursion == matrix-tree)")
 
     print()
     for level in range(1, args.theorem_max_level + 1):
@@ -43,7 +43,7 @@ def main() -> int:
         verdict = "pass" if report.passed else "FAIL"
         print(
             f"three-copy decomposition at level {level}: {verdict} "
-            f"(convention {report.convention}, quotient order {report.lhs_order}, "
+            f"(convention {report.convention}, quotient order {group.digits(report.lhs_order)}, "
             f"{time.monotonic() - start:.2f}s)"
         )
         if not report.passed:

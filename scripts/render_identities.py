@@ -3,7 +3,8 @@
 
 Writes one image per level into the output directory and prints the chip
 value histogram, confirming the two-value structure of the identity.  Each
-tile-glued identity is checked against stabilization of the zero class.
+identity, written cell by cell from the paper's characterization, is checked
+against stabilization of the zero class.
 
 Example:
     python scripts/render_identities.py --min-level 2 --max-level 5 --out out/
@@ -34,7 +35,7 @@ def main() -> int:
     for level in range(args.min_level, args.max_level + 1):
         graph = build_gasket(level)
         conf = identity(graph)
-        assert conf == recurrent_rep(graph, [0] * graph.n_vertices), "tile gluing disagrees with stabilization"
+        assert conf == recurrent_rep(graph, [0] * graph.n_vertices), "the characterization disagrees with stabilization"
         path = args.out / f"identity_level{level}.{args.format}"
         path.write_bytes(render(conf, spec))
         hist = Counter(conf.chips)

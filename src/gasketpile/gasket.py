@@ -14,14 +14,12 @@ and `neighbors`, the tuples that the toppling queue reads, are views built
 on first use.  Also shared with the rest of the package: `cell_index`,
 the cells of every level as index arrays (the layout of the Laplacian
 factorization and of the level-1 cell characters), `laplacian_product`, the
-one exact Delta @ v (in int64 for an int64 array), the chip vectors of the
-corner-parameterized tiles (`tile_chips`) and `reduced_laplacian`, the
-dense matrix that the Smith and Bareiss reductions need.
+one exact Delta @ v (in int64 for an int64 array), and `reduced_laplacian`,
+the dense matrix that the Smith and Bareiss reductions need.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -275,62 +273,6 @@ def subcopy_embedding(level: int, copy: str) -> tuple[int, ...]:
     shift = np.array(COPY_OFFSETS[copy]) << (level - 1)
     a, b = (build_gasket(level - 1).points + shift).T
     return tuple(_lookup(build_gasket(level)._keys, _key(level, a, b)).tolist())
-
-
-def assemble_from_copies(level: int, parts: dict[str, Sequence[int]]) -> list[int]:
-    """Glue three level-(n-1) chip vectors into a level-n one, requiring the
-    copies to agree at the shared junction vertices."""
-    out = np.empty(gasket_size(level), dtype=object)
-    written = np.zeros(len(out), dtype=bool)
-    for name in (LOWER_LEFT, LOWER_RIGHT, TOP):
-        image = np.array(subcopy_embedding(level, name))
-        chips = np.array(parts[name], dtype=object)
-        held = written[image]
-        clash = image[held][out[image[held]] != chips[held]]
-        if len(clash):
-            raise ValueError(f"junction mismatch at parent vertex {clash[0]}")
-        out[image] = chips
-        written[image] = True
-    return out.tolist()
-
-
-def tile_chips(level: int, x: int, y: int, z: int) -> tuple[int, ...]:
-    """Chips of the (x, y, z) tile on the bare level-`level` gasket, corner
-    values x (lower left), y (lower right), z (top), as Python ints.  The
-    paper glues the (x,3,3), (3,y,2) and (3,2,z) tiles of level n-1 into
-    level n, level 0 being the corners.  The copies agree at the junctions,
-    3 at the bottom and left ones and 2 at the right one, so by induction
-    every cell holds 3 on its bottom and left midpoints and 2 on its right
-    one, and only the corners carry the arguments."""
-    mids, _, big = cell_index(build_gasket(level))
-    chips = np.full(gasket_size(level), 3, dtype=object)
-    for cells in mids:
-        chips[cells[:, 2]] = 2
-    chips[list(big)] = x, y, z
-    return tuple(chips.tolist())
-
-
-def rotate_chips(graph: GasketGraph, chips: Sequence[int], direction: str = "ccw") -> tuple[int, ...]:
-    """Rotate a chip vector with the gasket: chips travel with their
-    vertices, so the new value at the image of v is the old value at v,
-    a gather through the inverse rotation."""
-    inverse = {"ccw": rotation_cw, "cw": rotation_ccw}.get(direction)
-    if inverse is None:
-        raise ValueError("direction must be 'ccw' or 'cw'")
-    return tuple(chips[i] for i in inverse(graph))
-
-
-def glue_with_rotations(level: int, chips: Sequence[int]) -> list[int]:
-    """The level-`level` chip vector with the level-(n-1) `chips` in the
-    lower-left copy, their counterclockwise rotation in the lower right and
-    their clockwise rotation on top."""
-    child = build_gasket(level - 1)
-    parts = {
-        LOWER_LEFT: chips,
-        LOWER_RIGHT: rotate_chips(child, chips, "ccw"),
-        TOP: rotate_chips(child, chips, "cw"),
-    }
-    return assemble_from_copies(level, parts)
 
 
 def laplacian_product(graph: GasketGraph, entries) -> np.ndarray:

@@ -234,23 +234,15 @@ def _chi_estimates(level: int, times: tuple[int, ...], trials: int, seed: int | 
 # ---------------------------------------------------------------------------
 
 
-def _slot_targets(graph: GasketGraph) -> list[tuple[int, ...]]:
-    """Vertex v's `degrees[v]` edge slots: slot k < len(neighbors[v]) leads to
-    neighbors[v][k], and each of the last `beta[v]` slots to the sink, which
-    is index n.  A corner's two sink edges are two slots."""
-    sink = graph.n_vertices
-    return [nbrs + (sink,) * b for nbrs, b in zip(graph.neighbors, graph.beta)]
-
-
-def _wilson_slots(graph: GasketGraph, rng: random.Random) -> list[int]:
+def _wilson_slots(graph: GasketGraph, targets: list[list[int]], rng: random.Random) -> list[int]:
     """Each vertex's parent slot in a uniform spanning tree rooted at the
     sink, by Wilson's algorithm (Wilson 1996): from every vertex not yet in
     the tree, in canonical order, walk to the tree, choosing one of the
     current vertex's slots uniformly at each step, and add the walk's loop
     erasure.  Recording every exit and retracing keeps the last exit from
-    each vertex, which erases the loops in the order they closed."""
+    each vertex, which erases the loops in the order they closed.  Slot k of
+    v leads to `targets[v][k]`, for k below v's degree."""
     n = graph.n_vertices
-    targets = _slot_targets(graph)
     degrees = graph.degrees
     randrange = rng.randrange
     in_tree = bytearray(n + 1)
@@ -269,7 +261,7 @@ def _wilson_slots(graph: GasketGraph, rng: random.Random) -> list[int]:
     return slots
 
 
-def _burning_config(graph: GasketGraph, slots: list[int]) -> Configuration:
+def _burning_config(graph: GasketGraph, targets: list[list[int]], slots: list[int]) -> Configuration:
     """The recurrent configuration of the spanning tree whose parent slots
     are `slots`, by the burning bijection (Majumdar & Dhar 1992).
 
@@ -283,7 +275,7 @@ def _burning_config(graph: GasketGraph, slots: list[int]) -> Configuration:
         c_v = deg v - #(slots to depth <= d - 1) + rank of the parent slot.
     """
     n = graph.n_vertices
-    targets = _slot_targets(graph)
+    degrees = graph.degrees
     depth = [-1] * n + [0]
     for start in range(n):
         path = []
@@ -299,13 +291,13 @@ def _burning_config(graph: GasketGraph, slots: list[int]) -> Configuration:
     for v, slot in enumerate(slots):
         below = depth[v] - 1
         burnt = rank = 0
-        for k, w in enumerate(targets[v]):
+        for k, w in enumerate(targets[v][: degrees[v]]):
             dw = depth[w]
             if dw <= below:
                 burnt += 1
                 if dw == below and k < slot:
                     rank += 1
-        chips.append(len(targets[v]) - burnt + rank)
+        chips.append(degrees[v] - burnt + rank)
     return Configuration(graph, tuple(chips))
 
 
@@ -314,8 +306,11 @@ def sample_stationary(graph: GasketGraph, rng: random.Random) -> Configuration:
     image of a uniform spanning tree rooted at the sink.  The bijection maps
     the det(Delta) spanning trees onto the det(Delta) recurrent
     configurations, so the image of the uniform tree is uniform, the
-    stationary law of the walk."""
-    return _burning_config(graph, _wilson_slots(graph, rng))
+    stationary law of the walk.  Vertex v's `degrees[v]` edge slots are the
+    first entries of its neighbour table column: its neighbours in ascending
+    order, then the padding slot n, which is the sink, once per sink edge."""
+    targets = graph.table.T.tolist()
+    return _burning_config(graph, targets, _wilson_slots(graph, targets, rng))
 
 
 # ---------------------------------------------------------------------------

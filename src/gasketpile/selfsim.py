@@ -4,36 +4,71 @@ The central object is a family of configurations parameterized by the three
 corner values: at level 0 a member is just its corner values, and at level
 n+1 it is assembled from three level-n members whose corner arguments agree
 across the junctions; so every cell holds 3 chips on its bottom and left
-midpoints and 2 on its right one, the closed form `gasket.tile_chips`
-writes.  Doubling such a configuration and stabilizing it with one corner
-as the sink reproduces the family with a shifted corner argument, the sunk
-corner collecting the chips that leave; gluing the all-2-corner member with
-its two rotations yields the group identity (`identity_from_tiles`), which
-`sandpile.identity` writes down cell by cell instead.  No check here
-stabilizes: the doubling identity, corner transport and junction invariance
-are each decided by the burning test and lattice membership.
+midpoints and 2 on its right one, the closed form `tile_chips` writes
+over `gasket.cell_index`.  Doubling such a configuration and stabilizing it
+with one corner as the sink reproduces the family with a shifted corner
+argument, the sunk corner collecting the chips that leave; gluing the
+all-2-corner member with its two rotations (`glue_with_rotations`) yields
+the group identity (`identity_from_tiles`), which `sandpile.identity`
+writes down cell by cell instead.  No check here stabilizes: the doubling
+identity, corner transport and junction invariance are each decided by the
+burning test and lattice membership.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-# `assemble_from_copies` is re-exported: gluing copies belongs to this
-# module's public interface, though the index geometry lives in `gasket`.
+import numpy as np
+
+from . import gasket, group
 from .gasket import (
     CORNER_NAMES,
     LOWER_LEFT,
     LOWER_RIGHT,
     TOP,
-    assemble_from_copies,
     build_gasket,
+    cell_index,
     corner_sink,
-    glue_with_rotations,
-    rotate_chips,
-    tile_chips,
+    gasket_size,
+    subcopy_embedding,
 )
 from .sandpile import Configuration, config, is_recurrent_burning
-from . import group
+
+
+def tile_chips(level: int, x: int, y: int, z: int) -> tuple[int, ...]:
+    """Chips of the (x, y, z) tile on the bare level-`level` gasket, corner
+    values x (lower left), y (lower right), z (top), as Python ints.  The
+    paper glues the (x,3,3), (3,y,2) and (3,2,z) tiles of level n-1 into
+    level n, level 0 being the corners.  The copies agree at the junctions,
+    3 at the bottom and left ones and 2 at the right one, so by induction
+    every cell holds 3 on its bottom and left midpoints and 2 on its right
+    one, and only the corners carry the arguments."""
+    mids, _, big = cell_index(build_gasket(level))
+    chips = np.full(gasket_size(level), 3, dtype=object)
+    for cells in mids:
+        chips[cells[:, 2]] = 2
+    chips[list(big)] = x, y, z
+    return tuple(chips.tolist())
+
+
+def assemble_from_copies(level: int, parts: dict[str, Sequence[int]]) -> list[int]:
+    """Glue three level-(n-1) chip vectors into a level-n one, requiring the
+    copies to agree at the shared junction vertices."""
+    out = np.empty(gasket_size(level), dtype=object)
+    written = np.zeros(len(out), dtype=bool)
+    for name in (LOWER_LEFT, LOWER_RIGHT, TOP):
+        image = np.array(subcopy_embedding(level, name))
+        chips = np.array(parts[name], dtype=object)
+        held = written[image]
+        clash = image[held][out[image[held]] != chips[held]]
+        if len(clash):
+            raise ValueError(f"junction mismatch at parent vertex {clash[0]}")
+        out[image] = chips
+        written[image] = True
+    return out.tolist()
+
 
 def build_tile(level: int, x: int, y: int, z: int) -> Configuration:
     """The corner-parameterized self-similar configuration with corner values
@@ -48,16 +83,25 @@ def build_tile(level: int, x: int, y: int, z: int) -> Configuration:
 
 def rotate_config(conf: Configuration, direction: str = "ccw") -> Configuration:
     """Rotate a configuration with the gasket: chips travel with their
-    vertices, so the new value at the image of v is the old value at v."""
-    return Configuration(conf.graph, rotate_chips(conf.graph, conf.chips, direction))
+    vertices, so the new value at the image of v is the old value at v, a
+    gather through the inverse rotation."""
+    inverse = {"ccw": gasket.rotation_cw, "cw": gasket.rotation_ccw}.get(direction)
+    if inverse is None:
+        raise ValueError("direction must be 'ccw' or 'cw'")
+    return Configuration(conf.graph, tuple(conf.chips[i] for i in inverse(conf.graph)))
 
 
-def _glue_with_rotations(conf: Configuration) -> Configuration:
+def glue_with_rotations(conf: Configuration) -> Configuration:
     """The level-(n+1) configuration with `conf` in the lower-left copy, its
     counterclockwise rotation in the lower right and its clockwise rotation
     on top."""
     level = conf.graph.level + 1
-    return config(build_gasket(level), glue_with_rotations(level, conf.chips))
+    parts = {
+        LOWER_LEFT: conf.chips,
+        LOWER_RIGHT: rotate_config(conf, "ccw").chips,
+        TOP: rotate_config(conf, "cw").chips,
+    }
+    return config(build_gasket(level), assemble_from_copies(level, parts))
 
 
 def identity_from_tiles(level: int) -> Configuration:
@@ -67,7 +111,7 @@ def identity_from_tiles(level: int) -> Configuration:
     certifies it; this function does not certify it."""
     if level < 1:
         raise ValueError("the tile construction of the identity needs level >= 1")
-    return config(build_gasket(level), glue_with_rotations(level, tile_chips(level - 1, 2, 2, 2)))
+    return glue_with_rotations(config(build_gasket(level - 1), tile_chips(level - 1, 2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +261,7 @@ def verify_junction_invariance(level: int, conf: Configuration) -> JunctionRepor
         raise ValueError("lower-right and top corner values must equal 2")
     if not is_recurrent_burning(conf):
         raise ValueError("junction invariance needs a recurrent configuration")
-    assembled = _glue_with_rotations(conf)
+    assembled = glue_with_rotations(conf)
     parent = assembled.graph
     recurrent_ok = is_recurrent_burning(assembled)
     added = [0] * parent.n_vertices

@@ -13,7 +13,6 @@ from gasketpile.gasket import (
     NORMAL,
     TOP,
     build_gasket,
-    assemble_from_copies,
     cell_index,
     corner_coords,
     corner_sink,
@@ -22,11 +21,12 @@ from gasketpile.gasket import (
     laplacian_product,
     parse_boundary,
     reduced_laplacian,
-    rotate_chips,
     rotation_ccw,
     rotation_cw,
     subcopy_embedding,
 )
+from gasketpile.sandpile import config
+from gasketpile.selfsim import assemble_from_copies, rotate_config
 
 
 def cofactor_det(mat):
@@ -440,7 +440,7 @@ def test_views_hold_python_ints(boundary):
     assert python_ints([graph.index((1, 1))] + [v for v in map(graph.corner_index, CORNER_NAMES) if v is not None])
     if boundary == NORMAL:
         assert python_ints(rotation_ccw(graph)) and python_ints(rotation_cw(graph))
-        assert python_ints(rotate_chips(graph, [1] * graph.n_vertices, "cw"))
+        assert python_ints(rotate_config(config(graph, [1] * graph.n_vertices), "cw").chips)
         assert python_ints(subcopy_embedding(3, TOP))
         parts = {name: [2] * build_gasket(2).n_vertices for name in CORNER_NAMES}
         assert python_ints(assemble_from_copies(3, parts))

@@ -361,6 +361,17 @@ def spanning_tree_slots(graph):
             yield list(slots)
 
 
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_edge_slots_are_prefixes_of_the_neighbour_table_columns(boundary):
+    """The sampler's slots of v are the first degrees[v] entries of its table
+    column: its neighbours, then the sink (index n) once per sink edge."""
+    for level in range(7):
+        graph = build_gasket(level, boundary)
+        n, targets = graph.n_vertices, graph.table.T.tolist()
+        reference = [list(nbrs) + [n] * b for nbrs, b in zip(graph.neighbors, graph.beta)]
+        assert [column[:d] for column, d in zip(targets, graph.degrees)] == reference
+
+
 @pytest.mark.parametrize(
     "level, boundary, order",
     [(0, NORMAL, 50), (1, NORMAL, 1_444), (1, corner_sink(LOWER_LEFT), 54)],
@@ -370,7 +381,7 @@ def test_burning_bijection_maps_every_tree_to_a_distinct_recurrent_config(level,
     graph = build_gasket(level, boundary)
     images = {}
     for slots in spanning_tree_slots(graph):
-        conf = markov._burning_config(graph, slots)
+        conf = markov._burning_config(graph, graph.table.T.tolist(), slots)
         assert conf.chips not in images, f"trees {images[conf.chips]} and {slots} collide"
         assert is_recurrent_burning(conf)
         images[conf.chips] = slots

@@ -35,7 +35,7 @@ from gasketpile.sandpile import (
     stabilize,
     zero_config,
 )
-from gasketpile.selfsim import build_tile
+from gasketpile.selfsim import assemble_from_copies, build_tile, glue_with_rotations, rotate_config, tile_chips
 from test_acceptance import random_order_stabilize
 
 G0 = build_gasket(0)
@@ -387,10 +387,10 @@ def corner_sink_candidate(level, sink, turn):
     """The (1,1,1) tile, rotated by `turn` (or not), restricted to the gasket
     with the corner `sink` sunk."""
     full, graph = build_gasket(level), build_gasket(level, corner_sink(sink))
-    chips = gasket.tile_chips(level, 1, 1, 1)
+    tile = config(full, tile_chips(level, 1, 1, 1))
     if turn:
-        chips = gasket.rotate_chips(full, chips, turn)
-    return graph, [chips[full.index(c)] for c in graph.points.tolist()]
+        tile = rotate_config(tile, turn)
+    return graph, [tile.chips[full.index(c)] for c in graph.points.tolist()]
 
 
 @pytest.mark.parametrize("level", range(9))
@@ -404,9 +404,9 @@ def test_the_characterization_equals_the_tile_construction(level, boundary):
         turn = {LOWER_LEFT: None, LOWER_RIGHT: "ccw", TOP: "cw"}[boundary.corner]
         expected = corner_sink_candidate(level, boundary.corner, turn)[1]
     elif level == 0:
-        expected = gasket.tile_chips(0, 2, 2, 2)
+        expected = tile_chips(0, 2, 2, 2)
     else:
-        expected = gasket.glue_with_rotations(level, gasket.tile_chips(level - 1, 2, 2, 2))
+        expected = glue_with_rotations(config(build_gasket(level - 1), tile_chips(level - 1, 2, 2, 2))).chips
     assert sandpile.identity_candidate(graph) == tuple(expected)
 
 
@@ -433,12 +433,11 @@ def test_a_corner_sink_candidate_on_the_wrong_corner_is_refused(level, sink, tur
 @pytest.mark.parametrize("level", [2, 3, 5])
 def test_a_normal_candidate_with_swapped_rotations_is_refused(level):
     # Level 1 is left out: its level-0 (2,2,2) tile is invariant under rotation.
-    child = build_gasket(level - 1)
-    tile = gasket.tile_chips(level - 1, 2, 2, 2)
-    swapped = gasket.assemble_from_copies(level, {
-        LOWER_LEFT: tile,
-        LOWER_RIGHT: gasket.rotate_chips(child, tile, "cw"),
-        TOP: gasket.rotate_chips(child, tile, "ccw"),
+    tile = config(build_gasket(level - 1), tile_chips(level - 1, 2, 2, 2))
+    swapped = assemble_from_copies(level, {
+        LOWER_LEFT: tile.chips,
+        LOWER_RIGHT: rotate_config(tile, "cw").chips,
+        TOP: rotate_config(tile, "ccw").chips,
     })
     with pytest.raises(ArithmeticError):
         sandpile._certified_identity(build_gasket(level), swapped)

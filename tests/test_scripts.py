@@ -10,7 +10,7 @@ import numpy as np
 
 import pytest
 
-from gasketpile import markov
+from gasketpile import group, markov
 from gasketpile.gasket import build_gasket
 from gasketpile.spectral import distinguishing_statistic
 
@@ -32,6 +32,16 @@ def test_group_survey(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "invariant factors 2 2 6 462 2310" in out
     assert "three-copy decomposition at level 2: pass" in out
+
+
+def test_group_survey_prints_every_digit_at_level_8(monkeypatch, capsys):
+    # The level-8 order has 4,485 digits, over `str`'s default limit of 4,300.
+    assert run_script(monkeypatch, "group_survey", "--max-level", "8", "--theorem-max-level", "0") == 0
+    lines = capsys.readouterr().out.splitlines()
+    order = group.digits(group.sandpile_group_order(build_gasket(8)))
+    assert len(order) == 4_485
+    assert f"  group order      {order}" in lines
+    assert f"  spanning trees   {group.digits(group.tau_recursion(8))} (recursion == matrix-tree)" in lines
 
 
 def test_mixing_table(monkeypatch, capsys):
