@@ -27,8 +27,8 @@ def main() -> int:
     parser.add_argument("--format", choices=("ppm", "svg"), default="ppm")
     parser.add_argument("--scale", type=int, default=12)
     args = parser.parse_args()
-    if args.min_level < 1:
-        parser.error("the tile gluing needs --min-level >= 1")
+    if args.min_level < 0:
+        parser.error("a gasket level is at least 0: --min-level must not be negative")
 
     args.out.mkdir(parents=True, exist_ok=True)
     spec = RenderSpec(fmt=args.format, scale=args.scale)

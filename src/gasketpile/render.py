@@ -25,7 +25,7 @@ OVERFULL_COLOR = (0, 0, 0)
 BACKGROUND = (255, 255, 255)
 MARGIN = 8  # pixels around the triangle
 RADIUS_FRAC = 0.33  # disc radius as a fraction of scale
-MAX_PIXELS = 10**8  # largest raster `render_ppm` builds
+MAX_PIXELS = 10**8  # largest raster `render_ppm` builds; below 2**31, so int32 indexes it
 
 
 def color_for(chips: int) -> tuple[int, int, int]:
@@ -55,16 +55,10 @@ def render(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
 def _disc_stencil(radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Row and column offsets of the pixels within `radius` of a disc's
     center pixel."""
-    r_int = math.ceil(radius)
-    r2 = radius * radius
-    offsets = [
-        (dy, dx)
-        for dy in range(-r_int, r_int + 1)
-        for dx in range(-r_int, r_int + 1)
-        if dx * dx + dy * dy <= r2
-    ]
-    dy, dx = np.array(offsets, dtype=np.intp).T
-    return dy, dx
+    span = np.arange(-math.ceil(radius), math.ceil(radius) + 1, dtype=np.int32)
+    dy, dx = np.meshgrid(span, span, indexing="ij")
+    near = dy * dy + dx * dx <= radius * radius
+    return dy[near], dx[near]
 
 
 def _ppm_size(side: int, scale: int) -> tuple[int, int]:
@@ -76,7 +70,13 @@ def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
     """Binary PPM of the configuration's discs.  Where discs overlap (small
     scales), the vertex with the highest index owns the pixel.  A raster of
     more than `MAX_PIXELS` pixels is refused with ValueError, naming the
-    largest scale that fits, before any buffer is built."""
+    largest scale that fits, before any buffer is built.
+
+    One render holds three raster-size buffers: the owner map (vertex + 1
+    per pixel, 0 for background, in the smallest unsigned type that holds
+    the vertex count), the PPM file itself as one uint8 array with its
+    header in place, and the returned `bytes`.  Pixel indices are int32,
+    which `MAX_PIXELS` < 2**31 keeps exact."""
     side = 1 << conf.graph.level
     width, height = _ppm_size(side, spec.scale)
     if width * height > MAX_PIXELS:
@@ -91,22 +91,30 @@ def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
     dy, dx = _disc_stencil(max(1.0, spec.scale * RADIUS_FRAC))
     # Flip vertically: image row 0 is the top of the triangle.
     x, y = _positions(conf, spec)
-    py = height - 1 - (np.round(y).astype(np.intp) + MARGIN)
-    px = np.round(x).astype(np.intp)
-    iy = py[:, None] + dy
-    ix = px[:, None] + dx
+    iy = (height - 1 - MARGIN - np.round(y).astype(np.int32))[:, None] + dy
+    ix = np.round(x).astype(np.int32)[:, None] + dx
     inside = (iy >= 0) & (iy < height) & (ix >= 0) & (ix < width)
-    pixel = (iy * width + ix)[inside]
-    owner = np.full(width * height, -1, dtype=np.int32)
-    np.maximum.at(owner, pixel, np.nonzero(inside)[0].astype(np.int32))
-    colors = np.array([color_for(c) for c in conf.chips], dtype=np.uint8)
-    pixels = np.empty((width * height, 3), dtype=np.uint8)
-    # One channel at a time: broadcasting the color tuple is several times slower.
-    for channel, level in enumerate(BACKGROUND):
-        pixels[:, channel] = level
-    pixels[pixel] = colors[owner[pixel]]
+    iy *= width
+    iy += ix
+    pixel = iy[inside]
+    n = conf.graph.n_vertices
+    owner = np.zeros(width * height, dtype=np.min_scalar_type(n))
+    vertex = np.broadcast_to(np.arange(1, n + 1, dtype=owner.dtype)[:, None], inside.shape)
+    np.maximum.at(owner, pixel, vertex[inside])
+    rgb = {chips: bytes(color_for(chips)) for chips in set(conf.chips)}
+    colors = np.frombuffer(bytes(BACKGROUND) + b"".join(map(rgb.__getitem__, conf.chips)), dtype="V3")
     header = f"P6\n{width} {height}\n255\n".encode()
-    return header + pixels.tobytes()
+    data = np.empty(len(header) + 3 * width * height, dtype=np.uint8)
+    data[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    raster = data[len(header) :]
+    # Fill the top row, then copy it down: assigning the color tuple to
+    # every pixel, or one channel at a time, is several times slower.
+    rows = raster.reshape(height, width, 3)
+    rows[0] = BACKGROUND
+    rows[1:] = rows[0]
+    # One 3-byte item per pixel: a scatter of (k, 3) rows is slower.
+    raster.view("V3")[pixel] = colors[owner[pixel]]
+    return data.tobytes()
 
 
 def render_svg(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
@@ -117,11 +125,12 @@ def render_svg(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
+    tails = {
+        chips: f'" r="{radius:.2f}" fill="rgb({",".join(map(str, color_for(chips)))})"/>'
+        for chips in set(conf.chips)
+    }
     x, y = _positions(conf, spec)
     for cx, cy, chips in zip(x.tolist(), (height - MARGIN - y).tolist(), conf.chips):
-        r, g, b = color_for(chips)
-        lines.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="rgb({r},{g},{b})"/>'
-        )
+        lines.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}{tails[chips]}')
     lines.append("</svg>\n")
     return "\n".join(lines).encode()

@@ -5,13 +5,14 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 import warnings
 
 import pytest
 
 from gasketpile import cli, gasket, markov
 from gasketpile.cli import main
-from gasketpile.gasket import CORNER_NAMES, build_gasket
+from gasketpile.gasket import CORNER_NAMES, build_gasket, parse_boundary
 from gasketpile.group import digits, sandpile_group_order, tau_recursion
 from gasketpile.render import (
     BACKGROUND,
@@ -114,14 +115,32 @@ def loop_render_ppm(conf, scale):
     return f"P6\n{width} {height}\n255\n".encode() + bytes(rows)
 
 
-@pytest.mark.parametrize("scale", [1, 2, 3, 12])
+# Discs overlap up to scale 4 (so the highest index must win) and are apart
+# from scale 5; at scale 30 the radius 9.9 exceeds MARGIN, so the raster edge
+# clips them.
+@pytest.mark.parametrize("scale", [1, 2, 3, 4, 5, 12, 30])
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
-def test_ppm_matches_the_pixel_loop(level, scale):
-    graph = build_gasket(level)
-    rng = random.Random(f"ppm:{level}:{scale}")
+@pytest.mark.parametrize("boundary", ["normal", "corner_sink:top"])
+def test_ppm_matches_the_pixel_loop(boundary, level, scale):
+    graph = build_gasket(level, parse_boundary(boundary))
+    rng = random.Random(f"ppm:{boundary}:{level}:{scale}")
     for _ in range(3):
         conf = config(graph, [rng.randrange(6) for _ in range(graph.n_vertices)])
         assert render_ppm(conf, RenderSpec(scale=scale)) == loop_render_ppm(conf, scale)
+
+
+def test_a_ppm_render_peaks_below_ten_bytes_per_pixel():
+    # The owner map, the file's array and the returned bytes take 8 bytes
+    # per pixel at level 6; index temporaries scale with the discs only.
+    conf = identity(build_gasket(6))
+    tracemalloc.start()
+    try:
+        data = render_ppm(conf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width, height, _ = ppm_pixels(data)
+    assert peak < 10 * width * height
 
 
 def test_svg_structure():
@@ -485,7 +504,8 @@ def test_oversized_rasters_are_refused_before_any_buffer(tmp_path, capsys, monke
         raise Allocated
 
     monkeypatch.setattr(render_module, "_disc_stencil", allocate)
-    monkeypatch.setattr(render_module.np, "full", allocate)
+    for name in ("arange", "empty", "frombuffer", "full", "zeros"):
+        monkeypatch.setattr(render_module.np, name, allocate)
     # Level 8 at scale 1000 would be about 5.7e10 pixels.
     with pytest.raises(ValueError, match=r"has \d+ pixels, above the limit of 100000000"):
         render_ppm(level8, RenderSpec(scale=1000))

@@ -105,4 +105,8 @@ def test_render_identities(monkeypatch, capsys, tmp_path):
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["identity_level2.ppm", "identity_level3.ppm"]
     assert "level 3: 42 vertices, chips 2x18 3x24" in capsys.readouterr().out
+    code = run_script(monkeypatch, "render_identities", "--min-level", "0", "--max-level", "1", "--out", str(tmp_path / "low"))
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "low").iterdir()) == ["identity_level0.ppm", "identity_level1.ppm"]
+    assert "level 0: 3 vertices, chips 2x3 ->" in capsys.readouterr().out
 
