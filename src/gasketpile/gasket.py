@@ -3,7 +3,10 @@
 A vertex is a pair (a, b) of non-negative integers sitting at the planar point
 a*(1, 0) + b*(1/2, sqrt(3)/2).  Level 0 is the triangle {(0,0), (1,0), (0,1)};
 level k+1 is the union of three level-k copies translated by (0,0), (2**k, 0)
-and (0, 2**k), glued at the three junction vertices.  The canonical vertex
+and (0, 2**k), glued at the three junction vertices.  The build reads the
+same graph off the bit pattern instead (Lucas: Pascal's triangle mod 2): the
+unit up-triangles of level n sit at the (a, b) with a & b = 0 and
+a + b < 2**n, and every edge is a side of one of them.  The canonical vertex
 order everywhere in this package is lexicographic ascending in (b, a).
 
 The arrays are the graph: a `GasketGraph` holds the coordinates and the
@@ -164,7 +167,9 @@ def build_gasket(level: int, boundary: Boundary = NORMAL) -> GasketGraph:
     Corner sink: the chosen corner vertex is the sink; no edges are added.
 
     Graphs are interned: the same (level, boundary) always returns the same
-    instance, so configurations can compare graphs by identity.
+    instance, so configurations can compare graphs by identity.  Each graph
+    is built directly from its level's bit pattern, so no lower level and no
+    other boundary is built or interned on the way.
     """
     return _build_gasket(level, boundary)
 
@@ -193,44 +198,39 @@ def _build_gasket(level: int, boundary: Boundary) -> GasketGraph:
     if level < 0:
         raise ValueError("level must be >= 0")
     side = 1 << level
-    if boundary.kind == "corner_sink":
-        # The normal graph less its corner s: each neighbour of s gets a
-        # sink edge, and every index above s drops by one, the padding slot
-        # included, which then sorts last in each table column.
-        full = build_gasket(level)
-        s, n = full.index(corner_coords(level)[boundary.corner]), full.n_vertices - 1
-        points = np.delete(full.points, s, axis=0)
-        table = np.delete(full.table, s, axis=1)
-        beta = (table == s).sum(axis=0)
-        table = np.sort(np.where(table == s, n, table - (table > s)), axis=0)
-    else:
-        if level == 0:
-            points = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.intp)
-            edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.intp)
-        else:
-            # Three translated copies of the level below; `np.unique` on the
-            # (b, a) key merges the junctions.  Copies share no edge, and a
-            # translation keeps the (b, a) order, so i < j still holds.
-            child = build_gasket(level - 1)
-            shifts = np.array([COPY_OFFSETS[name] for name in (LOWER_LEFT, LOWER_RIGHT, TOP)]) * (side // 2)
-            copies = (child.points + shifts[:, None]).reshape(-1, 2)
-            keys, where = np.unique(_key(level, copies[:, 0], copies[:, 1]), return_inverse=True)
-            points = np.stack([keys % (side + 1), keys // (side + 1)], axis=1)
-            ends = where[_edge_pairs(child.table) + child.n_vertices * np.arange(3)[:, None, None]].reshape(-1, 2)
-            keys = np.sort(ends[:, 0] * len(points) + ends[:, 1])
-            edges = np.stack(np.divmod(keys, len(points)), axis=1)
-        n = len(points)
-        # Each edge in both directions, stably sorted by source: a vertex's
-        # lower neighbours come first, each half ascending as the edges are,
-        # and its k-th entry goes to slot k.
-        source, target = np.concatenate([edges[:, ::-1], edges]).T
-        order = np.argsort(source, kind="stable")
-        source, target = source[order], target[order]
-        count = np.bincount(source, minlength=n)
-        table = np.full((4, n), n, dtype=np.intp)
-        table[np.arange(len(source)) - np.repeat(np.cumsum(count) - count, count), source] = target
-        beta = np.zeros(n, dtype=np.intp)
-        beta[_lookup(_key(level, *points.T), [_key(level, *c) for c in corner_coords(level).values()])] = 2
+    row = side + 1  # a + 1 is key + 1, b + 1 is key + row
+    # The unit up-triangles sit at the (a, b) with a & b = 0 and a + b < 2**n
+    # (Pascal's triangle mod 2): base-3 digit i of a triangle's number adds
+    # (0, 0), (2**i, 0) or (0, 2**i) to its origin.  The vertices are the
+    # origins and their +(1, 0) and +(0, 1) corners, sorted, repeats dropped.
+    origins = np.zeros(1, dtype=np.intp)
+    for i in range(level):
+        origins = (origins[:, None] + (np.array([0, 1, row]) << i)).ravel()
+    keys = np.sort(np.concatenate([origins, origins + 1, origins + row]))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    if boundary.corner:
+        keys = keys[keys != _key(level, *corner_coords(level)[boundary.corner])]
+    n = len(keys)
+    points = np.stack(np.divmod(keys, row)[::-1], axis=1)
+    a, b = points.T
+    # The six candidate neighbours in ascending key order, each pair the
+    # other corners of the up-triangle at (a, b - 1), (a - 1, b) or (a, b).
+    # A candidate found goes to the next free slot; one whose triangle
+    # exists but that is not found is the sunk corner.
+    below = (b >= 1) & ((a & (b - 1)) == 0)
+    left = (a >= 1) & (((a - 1) & b) == 0)
+    origin = ((a & b) == 0) & (a + b < side)
+    table = np.full((4, n), n, dtype=np.intp)
+    fill = np.zeros(n, dtype=np.intp)
+    beta = np.zeros(n, dtype=np.intp)
+    for offset, exists in ((-row, below), (1 - row, below), (-1, left), (1, origin), (row - 1, left), (row, origin)):
+        found = _lookup(keys, keys + offset)
+        beta += exists & (found == n)
+        at = np.flatnonzero(exists & (found < n))
+        table[fill[at], at] = found[at]
+        fill[at] += 1
+    if boundary.kind == "normal":
+        beta[_lookup(keys, [_key(level, *c) for c in corner_coords(level).values()])] = 2
     points.flags.writeable = table.flags.writeable = False
     return GasketGraph(
         level=level,

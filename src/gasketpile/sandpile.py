@@ -349,9 +349,11 @@ def config_to_json(conf: Configuration) -> dict:
 def _serialized_graph(level: int, token: str, n_entries: int) -> GasketGraph:
     """The graph a serialized configuration names.  The entry count is checked
     against the vertex count formula first, so a wrong length is refused
-    without building the gasket."""
+    without building the gasket.  Above the count's bit length, 2**level
+    alone exceeds the count, so such a level is refused before 3**level is
+    computed."""
     boundary = parse_boundary(token)
-    if n_entries != gasket_size(level) - (boundary.kind == "corner_sink"):
+    if level > n_entries.bit_length() or n_entries != gasket_size(level) - (boundary.kind == "corner_sink"):
         raise ValueError("chip vector length must match vertex count")
     return build_gasket(level, boundary)
 

@@ -2,10 +2,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from gasketpile import gasket
 from gasketpile.gasket import (
     CORNER_NAMES,
     LOWER_LEFT,
@@ -263,6 +265,19 @@ def test_graph_json_is_deterministic_and_faithful():
 def test_build_gasket_rejects_negative_level():
     with pytest.raises(ValueError):
         build_gasket(-1)
+
+
+def test_cold_build_interns_only_the_graph_asked_for(monkeypatch):
+    """No lower level and no other boundary is built on the way.  The test
+    runs on an empty copy of the intern cache, so the graphs that other
+    tests hold stay the interned ones."""
+    fresh = lru_cache(maxsize=None)(gasket._build_gasket.__wrapped__)
+    monkeypatch.setattr(gasket, "_build_gasket", fresh)
+    build_gasket(6, corner_sink(TOP))
+    assert fresh.cache_info().currsize == 1
+    fresh.cache_clear()
+    build_gasket(6)
+    assert fresh.cache_info().currsize == 1
 
 
 BOUNDARIES = (NORMAL, *(corner_sink(name) for name in CORNER_NAMES))

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import itertools
 import json
 import math
 import random
@@ -760,12 +761,16 @@ def test_cli_selfsim_checks_run_quickly(level, check, capsys):
 
 
 def test_cli_refuses_a_wrong_length_before_building_the_gasket(tmp_path, capsys):
-    path = tmp_path / "short.txt"
-    path.write_text("11 normal 1 2 3")
-    start = time.perf_counter()
-    assert main(["sandpile", "burn", "--input", str(path)]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert "chip vector length must match vertex count" in capsys.readouterr().err
+    """At level 10**8 even the vertex count would take minutes."""
+    commands = (["sandpile", "burn"], ["sandpile", "stabilize"], ["render", "--out", str(tmp_path / "never.ppm")])
+    for level, argv in itertools.product((11, 10**8), commands):
+        doc = {"level": level, "boundary": "normal", "chips": [1, 2, 3]}
+        for path, text in ((tmp_path / "short.txt", f"{level} normal 1 2 3"), (tmp_path / "short.json", json.dumps(doc))):
+            path.write_text(text)
+            start = time.perf_counter()
+            assert main([*argv, "--input", str(path)]) == 2
+            assert time.perf_counter() - start < 1.0
+            assert "chip vector length must match vertex count" in capsys.readouterr().err
 
 
 def test_cli_tau_recursion_keeps_the_general_cap(capsys):

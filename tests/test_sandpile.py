@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -549,12 +550,17 @@ def test_a_wrong_length_is_refused_before_the_gasket_is_built(monkeypatch):
         raise AssertionError("build_gasket called")
 
     monkeypatch.setattr(sandpile, "build_gasket", no_build)
-    for text in ("30 normal 1 2 3", "30 corner_sink:top 1"):
+    # At level 10**8 even the vertex count 3 * (3**level + 1) / 2 would take
+    # minutes: the level is bounded by the entry count first.
+    for level in (30, 10**8):
+        start = time.perf_counter()
+        for text in (f"{level} normal 1 2 3", f"{level} corner_sink:top 1"):
+            with pytest.raises(ValueError, match="chip vector length must match vertex count"):
+                config_from_text(text)
+        doc = {"level": level, "boundary": "normal", "chips": [1, 2, 3]}
         with pytest.raises(ValueError, match="chip vector length must match vertex count"):
-            config_from_text(text)
-    doc = {"level": 30, "boundary": "normal", "chips": [1, 2, 3]}
-    with pytest.raises(ValueError, match="chip vector length must match vertex count"):
-        config_from_json(doc)
+            config_from_json(doc)
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("boundary", ["normal", "corner_sink:lower_left", "corner_sink:top"])
