@@ -216,18 +216,27 @@ def _build_gasket(level: int, boundary: Boundary) -> GasketGraph:
     # The six candidate neighbours in ascending key order, each pair the
     # other corners of the up-triangle at (a, b - 1), (a - 1, b) or (a, b).
     # A candidate found goes to the next free slot; one whose triangle
-    # exists but that is not found is the sunk corner.
+    # exists but that is not found is the sunk corner.  The -1 and +1
+    # candidates, when present, are the previous and the next key.
     below = (b >= 1) & ((a & (b - 1)) == 0)
     left = (a >= 1) & (((a - 1) & b) == 0)
     origin = ((a & b) == 0) & (a + b < side)
     table = np.full((4, n), n, dtype=np.intp)
     fill = np.zeros(n, dtype=np.intp)
     beta = np.zeros(n, dtype=np.intp)
+    step = np.diff(keys) == 1  # keys[i + 1] == keys[i] + 1
     for offset, exists in ((-row, below), (1 - row, below), (-1, left), (1, origin), (row - 1, left), (row, origin)):
-        found = _lookup(keys, keys + offset)
-        beta += exists & (found == n)
-        at = np.flatnonzero(exists & (found < n))
-        table[fill[at], at] = found[at]
+        if abs(offset) == 1:
+            hit = exists & (np.append(False, step) if offset < 0 else np.append(step, False))
+            at = np.flatnonzero(hit)
+            found = at + offset
+        else:
+            found = _lookup(keys, keys + offset)
+            hit = exists & (found < n)
+            at = np.flatnonzero(hit)
+            found = found[at]
+        beta += exists & ~hit
+        table[fill[at], at] = found
         fill[at] += 1
     if boundary.kind == "normal":
         beta[_lookup(keys, [_key(level, *c) for c in corner_coords(level).values()])] = 2

@@ -785,19 +785,27 @@ def in_lattice(graph: GasketGraph, entries) -> bool:
     An integer y with Delta @ y == x proves membership (approximate, then
     verify: Dixon 1982).  y is `LatticeData.approximate` rounded, and the
     check runs in int64.  An entry of x or y of 2**40 or more, a rounding
-    off by more than 0.25 or a failed check takes the exact solve."""
-    ints = list(map(operator.index, entries))
-    if len(ints) != graph.n_vertices:
+    off by more than 0.25 or a failed check takes the exact solve.
+
+    The entries are converted once: `np.asarray` when numpy reads them as a
+    1-D int64 array, otherwise one `operator.index` per entry."""
+    try:
+        x = np.asarray(entries)
+    except ValueError:  # ragged input, which `operator.index` refuses below
+        x = None
+    if x is None or x.dtype != np.int64 or x.ndim != 1:
+        x = np.array(list(map(operator.index, entries)), dtype=object)
+    if len(x) != graph.n_vertices:
         raise ValueError("vector length must match vertex count")
     data = lattice_data(graph)
-    if -_CERTIFIED_BOUND < min(ints) and max(ints) < _CERTIFIED_BOUND:
-        x = np.array(ints, dtype=np.int64)
+    if -_CERTIFIED_BOUND < x.min() and x.max() < _CERTIFIED_BOUND:
+        x = x.astype(np.int64, copy=False)
         approx = data.approximate(x)
         y = np.rint(approx)
         if (np.abs(approx - y) <= 0.25).all() and (np.abs(y) < _CERTIFIED_BOUND).all():
             if (laplacian_product(graph, y.astype(np.int64)) == x).all():
                 return True
-    return data.solve(ints)[1] == 1
+    return data.solve(x)[1] == 1
 
 
 def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:

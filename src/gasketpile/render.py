@@ -129,8 +129,13 @@ def render_svg(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
         chips: f'" r="{radius:.2f}" fill="rgb({",".join(map(str, color_for(chips)))})"/>'
         for chips in set(conf.chips)
     }
+    # A level-n gasket has 2**(n+1) + 1 distinct x and 2**n + 1 distinct y
+    # values for about 3**n discs: format each value once, join per disc.
     x, y = _positions(conf, spec)
-    for cx, cy, chips in zip(x.tolist(), (height - MARGIN - y).tolist(), conf.chips):
-        lines.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}{tails[chips]}')
+    xs, x_at = np.unique(x, return_inverse=True)
+    ys, y_at = np.unique(height - MARGIN - y, return_inverse=True)
+    heads = [f'<circle cx="{cx:.2f}" cy="' for cx in xs.tolist()]
+    cys = [f"{cy:.2f}" for cy in ys.tolist()]
+    lines += [heads[i] + cys[j] + tails[chips] for i, j, chips in zip(x_at.tolist(), y_at.tolist(), conf.chips)]
     lines.append("</svg>\n")
     return "\n".join(lines).encode()

@@ -8,17 +8,22 @@ property the result and the firing counts (odometer) are order-independent.
 
 One kernel, `_stabilize_raw`, does all toppling, in two phases chosen from
 the input.  A work queue of unstable vertices, in exact Python ints, serves
-avalanches that start narrow: the burning test and the CLI's `stabilize`.
-When more than half of the vertices are queued at the start of a generation
-and one bound on the chip total (`_fits_int64`) shows that nothing can
-overflow int64, the rest of the avalanche runs as synchronous numpy rounds
-in which every vertex fires at once, as in the stabilization behind a
-recurrent representative.  When nothing is frozen, those rounds start from
-the least-action lower bound max(0, ceil(Delta^{-1}(c - m))) on the
-odometer, m = degree - 1, which one sparse solve gives and which is most of
-the odometer of a wide avalanche.  `stabilize`, `burning_odometer` and
-`recurrent_rep` call the kernel directly; the test suite wraps it to
-re-check result = start - Laplacian @ odometer on every call.
+avalanches that start narrow, such as the CLI's `stabilize`.  When more
+than half of the vertices are queued at the start of a generation and one
+bound on the chip total (`_fits_int64`) shows that nothing can overflow
+int64, the rest of the avalanche runs as synchronous numpy rounds in which
+every vertex fires at once, as in the stabilization behind a recurrent
+representative.  When nothing is frozen, those rounds start from the
+least-action lower bound max(0, ceil(Delta^{-1}(c - m))) on the odometer,
+m = degree - 1, which one sparse solve gives and which is most of the
+odometer of a wide avalanche.  `stabilize` and `recurrent_rep` call the
+kernel directly; the test suite wraps it to re-check
+result = start - Laplacian @ odometer on every call.
+
+Dhar's burning test runs no toppling: a stable configuration plus beta
+fires each vertex at most once, so `_burnt` finds the vertices that fire in
+one pass over the burnt set, with no chip arithmetic.  The kernel stays its
+reference in the tests.
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ def max_config(graph: GasketGraph) -> Configuration:
 
 def _stabilize_raw(graph: GasketGraph, chips: list[int], frozen=()):
     """Topple in place until stable; returns the odometer.  This is the only
-    code in the package that fires vertices.
+    code in the package that fires vertices; it serves `stabilize` and
+    `recurrent_rep`, and the burning test's reference in the tests.
 
     Work-queue with batch firing: a popped vertex fires floor(chips/degree)
     times at once.  While toppling, the list holds each vertex's excess
@@ -226,22 +232,50 @@ def oplus(a: Configuration, b: Configuration) -> Configuration:
     return result
 
 
-def burning_odometer(conf: Configuration):
-    """Dhar burning test: add one chip per sink edge and stabilize.
+def _burnt(conf: Configuration) -> list[int]:
+    """The vertices that fire in Dhar's burning test, in burning order.
 
-    Returns (recurrent, odometer): the configuration is recurrent exactly
-    when every vertex fired once and the chips came back unchanged.
-    """
+    Stabilizing a stable configuration plus beta fires each vertex at most
+    once (Dhar 1990): after firing, a vertex holds chips + beta - degree
+    plus one chip per neighbour that fired, so at most chips < degree.  A
+    vertex therefore fires once its need, degree - chips - beta minus the
+    number of its neighbours that fired, is <= 0.  Vertices with need <= 0
+    burn first; each burnt vertex takes one from the need of each of its
+    neighbours, and a neighbour burns when its need reaches 0.  The list
+    grows while it is read: one pass over the burnt set, no chips moved."""
     if not conf.is_stable:
         raise ValueError("burning test needs a stable configuration")
-    chips = list(map(operator.add, conf.chips, conf.graph.beta))
-    odometer = _stabilize_raw(conf.graph, chips)
-    recurrent = tuple(chips) == conf.chips and odometer.count(1) == len(odometer)
-    return recurrent, tuple(odometer)
+    graph = conf.graph
+    need = list(map(operator.sub, graph.degrees, map(operator.add, conf.chips, graph.beta)))
+    burnt = [v for v, k in enumerate(need) if k <= 0]
+    push = burnt.append
+    neighbors = graph.neighbors
+    for v in burnt:
+        for w in neighbors[v]:
+            k = need[w] - 1
+            need[w] = k
+            if not k:
+                push(w)
+    return burnt
+
+
+def burning_odometer(conf: Configuration):
+    """Dhar burning test: the odometer of adding one chip per sink edge
+    and stabilizing, read off the burnt set (`_burnt`).
+
+    Returns (recurrent, odometer): the configuration is recurrent exactly
+    when every vertex fires, and since each vertex fires at most once, the
+    odometer is the indicator of the burnt set.
+    """
+    burnt = _burnt(conf)
+    odometer = [0] * conf.graph.n_vertices
+    for v in burnt:
+        odometer[v] = 1
+    return len(burnt) == len(odometer), tuple(odometer)
 
 
 def is_recurrent_burning(conf: Configuration) -> bool:
-    return burning_odometer(conf)[0]
+    return len(_burnt(conf)) == conf.graph.n_vertices
 
 
 def identity_candidate(graph: GasketGraph) -> tuple[int, ...]:
@@ -281,7 +315,7 @@ def _certified_identity(graph: GasketGraph, chips) -> Configuration:
     class of the sandpile group holds exactly one recurrent configuration
     (Dhar 1990; Holroyd et al. 2008), and the identity's class is the
     lattice itself.  So stable, recurrent and in the lattice is the identity,
-    and no avalanche beyond the burning test is run."""
+    and nothing topples."""
     conf = config(graph, chips)
     if not conf.is_stable:
         raise ArithmeticError("the identity candidate is not stable")

@@ -410,6 +410,9 @@ def test_corrupted_chip_counts_fail_both_ways(level, delta):
 
 
 def test_certificates_run_no_avalanche(monkeypatch):
+    """The identity, the three self-similarity checks and the burning test
+    itself never call the toppling kernel: burning is one pass over the
+    burnt set."""
     real = sandpile._stabilize_raw
     calls = []
 
@@ -418,10 +421,19 @@ def test_certificates_run_no_avalanche(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sandpile, "_stabilize_raw", counting)
-    verify_corner_transport(3)
+    for level in range(1, 6):
+        for boundary in (gasket.NORMAL, *(corner_sink(name) for name in CORNER_NAMES)):
+            graph = build_gasket(level, boundary)
+            sandpile.identity.cache_clear()
+            conf = identity(graph)
+            assert is_recurrent_burning(conf)
+            assert sandpile.burning_odometer(conf) == (True, (1,) * graph.n_vertices)
+            assert not is_recurrent_burning(config(graph, [0] * graph.n_vertices))
+        for name in CORNER_NAMES:
+            assert verify_corner_transport(level, name).passed
+        assert verify_doubling(level).passed
+        assert verify_junction_invariance(level, build_tile(level, 2, 2, 2)).passed
     assert len(calls) == 0
-    verify_junction_invariance(3, build_tile(3, 2, 2, 2))
-    assert len(calls) == 2  # the burning tests of the input and the glued configuration
 
 
 def test_doubling_runs_no_toppling_rounds(monkeypatch):
