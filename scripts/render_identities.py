@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from gasketpile.gasket import build_gasket
-from gasketpile.render import RenderSpec, render
+from gasketpile.render import RenderSpec, render_buffer
 from gasketpile.sandpile import identity, recurrent_rep
 
 
@@ -37,7 +37,7 @@ def main() -> int:
         conf = identity(graph)
         assert conf == recurrent_rep(graph, [0] * graph.n_vertices), "the characterization disagrees with stabilization"
         path = args.out / f"identity_level{level}.{args.format}"
-        path.write_bytes(render(conf, spec))
+        path.write_bytes(render_buffer(conf, spec))
         hist = Counter(conf.chips)
         values = " ".join(f"{v}x{hist[v]}" for v in sorted(hist))
         print(f"level {level}: {conf.graph.n_vertices} vertices, chips {values} -> {path}")

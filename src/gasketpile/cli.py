@@ -140,7 +140,7 @@ def cmd_sandpile_identity(parser, args) -> int:
     if args.render:
         spec = render.RenderSpec(fmt="svg" if args.render.endswith(".svg") else "ppm")
         # Render first: a refused raster leaves no empty file behind.
-        data = render.render(conf, spec)
+        data = render.render_buffer(conf, spec)
         with open(args.render, "wb") as fh:
             fh.write(data)
     _print(config_to_json(conf), args.json, [config_to_text(conf)])
@@ -311,7 +311,7 @@ def cmd_render(parser, args) -> int:
         parser.error("--scale must be >= 1")
     conf = _read_config(args.input)
     fmt = args.format or ("svg" if args.out.endswith(".svg") else "ppm")
-    data = render.render(conf, render.RenderSpec(fmt=fmt, scale=args.scale))
+    data = render.render_buffer(conf, render.RenderSpec(fmt=fmt, scale=args.scale))
     with open(args.out, "wb") as fh:
         fh.write(data)
     return 0

@@ -128,6 +128,12 @@ class GasketGraph:
         return _key(self.level, *self.points.T)
 
     @cached_property
+    def _int64_degrees(self) -> np.ndarray:
+        degrees = np.array(self.degrees, dtype=np.int64)
+        degrees.flags.writeable = False
+        return degrees
+
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         rows = list(zip(*self.table.tolist()))
         # Only the corners and the sunk corner's neighbours have padding.
@@ -293,14 +299,16 @@ def laplacian_product(graph: GasketGraph, entries) -> np.ndarray:
     is a Python operation on the entries."""
     n = graph.n_vertices
     if isinstance(entries, np.ndarray) and entries.dtype == np.int64:
-        values = entries
+        values, degrees = entries, graph._int64_degrees
     else:
+        # Python-int degrees: an int64 degree times a Python int could wrap.
         values = np.array(entries, dtype=object)
+        degrees = np.array(graph.degrees, dtype=object)
     if values.shape != (n,):
         raise ValueError("vector length must match vertex count")
     padded = np.zeros(n + 1, dtype=values.dtype)
     padded[:n] = values
-    out = np.array(graph.degrees, dtype=values.dtype) * values
+    out = degrees * values
     for slot in graph.table:
         out -= padded[slot]
     return out

@@ -45,8 +45,15 @@ def _positions(conf: Configuration, spec: RenderSpec) -> tuple[np.ndarray, np.nd
 
 
 def render(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
+    return bytes(render_buffer(conf, spec))
+
+
+def render_buffer(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes | np.ndarray:
+    """The rendered file as a buffer, for a file's `write`: the uint8 array
+    of `ppm_buffer` or the SVG bytes.  Writing it spares the copy into
+    `bytes` that `render` makes of a PPM raster."""
     if spec.fmt == "ppm":
-        return render_ppm(conf, spec)
+        return ppm_buffer(conf, spec)
     if spec.fmt == "svg":
         return render_svg(conf, spec)
     raise ValueError("format must be 'ppm' or 'svg'")
@@ -67,15 +74,20 @@ def _ppm_size(side: int, scale: int) -> tuple[int, int]:
 
 
 def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
-    """Binary PPM of the configuration's discs.  Where discs overlap (small
+    """Binary PPM of the configuration's discs: `ppm_buffer` as `bytes`."""
+    return ppm_buffer(conf, spec).tobytes()
+
+
+def ppm_buffer(conf: Configuration, spec: RenderSpec = RenderSpec()) -> np.ndarray:
+    """Binary PPM of the configuration's discs, as one uint8 array holding
+    the whole file, header included.  Where discs overlap (small
     scales), the vertex with the highest index owns the pixel.  A raster of
     more than `MAX_PIXELS` pixels is refused with ValueError, naming the
     largest scale that fits, before any buffer is built.
 
-    One render holds three raster-size buffers: the owner map (vertex + 1
+    One render holds two raster-size buffers: the owner map (vertex + 1
     per pixel, 0 for background, in the smallest unsigned type that holds
-    the vertex count), the PPM file itself as one uint8 array with its
-    header in place, and the returned `bytes`.  Pixel indices are int32,
+    the vertex count) and the returned file.  Pixel indices are int32,
     which `MAX_PIXELS` < 2**31 keeps exact."""
     side = 1 << conf.graph.level
     width, height = _ppm_size(side, spec.scale)
@@ -114,7 +126,7 @@ def render_ppm(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:
     rows[1:] = rows[0]
     # One 3-byte item per pixel: a scatter of (k, 3) rows is slower.
     raster.view("V3")[pixel] = colors[owner[pixel]]
-    return data.tobytes()
+    return data
 
 
 def render_svg(conf: Configuration, spec: RenderSpec = RenderSpec()) -> bytes:

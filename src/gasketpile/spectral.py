@@ -19,11 +19,10 @@ and the walk's steps on it come from `_smith_shifts`, which
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -142,6 +141,10 @@ def distinguishing_statistic(graph: GasketGraph, entries) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Characters are built this many at a time: one integer product per block.
+_CHARACTER_BLOCK = 1 << 10
+
+
 def enumerate_characters(
     graph: GasketGraph, cap: int = DEFAULT_CHARACTER_CAP
 ) -> list[HarmonicFunction]:
@@ -151,17 +154,32 @@ def enumerate_characters(
     Laplacian is symmetric, so Delta^{-1} Z^V = Uinv^T D^{-1} Z^V: on the
     Smith torus of `_smith_shifts`, the character with coordinates (m_i)
     rotates vertex v by sum_i m_i * shift_v[i] / d_i mod 1, summed in
-    integers over L = lcm(d_i).  Refuses with GroupTooLargeError when the
-    group order exceeds `cap`.
+    integers over L = lcm(d_i) by `_numerators`.  Refuses with
+    GroupTooLargeError when the group order exceeds `cap`.
     """
     dims, shifts = _smith_shifts(graph, cap)
     common = math.lcm(*dims)
-    scaled = [[s * (common // d) for s, d in zip(shift, dims)] for shift in shifts]
-    fractions = [Fraction(a, common) for a in range(common)]
-    return [
-        HarmonicFunction(graph, tuple(fractions[sum(map(operator.mul, counts, row)) % common] for row in scaled))
-        for counts in product(*map(range, dims))
-    ]
+    # Fraction(a, L) by numerator a, each made once and shared.
+    rotation = functools.cache(functools.partial(Fraction, denominator=common))
+    return [HarmonicFunction(graph, tuple(map(rotation, row))) for row in _numerators(dims, shifts, common)]
+
+
+def _numerators(dims: list[int], shifts: list[tuple[int, ...]], common: int):
+    """Each character's rotation numerators over `common`, one list per
+    character, the coordinates in C order (that of `itertools.product`).
+    A block of 1,024 characters is one integer product, its coordinates
+    times the scaled shifts, mod `common`; small blocks keep the peak memory
+    at that of the output.  The numerators stay below common * sum(dims):
+    in int64 while that is under 2**62, in Python integers (object arrays)
+    beyond, which only a raised cap reaches."""
+    dtype = np.int64 if common * sum(dims) < 2**62 else object
+    scaled = np.array([[s * (common // d) for s, d in zip(shift, dims)] for shift in shifts], dtype=dtype)
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    total = math.prod(dims)
+    for start in range(0, total, _CHARACTER_BLOCK):
+        index = np.arange(start, min(start + _CHARACTER_BLOCK, total), dtype=dtype)
+        counts = np.stack([index // stride % d for stride, d in zip(strides, dims)], axis=1)
+        yield from (counts @ scaled.T % common).tolist()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import random
 import sys
@@ -473,6 +474,56 @@ def test_smith_mod_residue_zero_stands_for_the_modulus():
     basis = group.smith_mod(lap, 10, transforms=True)
     assert basis.diag == [1, 5, 10]
     assert_exact_adapted_basis(basis, lap)
+
+
+# SHA-256 of repr((diag, U, Uinv)) from smith_mod(Delta, order, transforms=True),
+# taken before the search skipped rows without a unit: the pivot sequence,
+# and with it the adapted basis, must not change.
+ADAPTED_BASIS_DIGESTS = {
+    (2, NORMAL): "685c64cd9a4eedcc582f5a6a82a58fd3d655f73c2813d513e3ee04a35b6214ac",
+    (2, corner_sink(TOP)): "0f667e9c958539fa56eebd2184cac5e6c251d622d8f303197fe399dc796223d7",
+    (3, NORMAL): "024cc0e38cd9372316d95de5f69cf8c4079aef0e8f4912c790cc6866e4f19c94",
+    (3, corner_sink(TOP)): "bda209fe4e7479ed9be62835bff3cd8c2e933afaa01456e2388360b162ae565f",
+}
+
+
+@pytest.mark.parametrize("level, boundary", ADAPTED_BASIS_DIGESTS, ids=lambda v: str(v) if isinstance(v, int) else v.token())
+def test_smith_mod_keeps_its_pivot_sequence(level, boundary):
+    graph = build_gasket(level, boundary)
+    basis = group.smith_mod(reduced_laplacian(graph), group.sandpile_group_order(graph), transforms=True)
+    digest = hashlib.sha256(repr((basis.diag, basis.U, basis.Uinv)).encode()).hexdigest()
+    assert digest == ADAPTED_BASIS_DIGESTS[level, boundary]
+
+
+def test_smith_mod_keeps_its_pivot_sequence_on_random_matrices():
+    # Entries from {0, +-1, +-2, 3} make units appear and vanish under row
+    # operations; the digest was taken with the same battery before the
+    # search skipped rows without a unit.
+    rng = random.Random(45)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        matrix = [[rng.choice((-1, 0, 1, 2, -2, 3)) for _ in range(n)] for _ in range(n)]
+        modulus = rng.choice((1, 2, 3, 6, 12, rng.randint(1, 10**6)))
+        basis = group.smith_mod(matrix, modulus, transforms=True)
+        digest.update(repr((basis.diag, basis.U, basis.Uinv)).encode())
+    assert digest.hexdigest() == "c27a4b47b5a784a932deb5801f3fdcb61e890ccaf318e64188c59c0d1fcba360"
+
+
+@pytest.mark.parametrize("modulus", [1, 2])
+def test_smith_mod_modulo_one_and_two(modulus):
+    # Modulo 1 every residue is 0 and no entry is a unit; modulo 2 the two
+    # units 1 and R - 1 coincide.
+    rng = random.Random(17 + modulus)
+    matrices = [[[0]], [[1]], [[1, 1], [1, 1]], [[2, 0], [0, 3]]]
+    matrices += [unit_dense_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
+    for matrix in matrices:
+        expected = [math.gcd(d, modulus) for d in oracle_diagonal(matrix)]
+        assert group.smith_mod(matrix, modulus).diag == expected
+        if len(matrix) == len(matrix[0]):
+            basis = group.smith_mod(matrix, modulus, transforms=True)
+            assert basis.diag == expected
+            assert_exact_adapted_basis(basis, matrix)
 
 
 def test_level4_adapted_basis_is_unimodular():

@@ -24,6 +24,7 @@ from gasketpile.render import (
     RenderSpec,
     color_for,
     render,
+    render_buffer,
     render_ppm,
     render_svg,
 )
@@ -142,6 +143,33 @@ def test_a_ppm_render_peaks_below_ten_bytes_per_pixel():
         tracemalloc.stop()
     width, height, _ = ppm_pixels(data)
     assert peak < 10 * width * height
+
+
+def test_render_buffer_holds_the_rendered_bytes():
+    conf = identity(build_gasket(3))
+    for fmt in ("ppm", "svg"):
+        spec = RenderSpec(fmt=fmt, scale=5)
+        assert bytes(render_buffer(conf, spec)) == render(conf, spec)
+    assert render(conf) == render_ppm(conf)
+    with pytest.raises(ValueError, match="format must be"):
+        render_buffer(conf, RenderSpec(fmt="png"))
+
+
+def test_a_cli_render_writes_the_raster_without_a_bytes_copy(tmp_path, capsys):
+    # The owner map and the file's array take 5 bytes per pixel at level 6;
+    # a copy into bytes would add 3 more.
+    main(["sandpile", "identity", "--level", "6"])
+    capsys.readouterr()
+    out_path = tmp_path / "id.ppm"
+    tracemalloc.start()
+    try:
+        assert main(["sandpile", "identity", "--level", "6", "--render", str(out_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width, height, _ = ppm_pixels(out_path.read_bytes())
+    assert out_path.read_bytes() == render_ppm(identity(build_gasket(6)))
+    assert peak < 8 * width * height
 
 
 def test_svg_structure():

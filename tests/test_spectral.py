@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gasketpile import group
-from gasketpile.gasket import LOWER_LEFT, NORMAL, build_gasket, cell_index, corner_sink, reduced_laplacian
+from gasketpile import group, spectral
+from gasketpile.gasket import LOWER_LEFT, LOWER_RIGHT, NORMAL, TOP, build_gasket, cell_index, corner_sink, reduced_laplacian
 from gasketpile.markov import exact_tv_curve
 from gasketpile.sandpile import identity, max_config
 from gasketpile.spectral import (
@@ -27,6 +28,7 @@ from test_group import smith_coordinates
 
 G0 = build_gasket(0)
 G1 = build_gasket(1)
+BOUNDARIES = [NORMAL, corner_sink(TOP), corner_sink(LOWER_LEFT), corner_sink(LOWER_RIGHT)]
 
 
 def trivial_character(graph):
@@ -247,6 +249,57 @@ def test_enumerate_characters_level1():
     assert len({c.rotation for c in chars}) == 1444
     assert sum(1 for c in chars if c.is_real) == 4
     assert cell_harmonic(1, 1).rotation in {c.rotation for c in chars}
+
+
+def reference_characters(graph):
+    """Rotation vectors character by character, in C order of the Smith
+    coordinates (m_i): q(v) = sum_i m_i * Uinv[i, v] / d_i mod 1, straight
+    from the adapted basis."""
+    data = group.lattice_data(graph)
+    rows = [(data.Uinv[i], d) for i, d in data.cyclic]
+    return [
+        tuple(sum(Fraction(m * row[v], d) for m, (row, d) in zip(counts, rows)) % 1 for v in range(graph.n_vertices))
+        for counts in itertools.product(*(range(d) for _, d in rows))
+    ]
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_enumerate_characters_equals_the_per_character_formula(level, boundary):
+    graph = build_gasket(level, boundary)
+    assert [c.rotation for c in enumerate_characters(graph)] == reference_characters(graph)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1443, 1444, 1445])
+def test_enumeration_is_exact_across_block_boundaries(block, monkeypatch):
+    monkeypatch.setattr(spectral, "_CHARACTER_BLOCK", block)
+    assert [c.rotation for c in enumerate_characters(G1)] == reference_characters(G1)
+
+
+def test_huge_smith_torus_takes_exact_integers(monkeypatch):
+    # The numerators run past 2**70, beyond int64.  The torus is far too big
+    # to enumerate, so the recorder stops after 60 characters, one block of
+    # 50 and part of the next.
+    dims = [3, 2**70 + 1]
+    shifts = [(1, 2**70), (2, 2**69 + 3), (0, 1), (1, 0), (2, 5**30), (0, 2**70 - 7)]
+    monkeypatch.setattr(spectral, "_smith_shifts", lambda graph, cap: (dims, shifts))
+    monkeypatch.setattr(spectral, "_CHARACTER_BLOCK", 50)
+    seen = []
+
+    class Enough(Exception):
+        pass
+
+    def record(graph, rotation):
+        seen.append(rotation)
+        if len(seen) == 60:
+            raise Enough
+
+    monkeypatch.setattr(spectral, "HarmonicFunction", record)
+    with pytest.raises(Enough):
+        enumerate_characters(G1)
+    # The first 60 coordinates in C order are (0, m) for m < 60.
+    expected = [tuple(Fraction(s * m, dims[1]) % 1 for _, s in shifts) for m in range(60)]
+    assert seen == expected
 
 
 def test_enumeration_refuses_oversized_groups():
