@@ -34,9 +34,11 @@ VM.
 `smith_mod` is a dense bounded-entry Smith reduction modulo the order; with
 transforms it gives `LatticeData.basis`, the adapted basis behind the class
 labels, the characters and the walk spectrum.  Its pivot search skips rows
-already known to hold no unit, so the factors of the reduced Laplacian take
-about 12 ms at level 4 and 0.21 s at level 5 on a 2-core VM (13.5-14 ms and
-0.28-0.32 s when every row was scanned for every pivot).  The tests check
+already known to hold no unit and scans the unit-free block once per pivot,
+and without transforms each Euclid pass reduces the whole column before its
+least remainder becomes the next pivot.  So the factors of the reduced
+Laplacian take about 10 ms at level 4, 0.15 s at level 5 and 4 s at level
+6 on a 2-core VM.  The tests check
 the two against each other and `smith_mod` against sympy's Smith normal
 form over ZZ.  The recursive and matrix-tree spanning tree counts live
 here too.
@@ -285,23 +287,34 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     entries, stored as R - 1, are then unit pivots, and Euclid rounds are
     needed only in the final dense block.  A unit (1 or R - 1, for R >= 2)
     is the least residue, so the search takes the first unit of the first
-    row holding one, at its first such column, and scans for the minimum
-    only when no row holds a unit.  A row found without a unit is flagged
-    and skipped by later searches until its values change: the flag moves
-    with row swaps and is cleared by a row operation and by the reduction
-    of the pivot row.  Negation maps units to units, and column swaps only
-    permute columns right of the pivot, so the flag stays true; the pivot
+    row holding one, at its first such column.  A row found without a unit
+    is flagged and skipped by later searches until its values change: the
+    flag moves with row swaps and is cleared by a row operation and by the
+    reduction of the pivot row.  Negation maps units to units, and column swaps only
+    permute columns right of the pivot, so the flag stays true.  Once a
+    search finds no unit at all, every later pivot comes from one minimum
+    scan, which stops at its first residue 1: that is the first unit in
+    row-major order, the one the search would have found, so the pivot
     sequence is that of a full scan.  A row operation subtracts the nearest
     multiple of the pivot row and touches only the columns where the pivot
     row is nonzero: columns left of the pivot are already zero in every row
     from the pivot down.
 
-    Column clearing: the row pass repeats until column t is zero below the
-    pivot.  Rows above t are diagonal by then, so column t is zero outside
-    row t, and subtracting a multiple of column t from column j changes row t
-    alone.  Row t is therefore reduced modulo the pivot in place; only a
-    nonzero remainder costs a column swap, after which it is the new,
-    smaller pivot and the row pass runs again.
+    Column clearing: row passes repeat until column t is zero below the
+    pivot, each remainder at most half the pivot.  Without transforms a
+    pass reduces every row below t, and the least nonzero symmetric
+    remainder, first on ties, is swapped in as the next pivot.  With
+    transforms the first row left with a remainder is swapped in at once
+    and the pass restarts: that order fixes U and Uinv, the adapted basis
+    that names the classes and orders the characters, and the tests pin
+    it.  The factors are canonical, so the least-remainder rule cannot
+    change them.  Rows above t are diagonal by then, so column t is zero
+    outside row t, and subtracting a multiple of column t from column j
+    changes row t alone.  Row t is therefore reduced modulo the pivot in
+    place; only a nonzero remainder costs a column swap, after which it is
+    the new, smaller pivot and the row passes run again.  The factors of
+    the level-4 Laplacian take about 10 ms, those of level 5 0.15 s, on a
+    2-core VM.
 
     Column operations do not change cokernel coordinates, so with
     `transforms` only row operations are tracked.  They give the adapted
@@ -364,17 +377,16 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
             row[i], row[j] = row[j], row[i]
 
     def clear(t: int) -> None:
-        # Clear column t below and row t right of the pivot.  Every swap
-        # brings in a strictly smaller pivot, so this terminates.
+        # Clear column t below and row t right of the pivot.  Every new pivot
+        # is a nonzero remainder of the last, hence smaller: this terminates.
         while True:
-            swapped = True
-            while swapped:
-                swapped = False
+            while True:
                 if s[t][t] > half:
                     negate_row(t)
                 prow = s[t]
                 piv = prow[t]
                 cols = [c for c in range(t, n) if prow[c]]
+                least = None
                 for i in range(t + 1, m):
                     val = s[i][t]
                     if val:
@@ -383,10 +395,20 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
                         q = (2 * val + piv) // (2 * piv)
                         if q:
                             row_sub(i, t, q, cols)
-                        if s[i][t]:
-                            swap_rows(i, t)
-                            swapped = True
-                            break
+                            val -= q * piv
+                        if val:
+                            if transforms:
+                                # The first remainder is the next pivot: this
+                                # order fixes U and Uinv, the adapted basis
+                                # that names the classes and the characters.
+                                least = i
+                                break
+                            val = abs(val)
+                            if least is None or val < rmin:
+                                least, rmin = i, val
+                if least is None:
+                    break
+                swap_rows(least, t)
             row = s[t]
             piv = row[t] = math.gcd(row[t], big)
             unitless[t] = False
@@ -400,21 +422,25 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
                 return
             swap_cols(t, best)
 
+    # Until a search finds no unit at all, the first unit of the first
+    # unflagged row is the pivot.  From then on one minimum scan serves: it
+    # stops at the first unit, which is what the search would have found.
+    scan = False
     for t in range(min(m, n)):
-        # The first unit in row-major order is the pivot; rows flagged
-        # without one are skipped.  Without a unit, scan for the minimum.
         best = None
-        for i in range(t, m):
-            if not unitless[i]:
-                row = s[i]
-                for j in range(t, n):
-                    if row[j] in units:
-                        best = (1, i, j)
+        if not scan:
+            for i in range(t, m):
+                if not unitless[i]:
+                    row = s[i]
+                    for j in range(t, n):
+                        if row[j] in units:
+                            best = (1, i, j)
+                            break
+                    if best is not None:
                         break
-                if best is not None:
-                    break
-                unitless[i] = True
-        if best is None:
+                    unitless[i] = True
+            scan = best is None
+        if scan:
             for i in range(t, m):
                 row = s[i]
                 for j in range(t, n):
@@ -424,6 +450,11 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
                             val = big - val
                         if best is None or val < best[0]:
                             best = (val, i, j)
+                            if val == 1:
+                                break
+                else:
+                    continue
+                break
         if best is None:
             break
         if best[1] != t:

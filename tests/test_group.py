@@ -526,6 +526,63 @@ def test_smith_mod_modulo_one_and_two(modulus):
             assert_exact_adapted_basis(basis, matrix)
 
 
+def test_smith_mod_matches_the_oracle_in_euclid_passes():
+    # Entries without +-1, so that a pivot is rarely a unit and most columns
+    # are cleared by Euclid passes: without transforms the least remainder of
+    # a pass is the next pivot, with them the first.  Both give the oracle's
+    # factors.
+    rng = random.Random(46)
+    for _ in range(300):
+        rows = rng.randint(1, 7)
+        cols = rows if rng.random() < 0.5 else rng.randint(1, 7)
+        matrix = [[rng.choice((0, 2, -2, 3, -3, 4, -4, 6, 9, 10, 15)) for _ in range(cols)] for _ in range(rows)]
+        oracle = oracle_diagonal(matrix)
+        base = math.prod(d for d in oracle if d)
+        prime_power = rng.choice((2, 3, 5, 7)) ** rng.randint(1, 6)
+        for modulus in (rng.randint(1, 3) * base, 1, 2, prime_power, rng.randint(1, 10**12)):
+            expected = [math.gcd(d, modulus) for d in oracle]
+            diag = group.smith_mod(matrix, modulus).diag
+            assert diag == expected
+            if rows == cols:
+                basis = group.smith_mod(matrix, modulus, transforms=True)
+                assert basis.diag == diag
+                assert_exact_adapted_basis(basis, matrix)
+
+
+def smith_mod_lines(matrix, modulus):
+    """Lines run in `smith_mod`'s own frame (its pivot searches and pass
+    bookkeeping, not its row operations): a deterministic count of work."""
+    code = group.smith_mod.__code__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        group.smith_mod(matrix, modulus)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_smith_mod_search_passes_over_rows_without_a_unit():
+    # Eight rows without a unit over a -I block of 32: every unit pivot lies
+    # below them.  The search skips them once they are flagged, so they cost
+    # little more than when they come last; scanning them for every pivot
+    # would cost about ten times as much.
+    rng = random.Random(8)
+    k, n = 8, 40
+    top = [[rng.choice((2, 3, 4, 6, 9)) for _ in range(k)] + [0] * (n - k) for _ in range(k)]
+    below = [[0] * k + [-(i == j) for j in range(n - k)] for i in range(n - k)]
+    modulus = 10**12 + 39
+    assert group.smith_mod(top + below, modulus).diag == group.smith_mod(below + top, modulus).diag
+    assert smith_mod_lines(top + below, modulus) < 2 * smith_mod_lines(below + top, modulus)
+
+
 def test_level4_adapted_basis_is_unimodular():
     # Freivalds: U @ (Uinv @ x) == x and Uinv @ (Delta @ x) divisible by the
     # factors, for fixed random x, without forming the big-entry products.
@@ -1296,6 +1353,14 @@ def test_local_quotients_equal_smith_mod(level):
             cases.append((graph, [[rng.choice((0, 0, 1, -1, 2, 5, 6)) for _ in range(n)] for _ in range(count)]))
         cases.append((graph, [[5 * rng.randrange(-2, 3) for _ in range(n)]]))
     for graph, generators in cases:
+        assert group.quotient_invariants(graph, generators) == smith_reference(graph, generators)
+
+
+def test_level5_theorem_quotients_equal_smith_mod():
+    # The theorem's own quotients only: the parent's junction classes and
+    # one corner pair of the child; the other two pairs are its rotations.
+    # The reference is 366 x 372 modulo the order.
+    for graph, generators in theorem_generators(5)[:2]:
         assert group.quotient_invariants(graph, generators) == smith_reference(graph, generators)
 
 
