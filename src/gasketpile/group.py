@@ -31,14 +31,17 @@ translates of one another are eliminated once per stage and the result is
 moved onto the others, so all primes of the group take about 12 ms at
 level 5, 0.07-0.10 s at level 8 and 0.18-0.30 s at level 10 on a 2-core
 VM.
-`smith_mod` is a dense bounded-entry Smith reduction modulo the order; with
-transforms it gives `LatticeData.basis`, the adapted basis behind the class
-labels, the characters and the walk spectrum.  Its pivot search skips rows
-already known to hold no unit and scans the unit-free block once per pivot,
-and without transforms each Euclid pass reduces the whole column before its
-least remainder becomes the next pivot.  So the factors of the reduced
-Laplacian take about 10 ms at level 4, 0.15 s at level 5 and 4 s at level
-6 on a 2-core VM.  The tests check
+`smith_mod` is a Smith reduction modulo the order; with transforms it
+gives `LatticeData.basis`, the adapted basis behind the class labels, the
+characters and the walk spectrum.  Without transforms it first eliminates
+the +-1 pivots over Z on sparse rows (Dumas, Saunders & Villard 2001) and
+hands the block left, a third of the rows on the Laplacians, to its dense
+bounded-entry core.  The core's pivot search skips rows already known to
+hold no unit and scans the unit-free block once per pivot, and without
+transforms each Euclid pass reduces the whole column before its least
+remainder becomes the next pivot.  So the factors of the reduced Laplacian
+take about 5.5 ms at level 4, 70 ms at level 5 and 1.4-2.3 s at level 6
+on a 2-core VM.  The tests check
 the two against each other and `smith_mod` against sympy's Smith normal
 form over ZZ.  The recursive and matrix-tree spanning tree counts live
 here too.
@@ -268,18 +271,95 @@ class AdaptedBasis:
     Uinv: Matrix | None = None
 
 
+def _split_unit_pivots(matrix: Matrix, modulus: int) -> tuple[int, Matrix]:
+    """Eliminate the +-1 pivots of `matrix` over Z and return their count
+    with the block left, as residues in [0, R): the Smith form modulo R is
+    that many factors 1 followed by the block's.  Entries are read as
+    symmetric residues in (-R/2, R/2], so R - 1 counts as -1, and held in
+    sparse dict rows with the set of rows of each column.  In passes over
+    the rows, a row holding a +-1 pivots on the one whose column has the
+    fewest entries: the column is cleared by row operations over Z, and the
+    pivot row and column are dropped, since column operations clear the
+    rest of the row without touching the others.  The passes repeat until
+    no row holds a +-1.  Each pivot block has determinant +-1, so every
+    entry is a minor of the symmetric residues."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if any(len(row) != n for row in matrix):
+        raise ValueError("ragged matrix")
+    half = modulus // 2
+    rows = []
+    cols = [set() for _ in range(n)]
+    for i, line in enumerate(matrix):
+        row = {}
+        for j, v in enumerate(map(operator.index, line)):
+            if v:
+                v %= modulus
+                if v:
+                    row[j] = v - modulus if v > half else v
+                    cols[j].add(i)
+        rows.append(row)
+    live = list(range(m))
+    dropped = set()
+    while True:
+        kept = []
+        for p in live:
+            prow = rows[p]
+            c = None
+            for j, v in prow.items():
+                if (v == 1 or v == -1) and (c is None or len(cols[j]) < len(cols[c])):
+                    c = j
+            if c is None:
+                kept.append(p)
+                continue
+            unit = prow.pop(c)
+            for j in prow:
+                cols[j].discard(p)
+            cols[c].discard(p)
+            for i in cols[c]:
+                # row_i -= f * row_p, which clears row_i[c] since unit**2 == 1.
+                row = rows[i]
+                f = row.pop(c) * unit
+                for j, v in prow.items():
+                    w = row.get(j)
+                    if w is None:
+                        row[j] = -f * v
+                        cols[j].add(i)
+                    else:
+                        w -= f * v
+                        if w:
+                            row[j] = w
+                        else:
+                            del row[j]
+                            cols[j].discard(i)
+            dropped.add(c)
+        if len(kept) == len(live):
+            break
+        live = kept
+    rest = [j for j in range(n) if j not in dropped]
+    return m - len(live), [[rows[i].get(j, 0) % modulus for j in rest] for i in live]
+
+
 def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> AdaptedBasis:
     """Invariant factors of Z^m / (column lattice of `matrix` + R * Z^m) for a
     positive modulus R.  When R * Z^m already lies inside the column lattice
     (R a multiple of the determinant, say), this is just coker(matrix).
 
-    The reduction runs, conceptually, on the augmented matrix [A | R*I]; the
-    phantom columns R*I are never stored.  They license keeping every entry
-    as a residue in [0, R), and folding a pivot p into gcd(p, R) once its
-    column is zero below it.  Plain Smith reduction grows million-bit
-    entries on the 42-vertex graph; here entries stay below R.  Coordinates
-    beyond the column rank are killed by the phantom columns alone and give
-    a factor of R (a residue of 0 stands for R).
+    Without transforms, a pre-pass (`_split_unit_pivots`) first eliminates
+    the +-1 pivots over Z on sparse rows; its entries are minors of the
+    input's symmetric residues, not residues.  Each pivot gives a leading
+    factor 1, and the block left goes to the dense core below as residues
+    in [0, R).  On the level-L Laplacians it takes about 3^L pivots and
+    leaves a block of about n_(L-1) rows, with entries of at most 33 bits
+    at level 4 (the order has 190) and 64 at level 5 (558).
+
+    The dense core runs, conceptually, on the augmented matrix [A | R*I];
+    the phantom columns R*I are never stored.  They license keeping every
+    entry as a residue in [0, R), and folding a pivot p into gcd(p, R) once
+    its column is zero below it.  Plain Smith reduction grows million-bit
+    entries on the 42-vertex graph; in the core entries stay below R.
+    Coordinates beyond the column rank are killed by the phantom columns
+    alone and give a factor of R (a residue of 0 stands for R).
 
     Pivot rule: the pivot is the entry with the smallest symmetric residue
     min(v, R - v), first in row-major order, and a pivot above R/2 has its
@@ -312,9 +392,9 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     outside row t, and subtracting a multiple of column t from column j
     changes row t alone.  Row t is therefore reduced modulo the pivot in
     place; only a nonzero remainder costs a column swap, after which it is
-    the new, smaller pivot and the row passes run again.  The factors of
-    the level-4 Laplacian take about 10 ms, those of level 5 0.15 s, on a
-    2-core VM.
+    the new, smaller pivot and the row passes run again.  With the pre-pass
+    the factors of the level-4 Laplacian take about 5.5 ms, those of level
+    5 70 ms and those of level 6 1.4-2.3 s on a 2-core VM.
 
     Column operations do not change cokernel coordinates, so with
     `transforms` only row operations are tracked.  They give the adapted
@@ -326,7 +406,10 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     if big <= 0:
         raise ValueError("modulus must be positive")
     half = big // 2
-    s = [[operator.index(v) % big for v in row] for row in matrix]
+    if transforms:
+        lead, s = 0, [[operator.index(v) % big for v in row] for row in matrix]
+    else:
+        lead, s = _split_unit_pivots(matrix, big)
     m = len(s)
     n = len(s[0]) if m else 0
     if any(len(row) != n for row in s):
@@ -465,7 +548,7 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
 
     if not transforms:
         raw = [math.gcd(s[i][i], big) if i < n else big for i in range(m)]
-        return AdaptedBasis(diag=_canonical_chain(raw))
+        return AdaptedBasis(diag=[1] * lead + _canonical_chain(raw))
 
     # Restore the divisibility chain with real (tracked) operations so that U
     # stays aligned with the factors.  Diagonal residues all divide R here,

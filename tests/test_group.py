@@ -318,8 +318,12 @@ def moduli(matrix):
         [[1, 0], [0, 1]],
         [[2, 4, 6]],
         [[3], [6], [9]],
+        [[1, 2], [3, 7]],
+        [[1, -1, 0], [2, -2, 0], [0, 0, 0]],
+        [[1, 1, 2], [-1, 0, 3]],
+        [[-1, 0], [0, 2], [1, 4]],
     ],
-    ids=["textbook", "diagonal", "zero", "identity", "wide", "tall"],
+    ids=["textbook", "diagonal", "zero", "identity", "wide", "tall", "unimodular", "emptied", "units-wide", "units-tall"],
 )
 def test_smith_mod_matches_the_oracle_on_fixed_matrices(matrix):
     for modulus in moduli(matrix):
@@ -397,6 +401,21 @@ def unit_dense_matrix(rng, rows, cols):
     return [[rng.choice((-1, 1, -1, 1, 0, 2, -2, 3)) for _ in range(cols)] for _ in range(rows)]
 
 
+def unit_sparse_matrix(rng, rows, cols):
+    """Mostly zeros with +-1 entries and a few others, like a Laplacian: the
+    +-1 pivots split off over Z fill in entries that later pivots clear."""
+    return [[rng.choice((0, 0, 0, 0, 1, -1, -1, 2, 3)) for _ in range(cols)] for _ in range(rows)]
+
+
+def assert_factors_modulo(matrix, modulus, oracle):
+    """smith_mod's factors modulo R are gcd(d, R) for the oracle's d, and on
+    a square input the transforms run gives the same factors."""
+    diag = group.smith_mod(matrix, modulus).diag
+    assert diag == [math.gcd(d, modulus) for d in oracle]
+    if len(matrix) == len(matrix[0]):
+        assert group.smith_mod(matrix, modulus, transforms=True).diag == diag
+
+
 def test_smith_mod_matches_the_oracle_on_unit_dense_matrices():
     rng = random.Random(11)
     for _ in range(150):
@@ -405,6 +424,23 @@ def test_smith_mod_matches_the_oracle_on_unit_dense_matrices():
         m = unit_dense_matrix(rng, rows, cols)
         k = rng.choice((1, 3))
         assert_smith_mod_matches_the_oracle(m, k * math.prod(d for d in oracle_diagonal(m) if d))
+    # Tall and wide +-1-rich matrices, dense and sparse, modulo a multiple
+    # of the factors' product, 1, 2, 3, a prime power and a random value up
+    # to 10^20.  Each entry is also lifted by -R, 0 or R, which turns a -1 into
+    # R - 1 and a 1 into R + 1 or 1 - R: only residues count, so the factors
+    # stay the same.
+    rng = random.Random(47)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        make = rng.choice((unit_dense_matrix, unit_sparse_matrix))
+        m = make(rng, rows, cols)
+        oracle = oracle_diagonal(m)
+        base = math.prod(d for d in oracle if d)
+        prime_power = rng.choice((2, 3, 5, 7)) ** rng.randint(1, 8)
+        for modulus in (rng.choice((1, 2)) * base, 1, 2, 3, prime_power, rng.randint(1, 10**20)):
+            assert_factors_modulo(m, modulus, oracle)
+            lifted = [[v + modulus * rng.choice((-1, 0, 1)) for v in row] for row in m]
+            assert_factors_modulo(lifted, modulus, oracle)
 
 
 # The junction-copy assignment with the roles of the copies turned: left
@@ -514,6 +550,9 @@ def test_smith_mod_keeps_its_pivot_sequence_on_random_matrices():
 def test_smith_mod_modulo_one_and_two(modulus):
     # Modulo 1 every residue is 0 and no entry is a unit; modulo 2 the two
     # units 1 and R - 1 coincide.
+    assert group.smith_mod([], modulus).diag == []
+    assert group.smith_mod([], modulus, transforms=True).diag == []
+    assert group.smith_mod([[]], modulus).diag == [modulus]
     rng = random.Random(17 + modulus)
     matrices = [[[0]], [[1]], [[1, 1], [1, 1]], [[2, 0], [0, 3]]]
     matrices += [unit_dense_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
@@ -549,7 +588,7 @@ def test_smith_mod_matches_the_oracle_in_euclid_passes():
                 assert_exact_adapted_basis(basis, matrix)
 
 
-def smith_mod_lines(matrix, modulus):
+def smith_mod_lines(matrix, modulus, transforms=False):
     """Lines run in `smith_mod`'s own frame (its pivot searches and pass
     bookkeeping, not its row operations): a deterministic count of work."""
     code = group.smith_mod.__code__
@@ -563,7 +602,7 @@ def smith_mod_lines(matrix, modulus):
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        group.smith_mod(matrix, modulus)
+        group.smith_mod(matrix, modulus, transforms)
     finally:
         sys.settrace(previous)
     return count
@@ -573,7 +612,9 @@ def test_smith_mod_search_passes_over_rows_without_a_unit():
     # Eight rows without a unit over a -I block of 32: every unit pivot lies
     # below them.  The search skips them once they are flagged, so they cost
     # little more than when they come last; scanning them for every pivot
-    # would cost about ten times as much.
+    # would cost about ten times as much.  Without transforms the -I block
+    # is split off before the dense core sees it, so the search is measured
+    # with transforms, whose pivot search is the same.
     rng = random.Random(8)
     k, n = 8, 40
     top = [[rng.choice((2, 3, 4, 6, 9)) for _ in range(k)] + [0] * (n - k) for _ in range(k)]
@@ -581,6 +622,20 @@ def test_smith_mod_search_passes_over_rows_without_a_unit():
     modulus = 10**12 + 39
     assert group.smith_mod(top + below, modulus).diag == group.smith_mod(below + top, modulus).diag
     assert smith_mod_lines(top + below, modulus) < 2 * smith_mod_lines(below + top, modulus)
+    assert smith_mod_lines(top + below, modulus, True) < 2 * smith_mod_lines(below + top, modulus, True)
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.token())
+def test_unit_pivots_split_off_before_the_dense_core(level, boundary):
+    # Each pivot takes one row, and the block left holds no +-1 entry.
+    graph = build_gasket(level, boundary)
+    delta = reduced_laplacian(graph)
+    order = group.lattice_data(graph).order
+    pivots, block = group._split_unit_pivots(delta, order)
+    assert pivots + len(block) == len(delta)
+    assert all(v not in (1, order - 1) for row in block for v in row)
+    assert all(0 <= v < order for row in block for v in row)
 
 
 def test_level4_adapted_basis_is_unimodular():
