@@ -81,7 +81,7 @@ from .gasket import (
     reduced_laplacian,
     subcopy_embedding,
 )
-from .localsmith import _local_smith, _nested_rows, _valuation
+from .localsmith import _local_smith, _nested_rows
 
 Matrix = list[list[int]]
 
@@ -292,12 +292,10 @@ def _split_unit_pivots(matrix: Matrix, modulus: int) -> tuple[int, Matrix]:
     cols = [set() for _ in range(n)]
     for i, line in enumerate(matrix):
         row = {}
-        for j, v in enumerate(map(operator.index, line)):
-            if v:
-                v %= modulus
-                if v:
-                    row[j] = v - modulus if v > half else v
-                    cols[j].add(i)
+        for j in compress(range(n), line):
+            if v := operator.index(line[j]) % modulus:
+                row[j] = v - modulus if v > half else v
+                cols[j].add(i)
         rows.append(row)
     live = list(range(m))
     dropped = set()
@@ -337,6 +335,9 @@ def _split_unit_pivots(matrix: Matrix, modulus: int) -> tuple[int, Matrix]:
             break
         live = kept
     rest = [j for j in range(n) if j not in dropped]
+    # The sparsest rows first: the dense core takes its pivots in row order,
+    # and a row operation touches only the pivot row's nonzero columns.
+    live.sort(key=lambda i: len(rows[i]))
     return m - len(live), [[rows[i].get(j, 0) % modulus for j in rest] for i in live]
 
 
@@ -966,6 +967,14 @@ def lattice_reduce(graph: GasketGraph, entries: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # The primes of the order, read off the factorization.
 # ---------------------------------------------------------------------------
+
+
+def _valuation(x: int, p: int) -> int:
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
 
 
 def _prime_powers(level: int, dets: list[tuple[Fraction, int]]) -> dict[int, int]:

@@ -15,20 +15,13 @@ cell, not 3**(n-1-k).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .gasket import GasketGraph, cell_index
-
-
-def _valuation(x: int, p: int) -> int:
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
 
 
 # Markowitz cost caps (row entries - 1) * (column entries - 1) of the passes
@@ -39,13 +32,28 @@ _MARKOWITZ_CAPS = (4, 16, 64, 256)
 class _Stage(NamedTuple):
     """One stage of `_local_smith`: the cell of every row and column (-1 for
     none), the nested-dissection rank of every row, and the class of alike
-    cells: how many there are, and the vertex table of the representative
-    (first) and of the copies to replay, in one order (no rows: no class)."""
+    cells: how many there are (0: no class), the representative's cell and
+    corners, and the replay plan (`_replay_plan`) of its copies."""
 
     cell: list[int]
     rank: list[int]
     alike: int
-    table: np.ndarray
+    first: int
+    corners: list[int]
+    copies: list[tuple[dict[int, int], list[int], list[tuple[int, int]]]]
+
+
+def _corner_pairs(corners: list[int]) -> list[tuple[int, int]]:
+    """The (row, column) positions of a cell's corner block, row by row."""
+    return [(x, y) for x in corners for y in corners]
+
+
+def _replay_plan(table: list[list[int]]) -> list[tuple[dict[int, int], list[int], list[tuple[int, int]]]]:
+    """Per copy of a class, whose vertex table is a row of `table` after the
+    representative's (the first): the map of the representative's vertices
+    onto the copy's, the copy's corners and its corner block.  Every prime
+    and every K of a quotient replays through this one plan."""
+    return [(dict(zip(table[0], image)), image[-3:], _corner_pairs(image[-3:])) for image in table[1:]]
 
 
 def _nested_rows(
@@ -67,10 +75,11 @@ def _nested_rows(
     pivot loop when it is not alike or is its class's representative, the
     first alike cell below a cell that runs; an alike cell below a cell that
     runs is a copy to replay, and the cells below a copy are never touched.
-    A vertex gets a row here only if its own cell runs.  The table lists, per
-    cell, the midpoints of its level-0, ..., level-k cells (the cells below a
-    cell are listed together, in one order) and its corners, so that equal
-    positions are translates."""
+    A vertex gets a row here only if its own cell runs.  The vertex table of
+    a class lists, per cell (the representative first, then its copies),
+    the midpoints of its level-0, ..., level-k cells (the cells below a cell
+    are listed together, in one order) and its corners, so that equal
+    positions are translates; `_replay_plan` turns it into maps."""
     n, level = graph.n_vertices, graph.level
     mids, corners, big = cell_index(graph)
     top = [v for v in big if v != n]
@@ -79,9 +88,9 @@ def _nested_rows(
     for k, cells in enumerate(mids):
         home_level[cells] = k
         home_cell[cells] = np.arange(len(cells))[:, None]
-    touched = np.array(sorted({v for g in columns for v, x in enumerate(g) if x}), dtype=np.int64)
+    touched = np.array(sorted({v for g in columns for v in compress(range(n), g)}), dtype=np.int64)
     cells = [np.where(home_level <= k, home_cell // 3 ** np.maximum(k - home_level, 0), -1) for k in range(level + 1)]
-    stages = [_Stage(cells[level].tolist(), rank, 0, np.empty((0, 0), dtype=np.intp))]
+    classes = [(0, [])]  # per stage, finest first once reversed: the class size and vertex table
     runs = []
     for k in reversed(range(level)):
         count = len(mids[k])
@@ -91,21 +100,27 @@ def _nested_rows(
         alike = ~(corners[k] == n).any(axis=1)
         hit = cells[k][touched]
         alike[hit[hit >= 0]] = False
-        size, run, table = int(alike.sum()), below, np.empty((0, 0), dtype=np.intp)
+        size, run, table = int(alike.sum()), below, []
         if size > 1:
             members = np.flatnonzero(alike & below)
             run = ~alike
             run[members[0]] = True
-            table = np.concatenate([m.reshape(count, -1) for m in mids[: k + 1]] + [corners[k]], axis=1)[members]
+            table = np.concatenate([m.reshape(count, -1) for m in mids[: k + 1]] + [corners[k]], axis=1)[members].tolist()
         runs.append(run)
-        stages.append(_Stage(cells[k].tolist(), rank, size if size > 1 else 0, table))
-    stages.reverse()
+        classes.append((size if size > 1 else 0, table))
+    classes.reverse()
     runs.reverse()
     rows = {}
     # Each row from the vertex's column of the neighbour table, which lists
-    # the neighbours ascending and then the padding slot n.
+    # the neighbours ascending and then the padding slot n.  A neighbour
+    # without a row lies in a copy, and the row is a copy's corner's: the
+    # replay writes its entries in the copy's columns, so they are left out.
     running = np.concatenate([cells[run].ravel() for cells, run in zip(mids, runs)] + [np.array(top, dtype=np.intp)])
-    for v, near in zip(running.tolist(), graph.table[:, running].T.tolist()):
+    near = graph.table[:, running]
+    has_row = np.zeros(n + 1, dtype=bool)
+    has_row[running] = True
+    near[~has_row[near]] = n
+    for v, near in zip(running.tolist(), near.T.tolist()):
         row = rows[v] = {v: graph.degrees[v]}
         for w in near:
             if w != n:
@@ -113,6 +128,13 @@ def _nested_rows(
         for k, g in enumerate(columns):
             if g[v]:
                 row[n + k] = g[v]
+    stages = []
+    for cell, (size, table) in zip(cells, classes):
+        cell = cell.tolist()
+        if size:
+            stages.append(_Stage(cell, rank, size, cell[table[0][0]], table[0][-3:], _replay_plan(table)))
+        else:
+            stages.append(_Stage(cell, rank, 0, -1, [], []))
     return rows, stages
 
 
@@ -138,21 +160,20 @@ def _local_smith(matrix: dict[int, dict[int, int]], stages: list[_Stage], p: int
     Every other cell runs the pivot loop on its own."""
     modulus = p**rounds
     rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    cols: defaultdict[int, set[int]] = defaultdict(set)
     for i, entries in matrix.items():
-        row = rows[i] = {j: x % modulus for j, x in entries.items() if x % modulus}
+        row = rows[i] = {j: y for j, x in entries.items() if (y := x % modulus)}
         for j in row:
-            cols.setdefault(j, set()).add(i)
+            cols[j].add(i)
     exponents: list[int] = []
-    change = None  # the last class's change of its corner rows in its corner columns
+    change = None  # the last class's change of its corner block, row by row
     for stage in stages:
         cell = stage.cell
-        live = sorted((i for i in rows if cell[i] >= 0), key=stage.rank.__getitem__)
+        live = sorted(compress(rows, map((-1).__ne__, map(cell.__getitem__, rows))), key=stage.rank.__getitem__)
         if stage.alike:
-            first = cell[stage.table[0, 0]]
-            own = [i for i in live if cell[i] == first]
-            live = [i for i in live if cell[i] != first]
-            found, change = _replay(matrix, rows, cols, stage, own, change, p, rounds)
+            own = [i for i in live if cell[i] == stage.first]
+            live = [i for i in live if cell[i] != stage.first]
+            found, change = _replay(rows, cols, stage, own, change, p, rounds)
             exponents += found * stage.alike
         if live:
             exponents += _pivot_loop(rows, cols, cell, live, p, rounds)
@@ -160,77 +181,65 @@ def _local_smith(matrix: dict[int, dict[int, int]], stages: list[_Stage], p: int
 
 
 def _replay(
-    matrix: dict[int, dict[int, int]],
     rows: dict[int, dict[int, int]],
     cols: dict[int, set[int]],
     stage: _Stage,
     own: list[int],
-    below: list[list[int]] | None,
+    below: list[int] | None,
     p: int,
     rounds: int,
-) -> tuple[list[int], list[list[int]]]:
+) -> tuple[list[int], list[int]]:
     """Run the pivot loop on the representative, whose rows are `own`, and
-    replay its net effect on the copies of `stage.table`, whose rows do not
+    replay its net effect on the copies of `stage.copies`, whose rows do not
     exist yet.  Returns the representative's exponents and the class's
     change of its corner rows in its corner columns.
 
     A copy gets the representative's surviving rows, and its corner rows
-    get the representative's corner rows' entries in its columns, in place
-    of their first ones, all moved through the table.  Its corner rows'
+    get the representative's corner rows' entries in its columns (they
+    start with none there, see `_nested_rows`), all moved through the
+    plan's map.  Its corner rows'
     entries in its corner columns are added to, never read, by pivots in
     it or below it, so the copy adds the class's change: this stage's, and
     at each corner that of the alike cell below at that corner (`below`,
-    the last stage's change)."""
+    the last stage's change).  A surviving row with a column outside the
+    representative's table (a graph not wired as its cells) raises
+    ArithmeticError."""
     modulus = p**rounds
-    cell, table = stage.cell, stage.table
-    first = cell[table[0, 0]]
-    corners = table[0, -3:].tolist()
-    before = [[rows[x].get(y, 0) for y in corners] for x in corners]
+    cell, first, corners = stage.cell, stage.first, stage.corners
+    block = _corner_pairs(corners)
+    before = [rows[x].get(y, 0) for x, y in block]
+    if below:
+        for s in (0, 4, 8):  # the diagonal
+            before[s] -= below[s]
     exponents = _pivot_loop(rows, cols, cell, own, p, rounds)
-    change = [[rows[x].get(y, 0) - b for y, b in zip(corners, old)] for x, old in zip(corners, before)]
-    for s in range(3 if below else 0):
-        change[s][s] += below[s][s]
-    change = [[d % modulus for d in line] for line in change]
-    if len(table) < 2:
-        return exponents, change
-    after = [(i, rows[i]) for i in own if i in rows]
-    edges = {x: [c for c in matrix[x] if cell[c] == first] for x in corners}
-    reach = {x: [(c, v) for c, v in rows[x].items() if cell[c] == first] for x in corners}
-    used = {*corners, *(i for i, _ in after)}
-    for _, row in after:
-        used.update(row)
-    for x in corners:
-        used.update(edges[x])
-        used.update(c for c, _ in reach[x])
-    used = list(used)
-    order = np.argsort(table[0])
-    for image in table[1:, order[np.searchsorted(table[0], used, sorter=order)]].tolist():
-        to = dict(zip(used, image))
-        for x, line in zip(corners, change):
-            tx = to[x]
+    change = [(rows[x].get(y, 0) - b) % modulus for (x, y), b in zip(block, before)]
+    after = [(i, rows[i].items()) for i in own if i in rows]
+    reach = [[(c, v) for c, v in rows[x].items() if cell[c] == first] for x in corners]
+    for to, ends, links in stage.copies:
+        for tx, reached in zip(ends, reach):
             row = rows[tx]
-            for c in edges[x]:
-                if row.pop(to[c], None) is not None:
-                    cols[to[c]].discard(tx)
-            for c, v in reach[x]:
-                row[to[c]] = v
-                cols.setdefault(to[c], set()).add(tx)
-            for y, d in zip(corners, line):
-                if d:
-                    ty = to[y]
-                    w = (row.get(ty, 0) + d) % modulus
-                    if w:
-                        if ty not in row:
-                            cols.setdefault(ty, set()).add(tx)
-                        row[ty] = w
-                    else:
-                        del row[ty]
-                        cols[ty].discard(tx)
-        for i, new in after:
-            ti = to[i]
-            row = rows[ti] = {to[c]: v for c, v in new.items()}
-            for c in row:
-                cols.setdefault(c, set()).add(ti)
+            for c, v in reached:
+                c = to[c]
+                row[c] = v
+                cols[c].add(tx)
+        for (tx, ty), d in zip(links, change):
+            if d:
+                row = rows[tx]
+                if w := (row.get(ty, 0) + d) % modulus:
+                    if ty not in row:
+                        cols[ty].add(tx)
+                    row[ty] = w
+                else:
+                    del row[ty]
+                    cols[ty].discard(tx)
+        try:
+            for i, new in after:
+                ti = to[i]
+                row = rows[ti] = {to[c]: v for c, v in new}
+                for c in row:
+                    cols[c].add(ti)
+        except KeyError:
+            raise ArithmeticError("a replayed row leaves its cell's vertex table") from None
     return exponents, change
 
 
@@ -247,95 +256,103 @@ def _pivot_loop(
     It must lie in the row's cell, so it changes that cell's rows and its
     corners' rows only.  The rounds r = 0, 1, ... take the valuation-r
     pivots, rows in nested-dissection order, in one pass per Markowitz cost
-    cap and then uncapped until none is left; a row without one waits for
-    the next stage.  At the last stage these are the usual rounds that
-    divide the surviving rows by p."""
+    cap while a pass skips a dearer candidate, and then uncapped until none
+    is left; a row without one waits for the next stage.  At the last stage
+    these are the usual rounds that divide the surviving rows by p.
+    Valuations are read off gcd(x, p^rounds), a power of p."""
     modulus = p**rounds
+    # gcd(modulus, no entries) is the modulus: no valuation, as for none.
+    valuation = {p**e: e for e in range(rounds)} | {modulus: math.inf}
     exponents: list[int] = []
-    active = live
     # A pivot changes the rows and column counts of its own cell only (and
     # of its corners, which lie in no cell of this stage), so a row's best
     # pivot holds until a pivot in its cell bumps the version.
-    version = Counter()
-    r = 0
+    version: defaultdict[int, int] = defaultdict(int)
+    r, active = 0, live
     while active:
         scale, step = p**r, p ** (r + 1)
-        seen: dict[int, tuple[int, tuple[int, int] | None]] = {}
-
-        def best(i: int) -> tuple[int, int] | None:
-            # The cheapest valuation-r pivot (cost, column) of row i in its
-            # cell.  A live row is divisible by p^r (see the end of the
-            # round); the pivot's column must be too.
-            home = cell[i]
-            if (hit := seen.get(i)) and hit[0] == version[home]:
-                return hit[1]
-            row, found = rows[i], None
-            width = len(row) - 1
-            for j, x in row.items():
-                if x % step and cell[j] == home:
-                    cost = width * (len(cols[j]) - 1)
-                    if (found is None or cost < found[0]) and not (
-                        r and any(rows[s][j] % scale for s in cols[j])
-                    ):
-                        found = (cost, j)
-            seen[i] = (version[home], found)
-            return found
-
-        def pivot(i: int, j: int) -> None:
-            # Clear column j with row i and drop both.
-            version[cell[i]] += 1
-            prow = rows.pop(i)
-            for c in prow:
-                cols[c].discard(i)
-            inv = pow(prow.pop(j) // scale, -1, modulus)
-            terms = list(prow.items())
-            for t in cols.pop(j):
-                row = rows[t]
-                f = row.pop(j) // scale * inv % modulus
-                for c, v in terms:
-                    w = (row.get(c, 0) - f * v) % modulus
-                    if w:
-                        if c not in row:
-                            cols[c].add(t)
-                        row[c] = w
-                    elif c in row:
-                        del row[c]
-                        cols[c].discard(t)
-            if r:
-                exponents.append(r)
-
-        # One pass per Markowitz cap over the rows whose least valuation
-        # is r, then uncapped passes over every live row (pivots may have
-        # brought some down to r) until a pass takes nothing.
-        for cap in _MARKOWITZ_CAPS:
-            for i in active:
-                if i in rows and (found := best(i)) and found[0] <= cap:
-                    pivot(i, found[1])
-        taken = True
-        while taken:
-            taken = False
-            for i in live:
-                if i in rows and (found := best(i)):
-                    pivot(i, found[1])
-                    taken = True
+        seen: dict[int, tuple[int, int, int | None]] = {}
+        # One pass per Markowitz cap over the rows whose least valuation is
+        # r, while a pass skips a candidate dearer than its cap; then
+        # uncapped passes over every live row (pivots may have brought some
+        # down to r) until a pass takes nothing.
+        caps = iter(_MARKOWITZ_CAPS)
+        cap, order = next(caps), active
+        while True:
+            dearer = taken = False
+            for i in order:
+                if (row := rows.get(i)) is None:
+                    continue
+                # The cheapest valuation-r pivot (cost, column j) of row i in
+                # its cell.  A live row is divisible by p^r (see the end of
+                # the round); the pivot's column must be too.
+                home = cell[i]
+                hit = seen.get(i)
+                if hit is not None and hit[0] == version[home]:
+                    _, cost, j = hit
+                else:
+                    least, j = math.inf, None
+                    for c, x in row.items():
+                        if (
+                            x % step
+                            and cell[c] == home
+                            and (count := len(cols[c])) < least
+                            and not (r and any(rows[s][c] % scale for s in cols[c]))
+                        ):
+                            least, j = count, c
+                            if count == 1:
+                                break
+                    cost = (len(row) - 1) * (least - 1)
+                    seen[i] = (version[home], cost, j)
+                if j is None:
+                    continue
+                if cost > cap:
+                    dearer = True
+                    continue
+                # Clear column j with row i and drop both.
+                taken = True
+                version[home] += 1
+                del rows[i]
+                for c in row:
+                    cols[c].discard(i)
+                inv = pow(row.pop(j) // scale, -1, modulus)
+                terms = [(c, -v * inv % modulus) for c, v in row.items()]
+                for t in cols.pop(j):
+                    row = rows[t]
+                    f = row.pop(j) // scale
+                    for c, v in terms:
+                        w = row.get(c)
+                        if w is None:
+                            if w := f * v % modulus:
+                                row[c] = w
+                                cols[c].add(t)
+                        elif w := (w + f * v) % modulus:
+                            row[c] = w
+                        else:
+                            del row[c]
+                            cols[c].discard(t)
+                if r:
+                    exponents.append(r)
+            if cap == math.inf:
+                if not taken:
+                    break
+            elif not dearer:
+                cap, order = math.inf, live
+            elif (cap := next(caps, math.inf)) == math.inf:
+                order = live
         # The next round is the least valuation above r that is some live
         # row's least and lies in the row's cell.  A row whose least
         # valuation is lower keeps it through this stage, since every
         # update from now on is divisible by p^r: it waits for the next.
-        lows = {i: _least_valuations(rows[i], cell, i, p) for i in live if i in rows}
+        lows = {}
+        for i in live:
+            if (row := rows.get(i)) is not None:
+                home = cell[i]
+                lows[i] = (
+                    valuation[math.gcd(modulus, *row.values())],
+                    valuation[math.gcd(modulus, *(x for j, x in row.items() if cell[j] == home))],
+                )
         r = min((low for low, inside in lows.values() if r < low == inside < rounds), default=rounds)
         live = [i for i, (low, _) in lows.items() if low >= r]
         active = [i for i in live if lows[i][0] == r]
     return exponents
-
-
-def _least_valuations(row: dict[int, int], cell: list[int], i: int, p: int) -> tuple[float, float]:
-    """The least p-adic valuation of the row's entries, and the least of
-    those in the columns of row i's cell (inf where there are none)."""
-    low, inside, home = math.inf, math.inf, cell[i]
-    for j, x in row.items():
-        e = _valuation(x, p)
-        low = min(low, e)
-        if cell[j] == home:
-            inside = min(inside, e)
-    return low, inside

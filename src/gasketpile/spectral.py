@@ -69,18 +69,8 @@ class HarmonicFunction:
         """True when every value is +-1, i.e. all q in {0, 1/2}."""
         return all(q.denominator in (1, 2) for q in self.rotation)
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(q == 0 for q in self.rotation)
-
     def values(self) -> list[complex]:
         return [cmath.exp(2j * math.pi * float(q)) for q in self.rotation]
-
-    def character_rotation(self, entries) -> Fraction:
-        """Rotation number of the character value on an integer vector:
-        sum_v q(v) * entries[v] mod 1.  Depends only on the group class."""
-        total = sum(q * e for q, e in zip(self.rotation, entries))
-        return total % 1
 
 
 def eigenvalue(h: HarmonicFunction):
@@ -161,7 +151,20 @@ def enumerate_characters(
     common = math.lcm(*dims)
     # Fraction(a, L) by numerator a, each made once and shared.
     rotation = functools.cache(functools.partial(Fraction, denominator=common))
-    return [HarmonicFunction(graph, tuple(map(rotation, row))) for row in _numerators(dims, shifts, common)]
+    # Every row has one numerator per shift: the rotation length is checked
+    # once here, not once per character.
+    if len(shifts) != graph.n_vertices:
+        raise ValueError("rotation vector length must match vertex count")
+    return [_character(graph, tuple(map(rotation, row))) for row in _numerators(dims, shifts, common)]
+
+
+def _character(graph: GasketGraph, rotation: tuple[Fraction, ...]) -> HarmonicFunction:
+    """A `HarmonicFunction` made without its `__post_init__` check, for a
+    rotation whose length the caller has checked."""
+    h = object.__new__(HarmonicFunction)
+    object.__setattr__(h, "graph", graph)
+    object.__setattr__(h, "rotation", rotation)
+    return h
 
 
 def _numerators(dims: list[int], shifts: list[tuple[int, ...]], common: int):
