@@ -32,14 +32,16 @@ _MARKOWITZ_CAPS = (4, 16, 64, 256)
 class _Stage(NamedTuple):
     """One stage of `_local_smith`: the cell of every row and column (-1 for
     none), the nested-dissection rank of every row, and the class of alike
-    cells: how many there are (0: no class), the representative's cell and
-    corners, and the replay plan (`_replay_plan`) of its copies."""
+    cells: how many there are (0: no class), the representative's cell,
+    corners and corner block, and the replay plan (`_replay_plan`) of its
+    copies."""
 
     cell: list[int]
     rank: list[int]
     alike: int
     first: int
     corners: list[int]
+    block: list[tuple[int, int]]
     copies: list[tuple[dict[int, int], list[int], list[tuple[int, int]]]]
 
 
@@ -83,13 +85,15 @@ def _nested_rows(
     n, level = graph.n_vertices, graph.level
     mids, corners, big = cell_index(graph)
     top = [v for v in big if v != n]
-    home_level = np.full(n + len(columns), level, dtype=np.int64)
-    home_cell = np.zeros(n + len(columns), dtype=np.int64)
-    for k, cells in enumerate(mids):
-        home_level[cells] = k
-        home_cell[cells] = np.arange(len(cells))[:, None]
+    # Level by level, a vertex's cell is its own cell's index divided by 3
+    # per level above it (-1 // 3 stays -1), or its own at its home level.
+    cells, cell = [], np.full(n + len(columns), -1, dtype=np.int64)
+    for m in mids:
+        cell = cell // 3
+        cell[m] = np.arange(len(m))[:, None]
+        cells.append(cell)
+    cells.append(np.zeros_like(cell))
     touched = np.array(sorted({v for g in columns for v in compress(range(n), g)}), dtype=np.int64)
-    cells = [np.where(home_level <= k, home_cell // 3 ** np.maximum(k - home_level, 0), -1) for k in range(level + 1)]
     classes = [(0, [])]  # per stage, finest first once reversed: the class size and vertex table
     runs = []
     for k in reversed(range(level)):
@@ -132,9 +136,10 @@ def _nested_rows(
     for cell, (size, table) in zip(cells, classes):
         cell = cell.tolist()
         if size:
-            stages.append(_Stage(cell, rank, size, cell[table[0][0]], table[0][-3:], _replay_plan(table)))
+            first, corners = cell[table[0][0]], table[0][-3:]
+            stages.append(_Stage(cell, rank, size, first, corners, _corner_pairs(corners), _replay_plan(table)))
         else:
-            stages.append(_Stage(cell, rank, 0, -1, [], []))
+            stages.append(_Stage(cell, rank, 0, -1, [], [], []))
     return rows, stages
 
 
@@ -205,8 +210,7 @@ def _replay(
     representative's table (a graph not wired as its cells) raises
     ArithmeticError."""
     modulus = p**rounds
-    cell, first, corners = stage.cell, stage.first, stage.corners
-    block = _corner_pairs(corners)
+    cell, first, corners, block = stage.cell, stage.first, stage.corners, stage.block
     before = [rows[x].get(y, 0) for x, y in block]
     if below:
         for s in (0, 4, 8):  # the diagonal
@@ -344,15 +348,14 @@ def _pivot_loop(
         # row's least and lies in the row's cell.  A row whose least
         # valuation is lower keeps it through this stage, since every
         # update from now on is divisible by p^r: it waits for the next.
-        lows = {}
-        for i in live:
-            if (row := rows.get(i)) is not None:
+        lows = {i: valuation[math.gcd(modulus, *row.values())] for i in live if (row := rows.get(i)) is not None}
+        after = rounds
+        for i, low in lows.items():
+            if r < low < after:
                 home = cell[i]
-                lows[i] = (
-                    valuation[math.gcd(modulus, *row.values())],
-                    valuation[math.gcd(modulus, *(x for j, x in row.items() if cell[j] == home))],
-                )
-        r = min((low for low, inside in lows.values() if r < low == inside < rounds), default=rounds)
-        live = [i for i, (low, _) in lows.items() if low >= r]
-        active = [i for i in live if lows[i][0] == r]
+                if valuation[math.gcd(modulus, *(x for j, x in rows[i].items() if cell[j] == home))] == low:
+                    after = low
+        r = after
+        live = [i for i, low in lows.items() if low >= r]
+        active = [i for i in live if lows[i] == r]
     return exponents
