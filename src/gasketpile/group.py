@@ -335,9 +335,6 @@ def _split_unit_pivots(matrix: Matrix, modulus: int) -> tuple[int, Matrix]:
             break
         live = kept
     rest = [j for j in range(n) if j not in dropped]
-    # The sparsest rows first: the dense core takes its pivots in row order,
-    # and a row operation touches only the pivot row's nonzero columns.
-    live.sort(key=lambda i: len(rows[i]))
     return m - len(live), [[rows[i].get(j, 0) % modulus for j in rest] for i in live]
 
 

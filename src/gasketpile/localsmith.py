@@ -297,12 +297,9 @@ def _pivot_loop(
                 else:
                     least, j = math.inf, None
                     for c, x in row.items():
-                        if (
-                            x % step
-                            and cell[c] == home
-                            and (count := len(cols[c])) < least
-                            and not (r and any(rows[s][c] % scale for s in cols[c]))
-                        ):
+                        if x % step and cell[c] == home and (count := len(cols[c])) < least:
+                            if r and any(rows[s][c] % scale for s in cols[c]):
+                                continue
                             least, j = count, c
                             if count == 1:
                                 break

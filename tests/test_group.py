@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -1465,6 +1466,83 @@ def test_generators_keep_their_cells_out_of_the_class(monkeypatch):
         assert [sorted(len(cells) for cells in calls) for calls in stages] == [[1, 1]] * 3 + [[1]] * 2
         assert [13, 4, 1] == [next(iter(calls[-1])) for calls in stages[:3]]
 
+
+
+def test_a_quotient_builds_its_replay_plan_once(monkeypatch):
+    # Every prime and every K retry replays through the one plan that
+    # `_nested_rows` built: the corner-sink group runs p = 3 twice.
+    graph = build_gasket(3, corner_sink(TOP))
+    plans, runs = [], []
+    plan, local = localsmith._replay_plan, group._local_smith
+
+    def counting_plan(table):
+        plans.append(table)
+        return plan(table)
+
+    def recording(matrix, stages, p, rounds):
+        runs.append(stages)
+        return local(matrix, stages, p, rounds)
+
+    monkeypatch.setattr(localsmith, "_replay_plan", counting_plan)
+    monkeypatch.setattr(group, "_local_smith", recording)
+    assert group.quotient_invariants(graph, []) == closed_form_corner_sink_invariants(3)
+    assert len(runs) == len(group.lattice_data(graph).powers) + 1
+    assert all(stages is runs[0] for stages in runs)
+    assert len(plans) == sum(1 for stage in runs[0] if stage.alike) == 2
+
+
+def pivot_loop_lines(args):
+    """Lines run in the frames of `localsmith` during one pivot loop on a
+    copy of its arguments: a deterministic count of work."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == localsmith.__file__ else None)
+    try:
+        localsmith._pivot_loop(*copy.deepcopy(args))
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_level0_representative_pivot_loop_work(monkeypatch):
+    # The first pivot loop of each prime at level 4 is the level-0
+    # representative's: three midpoint rows.  Its Markowitz passes end at
+    # the first that skips no dearer candidate, so each round takes three
+    # passes (caps 4 and 16, then one uncapped); all four capped passes and
+    # an uncapped one per round took 422 to 605 lines on the same rows.
+    graph = build_gasket(4)
+    first = {}
+    loop = localsmith._pivot_loop
+
+    def recording(rows, cols, cell, live, p, rounds):
+        first.setdefault(p, copy.deepcopy((rows, cols, cell, live, p, rounds)))
+        return loop(rows, cols, cell, live, p, rounds)
+
+    monkeypatch.setattr(localsmith, "_pivot_loop", recording)
+    assert group.quotient_invariants(graph, []) == LEVEL4_FACTORS
+    monkeypatch.setattr(localsmith, "_pivot_loop", loop)
+    assert all(len(args[3]) == 3 for args in first.values())
+    assert {p: pivot_loop_lines(args) for p, args in first.items()} == {2: 584, 3: 514, 5: 326, 1493: 511}
+
+
+def test_replay_refuses_a_row_that_leaves_its_cell():
+    # A level-0 representative's midpoint wired to a midpoint of a cell that
+    # runs on its own (a generator sits on it): its surviving rows reach a
+    # column outside the representative's vertex table.
+    graph = build_gasket(3)
+    mids, _, _ = cell_index(graph)
+    a, mate, b = (int(v) for v in (mids[0][0, 0], mids[0][0, 1], mids[0][5, 0]))
+    table = graph.table.copy()
+    table[table[:, a] == mate, a] = b
+    bad = dataclasses.replace(graph, table=table)
+    with pytest.raises(ArithmeticError, match="leaves its cell's vertex table"):
+        group.quotient_invariants(bad, [group.delta_vector(bad, b)])
 
 def cell_generators(graph, rng):
     """Two generator sets: random entries on the midpoints of one level-0

@@ -230,6 +230,8 @@ def test_statistic_rejects_corner_sink_graphs():
 def test_enumerate_characters_level0():
     chars = enumerate_characters(G0)
     assert len(chars) == 50
+    # Built without the per-character check, they equal checked ones.
+    assert chars == [HarmonicFunction(G0, c.rotation) for c in chars]
     assert is_trivial(chars[0])
     assert len({c.rotation for c in chars}) == 50
     for c in chars[:10]:
