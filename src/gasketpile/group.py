@@ -1031,8 +1031,9 @@ def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list
     as the 3^(n+1) of a corner-sink group), the prime is run again with K
     doubled, up to the exponent of p in the order, which is always exact.
     (Going there at once would make every residue of the level-8
-    corner-sink p = 3 run a number of 7,800 bits.)  The p-parts are
-    assembled by `direct_sum_invariants`.
+    corner-sink p = 3 run a number of 7,800 bits.)  The p-parts, one per
+    prime, are elementary divisors, so the invariant factors are their
+    products largest with largest, second with second, and so on.
     """
     n = graph.n_vertices
     columns = [[operator.index(v) for v in g] for g in generators]
@@ -1048,8 +1049,12 @@ def quotient_invariants(graph: GasketGraph, generators: list[list[int]]) -> list
         while left and rounds < top:
             rounds = min(2 * rounds, top)
             exponents, left = _local_smith(matrix, stages, p, rounds)
-        parts.append([p**e for e in exponents] + [p**rounds] * left)
-    return direct_sum_invariants(parts)
+        parts.append((p, sorted(exponents + [rounds] * left, reverse=True)))
+    chain = [1] * max((len(part) for _, part in parts), default=0)
+    for p, part in parts:
+        for i, e in enumerate(part, 1):
+            chain[-i] *= p**e
+    return chain
 
 
 def _product(factors) -> int:
