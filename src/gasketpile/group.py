@@ -28,19 +28,19 @@ from `LatticeData.powers` and runs a sparse local Smith form over Z/p^K
 per prime (`localsmith`), in the factor's elimination order, pivoting
 inside the cells of `gasket.cell_index`, finest first.  Cells that are
 translates of one another are eliminated once per stage and the result is
-moved onto the others, so all primes of the group take about 12 ms at
-level 5, 0.07-0.10 s at level 8 and 0.18-0.30 s at level 10 on a 2-core
-VM.
+moved onto the others through a replay plan built once per quotient, so
+all primes of the group take about 5 ms at level 5, 0.03-0.045 s at level
+8 and 0.09-0.12 s at level 10 on a 2-core VM.
 `smith_mod` is a Smith reduction modulo the order; with transforms it
 gives `LatticeData.basis`, the adapted basis behind the class labels, the
 characters and the walk spectrum.  Without transforms it first eliminates
-the +-1 pivots over Z on sparse rows (Dumas, Saunders & Villard 2001) and
-hands the block left, a third of the rows on the Laplacians, to its dense
-bounded-entry core.  The core's pivot search skips rows already known to
+the +-1 pivots over Z on sparse rows read off each row's nonzeros (Dumas,
+Saunders & Villard 2001) and hands the block left, a third of the rows on
+the Laplacians, to its dense bounded-entry core.  The core's pivot search skips rows already known to
 hold no unit and scans the unit-free block once per pivot, and without
 transforms each Euclid pass reduces the whole column before its least
 remainder becomes the next pivot.  So the factors of the reduced Laplacian
-take about 5.5 ms at level 4, 70 ms at level 5 and 1.4-2.3 s at level 6
+take about 5 ms at level 4, 60-70 ms at level 5 and 1.4-2.3 s at level 6
 on a 2-core VM.  The tests check
 the two against each other and `smith_mod` against sympy's Smith normal
 form over ZZ.  The recursive and matrix-tree spanning tree counts live
@@ -344,12 +344,13 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     (R a multiple of the determinant, say), this is just coker(matrix).
 
     Without transforms, a pre-pass (`_split_unit_pivots`) first eliminates
-    the +-1 pivots over Z on sparse rows; its entries are minors of the
-    input's symmetric residues, not residues.  Each pivot gives a leading
-    factor 1, and the block left goes to the dense core below as residues
-    in [0, R).  On the level-L Laplacians it takes about 3^L pivots and
-    leaves a block of about n_(L-1) rows, with entries of at most 33 bits
-    at level 4 (the order has 190) and 64 at level 5 (558).
+    the +-1 pivots over Z on sparse rows, read off each row's nonzeros; its
+    entries are minors of the input's symmetric residues, not residues.
+    Each pivot gives a leading factor 1, and the block left goes to the
+    dense core below as residues in [0, R).  On the level-L Laplacians it
+    takes about 3^L pivots and leaves a block of about n_(L-1) rows, with
+    entries of at most 33 bits at level 4 (the order has 190) and 64 at
+    level 5 (558).
 
     The dense core runs, conceptually, on the augmented matrix [A | R*I];
     the phantom columns R*I are never stored.  They license keeping every
@@ -391,8 +392,8 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     changes row t alone.  Row t is therefore reduced modulo the pivot in
     place; only a nonzero remainder costs a column swap, after which it is
     the new, smaller pivot and the row passes run again.  With the pre-pass
-    the factors of the level-4 Laplacian take about 5.5 ms, those of level
-    5 70 ms and those of level 6 1.4-2.3 s on a 2-core VM.
+    the factors of the level-4 Laplacian take about 5 ms, those of level 5
+    60-70 ms and those of level 6 1.4-2.3 s on a 2-core VM.
 
     Column operations do not change cokernel coordinates, so with
     `transforms` only row operations are tracked.  They give the adapted

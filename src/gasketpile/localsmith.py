@@ -9,7 +9,10 @@ pivots inside the level-k cells, and the last stage is the whole gasket.
 no generator entry and no sunk corner are translates of one another: one
 of them runs the pivot loop (`_pivot_loop`) and `_replay` moves its result
 onto the copies that a coarser stage needs, so a stage costs about one
-cell, not 3**(n-1-k).
+cell, not 3**(n-1-k).  The maps onto the copies are built once per
+quotient (`_replay_plan`), and every prime and every K replays through
+them.  All primes of the group take about 5 ms at level 5, 0.03-0.045 s
+at level 8 and 0.09-0.12 s at level 10 on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -197,17 +200,17 @@ def _replay(
     """Run the pivot loop on the representative, whose rows are `own`, and
     replay its net effect on the copies of `stage.copies`, whose rows do not
     exist yet.  Returns the representative's exponents and the class's
-    change of its corner rows in its corner columns.
+    change of its corner block (`_corner_pairs`).
 
     A copy gets the representative's surviving rows, and its corner rows
     get the representative's corner rows' entries in its columns (they
     start with none there, see `_nested_rows`), all moved through the
-    plan's map.  Its corner rows'
-    entries in its corner columns are added to, never read, by pivots in
-    it or below it, so the copy adds the class's change: this stage's, and
-    at each corner that of the alike cell below at that corner (`below`,
-    the last stage's change).  A surviving row with a column outside the
-    representative's table (a graph not wired as its cells) raises
+    plan's map.  Its corner rows' entries in its corner columns are added
+    to, never read, by pivots in it or below it, so the copy adds the
+    class's change: this stage's, and at each corner that of the alike cell
+    below at that corner (`below`, the last stage's change, whose diagonal
+    is that of its corner block).  A surviving row with a column outside
+    the representative's table (a graph not wired as its cells) raises
     ArithmeticError."""
     modulus = p**rounds
     cell, first, corners, block = stage.cell, stage.first, stage.corners, stage.block

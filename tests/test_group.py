@@ -1467,7 +1467,6 @@ def test_generators_keep_their_cells_out_of_the_class(monkeypatch):
         assert [13, 4, 1] == [next(iter(calls[-1])) for calls in stages[:3]]
 
 
-
 def test_a_quotient_builds_its_replay_plan_once(monkeypatch):
     # Every prime and every K retry replays through the one plan that
     # `_nested_rows` built: the corner-sink group runs p = 3 twice.
