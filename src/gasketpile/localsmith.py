@@ -71,7 +71,9 @@ def _nested_rows(
     Stage k gives the level-k cell of every row and column: the cell whose
     midpoints, or those of the cells below it, hold the vertex, or -1 for a
     vertex that is no level-k cell's midpoint or below one.  Every vertex is
-    in the one cell of the last stage, and so are the generators.
+    in the one cell of the last stage, and so are the generators; a
+    generator whose entries all lie in one level-k cell is in it from stage
+    k on.
 
     A level-k cell below the last stage is alike when no generator has an
     entry on its midpoints or below them and none of its corners is sunk:
@@ -96,7 +98,15 @@ def _nested_rows(
         cell[m] = np.arange(len(m))[:, None]
         cells.append(cell)
     cells.append(np.zeros_like(cell))
-    touched = np.array(sorted({v for g in columns for v in compress(range(n), g)}), dtype=np.int64)
+    supports = [np.fromiter(compress(range(n), g), dtype=np.int64) for g in columns]
+    # A generator's column lies in a cell that holds all of its entries: its
+    # rows and their fill stay in that cell and its corners' rows.
+    for k, support in enumerate(supports):
+        for cell in cells[:-1]:
+            home = cell[support]
+            if len(home) and home[0] >= 0 and (home == home[0]).all():
+                cell[n + k] = home[0]
+    touched = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *supports]))
     classes = [(0, [])]  # per stage, finest first once reversed: the class size and vertex table
     runs = []
     for k in reversed(range(level)):

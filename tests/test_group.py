@@ -1467,6 +1467,22 @@ def test_generators_keep_their_cells_out_of_the_class(monkeypatch):
         assert [13, 4, 1] == [next(iter(calls[-1])) for calls in stages[:3]]
 
 
+def test_a_generator_column_lies_in_the_least_cell_of_its_entries():
+    # Entries on one level-0 cell's midpoints put the column in that cell
+    # and the cells above it; entries in two level-0 cells of one level-1
+    # cell put it in that level-1 cell; an entry on a big corner leaves it
+    # to the last stage.
+    graph = build_gasket(3)
+    n = graph.n_vertices
+    mids, _, big = cell_index(graph)
+    one, two, wide = ([0] * n for _ in range(3))
+    one[int(mids[0][4, 0])] = one[int(mids[0][4, 2])] = 1
+    two[int(mids[0][3, 1])] = two[int(mids[0][5, 0])] = 1
+    wide[int(mids[0][4, 0])] = wide[big[0]] = 1
+    rank = group.lattice_data(graph).position[:n].tolist()
+    _, stages = localsmith._nested_rows(graph, [one, two, wide], rank)
+    assert [stage.cell[n : n + 3] for stage in stages] == [[4, -1, -1], [1, 1, -1], [0, 0, -1], [0, 0, 0]]
+
 def test_a_quotient_builds_its_replay_plan_once(monkeypatch):
     # Every prime and every K retry replays through the one plan that
     # `_nested_rows` built: the corner-sink group runs p = 3 twice.
