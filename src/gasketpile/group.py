@@ -29,8 +29,8 @@ per prime (`localsmith`), in the factor's elimination order, pivoting
 inside the cells of `gasket.cell_index`, finest first.  Cells that are
 translates of one another are eliminated once per stage and the result is
 moved onto the others through a replay plan built once per quotient, so
-all primes of the group take about 5 ms at level 5, 0.03-0.045 s at level
-8 and 0.09-0.12 s at level 10 on a 2-core VM.
+all primes of the group take about 4-5 ms at level 5, 0.026-0.038 s at
+level 8 and 0.08-0.11 s at level 10 on a 2-core VM.
 `smith_mod` is a Smith reduction modulo the order; with transforms it
 gives `LatticeData.basis`, the adapted basis behind the class labels, the
 characters and the walk spectrum.  Without transforms it first eliminates

@@ -11,8 +11,8 @@ of them runs the pivot loop (`_pivot_loop`) and `_replay` moves its result
 onto the copies that a coarser stage needs, so a stage costs about one
 cell, not 3**(n-1-k).  The maps onto the copies are built once per
 quotient (`_replay_plan`), and every prime and every K replays through
-them.  All primes of the group take about 5 ms at level 5, 0.03-0.045 s
-at level 8 and 0.09-0.12 s at level 10 on a 2-core VM.
+them.  All primes of the group take about 4-5 ms at level 5, 0.026-0.038
+s at level 8 and 0.08-0.11 s at level 10 on a 2-core VM.
 """
 
 from __future__ import annotations
