@@ -38,7 +38,6 @@ import os
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from fractions import Fraction
 
 import numpy as np
 
@@ -349,16 +348,6 @@ def exact_tv_curve(graph: GasketGraph, t_max: int, cap: int = DEFAULT_CHARACTER_
 # ---------------------------------------------------------------------------
 
 LOWER_BOUND_C = math.log(10**6) / 12
-
-
-def r_statistic(level: int, t: int) -> Fraction:
-    """R(t) = 3**(n-1) * (1 - 6/(n+1))**(2t), exactly."""
-    if level < 1:
-        raise ValueError("the statistic needs level >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    n = gasket_size(level)
-    return Fraction(3) ** (level - 1) * Fraction(n - 5, n + 1) ** (2 * t)
 
 
 def tv_lower_bound(level: int, t: int) -> float:

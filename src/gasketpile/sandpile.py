@@ -309,20 +309,22 @@ def identity_candidate(graph: GasketGraph) -> tuple[int, ...]:
 
 def _certified_identity(graph: GasketGraph, chips) -> Configuration:
     """`chips` as a configuration when it is the identity of `graph`;
-    otherwise ArithmeticError.
+    otherwise ArithmeticError naming the first of the three properties
+    below that it lacks.
 
     A stable configuration that passes the burning test is recurrent, each
     class of the sandpile group holds exactly one recurrent configuration
     (Dhar 1990; Holroyd et al. 2008), and the identity's class is the
     lattice itself.  So stable, recurrent and in the lattice is the identity,
-    and nothing topples."""
+    and nothing topples.  `identity` certifies its candidate here, and
+    `selfsim.verify_doubling` the (2,1,1) tile off its sunk corner."""
     conf = config(graph, chips)
     if not conf.is_stable:
-        raise ArithmeticError("the identity candidate is not stable")
+        raise ArithmeticError("the configuration is not stable")
     if not is_recurrent_burning(conf):
-        raise ArithmeticError("the identity candidate is not recurrent")
+        raise ArithmeticError("the configuration is not recurrent")
     if not group.in_lattice(graph, conf.chips):
-        raise ArithmeticError("the identity candidate is not in the lattice")
+        raise ArithmeticError("the configuration is not in the lattice")
     return conf
 
 

@@ -450,8 +450,6 @@ def test_negative_step_counts_are_rejected():
         markov.run_chain(G1, -5)
     with pytest.raises(ValueError, match="t must be >= 0"):
         markov.tv_lower_bound(2, -3)
-    with pytest.raises(ValueError, match="t must be >= 0"):
-        markov.r_statistic(2, -1)
 
 
 @pytest.mark.parametrize("trials", (0, -1, -50))
@@ -466,17 +464,27 @@ def test_lower_bound_is_below_the_exact_curve():
         assert markov.tv_lower_bound(1, t) <= curve[t] + 1e-12
 
 
+def r_statistic(level, t):
+    """R(t) = 3**(level-1) * (1 - 6/(n+1))**(2t), exactly."""
+    n = gasket_size(level)
+    return Fraction(3) ** (level - 1) * Fraction(n - 5, n + 1) ** (2 * t)
+
+
 def tv_lower_bound_exact(level, t):
     """TV(t) >= 1 - 4/(4 + R(t)), exactly."""
-    return 1 - Fraction(4) / (4 + markov.r_statistic(level, t))
+    return 1 - Fraction(4) / (4 + r_statistic(level, t))
 
 
 def test_r_statistic_values():
-    assert markov.r_statistic(3, 0) == 9
+    assert r_statistic(3, 0) == 9
     assert tv_lower_bound_exact(3, 0) == Fraction(9, 13)
     assert markov.tv_lower_bound(3, 0) == pytest.approx(9 / 13)
     n = build_gasket(2).n_vertices
-    assert markov.r_statistic(2, 1) == 3 * Fraction(n - 5, n + 1) ** 2
+    assert r_statistic(2, 1) == 3 * Fraction(n - 5, n + 1) ** 2
+    for level in range(1, 7):
+        for t in (0, 1, 5, 40, 300):
+            exact = float(tv_lower_bound_exact(level, t))
+            assert markov.tv_lower_bound(level, t) == pytest.approx(exact, rel=1e-12)
 
 
 def test_r_statistic_decays():

@@ -330,8 +330,10 @@ def one_more_chip(tile, v):
 
 
 def raise_a_two(tile):
-    """One more chip where there are 2 of degree 4: still recurrent."""
-    return one_more_chip(tile, tile.chips.index(2))
+    """One more chip on a midpoint that holds 2 of degree 4: still stable
+    and recurrent, but no longer in the lattice."""
+    corners = {tile.graph.corner_index(name) for name in CORNER_NAMES}
+    return one_more_chip(tile, next(v for v, c in enumerate(tile.chips) if c == 2 and v not in corners))
 
 
 def raise_a_three(tile):
@@ -345,32 +347,50 @@ def raise_the_corner(tile):
 
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize(
-    "clause,corrupt",
+    "mismatch,corrupt",
     [
-        ("start", empty_corner_neighbours),
-        ("start", raise_a_three),
-        ("target", empty_corner_neighbours),
-        ("target", raise_a_three),
-        ("lattice", raise_a_two),
-        ("corner", raise_the_corner),
+        ("start: the configuration is not recurrent", empty_corner_neighbours),
+        ("start: the configuration is not stable", raise_a_three),
+        ("start: the configuration is not in the lattice", raise_a_two),
+        ("corner:", raise_the_corner),
     ],
-    ids=["start", "start-unstable", "target", "target-unstable", "lattice", "corner"],
+    ids=["start", "start-unstable", "lattice", "corner"],
 )
-def test_each_doubling_clause_fails_on_its_own(monkeypatch, level, clause, corrupt):
-    # The start clause reads the (2,1,1) tile; the others the expected one.
+def test_each_doubling_clause_fails_on_its_own(monkeypatch, level, mismatch, corrupt):
+    # Every corruption goes to the (2,1,1) tile, the one tile the check builds.
     real = selfsim.build_tile
-    x = 2 if clause == "start" else 2 + 4 * 3**level
 
     def corrupted(lv, *corners):
         tile = real(lv, *corners)
-        return corrupt(tile) if corners == (x, 1, 1) else tile
+        return corrupt(tile) if corners == (2, 1, 1) else tile
 
     monkeypatch.setattr(selfsim, "build_tile", corrupted)
     report = verify_doubling(level)
     assert not report.passed
-    assert report.first_mismatch.startswith(clause + ":")
+    assert report.first_mismatch.startswith(mismatch)
     assert report.to_json()["pass"] is False
     assert not doubling_by_avalanche(level).passed
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_doubling_burns_once_and_solves_once_on_the_corner_sink(monkeypatch, level):
+    """The check is one certificate: one burning test and one membership
+    solve, both of the (2,1,1) tile off its corner on the sunk gasket."""
+    burnt, solved = [], []
+    real_burnt, real_in_lattice = sandpile._burnt, group.in_lattice
+
+    def burning(conf):
+        burnt.append(conf.graph.boundary.token())
+        return real_burnt(conf)
+
+    def membership(graph, entries):
+        solved.append(graph.boundary.token())
+        return real_in_lattice(graph, entries)
+
+    monkeypatch.setattr(sandpile, "_burnt", burning)
+    monkeypatch.setattr(group, "in_lattice", membership)
+    assert verify_doubling(level).passed
+    assert burnt == solved == ["corner_sink:lower_left"]
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
