@@ -36,15 +36,14 @@ gives `LatticeData.basis`, the adapted basis behind the class labels, the
 characters and the walk spectrum.  Without transforms it first eliminates
 the +-1 pivots over Z on sparse rows read off each row's nonzeros (Dumas,
 Saunders & Villard 2001) and hands the block left, a third of the rows on
-the Laplacians, to its dense bounded-entry core.  The core's pivot search skips rows already known to
-hold no unit and scans the unit-free block once per pivot, and without
-transforms each Euclid pass reduces the whole column before its least
-remainder becomes the next pivot.  So the factors of the reduced Laplacian
-take about 5 ms at level 4, 60-70 ms at level 5 and 1.4-2.3 s at level 6
-on a 2-core VM.  The tests check
-the two against each other and `smith_mod` against sympy's Smith normal
-form over ZZ.  The recursive and matrix-tree spanning tree counts live
-here too.
+the Laplacians, to its dense bounded-entry core.  The core takes the
+least symmetric residue as pivot, by one scan that stops at the first
+unit, and without transforms each Euclid pass reduces the whole column
+before its least remainder becomes the next pivot.  So the factors of the
+reduced Laplacian take about 5 ms at level 4, 60-70 ms at level 5 and
+1.4-2.3 s at level 6 on a 2-core VM.  The tests check the two against each
+other and `smith_mod` against sympy's Smith normal form over ZZ.  The
+recursive and matrix-tree spanning tree counts live here too.
 
 Bareiss determinants (`determinant`) and the fraction-free adjugate
 (`scaled_inverse`) are reference paths that the tests and the benchmark
@@ -285,8 +284,6 @@ def _split_unit_pivots(matrix: Matrix, modulus: int) -> tuple[int, Matrix]:
     entry is a minor of the symmetric residues."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    if any(len(row) != n for row in matrix):
-        raise ValueError("ragged matrix")
     half = modulus // 2
     rows = []
     cols = [set() for _ in range(n)]
@@ -364,20 +361,11 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     min(v, R - v), first in row-major order, and a pivot above R/2 has its
     row negated, which is a tracked row operation.  A Laplacian's -1
     entries, stored as R - 1, are then unit pivots, and Euclid rounds are
-    needed only in the final dense block.  A unit (1 or R - 1, for R >= 2)
-    is the least residue, so the search takes the first unit of the first
-    row holding one, at its first such column.  A row found without a unit
-    is flagged and skipped by later searches until its values change: the
-    flag moves with row swaps and is cleared by a row operation and by the
-    reduction of the pivot row.  Negation maps units to units, and column swaps only
-    permute columns right of the pivot, so the flag stays true.  Once a
-    search finds no unit at all, every later pivot comes from one minimum
-    scan, which stops at its first residue 1: that is the first unit in
-    row-major order, the one the search would have found, so the pivot
-    sequence is that of a full scan.  A row operation subtracts the nearest
-    multiple of the pivot row and touches only the columns where the pivot
-    row is nonzero: columns left of the pivot are already zero in every row
-    from the pivot down.
+    needed only in the final dense block.  A unit (1 or R - 1) is the least
+    residue, so the scan stops at the first unit.  A row operation
+    subtracts the nearest multiple of the pivot row and touches only the
+    columns where the pivot row is nonzero: columns left of the pivot are
+    already zero in every row from the pivot down.
 
     Column clearing: row passes repeat until column t is zero below the
     pivot, each remainder at most half the pivot.  Without transforms a
@@ -397,13 +385,20 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
 
     Column operations do not change cokernel coordinates, so with
     `transforms` only row operations are tracked.  They give the adapted
-    basis U and its inverse exactly (square input only); their entries are
-    unbounded integers.  The entries and the modulus must be integers
-    (`operator.index`), or TypeError is raised.
+    basis U and its inverse exactly; their entries are unbounded integers.
+    The entries and the modulus must be integers (`operator.index`), or
+    TypeError is raised; a ragged matrix, a non-square one with transforms
+    or a modulus below 1 raises ValueError.
     """
     big = operator.index(modulus)
     if big <= 0:
         raise ValueError("modulus must be positive")
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if any(len(row) != n for row in matrix):
+        raise ValueError("ragged matrix")
+    if transforms and m != n:
+        raise ValueError("adapted basis needs a square matrix")
     half = big // 2
     if transforms:
         lead, s = 0, [[operator.index(v) % big for v in row] for row in matrix]
@@ -411,22 +406,12 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
         lead, s = _split_unit_pivots(matrix, big)
     m = len(s)
     n = len(s[0]) if m else 0
-    if any(len(row) != n for row in s):
-        raise ValueError("ragged matrix")
-    if transforms and m != n:
-        raise ValueError("adapted basis needs a square matrix")
     uinv = mat_identity(m) if transforms else None
     # U is kept transposed, so that its column operations are row operations.
     ut = mat_identity(m) if transforms else None
-    # Units are 1 and R - 1; with R = 1 every residue is 0 and none is a unit.
-    units = (1, big - 1) if big > 1 else ()
-    # unitless[i]: row i holds no unit right of the pivot column.  Only
-    # row_sub and clear's reduction of the pivot row change a row's values.
-    unitless = [False] * m
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        unitless[i], unitless[j] = unitless[j], unitless[i]
         if transforms:
             uinv[i], uinv[j] = uinv[j], uinv[i]
             ut[i], ut[j] = ut[j], ut[i]
@@ -440,7 +425,6 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
     def row_sub(i, t, q, cols):
         # row_i -= q * row_t on the columns where row t is nonzero.
         si, st = s[i], s[t]
-        unitless[i] = False
         for c in cols:
             si[c] = (si[c] - q * st[c]) % big
         if transforms:
@@ -493,7 +477,6 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
                 swap_rows(least, t)
             row = s[t]
             piv = row[t] = math.gcd(row[t], big)
-            unitless[t] = False
             best = None
             for j in range(t + 1, n):
                 if row[j]:
@@ -504,39 +487,22 @@ def smith_mod(matrix: Matrix, modulus: int, transforms: bool = False) -> Adapted
                 return
             swap_cols(t, best)
 
-    # Until a search finds no unit at all, the first unit of the first
-    # unflagged row is the pivot.  From then on one minimum scan serves: it
-    # stops at the first unit, which is what the search would have found.
-    scan = False
     for t in range(min(m, n)):
         best = None
-        if not scan:
-            for i in range(t, m):
-                if not unitless[i]:
-                    row = s[i]
-                    for j in range(t, n):
-                        if row[j] in units:
-                            best = (1, i, j)
+        for i in range(t, m):
+            row = s[i]
+            for j in range(t, n):
+                val = row[j]
+                if val:
+                    if val > half:
+                        val = big - val
+                    if best is None or val < best[0]:
+                        best = (val, i, j)
+                        if val == 1:
                             break
-                    if best is not None:
-                        break
-                    unitless[i] = True
-            scan = best is None
-        if scan:
-            for i in range(t, m):
-                row = s[i]
-                for j in range(t, n):
-                    val = row[j]
-                    if val:
-                        if val > half:
-                            val = big - val
-                        if best is None or val < best[0]:
-                            best = (val, i, j)
-                            if val == 1:
-                                break
-                else:
-                    continue
-                break
+            else:
+                continue
+            break
         if best is None:
             break
         if best[1] != t:
